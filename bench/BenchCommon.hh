@@ -19,8 +19,8 @@
  *                        tools/perf_baseline
  *   --threads N          run the simulation on N worker threads
  *                        (sharded conservative PDES; DESIGN.md §14).
- *                        N=1 (default) is the classic single-queue
- *                        kernel, byte-identical to earlier releases.
+ *                        N=1 (default) runs the system as one shard,
+ *                        byte-identical to earlier releases.
  *                        Incompatible with --metrics-csv (the
  *                        interval sampler walks live component state
  *                        from its own event). Benches that drive the
@@ -85,7 +85,7 @@ struct BenchOptions {
     bool quick = false;
     bool fingerprint = false;
     bool perf = false; //!< print per-mode wall clock and events/sec
-    unsigned threads = 1; //!< PDES worker threads (1 = unsharded)
+    unsigned threads = 1; //!< PDES worker threads (1 = one shard)
     std::string statsJsonPath;
     std::string tracePath;
     std::string metricsCsvPath;

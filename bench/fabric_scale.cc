@@ -194,8 +194,6 @@ runPlacement(const Shape &shape, Placement pl, const Settings &s,
              std::ostream *latency_out)
 {
     sim::Simulation sim;
-    obs::RunFingerprint fp;
-    sim.events().setObserver(&fp);
     Fabric fabric(sim);
     active::ActiveConfig acfg;
     acfg.cpus = 4;
@@ -210,20 +208,10 @@ runPlacement(const Shape &shape, Placement pl, const Settings &s,
         std::string(shape.name) + "/" + placementName(pl);
     if (tel)
         tel->beginRun(label);
-    net::ShardPlan plan;
-    obs::ShardedFingerprint shardedFp;
-    if (s.threads > 1) {
-        plan = fabric.planShards(topo.switchCount());
-        fabric.applyShardPlan(plan);
-        shardedFp.attach(sim);
-        if (tel)
-            tel->enableShards(plan.shards);
-    }
-    const auto hostShard = [&](unsigned h) -> std::size_t {
-        if (!sim.sharded())
-            return 0;
-        return plan.adapterShard[fabric.adapterIndex(*topo.hosts[h])];
-    };
+    if (s.threads > 1)
+        fabric.applyShardPlan(fabric.planShards(topo.switchCount()));
+    obs::ShardedFingerprint fp;
+    fp.attach(sim);
 
     const unsigned collector = 0;
     const NodeId collectorId = topo.hosts[collector]->id();
@@ -290,7 +278,7 @@ runPlacement(const Shape &shape, Placement pl, const Settings &s,
         }
         // The pump sends its first message at spawn time, so the
         // spawn itself must land on the sender's shard.
-        sim::ShardGuard guard(sim, hostShard(h));
+        sim::ShardGuard guard(sim, fabric.shardOf(*topo.hosts[h]));
         sim.spawn(senderPump(*topo.hosts[h], dst, hdr, s.messages,
                              s.messageBytes, spacing, h));
     }
@@ -298,17 +286,14 @@ runPlacement(const Shape &shape, Placement pl, const Settings &s,
     sim::Tick lastAt = 0;
     std::uint64_t msgs = 0, bytes = 0;
     {
-        sim::ShardGuard guard(sim, hostShard(collector));
+        sim::ShardGuard guard(sim, fabric.shardOf(*topo.hosts[collector]));
         sim.spawn(drainCollector(*topo.hosts[collector],
                                  senders * s.messages, &lastAt, &msgs,
                                  &bytes));
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    if (s.threads > 1)
-        sim.runSharded(s.threads);
-    else
-        sim.run();
+    sim.runSharded(s.threads);
     PlacementResult r;
     r.wallMs = std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - t0)
@@ -324,15 +309,7 @@ runPlacement(const Shape &shape, Placement pl, const Settings &s,
         r.handlerChunks += as->chunksStaged();
         r.dispatchStalls += as->dispatchStalls();
     }
-    if (sim.sharded()) {
-        // Deterministic per-shard stream merge (DESIGN.md §14): the
-        // legacy queue saw no events, so fold the shard digests into
-        // the same accumulator the single-threaded path uses.
-        shardedFp.combineInto(fp);
-        r.events = shardedFp.eventsFolded();
-    } else {
-        r.events = fp.eventsFolded();
-    }
+    r.events = fp.eventsFolded();
     r.fingerprint = fp.value();
     if (tel) {
         const obs::TelemetryStats &t = tel->finishRun();

@@ -10,7 +10,7 @@
 
 namespace san::active {
 
-std::uint64_t ActiveSwitch::nextMessageId_ = (1ull << 48);
+std::atomic<std::uint64_t> ActiveSwitch::nextMessageId_{1ull << 48};
 
 // ---------------------------------------------------------------------
 // HandlerContext

@@ -20,6 +20,7 @@
 #ifndef SAN_ACTIVE_ACTIVE_SWITCH_HH
 #define SAN_ACTIVE_ACTIVE_SWITCH_HH
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -299,7 +300,8 @@ class ActiveSwitch : public net::Switch
     fault::FaultSite *crashSite_ = nullptr;
     std::unique_ptr<fault::ReliableChannel> rel_;
 
-    static std::uint64_t nextMessageId_;
+    /** Process-wide, and bumped by every shard's worker. */
+    static std::atomic<std::uint64_t> nextMessageId_;
 };
 
 } // namespace san::active

@@ -20,7 +20,6 @@ Cluster::Cluster(const ClusterParams &params)
 {
     assert(params.hosts + params.storageNodes <= params.switchPorts);
     sim_.setTracer(obs::globalTracer());
-    sim_.events().setObserver(&fingerprint_);
     sw_ = &fabric_.addSwitch<active::ActiveSwitch>(
         net::SwitchParams{params.switchPorts}, params.active);
 
@@ -46,18 +45,16 @@ Cluster::Cluster(const ClusterParams &params)
     // Threaded run: shard one-component-per-logical-process (the
     // single switch plus every adapter — a one-switch cluster has no
     // coarser cut that parallelizes anything). The server/demux
-    // tasks started above are safe to start unsharded: they suspend
-    // on their receive channels without scheduling events, and
-    // resume on whichever shard pushes.
+    // tasks started above stay on shard 0: they suspend on their
+    // receive channels without scheduling events, and resume on
+    // whichever shard pushes.
     if (params.threads > 1) {
         assert(obs::globalSampler() == nullptr &&
                "--metrics-csv requires --threads 1");
-        plan_ = fabric_.planShards(1 + fabric_.adapters().size());
-        fabric_.applyShardPlan(plan_);
-        shardedFp_.attach(sim_);
-        if (obs::Telemetry *tel = obs::globalTelemetry())
-            tel->enableShards(plan_.shards);
+        fabric_.applyShardPlan(
+            fabric_.planShards(1 + fabric_.adapters().size()));
     }
+    shardedFp_.attach(sim_);
 
     // When a sampler is installed (bench --metrics-csv), point it at
     // this cluster: re-register every component's gauges (the
@@ -107,28 +104,17 @@ Cluster::Cluster(const ClusterParams &params)
     }
 }
 
-std::size_t
-Cluster::hostShard(unsigned i)
-{
-    if (!sim_.sharded())
-        return 0;
-    return plan_.adapterShard[fabric_.adapterIndex(
-        hosts_.at(i)->hca())];
-}
-
 void
 Cluster::spawnOnHost(unsigned i, sim::Task task)
 {
-    sim::ShardGuard guard(sim_, hostShard(i));
+    sim::ShardGuard guard(sim_, fabric_.shardOf(hosts_.at(i)->hca()));
     sim_.spawn(std::move(task));
 }
 
 RunStats
 Cluster::collect(Mode mode)
 {
-    const sim::Tick end = params_.threads > 1
-                              ? sim_.runSharded(params_.threads)
-                              : sim_.run();
+    const sim::Tick end = sim_.runSharded(params_.threads);
     if (obs::IntervalSampler *sampler = obs::globalSampler())
         sampler->finishRun(end);
     RunStats stats;
@@ -192,11 +178,9 @@ Cluster::collect(Mode mode)
             f.creditsLost += link->creditsLost();
     }
 
-    // Sharded run: the legacy-queue observer saw nothing; seed the
-    // stat fold with the deterministic per-shard stream merge
-    // instead (DESIGN.md §14).
-    if (sim_.sharded())
-        shardedFp_.combineInto(fingerprint_);
+    // Seed the stat fold with the deterministic per-shard stream
+    // merge (DESIGN.md §14).
+    shardedFp_.combineInto(fingerprint_);
 
     // Fold the end-of-run stat values on top of the per-event stream
     // so a run with identical timing but different results still

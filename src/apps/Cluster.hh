@@ -27,11 +27,11 @@ struct ClusterParams {
     unsigned storageNodes = 1;
     unsigned switchPorts = 16;
     /**
-     * Worker threads for the run. 1 (the default) is the historical
-     * single-queue kernel, bit-identical to every golden. >1 shards
-     * the cluster one-component-per-shard (switch, each HCA, each
-     * TCA) under the conservative PDES kernel; fingerprints are then
-     * stable across thread counts but differ from the single-thread
+     * Worker threads for the run. 1 (the default) runs the cluster
+     * as one shard, bit-identical to every golden. >1 shards the
+     * cluster one-component-per-shard (switch, each HCA, each TCA)
+     * under the conservative PDES kernel; fingerprints are then
+     * stable across thread counts but differ from the one-shard
      * stream (see DESIGN.md §14).
      */
     unsigned threads = 1;
@@ -68,35 +68,27 @@ class Cluster
     }
 
     /**
-     * The run fingerprint, folded over every executed event since
-     * construction (see obs::RunFingerprint). collect() folds the
-     * end-of-run stat values on top and reports it in RunStats.
+     * The run fingerprint (see obs::RunFingerprint): collect() folds
+     * the per-shard event streams and then the end-of-run stat values
+     * into it, and reports it in RunStats.
      */
     obs::RunFingerprint &fingerprint() { return fingerprint_; }
 
     /**
-     * Spawn a task pinned to host @p i's shard (a plain spawn when
-     * threads == 1). The per-figure run functions start their host
-     * loops through this so the task's events land on the host's
-     * logical process.
+     * Spawn a task pinned to host @p i's shard. The per-figure run
+     * functions start their host loops through this so the task's
+     * events land on the host's logical process.
      */
     void spawnOnHost(unsigned i, sim::Task task);
-
-    /** The shard plan in effect (default-constructed single-shard
-     *  plan when threads == 1). */
-    const net::ShardPlan &shardPlan() const { return plan_; }
 
     /** Run to completion and collect the paper's metrics. */
     RunStats collect(Mode mode);
 
   private:
-    std::size_t hostShard(unsigned i);
-
     ClusterParams params_;
     sim::Simulation sim_;
     obs::RunFingerprint fingerprint_;
     obs::ShardedFingerprint shardedFp_;
-    net::ShardPlan plan_;
     net::Fabric fabric_;
     active::ActiveSwitch *sw_ = nullptr;
     std::vector<std::unique_ptr<host::Host>> hosts_;

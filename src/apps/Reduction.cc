@@ -106,26 +106,10 @@ struct ReduceSystem {
         // shards. The partition depends on the topology alone, never
         // on p.threads, which is what keeps N-thread fingerprints
         // stable across N. (The demux tasks started above schedule
-        // nothing until traffic arrives, so starting them unsharded
-        // is safe.)
-        if (p.threads > 1) {
-            plan = fabric.planShards(switches.size());
-            fabric.applyShardPlan(plan);
-            if (obs::Telemetry *tel = obs::globalTelemetry())
-                tel->enableShards(plan.shards);
-        }
+        // nothing until traffic arrives, so they may stay on shard 0.)
+        if (p.threads > 1)
+            fabric.applyShardPlan(fabric.planShards(switches.size()));
     }
-
-    /** Shard of host @p n's logical process (0 when unsharded). */
-    std::size_t
-    hostShard(unsigned n)
-    {
-        if (!sim.sharded())
-            return 0;
-        return plan.adapterShard[fabric.adapterIndex(hosts[n]->hca())];
-    }
-
-    net::ShardPlan plan;
 
     ~ReduceSystem()
     {
@@ -188,12 +172,8 @@ runReduction(bool active, ReduceKind kind, const ReductionParams &p)
     // What each host ends up holding.
     auto results = std::make_shared<std::vector<Vec>>(p.nodes);
 
-    obs::RunFingerprint fp;
-    obs::ShardedFingerprint sharded_fp;
-    if (p.threads > 1)
-        sharded_fp.attach(sys.sim);
-    else
-        sys.sim.events().setObserver(&fp);
+    obs::ShardedFingerprint fp;
+    fp.attach(sys.sim);
 
     if (!active) {
         // ---- Binomial (MST) software reduction -------------------
@@ -202,7 +182,8 @@ runReduction(bool active, ReduceKind kind, const ReductionParams &p)
             ++rounds;
 
         for (unsigned n = 0; n < p.nodes; ++n) {
-            sim::ShardGuard guard(sys.sim, sys.hostShard(n));
+            sim::ShardGuard guard(sys.sim,
+                                  sys.fabric.shardOf(sys.hosts[n]->hca()));
             sys.sim.spawn([](ReduceSystem &s, const ReductionParams &pp,
                              unsigned self, unsigned n_rounds,
                              ReduceKind k,
@@ -436,7 +417,8 @@ runReduction(bool active, ReduceKind kind, const ReductionParams &p)
 
         // Hosts: fire the vector, then await the result/segment.
         for (unsigned n = 0; n < p.nodes; ++n) {
-            sim::ShardGuard guard(sys.sim, sys.hostShard(n));
+            sim::ShardGuard guard(sys.sim,
+                                  sys.fabric.shardOf(sys.hosts[n]->hca()));
             sys.sim.spawn(
                 [](ReduceSystem &s, const ReductionParams &pp,
                    unsigned self, ReduceKind k,
@@ -467,8 +449,7 @@ runReduction(bool active, ReduceKind kind, const ReductionParams &p)
         }
     }
 
-    const sim::Tick end =
-        p.threads > 1 ? sys.sim.runSharded(p.threads) : sys.sim.run();
+    const sim::Tick end = sys.sim.runSharded(p.threads);
 
     // ---- Verify against the sequential reference ------------------
     bool correct = true;
@@ -491,9 +472,8 @@ runReduction(bool active, ReduceKind kind, const ReductionParams &p)
     run.latency = end;
     run.correct = correct;
     run.checksum = vecChecksum(assembled);
-    run.fingerprint = p.threads > 1 ? sharded_fp.value() : fp.value();
-    run.events = p.threads > 1 ? sharded_fp.eventsFolded()
-                               : fp.eventsFolded();
+    run.fingerprint = fp.value();
+    run.events = fp.eventsFolded();
     return run;
 }
 

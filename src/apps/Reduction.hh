@@ -47,10 +47,10 @@ struct ReductionParams {
     unsigned hostsPerLeaf = 8;      //!< half the ports, as in paper
     std::uint64_t seed = 31;
     /**
-     * Worker threads. 1 = historical single-queue kernel. >1 shards
-     * the system per-switch (hosts follow their leaf) under the
-     * conservative PDES kernel; results and checksums are identical,
-     * fingerprints are stable across thread counts (DESIGN.md §14).
+     * Worker threads. 1 = one shard. >1 shards the system per-switch
+     * (hosts follow their leaf) under the conservative PDES kernel;
+     * results and checksums are identical, fingerprints are stable
+     * across thread counts (DESIGN.md §14).
      */
     unsigned threads = 1;
 
@@ -82,8 +82,8 @@ struct ReductionRun {
     sim::Tick latency = 0;
     bool correct = false;      //!< result equals sequential reference
     std::string checksum;      //!< first/last elements of the result
-    /** Event-stream digest: the single-queue RunFingerprint at
-     *  threads == 1, the deterministic per-shard merge otherwise. */
+    /** Event-stream digest: the deterministic per-shard merge,
+     *  which for one shard is that shard's RunFingerprint. */
     std::uint64_t fingerprint = 0;
     std::uint64_t events = 0;  //!< events executed
 };

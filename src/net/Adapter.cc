@@ -5,7 +5,7 @@
 
 namespace san::net {
 
-std::uint64_t Adapter::nextMessageId_ = 1;
+std::atomic<std::uint64_t> Adapter::nextMessageId_{1};
 
 Adapter::Adapter(sim::Simulation &sim, std::string name, NodeId id,
                  const AdapterParams &params)

@@ -13,6 +13,7 @@
 #ifndef SAN_NET_ADAPTER_HH
 #define SAN_NET_ADAPTER_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -106,7 +107,8 @@ class Adapter
     std::uint64_t bytesOut_ = 0, bytesIn_ = 0;
     std::uint64_t msgsOut_ = 0, msgsIn_ = 0;
 
-    static std::uint64_t nextMessageId_;
+    /** Process-wide, and bumped by every shard's worker. */
+    static std::atomic<std::uint64_t> nextMessageId_;
 };
 
 } // namespace san::net

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <queue>
 
+#include "obs/Telemetry.hh"
+
 namespace san::net {
 
 Fabric::Fabric(sim::Simulation &sim, const LinkParams &link_params,
@@ -20,6 +22,7 @@ Fabric::addAdapter(const std::string &name)
     adapterIndexOf_.emplace(adapters_.back().get(),
                             adapters_.size() - 1);
     adapterHome_.emplace_back(-1, 0u);
+    adapterShard_.push_back(0);
     return *adapters_.back();
 }
 
@@ -144,6 +147,9 @@ Fabric::applyShardPlan(const ShardPlan &plan)
            "a zero-latency boundary link leaves no lookahead");
 
     sim_.enableSharding(plan.shards, plan.lookahead);
+    adapterShard_ = plan.adapterShard;
+    if (obs::Telemetry *tel = obs::globalTelemetry())
+        tel->enableShards(plan.shards);
     for (std::size_t l = 0; l < links_.size(); ++l) {
         const LinkEnds &e = linkEnds_[l];
         const std::size_t src = e.srcIsSwitch

@@ -129,15 +129,22 @@ class Fabric
     ShardPlan planShards(std::size_t shards) const;
 
     /**
-     * Put the simulation into sharded mode per @p plan: enables
-     * sharding on the Simulation (shard count + lookahead) and marks
-     * every boundary link cross-shard. Call after wiring and
-     * computeRoutes(), before any event is scheduled.
+     * Partition the simulation per @p plan: sets its shard count and
+     * lookahead, marks every boundary link cross-shard, and gives an
+     * installed obs::Telemetry one slice per shard. Call after wiring
+     * and computeRoutes(), before any event is scheduled.
      */
     void applyShardPlan(const ShardPlan &plan);
 
     /** Creation index of @p adapter (for ShardPlan lookups). */
     std::size_t adapterIndex(const Adapter &adapter) const;
+
+    /** Shard @p adapter lives on: its plan entry, 0 before any plan. */
+    std::size_t
+    shardOf(const Adapter &adapter) const
+    {
+        return adapterShard_[adapterIndex(adapter)];
+    }
 
     sim::Simulation &sim() { return sim_; }
     const LinkParams &linkParams() const { return linkParams_; }
@@ -173,6 +180,8 @@ class Fabric
     std::vector<std::vector<std::pair<int, int>>> switchAdj_;
     /** Per adapter: (home switch index, port). */
     std::vector<std::pair<int, unsigned>> adapterHome_;
+    /** Per adapter: its shard under the applied plan. */
+    std::vector<std::size_t> adapterShard_;
     /** Per link (parallel to links_): sender and receiver, each a
      * switch or an adapter. Filled by connect/connectSwitches; the
      * shard planner walks it to find boundary links. */

@@ -115,7 +115,7 @@ class Link
      * receiver's shard posts it back to the sender's shard, arriving
      * one propagation delay later (which also keeps the timestamp
      * within the conservative lookahead bound). Same-shard links
-     * keep the historical zero-delay return, so unsharded runs are
+     * keep the historical zero-delay return, so one-shard runs are
      * bit-identical.
      */
     void

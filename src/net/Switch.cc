@@ -26,12 +26,6 @@ resolvePolicy(const SwitchPolicyConfig &cfg, const std::string &name)
 {
     if (!isStockPolicy(cfg))
         return cfg;
-#ifdef SAN_FORCE_SWITCH_POLICY
-    // Build-time mirror of the env override (mirrors how
-    // -DSAN_FORCE_HEAP_KERNEL pins the event kernel).
-    if (auto forced = parsePolicySpec(SAN_FORCE_SWITCH_POLICY))
-        return *forced;
-#endif
     if (const char *env = std::getenv("SAN_FORCE_SWITCH_POLICY")) {
         if (auto forced = parsePolicySpec(env))
             return *forced;

@@ -108,7 +108,7 @@ const char *serviceOrderName(ServiceOrder order);
  * `central`, `fifo` (central with a 64-cell shared memory — the
  * classic bounded FIFO output queue), `voq`, `crosspoint` (alias
  * `xpoint`), and order is `fifo`, `oldest` or `longest`. Used by the
- * SAN_FORCE_SWITCH_POLICY build/env override and by the bench CLIs.
+ * SAN_FORCE_SWITCH_POLICY environment override and by the bench CLIs.
  */
 std::optional<SwitchPolicyConfig> parsePolicySpec(std::string_view spec);
 

@@ -19,6 +19,7 @@
 #ifndef SAN_OBS_FINGERPRINT_HH
 #define SAN_OBS_FINGERPRINT_HH
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -106,20 +107,21 @@ class RunFingerprint : public sim::EventQueue::Observer
 };
 
 /**
- * Fingerprint of a sharded run: one streaming RunFingerprint per
- * shard queue, each folding its own shard's event stream in (tick,
- * seq) execution order, combined deterministically in shard-id
- * order. Because the partition and the window sequence depend only
- * on the topology — never on the thread count — each per-shard
- * stream is bit-identical across worker counts and repeat runs, and
- * so is the combined digest. This is the "merge per-shard event
- * streams in deterministic order, then fold" rule of DESIGN.md §14.
+ * Fingerprint of a run: one streaming RunFingerprint per shard
+ * queue, each folding its own shard's event stream in (tick, seq)
+ * execution order, combined deterministically in shard-id order.
+ * Because the partition and the window sequence depend only on the
+ * topology — never on the thread count — each per-shard stream is
+ * bit-identical across worker counts and repeat runs, and so is the
+ * combined digest. This is the "merge per-shard event streams in
+ * deterministic order, then fold" rule of DESIGN.md §14; with one
+ * shard the merge is the identity.
  */
 class ShardedFingerprint
 {
   public:
-    /** Attach one observer per shard queue of @p sim (which must be
-     *  sharded). Call once, before the run. */
+    /** Attach one observer per shard queue of @p sim. Call once,
+     *  after any shard plan is applied and before the run. */
     void
     attach(sim::Simulation &sim)
     {
@@ -151,13 +153,19 @@ class ShardedFingerprint
 
     /**
      * Fold the merged digest into @p into: the shard count, then
-     * every shard's (value, events) in shard order. @p into may
-     * carry prior folds (Cluster seeds its stat fingerprint this
-     * way) or be fresh.
+     * every shard's (value, events) in shard order. One shard is the
+     * identity: a fresh @p into becomes that shard's own digest, as
+     * if it had observed the queue itself.
      */
     void
     combineInto(RunFingerprint &into) const
     {
+        if (shards_.size() == 1) {
+            assert(into.eventsFolded() == 0 && into.value() == 0 &&
+                   "the one-shard merge needs a fresh fingerprint");
+            into = *shards_.front();
+            return;
+        }
         into.fold(static_cast<std::uint64_t>(shards_.size()));
         for (const auto &f : shards_) {
             into.fold(f->value());

@@ -26,30 +26,6 @@ writeDouble(std::ostream &os, double v)
     os.write(buf, res.ptr - buf);
 }
 
-/** Ladder-occupancy gauges exist only when the scheduler exposes tier
- * introspection — a SAN_FORCE_HEAP_KERNEL build (the A/B escape
- * hatch) simply omits the sim.ladder.* columns. Template so the
- * requires-check is dependent and the untaken branch is discarded. */
-template <typename Sched>
-void
-addLadderGauges(MetricsRegistry &m, const Sched &sched)
-{
-    if constexpr (requires { sched.drainEvents(); }) {
-        m.add("sim.ladder.drain", GaugeKind::Gauge, [&sched] {
-            return static_cast<double>(sched.drainEvents());
-        });
-        m.add("sim.ladder.bucketed", GaugeKind::Gauge, [&sched] {
-            return static_cast<double>(sched.bucketedEvents());
-        });
-        m.add("sim.ladder.spill", GaugeKind::Gauge, [&sched] {
-            return static_cast<double>(sched.spillEvents());
-        });
-        m.add("sim.ladder.width_ps", GaugeKind::Gauge, [&sched] {
-            return static_cast<double>(sched.bucketWidth());
-        });
-    }
-}
-
 } // namespace
 
 void
@@ -64,7 +40,19 @@ registerKernelGauges(MetricsRegistry &m, const sim::EventQueue &events)
             return 0.0;
         return static_cast<double>(next - events.now());
     });
-    addLadderGauges(m, events.scheduler());
+    const auto &sched = events.scheduler();
+    m.add("sim.ladder.drain", GaugeKind::Gauge, [&sched] {
+        return static_cast<double>(sched.drainEvents());
+    });
+    m.add("sim.ladder.bucketed", GaugeKind::Gauge, [&sched] {
+        return static_cast<double>(sched.bucketedEvents());
+    });
+    m.add("sim.ladder.spill", GaugeKind::Gauge, [&sched] {
+        return static_cast<double>(sched.spillEvents());
+    });
+    m.add("sim.ladder.width_ps", GaugeKind::Gauge, [&sched] {
+        return static_cast<double>(sched.bucketWidth());
+    });
 }
 
 void

@@ -59,13 +59,11 @@ void
 Telemetry::beginRun(std::string label)
 {
     label_ = std::move(label);
-    seen_ = 0;
-    nextUid_ = 1;
     packetsObserved_ = 0;
     bytesObserved_ = 0;
     records_.clear();
-    slices_.clear();
     sketch_.reset();
+    enableShards(1);
 }
 
 void
@@ -76,13 +74,20 @@ Telemetry::enableShards(std::size_t shards)
         slices_.push_back(std::make_unique<Slice>());
 }
 
-Telemetry::Slice *
-Telemetry::currentSlice()
+std::size_t
+Telemetry::sliceIndex() const
 {
-    if (slices_.empty())
-        return nullptr;
     const std::size_t s = sim::pdes::currentShard();
-    return s < slices_.size() ? slices_[s].get() : nullptr;
+    return s < slices_.size() ? s : 0;
+}
+
+std::uint64_t
+Telemetry::recordsLive() const
+{
+    std::uint64_t n = records_.size();
+    for (const auto &sl : slices_)
+        n += sl->records.size();
+    return n;
 }
 
 std::shared_ptr<TelemetryRecord>
@@ -91,55 +96,40 @@ Telemetry::sample(std::uint32_t src, std::uint32_t dst, FlowClass fc,
 {
     if (rate_ == 0)
         return nullptr;
-    if (Slice *sl = currentSlice()) {
-        // Shard-local 1-in-N over this shard's own packet stream;
-        // uids stripe by shard so the merged registry stays unique
-        // and reproducible: uid = k * shards + shard + 1.
-        if (sl->seen++ % rate_ != 0)
-            return nullptr;
-        auto rec = std::make_shared<TelemetryRecord>();
-        rec->uid = sl->sampled++ * slices_.size() +
-                   sim::pdes::currentShard() + 1;
-        rec->flowClass = fc;
-        rec->src = src;
-        rec->dst = dst;
-        rec->bornAt = now;
-        sl->records.push_back(rec);
-        return rec;
-    }
-    if (seen_++ % rate_ != 0)
+    // Shard-local 1-in-N over this shard's own packet stream; uids
+    // stripe by shard so the merged registry stays unique and
+    // reproducible: uid = k * shards + shard + 1.
+    const std::size_t s = sliceIndex();
+    Slice &sl = *slices_[s];
+    if (sl.seen++ % rate_ != 0)
         return nullptr;
     auto rec = std::make_shared<TelemetryRecord>();
-    rec->uid = nextUid_++;
+    rec->uid = sl.sampled++ * slices_.size() + s + 1;
     rec->flowClass = fc;
     rec->src = src;
     rec->dst = dst;
     rec->bornAt = now;
-    records_.push_back(rec);
+    sl.records.push_back(rec);
     return rec;
 }
 
 const TelemetryStats &
 Telemetry::finishRun()
 {
-    // Fold the per-shard slices first (sharded runs): counters and
-    // sketches merge in shard order, records interleave by their
-    // striped uid. Both orders depend only on the partition, so the
-    // folded stats are identical for any worker-thread count.
-    if (!slices_.empty()) {
-        for (auto &sl : slices_) {
-            packetsObserved_ += sl->packetsObserved;
-            bytesObserved_ += sl->bytesObserved;
-            sketch_.merge(sl->sketch);
-            records_.insert(records_.end(), sl->records.begin(),
-                            sl->records.end());
-        }
-        slices_.clear();
-        std::sort(records_.begin(), records_.end(),
-                  [](const auto &a, const auto &b) {
-                      return a->uid < b->uid;
-                  });
+    // Fold the per-shard slices first: counters and sketches merge
+    // in shard order, records interleave by their striped uid. Both
+    // orders depend only on the partition, so the folded stats are
+    // identical for any worker-thread count.
+    for (auto &sl : slices_) {
+        packetsObserved_ += sl->packetsObserved;
+        bytesObserved_ += sl->bytesObserved;
+        sketch_.merge(sl->sketch);
+        records_.insert(records_.end(), sl->records.begin(),
+                        sl->records.end());
     }
+    enableShards(slices_.size()); // a repeat finishRun folds nothing twice
+    std::sort(records_.begin(), records_.end(),
+              [](const auto &a, const auto &b) { return a->uid < b->uid; });
 
     last_ = TelemetryStats{};
     last_.active = true;

@@ -485,25 +485,28 @@ class Telemetry
      * to measure the passive overhead); N >= 1 samples 1-in-N. */
     explicit Telemetry(std::uint64_t sampleRate)
         : rate_(sampleRate)
-    {}
+    {
+        enableShards(1);
+    }
 
     std::uint64_t sampleRate() const { return rate_; }
     const std::string &runLabel() const { return label_; }
 
-    /** Reset per-run state (sampler phase, records, sketch). Also
-     * drops any per-shard slices — a sharded run re-arms them via
-     * enableShards() once its partition is known. */
+    /** Reset per-run state (sampler phase, records, sketch) to one
+     * slice — a partitioned run re-arms more via enableShards()
+     * once its partition is known. */
     void beginRun(std::string label);
 
     /**
-     * Arm per-shard routing for a sharded run: sampling decisions,
-     * records, packet counters, and the flow sketch all live in one
-     * slice per shard, written only by that shard's worker — no hot-
-     * path locks. finishRun() folds the slices deterministically
+     * Arm one slice per shard: sampling decisions, records, packet
+     * counters, and the flow sketch all live in the slice of the
+     * shard that sees the packet, written only by that shard's
+     * worker — no hot-path locks. Calls outside any shard context
+     * use slice 0. finishRun() folds the slices deterministically
      * (records interleave by uid = k * shards + shard + 1; sketches
      * and counters merge in shard order), so the folded output is
-     * stable across thread counts. Call after beginRun(), before
-     * the run.
+     * stable across thread counts, and one slice folds to itself.
+     * net::Fabric::applyShardPlan calls this, after beginRun().
      */
     void enableShards(std::size_t shards);
 
@@ -527,15 +530,10 @@ class Telemetry
     {
         if (rate_ == 0)
             return;
-        if (Slice *sl = currentSlice()) {
-            ++sl->packetsObserved;
-            sl->bytesObserved += wireBytes;
-            sl->sketch.add(src, dst, wireBytes);
-            return;
-        }
-        ++packetsObserved_;
-        bytesObserved_ += wireBytes;
-        sketch_.add(src, dst, wireBytes);
+        Slice &sl = *slices_[sliceIndex()];
+        ++sl.packetsObserved;
+        sl.bytesObserved += wireBytes;
+        sl.sketch.add(src, dst, wireBytes);
     }
 
     /** Fold all records into histograms / flow tables; the result
@@ -543,10 +541,11 @@ class Telemetry
     const TelemetryStats &finishRun();
 
     const TelemetryStats &lastRun() const { return last_; }
-    std::uint64_t recordsLive() const { return records_.size(); }
+    std::uint64_t recordsLive() const;
 
-    /** The run's sampled records in uid order (valid until the next
-     * beginRun); tests use this to assert stamp monotonicity. */
+    /** The run's sampled records in uid order (filled by finishRun,
+     * valid until the next beginRun); tests use this to assert stamp
+     * monotonicity. */
     const std::vector<std::shared_ptr<TelemetryRecord>> &
     records() const
     {
@@ -554,7 +553,7 @@ class Telemetry
     }
 
   private:
-    /** One shard's private telemetry state (sharded runs only). */
+    /** One shard's private telemetry state. */
     struct Slice {
         std::uint64_t seen = 0;
         std::uint64_t sampled = 0; //!< uids issued by this slice
@@ -564,12 +563,10 @@ class Telemetry
         FlowSketch sketch;
     };
 
-    /** The calling shard's slice, or null (unsharded / not armed). */
-    Slice *currentSlice();
+    /** The calling shard's slice index; 0 outside a shard context. */
+    std::size_t sliceIndex() const;
 
     std::uint64_t rate_;
-    std::uint64_t seen_ = 0;
-    std::uint64_t nextUid_ = 1;
     std::uint64_t packetsObserved_ = 0;
     std::uint64_t bytesObserved_ = 0;
     std::vector<std::shared_ptr<TelemetryRecord>> records_;

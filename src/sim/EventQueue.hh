@@ -800,16 +800,8 @@ class BasicEventQueue
     Observer *observer_ = nullptr;
 };
 
-/** The production event queue: ladder-queue scheduling. Building
- * with -DSAN_FORCE_HEAP_KERNEL swaps the binary-heap policy back in
- * across the whole simulator — an A/B escape hatch for benchmarking
- * the scheduler on real figure workloads (determinism is identical,
- * so fingerprints match either way). */
-#ifdef SAN_FORCE_HEAP_KERNEL
-using EventQueue = BasicEventQueue<detail::HeapScheduler>;
-#else
+/** The production event queue: ladder-queue scheduling. */
 using EventQueue = BasicEventQueue<detail::LadderScheduler>;
-#endif
 
 /** The PR 4 binary-heap kernel, kept as a measurable baseline (the
  * micro-bench) and a determinism oracle (the cross-kernel fuzz test). */

@@ -7,7 +7,10 @@
  * -----
  * The component graph is partitioned into S logical-process *shards*
  * (net::ShardPlan decides the cut; switches and adapters are the
- * units). Each shard owns a full ladder EventQueue and executes its
+ * units). Every simulation runs here: an unpartitioned one is the
+ * S = 1 case, one shard with an unbounded window, so its run is a
+ * single round that drains the one queue in (tick, seq) order.
+ * Each shard owns a full ladder EventQueue and executes its
  * events on exactly one worker thread (shard s runs on worker
  * s % W, so a shard never migrates between threads). Cross-shard
  * interactions — packet arrivals and credit returns on boundary
@@ -52,6 +55,7 @@
 #ifndef SAN_SIM_PDES_HH
 #define SAN_SIM_PDES_HH
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <cassert>
@@ -62,6 +66,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -73,22 +78,21 @@
 
 namespace san::sim {
 
-class Simulation;
-
 namespace pdes {
+
+class ShardSet;
 
 namespace detail {
 
 /**
  * Thread-local shard context. While a worker executes shard s of a
- * sharded simulation (or build code runs under a ShardGuard), this
- * names the owning Simulation, the shard index, its queue, and its
- * trace buffer; Simulation::events()/now()/tracer() consult it so
- * component code is shard-oblivious. Unsharded runs never set it,
- * so the single-thread path pays one pointer compare.
+ * simulation (or build code runs under a ShardGuard), this names the
+ * simulation's shard set, the shard index, its queue, and its trace
+ * sink; Simulation::events()/now()/tracer() consult it so component
+ * code is shard-oblivious.
  */
 struct ShardTls {
-    const void *owner = nullptr;
+    const ShardSet *owner = nullptr;
     std::size_t shard = 0;
     EventQueue *queue = nullptr;
     Tracer *tracer = nullptr;
@@ -105,7 +109,7 @@ tls()
 
 /**
  * The shard index the calling thread is currently executing, or
- * SIZE_MAX when outside any sharded run. Shard-safe singletons
+ * SIZE_MAX when outside any shard context. Shard-safe singletons
  * (obs::Telemetry's per-shard slices) key their thread-local state
  * on this.
  */
@@ -247,10 +251,10 @@ class BufferingTracer : public Tracer
 };
 
 /**
- * The sharded runtime: S event queues, the (src, dst) message
- * channels, per-shard task registries and trace buffers, and the
- * barrier-window run loop. Owned by Simulation once sharding is
- * enabled; Simulation remains the only public entry point.
+ * The simulation kernel: S event queues, the (src, dst) message
+ * channels, per-shard task registries and trace sinks, and the
+ * barrier-window run loop. Every Simulation owns one, starting with
+ * a single shard; Simulation remains the only public entry point.
  */
 class ShardSet
 {
@@ -262,50 +266,89 @@ class ShardSet
         std::function<void()> fn;
     };
 
-    ShardSet(const void *owner, std::size_t shards, Tick lookahead)
-        : owner_(owner), shards_(shards), lookahead_(lookahead),
-          staging_(shards * shards), ready_(shards * shards),
-          tasks_(shards)
+    /** One shard with an unbounded window. */
+    ShardSet() : staging_(1), ready_(1), tasks_(1), sinks_(1)
     {
+        queues_.push_back(std::make_unique<EventQueue>());
+    }
+
+    /**
+     * Re-partition the single shard into @p shards with window width
+     * @p lookahead. Shard 0 keeps its queue and task list, so tasks
+     * spawned before the plan (server loops parked on their receive
+     * channels) stay alive where they are.
+     */
+    void
+    partition(std::size_t shards, Tick lookahead)
+    {
+        assert(shards_ == 1 && "already partitioned");
         assert(shards >= 1);
         assert(lookahead >= 1 && "zero lookahead would livelock");
-        queues_.reserve(shards);
-        for (std::size_t s = 0; s < shards; ++s)
+        shards_ = shards;
+        lookahead_ = lookahead;
+        staging_.assign(shards * shards, {});
+        ready_.assign(shards * shards, {});
+        tasks_.resize(shards);
+        while (queues_.size() < shards)
             queues_.push_back(std::make_unique<EventQueue>());
+        routeTraces();
     }
 
     std::size_t shards() const { return shards_; }
     Tick lookahead() const { return lookahead_; }
-    const void *owner() const { return owner_; }
 
     EventQueue &queue(std::size_t s) { return *queues_.at(s); }
     std::list<Task> &taskList(std::size_t s) { return tasks_.at(s); }
 
-    /** Lazily create per-shard trace buffers (idempotent). */
+    /**
+     * The shard of a caller outside any shard context: shard 0 of a
+     * one-shard set. A multi-shard set has no default — an event or
+     * task must name its shard (ShardGuard), or it would land on a
+     * queue no component of it lives on — so asking is an error.
+     */
+    std::size_t
+    defaultShard() const
+    {
+        if (shards_ != 1)
+            throw std::logic_error(
+                "sharded simulation: schedule and spawn under a "
+                "ShardGuard");
+        return 0;
+    }
+
+    /** The simulation clock: the latest shard clock. */
+    Tick
+    now() const
+    {
+        Tick t = 0;
+        for (const auto &q : queues_)
+            t = std::max(t, q->now());
+        return t;
+    }
+
+    /** Attach (or clear) the run's tracer. */
     void
-    enableTracing()
+    setTracer(Tracer *tracer)
     {
-        if (!tracers_.empty())
-            return;
-        tracers_.reserve(shards_);
-        for (std::size_t s = 0; s < shards_; ++s)
-            tracers_.push_back(std::make_unique<BufferingTracer>());
+        tracer_ = tracer;
+        routeTraces();
     }
 
-    Tracer *
-    tracerFor(std::size_t s)
-    {
-        return tracers_.empty() ? nullptr : tracers_[s].get();
-    }
+    Tracer *tracer() const { return tracer_; }
 
-    /** Replay every shard's buffered trace into @p out, in shard
+    /** Shard @p s's trace sink (null when no tracer is attached). */
+    Tracer *tracerFor(std::size_t s) const { return sinks_[s]; }
+
+    /** Replay every shard's buffered trace into the tracer, in shard
      *  order (called once, after the run, single-threaded). */
     void
-    replayTraces(Tracer &out)
+    replayTraces()
     {
-        for (auto &t : tracers_) {
-            t->replayTo(out);
-            *t = BufferingTracer();
+        if (tracer_ == nullptr)
+            return;
+        for (auto &b : buffers_) {
+            b->replayTo(*tracer_);
+            *b = BufferingTracer();
         }
     }
 
@@ -320,7 +363,7 @@ class ShardSet
     post(std::size_t dst, Tick when, std::function<void()> fn)
     {
         const auto &t = detail::tls();
-        assert(t.owner == owner_ &&
+        assert(t.owner == this &&
                "cross-shard post outside shard context");
         assert(dst < shards_);
         staging_[t.shard * shards_ + dst].push_back(
@@ -340,8 +383,8 @@ class ShardSet
     /**
      * Run every shard to completion on @p threads workers (clamped
      * to S). Returns the final simulated time: the maximum over the
-     * shard clocks. Worker exceptions and task errors are rethrown
-     * on the calling thread after all workers have joined.
+     * shard clocks. Worker exceptions are rethrown on the calling
+     * thread after all workers have joined.
      */
     Tick
     run(std::size_t threads)
@@ -369,30 +412,32 @@ class ShardSet
             error_ = nullptr;
             std::rethrow_exception(e);
         }
-
-        Tick end = 0;
-        for (const auto &q : queues_)
-            end = std::max(end, q->now());
-        return end;
+        return now();
     }
 
-    /** Reap finished tasks from every shard registry, rethrowing the
-     *  first task error (called quiescent, after run()). */
+    /** Reap shard @p s's finished tasks, rethrowing the first task
+     *  error. */
+    void
+    reap(std::size_t s)
+    {
+        auto &list = tasks_.at(s);
+        for (auto it = list.begin(); it != list.end();) {
+            if (it->done()) {
+                if (it->handle().promise().error)
+                    std::rethrow_exception(it->handle().promise().error);
+                it = list.erase(it);
+            } else {
+                ++it;
+            }
+        }
+    }
+
+    /** Reap every shard's finished tasks (quiescent, after run()). */
     void
     reapAll()
     {
-        for (auto &list : tasks_) {
-            for (auto it = list.begin(); it != list.end();) {
-                if (it->done()) {
-                    if (it->handle().promise().error)
-                        std::rethrow_exception(
-                            it->handle().promise().error);
-                    it = list.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-        }
+        for (std::size_t s = 0; s < shards_; ++s)
+            reap(s);
     }
 
     std::size_t
@@ -407,6 +452,26 @@ class ShardSet
     }
 
   private:
+    /**
+     * Point each shard at its trace sink. One shard writes straight
+     * to the tracer: a single thread runs it, and its events already
+     * come in execution order. Several shards each get a private
+     * buffer, replayed in shard order after the run, so a non
+     * thread-safe exporter never sees two shards at once and the
+     * output does not depend on the worker count.
+     */
+    void
+    routeTraces()
+    {
+        sinks_.assign(shards_, tracer_);
+        if (tracer_ == nullptr || shards_ == 1)
+            return;
+        while (buffers_.size() < shards_)
+            buffers_.push_back(std::make_unique<BufferingTracer>());
+        for (std::size_t s = 0; s < shards_; ++s)
+            sinks_[s] = buffers_[s].get();
+    }
+
     /**
      * The barrier completion step: runs exactly once per round, on
      * exactly one thread, while every worker is parked at the
@@ -431,12 +496,25 @@ class ShardSet
             for (const auto &m : ch)
                 floor = std::min(floor, m.when);
 
-        if (floor == maxTick ||
+        if ((floor == maxTick && idle()) ||
             failed_.load(std::memory_order_relaxed)) {
             done_ = true;
             return;
         }
         horizon_ = saturatingAdd(floor, lookahead_);
+    }
+
+    /** No shard has an event pending and no message is in flight. */
+    bool
+    idle() const
+    {
+        for (const auto &q : queues_)
+            if (!q->empty())
+                return false;
+        for (const auto &ch : ready_)
+            if (!ch.empty())
+                return false;
+        return true;
     }
 
     template <typename Barrier>
@@ -464,10 +542,10 @@ class ShardSet
     executeShard(std::size_t s)
     {
         auto &t = detail::tls();
-        t.owner = owner_;
+        t.owner = this;
         t.shard = s;
         t.queue = queues_[s].get();
-        t.tracer = tracerFor(s);
+        t.tracer = sinks_[s];
 
         // Deliver this round's messages in deterministic order:
         // source shard ascending, post order within a source. The
@@ -478,7 +556,13 @@ class ShardSet
                 queues_[s]->schedule(m.when, std::move(m.fn));
             ch.clear();
         }
-        queues_[s]->runUntilBefore(horizon_);
+        // A window capped at maxTick leaves no later tick for a message
+        // to land on, so it also covers the events at maxTick itself
+        // (with one shard: the whole queue).
+        if (horizon_ == maxTick)
+            queues_[s]->run();
+        else
+            queues_[s]->runUntilBefore(horizon_);
     }
 
     void
@@ -487,9 +571,8 @@ class ShardSet
         detail::tls() = detail::ShardTls{};
     }
 
-    const void *owner_;
-    std::size_t shards_;
-    Tick lookahead_;
+    std::size_t shards_ = 1;
+    Tick lookahead_ = maxTick;
     std::vector<std::unique_ptr<EventQueue>> queues_;
     // Channel matrices, indexed [src * S + dst]. staging_ is written
     // by workers during execute; ready_ is consumed by workers and
@@ -497,7 +580,9 @@ class ShardSet
     std::vector<std::vector<CrossMsg>> staging_;
     std::vector<std::vector<CrossMsg>> ready_;
     std::vector<std::list<Task>> tasks_;
-    std::vector<std::unique_ptr<BufferingTracer>> tracers_;
+    Tracer *tracer_ = nullptr;
+    std::vector<Tracer *> sinks_; //!< per shard: tracer_ or a buffer
+    std::vector<std::unique_ptr<BufferingTracer>> buffers_;
 
     // Round state: written in the completion step / under errorMu_,
     // read by workers after the barrier (which supplies the
@@ -514,20 +599,16 @@ class ShardSet
  * alive, Simulation::events() of the guarded simulation resolves to
  * the shard's queue, so tasks spawned under the guard schedule their
  * first events — and post their cross-shard messages — as that
- * shard. No-op when the simulation is unsharded, so call sites can
- * guard unconditionally.
+ * shard. On a one-shard simulation every guard names shard 0, which
+ * is where unguarded calls land anyway.
  */
 class ShardGuard
 {
   public:
-    ShardGuard(const void *owner, ShardSet *set, std::size_t shard)
-        : saved_(detail::tls())
+    ShardGuard(ShardSet &set, std::size_t shard) : saved_(detail::tls())
     {
-        if (set == nullptr)
-            return;
-        assert(shard < set->shards());
-        detail::tls() = {owner, shard, &set->queue(shard),
-                         set->tracerFor(shard)};
+        detail::tls() = {&set, shard, &set.queue(shard),
+                         set.tracerFor(shard)};
     }
 
     ShardGuard(const ShardGuard &) = delete;

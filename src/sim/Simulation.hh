@@ -1,6 +1,6 @@
 /**
  * @file
- * The Simulation: owns the event queue and every spawned task.
+ * The Simulation: owns the event queues and every spawned task.
  */
 
 #ifndef SAN_SIM_SIMULATION_HH
@@ -8,10 +8,7 @@
 
 #include <cassert>
 #include <cstddef>
-#include <list>
-#include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "sim/EventQueue.hh"
@@ -23,17 +20,15 @@
 namespace san::sim {
 
 /**
- * A single simulation run: an event queue plus a registry of detached
- * tasks. Spawned tasks are owned by the simulation and reaped once
- * complete.
+ * A single simulation run: a pdes::ShardSet of event queues plus a
+ * registry of detached tasks per shard. Spawned tasks are owned by
+ * the simulation and reaped once complete.
  *
- * Optionally sharded (enableSharding + runSharded): the run then
- * executes on S per-shard event queues driven by worker threads
- * under the conservative barrier-window protocol of sim/Pdes.hh.
- * Component code stays oblivious — events()/now()/tracer() resolve
- * through the worker's thread-local shard context — and the default
- * single-queue path is untouched (one pointer compare per call), so
- * unsharded runs stay bit-identical to the historical kernel.
+ * A fresh simulation is one shard with an unbounded window, which
+ * net::Fabric::applyShardPlan may re-partition into S shards driven
+ * by worker threads under the conservative barrier-window protocol
+ * of sim/Pdes.hh. Component code stays oblivious — events()/now()/
+ * tracer() resolve through the worker's thread-local shard context.
  */
 class Simulation
 {
@@ -43,98 +38,91 @@ class Simulation
     Simulation &operator=(const Simulation &) = delete;
 
     /** The calling context's event queue: the shard queue inside a
-     *  sharded run or ShardGuard, the legacy queue otherwise. */
+     *  run or ShardGuard, else shard 0 (see ShardSet::defaultShard). */
     EventQueue &
     events()
     {
         const auto &t = pdes::detail::tls();
-        if (t.owner == this)
+        if (t.owner == &shards_)
             return *t.queue;
-        return events_;
+        return shards_.queue(shards_.defaultShard());
     }
 
+    /** The calling shard's clock; outside a shard context, the
+     *  simulation clock (the latest shard clock). */
     Tick
     now() const
     {
         const auto &t = pdes::detail::tls();
-        if (t.owner == this)
+        if (t.owner == &shards_)
             return t.queue->now();
-        return events_.now();
+        return shards_.now();
     }
 
     /**
      * Attach (or clear) a tracer. Hardware models consult tracer()
      * before emitting spans, so a null tracer costs one branch.
-     * Sharded runs interpose a per-shard pdes::BufferingTracer so a
-     * single-threaded exporter never sees two shards at once.
+     * Multi-shard runs interpose a per-shard pdes::BufferingTracer so
+     * a single-threaded exporter never sees two shards at once.
      */
-    void
-    setTracer(Tracer *tracer)
-    {
-        tracer_ = tracer;
-        if (pdes_ && tracer != nullptr)
-            pdes_->enableTracing();
-    }
+    void setTracer(Tracer *tracer) { shards_.setTracer(tracer); }
 
     Tracer *
     tracer() const
     {
         const auto &t = pdes::detail::tls();
-        if (t.owner == this)
-            return tracer_ != nullptr ? t.tracer : nullptr;
-        return tracer_;
+        if (t.owner == &shards_)
+            return t.tracer;
+        return shards_.tracer();
     }
 
     /**
      * Start a detached task. The simulation owns the coroutine frame
      * until it finishes. Tasks begin executing immediately (at the
-     * current simulated time). In a sharded simulation the task is
-     * pinned to the calling context's shard (spawn under a
-     * ShardGuard at build time, or from the owning worker at run
-     * time): its frame joins that shard's registry and its first
-     * events land on that shard's queue.
+     * current simulated time), pinned to the calling context's shard
+     * (see events()): the frame joins that shard's registry and its
+     * first events land on that shard's queue.
      */
     void
     spawn(Task task)
     {
         assert(task.valid());
         const auto &t = pdes::detail::tls();
-        assert((pdes_ == nullptr || t.owner == this) &&
-               "sharded spawn requires a shard context (ShardGuard)");
-        auto &list = (pdes_ != nullptr && t.owner == this)
-                         ? pdes_->taskList(t.shard)
-                         : tasks_;
-        reap(list);
+        const std::size_t s =
+            t.owner == &shards_ ? t.shard : shards_.defaultShard();
+        shards_.reap(s);
         task.handle().promise().sim = this;
-        auto &slot = list.emplace_back(std::move(task));
+        auto &slot = shards_.taskList(s).emplace_back(std::move(task));
         slot.handle().resume();
         if (slot.handle().promise().error)
             std::rethrow_exception(slot.handle().promise().error);
     }
 
     /** Run until no events remain. @return final simulated time. */
+    Tick run() { return runSharded(1); }
+
+    /**
+     * Run to completion on @p threads workers. @return final
+     * simulated time (max over shard clocks). Replays buffered traces
+     * into the tracer and reaps every shard's tasks before returning.
+     */
     Tick
-    run()
+    runSharded(std::size_t threads)
     {
-        assert(pdes_ == nullptr &&
-               "sharded simulation must use runSharded()");
-        Tick t = events_.run();
-        reap(tasks_);
+        const Tick t = shards_.run(threads);
+        shards_.reapAll();
+        shards_.replayTraces();
         return t;
     }
 
-    /** Run events up to and including @p limit ticks. */
-    Tick runUntil(Tick limit) { return events_.runUntil(limit); }
-
     /** Number of live (not yet finished) tasks. */
-    std::size_t
-    liveTasks() const
+    std::size_t liveTasks() const { return shards_.liveTasks(); }
+
+    /** Events executed across every shard. */
+    std::uint64_t
+    executedEvents() const
     {
-        std::size_t n = 0;
-        for (const auto &t : tasks_)
-            if (!t.done())
-                ++n;
-        return n + (pdes_ ? pdes_->liveTasks() : 0);
+        return shards_.executedEvents();
     }
 
     /** @{ ------------------------- Sharding ----------------------- */
@@ -144,41 +132,27 @@ class Simulation
      * with conservative lookahead @p lookahead (the minimum boundary
      * link propagation; net::Fabric::applyShardPlan computes both).
      * Must be called after components are built but before any event
-     * has been scheduled on the legacy queue; thereafter every spawn
-     * must name a shard (ShardGuard) and the run goes through
-     * runSharded().
+     * has been scheduled; thereafter every spawn must name a shard
+     * (ShardGuard). Tasks spawned before stay on shard 0.
      */
     void
     enableSharding(std::size_t shards, Tick lookahead)
     {
-        assert(pdes_ == nullptr && "sharding already enabled");
-        assert(events_.empty() && events_.now() == 0 &&
+        assert(shards_.queue(0).empty() && shards_.queue(0).now() == 0 &&
                "enable sharding before scheduling events");
-        pdes_ = std::make_unique<pdes::ShardSet>(this, shards,
-                                                 lookahead);
-        if (tracer_ != nullptr)
-            pdes_->enableTracing();
+        shards_.partition(shards, lookahead);
     }
 
-    bool sharded() const { return pdes_ != nullptr; }
+    /** More than one shard. */
+    bool sharded() const { return shards_.shards() > 1; }
 
-    /** Shard count (1 when unsharded). */
-    std::size_t shardCount() const { return pdes_ ? pdes_->shards() : 1; }
+    std::size_t shardCount() const { return shards_.shards(); }
 
-    /** The conservative window width. */
-    Tick
-    lookahead() const
-    {
-        return pdes_ ? pdes_->lookahead() : maxTick;
-    }
+    /** The conservative window width (maxTick with one shard). */
+    Tick lookahead() const { return shards_.lookahead(); }
 
     /** Shard @p s's event queue (observers, tests). */
-    EventQueue &
-    shardQueue(std::size_t s)
-    {
-        assert(pdes_);
-        return pdes_->queue(s);
-    }
+    EventQueue &shardQueue(std::size_t s) { return shards_.queue(s); }
 
     /**
      * Post @p fn to run at @p when on shard @p dst. The boundary-link
@@ -189,34 +163,7 @@ class Simulation
     void
     crossSchedule(std::size_t dst, Tick when, Fn &&fn)
     {
-        assert(pdes_);
-        pdes_->post(dst, when, std::function<void()>(std::forward<Fn>(fn)));
-    }
-
-    /**
-     * Run a sharded simulation to completion on @p threads workers.
-     * @return final simulated time (max over shard clocks). Replays
-     * buffered traces into the real tracer and reaps every shard's
-     * tasks before returning.
-     */
-    Tick
-    runSharded(std::size_t threads)
-    {
-        assert(pdes_ != nullptr && "enableSharding() first");
-        const Tick t = pdes_->run(threads);
-        pdes_->reapAll();
-        reap(tasks_);
-        if (tracer_ != nullptr)
-            pdes_->replayTraces(*tracer_);
-        return t;
-    }
-
-    /** Events executed across the legacy queue and every shard. */
-    std::uint64_t
-    executedEvents() const
-    {
-        return events_.executedEvents() +
-               (pdes_ ? pdes_->executedEvents() : 0);
+        shards_.post(dst, when, std::function<void()>(std::forward<Fn>(fn)));
     }
 
     /** @} */
@@ -224,37 +171,19 @@ class Simulation
   private:
     friend class ShardGuard;
 
-    void
-    reap(std::list<Task> &list)
-    {
-        for (auto it = list.begin(); it != list.end();) {
-            if (it->done()) {
-                if (it->handle().promise().error)
-                    std::rethrow_exception(it->handle().promise().error);
-                it = list.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    }
-
-    EventQueue events_;
-    std::list<Task> tasks_;
-    Tracer *tracer_ = nullptr;
-    std::unique_ptr<pdes::ShardSet> pdes_;
+    pdes::ShardSet shards_;
 };
 
 /**
  * Scoped shard context for build-time spawns: everything spawned or
  * scheduled on @p sim while the guard is alive is pinned to
- * @p shard. Safe (a no-op) on unsharded simulations, so call sites
- * guard unconditionally.
+ * @p shard.
  */
 class ShardGuard : public pdes::ShardGuard
 {
   public:
     ShardGuard(Simulation &sim, std::size_t shard)
-        : pdes::ShardGuard(&sim, sim.pdes_.get(), shard)
+        : pdes::ShardGuard(sim.shards_, shard)
     {
     }
 };

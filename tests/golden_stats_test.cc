@@ -42,6 +42,16 @@ struct GoldenCase {
     apps::Mode mode;
 };
 
+/** gtest's default printer dumps the struct's raw bytes — a string
+ * address that ASLR moves on every run, plus padding — and that dump
+ * becomes part of each ctest name. Print the fields instead so the
+ * names are the same in every build. */
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << c.workload << '/' << apps::modeName(c.mode);
+}
+
 /** Small runs that still exercise hosts, switch CPUs, buffers, ATBs,
  * storage and adapters. */
 void

@@ -15,9 +15,13 @@
  *    fat-tree).
  *  - Semantic equality: a figure workload (fig03 MPEG filter, fig16
  *    distributed reduce) computes the same answer — same checksum,
- *    same simulated end time, same event count — threaded or not;
- *    only the fingerprint *encoding* differs between the legacy
- *    single-queue digest and the per-shard merge.
+ *    same simulated end time — threaded or not; the fingerprint
+ *    differs between the one-shard digest and the multi-shard merge.
+ *  - Pinned digests: literal S>1 fingerprints, as the goldens pin
+ *    the one-shard case.
+ *  - Shard context: outside a worker or ShardGuard, a one-shard
+ *    simulation resolves to shard 0 and a multi-shard one throws.
+ *  - Events at maxTick run, with one shard or several.
  *  - Degenerate partitions hold: one component per shard (the
  *    maximum cut) still merges deterministically.
  */
@@ -26,8 +30,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
+#include "apps/Cluster.hh"
 #include "apps/MpegFilter.hh"
 #include "apps/Reduction.hh"
 #include "net/Topology.hh"
@@ -224,6 +230,14 @@ TEST(ShardedRun, RepeatRunsAreBitStable)
     EXPECT_NE(fatTreeRun(1, 8, 4), fatTreeRun(2, 8, 4));
 }
 
+// The S>1 digests, pinned bit for bit as the S=1 goldens pin the
+// one-shard case. A change to the window protocol, the channel
+// delivery order or the per-shard merge moves these values.
+TEST(ShardedRun, FatTreeDigestIsPinned)
+{
+    EXPECT_EQ(fatTreeRun(1, 8, 2), 0x75d1d008f3d46832ull);
+}
+
 TEST(ShardedRun, OneComponentPerShardStress)
 {
     sim::Simulation probe;
@@ -290,6 +304,28 @@ TEST(ShardedApps, Fig16ReductionSemanticsMatchUnthreaded)
     EXPECT_GE(nfour.events, nbase.events);
 }
 
+TEST(ShardedApps, Fig16ReductionDigestIsPinned)
+{
+    apps::ReductionParams params;
+    params.nodes = 16;
+    params.threads = 4;
+    EXPECT_EQ(runReduction(true, apps::ReduceKind::Distributed, params)
+                  .fingerprint,
+              0xe11c421de18319f4ull);
+}
+
+/** Records the simulation clock each Cluster reports after its run. */
+struct ClockObserver {
+    ClockObserver()
+    {
+        apps::clusterObserver() = [this](apps::Cluster &c, apps::Mode) {
+            now = c.sim().now();
+        };
+    }
+    ~ClockObserver() { apps::clusterObserver() = nullptr; }
+    sim::Tick now = 0;
+};
+
 TEST(ShardedApps, Fig03MpegSemanticsMatchUnthreaded)
 {
     apps::MpegParams params;
@@ -297,12 +333,17 @@ TEST(ShardedApps, Fig03MpegSemanticsMatchUnthreaded)
     const apps::RunStats base =
         runMpegFilter(apps::Mode::ActivePref, params);
 
+    // After a run, now() outside any shard context is the simulation
+    // clock: the latest shard clock, which is also the run's end.
+    ClockObserver clock;
     params.cluster.threads = 2;
     const apps::RunStats two =
         runMpegFilter(apps::Mode::ActivePref, params);
+    EXPECT_EQ(clock.now, two.execTime);
     params.cluster.threads = 4;
     const apps::RunStats four =
         runMpegFilter(apps::Mode::ActivePref, params);
+    EXPECT_EQ(clock.now, four.execTime);
     const apps::RunStats fourAgain =
         runMpegFilter(apps::Mode::ActivePref, params);
 
@@ -316,6 +357,70 @@ TEST(ShardedApps, Fig03MpegSemanticsMatchUnthreaded)
     EXPECT_GE(two.eventsExecuted, base.eventsExecuted);
     EXPECT_EQ(two.fingerprint, four.fingerprint);
     EXPECT_EQ(four.fingerprint, fourAgain.fingerprint);
+}
+
+TEST(ShardedApps, Fig03MpegDigestIsPinned)
+{
+    apps::MpegParams params;
+    params.fileBytes = 256 * 1024;
+    params.cluster.threads = 4;
+    EXPECT_EQ(runMpegFilter(apps::Mode::ActivePref, params).fingerprint,
+              0x11db16dee3ee004full);
+}
+
+// ---------------------------------------------------------------
+// Shard context: outside a worker or ShardGuard, a one-shard
+// simulation resolves to shard 0 (every sequential test relies on
+// it); a multi-shard one has no default shard, so scheduling or
+// spawning there is an error in every build.
+// ---------------------------------------------------------------
+
+sim::Task
+tick(sim::Tick delay, int *ran)
+{
+    co_await sim::Delay{delay};
+    ++*ran;
+}
+
+TEST(ShardContext, MultiShardRejectsSchedulingOutsideContext)
+{
+    sim::Simulation sim;
+    sim.enableSharding(2, 10);
+    int ran = 0;
+    EXPECT_THROW(sim.events().after(5, [&ran] { ++ran; }),
+                 std::logic_error);
+    EXPECT_THROW(sim.spawn(tick(5, &ran)), std::logic_error);
+
+    // Under a guard the same calls land on the named shard and run.
+    {
+        sim::ShardGuard guard(sim, 1);
+        sim.events().after(5, [&ran] { ++ran; });
+        sim.spawn(tick(7, &ran));
+    }
+    EXPECT_EQ(sim.runSharded(2), 7u);
+    EXPECT_EQ(ran, 2);
+    EXPECT_EQ(sim.now(), 7u);
+    EXPECT_EQ(sim.executedEvents(), 2u);
+}
+
+// A window capped at maxTick (one shard's unbounded window, or a
+// saturated horizon) must still run the events at maxTick itself.
+TEST(ShardContext, RunExecutesEventsAtMaxTick)
+{
+    int ran = 0;
+    sim::Simulation one;
+    one.events().schedule(sim::maxTick, [&ran] { ++ran; });
+    EXPECT_EQ(one.run(), sim::maxTick);
+    EXPECT_EQ(ran, 1);
+
+    sim::Simulation two;
+    two.enableSharding(2, 10);
+    {
+        sim::ShardGuard guard(two, 1);
+        two.events().schedule(sim::maxTick, [&ran] { ++ran; });
+    }
+    EXPECT_EQ(two.runSharded(2), sim::maxTick);
+    EXPECT_EQ(ran, 2);
 }
 
 } // namespace
