@@ -33,7 +33,6 @@ TrafficGen::post(unsigned sender_slot, unsigned msg_index)
     // Deterministic interleave: within a sender's post sequence,
     // every hotInterleave-th message is hot until the hot budget is
     // spent, then the remaining ring messages drain.
-    const unsigned total = params_.permMessages + params_.hotMessages;
     unsigned hot_before = 0;
     const unsigned k = std::max(1u, params_.hotInterleave);
     for (unsigned j = 0; j < msg_index; ++j)
@@ -45,11 +44,11 @@ TrafficGen::post(unsigned sender_slot, unsigned msg_index)
     if (params_.permMessages == 0)
         hot = true;
     // Hot budget exhausted but perm budget too? (msg_index always
-    // < total, so one of the two has room.)
+    // < permMessages + hotMessages, so one of the two has room.)
     const unsigned perm_before = msg_index - hot_before;
     if (!hot && perm_before >= params_.permMessages)
         hot = true;
-    assert(msg_index < total);
+    assert(msg_index < params_.permMessages + params_.hotMessages);
 
     const unsigned src = senders_[sender_slot];
     unsigned dst;

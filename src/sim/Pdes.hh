@@ -14,8 +14,8 @@
  * events on exactly one worker thread (shard s runs on worker
  * s % W, so a shard never migrates between threads). Cross-shard
  * interactions — packet arrivals and credit returns on boundary
- * links — become timestamped messages posted into per-(src, dst)
- * channels and delivered at the next synchronization point.
+ * links — become timestamped messages posted to the destination
+ * shard and delivered at the next synchronization point.
  *
  * Synchronization is a barrier window (bounded-lag / YAWNS style):
  *
@@ -44,12 +44,16 @@
  * folded from them — are bit-identical across W and across repeat
  * runs. See DESIGN.md §14.
  *
- * Channels are double-buffered plain vectors: workers append to the
- * staging side during the execute phase (each (src, dst) cell is
- * written only by src's worker), and the barrier's completion step —
- * which runs exactly once, on one thread, with every worker parked —
- * swaps staging into the ready side. The barrier provides all
- * happens-before edges, so the hot path takes no locks.
+ * A round costs O(S + messages), never O(S²). During the execute
+ * phase each shard appends the messages it posts to its own outbox.
+ * The barrier's completion step — which runs exactly once, on one
+ * thread, with every worker parked — moves them into per-destination
+ * inboxes in (source shard, post order) order, takes the floor from
+ * their stamps and a per-shard next-event cache (refreshed only for
+ * the shards that ran), and lists the shards with work in the new
+ * window: mail, or an event below the horizon. Workers run only
+ * those shards. The barrier provides all happens-before edges, so
+ * the hot path takes no locks.
  */
 
 #ifndef SAN_SIM_PDES_HH
@@ -251,8 +255,8 @@ class BufferingTracer : public Tracer
 };
 
 /**
- * The simulation kernel: S event queues, the (src, dst) message
- * channels, per-shard task registries and trace sinks, and the
+ * The simulation kernel: S event queues, per-shard message outboxes
+ * and inboxes, per-shard task registries and trace sinks, and the
  * barrier-window run loop. Every Simulation owns one, starting with
  * a single shard; Simulation remains the only public entry point.
  */
@@ -262,12 +266,13 @@ class ShardSet
     /** A timestamped cross-shard message (cold path: one per
      *  boundary-link flit, not per event). */
     struct CrossMsg {
+        std::size_t dst; //!< destination shard
         Tick when;
         std::function<void()> fn;
     };
 
     /** One shard with an unbounded window. */
-    ShardSet() : staging_(1), ready_(1), tasks_(1), sinks_(1)
+    ShardSet() : outbox_(1), inbox_(1), tasks_(1), sinks_(1)
     {
         queues_.push_back(std::make_unique<EventQueue>());
     }
@@ -286,8 +291,8 @@ class ShardSet
         assert(lookahead >= 1 && "zero lookahead would livelock");
         shards_ = shards;
         lookahead_ = lookahead;
-        staging_.assign(shards * shards, {});
-        ready_.assign(shards * shards, {});
+        outbox_.assign(shards, {});
+        inbox_.assign(shards, {});
         tasks_.resize(shards);
         while (queues_.size() < shards)
             queues_.push_back(std::make_unique<EventQueue>());
@@ -366,8 +371,7 @@ class ShardSet
         assert(t.owner == this &&
                "cross-shard post outside shard context");
         assert(dst < shards_);
-        staging_[t.shard * shards_ + dst].push_back(
-            {when, std::move(fn)});
+        outbox_[t.shard].push_back({dst, when, std::move(fn)});
     }
 
     /** Total events executed across all shard queues. */
@@ -393,6 +397,16 @@ class ShardSet
             std::max<std::size_t>(1, std::min(threads, shards_));
         done_ = false;
         failed_.store(false, std::memory_order_relaxed);
+
+        // Work may have been scheduled between runs (under a
+        // ShardGuard), so the next-event cache starts fresh. The
+        // runnable list is sized once, so the completion step never
+        // reallocates it.
+        next_.resize(shards_);
+        for (std::size_t s = 0; s < shards_; ++s)
+            next_[s] = queues_[s]->nextEventTick();
+        runnable_.clear();
+        runnable_.reserve(shards_);
 
         std::barrier bar(static_cast<std::ptrdiff_t>(W),
                          [this]() noexcept { roundBoundary(); });
@@ -481,40 +495,38 @@ class ShardSet
     void
     roundBoundary() noexcept
     {
-        // Publish staged messages. The ready side was fully drained
-        // by the previous execute phase, so swap leaves staging
-        // empty for the next one.
-        for (std::size_t i = 0; i < staging_.size(); ++i) {
-            assert(ready_[i].empty());
-            ready_[i].swap(staging_[i]);
-        }
-
-        Tick floor = maxTick;
-        for (const auto &q : queues_)
-            floor = std::min(floor, q->nextEventTick());
-        for (const auto &ch : ready_)
-            for (const auto &m : ch)
-                floor = std::min(floor, m.when);
-
-        if ((floor == maxTick && idle()) ||
-            failed_.load(std::memory_order_relaxed)) {
+        // Only the shards that just ran can have changed queues.
+        for (const std::size_t s : runnable_)
+            next_[s] = queues_[s]->nextEventTick();
+        runnable_.clear();
+        if (failed_.load(std::memory_order_relaxed)) {
             done_ = true;
             return;
         }
-        horizon_ = saturatingAdd(floor, lookahead_);
-    }
 
-    /** No shard has an event pending and no message is in flight. */
-    bool
-    idle() const
-    {
-        for (const auto &q : queues_)
-            if (!q->empty())
-                return false;
-        for (const auto &ch : ready_)
-            if (!ch.empty())
-                return false;
-        return true;
+        // Publish posted messages: source shard ascending, post order
+        // within a source. Every inbox was drained by the previous
+        // execute phase, since a shard with mail always runs.
+        Tick floor = maxTick;
+        for (auto &out : outbox_) {
+            for (auto &m : out) {
+                floor = std::min(floor, m.when);
+                inbox_[m.dst].push_back(std::move(m));
+            }
+            out.clear();
+        }
+        for (const Tick t : next_)
+            floor = std::min(floor, t);
+        horizon_ = saturatingAdd(floor, lookahead_);
+
+        // A shard runs if it has mail or an event below the horizon;
+        // a window capped at maxTick also runs the events at maxTick.
+        // No shard to run means every queue and inbox is empty.
+        for (std::size_t s = 0; s < shards_; ++s)
+            if (!inbox_[s].empty() || next_[s] < horizon_ ||
+                (horizon_ == maxTick && !queues_[s]->empty()))
+                runnable_.push_back(s);
+        done_ = runnable_.empty();
     }
 
     template <typename Barrier>
@@ -526,8 +538,9 @@ class ShardSet
             if (done_)
                 return;
             try {
-                for (std::size_t s = w; s < shards_; s += W)
-                    executeShard(s);
+                for (const std::size_t s : runnable_)
+                    if (s % W == w)
+                        executeShard(s);
             } catch (...) {
                 std::lock_guard lock(errorMu_);
                 if (!error_)
@@ -547,15 +560,13 @@ class ShardSet
         t.queue = queues_[s].get();
         t.tracer = sinks_[s];
 
-        // Deliver this round's messages in deterministic order:
-        // source shard ascending, post order within a source. The
-        // queue's own seq numbering then fixes execution order.
-        for (std::size_t src = 0; src < shards_; ++src) {
-            auto &ch = ready_[src * shards_ + s];
-            for (auto &m : ch)
-                queues_[s]->schedule(m.when, std::move(m.fn));
-            ch.clear();
-        }
+        // Deliver this round's messages, already in (source shard,
+        // post order) order. The queue's own seq numbering then fixes
+        // execution order.
+        auto &in = inbox_[s];
+        for (auto &m : in)
+            queues_[s]->schedule(m.when, std::move(m.fn));
+        in.clear();
         // A window capped at maxTick leaves no later tick for a message
         // to land on, so it also covers the events at maxTick itself
         // (with one shard: the whole queue).
@@ -574,11 +585,11 @@ class ShardSet
     std::size_t shards_ = 1;
     Tick lookahead_ = maxTick;
     std::vector<std::unique_ptr<EventQueue>> queues_;
-    // Channel matrices, indexed [src * S + dst]. staging_ is written
-    // by workers during execute; ready_ is consumed by workers and
-    // refilled only at the barrier.
-    std::vector<std::vector<CrossMsg>> staging_;
-    std::vector<std::vector<CrossMsg>> ready_;
+    // Message queues, indexed by shard. outbox_[s] is appended to
+    // only by shard s; the completion step empties it into inbox_,
+    // and inbox_[s] is drained only by shard s.
+    std::vector<std::vector<CrossMsg>> outbox_;
+    std::vector<std::vector<CrossMsg>> inbox_;
     std::vector<std::list<Task>> tasks_;
     Tracer *tracer_ = nullptr;
     std::vector<Tracer *> sinks_; //!< per shard: tracer_ or a buffer
@@ -586,7 +597,11 @@ class ShardSet
 
     // Round state: written in the completion step / under errorMu_,
     // read by workers after the barrier (which supplies the
-    // happens-before edges).
+    // happens-before edges). next_[s] is shard s's next-event tick
+    // as of its last run; runnable_ lists, ascending, the shards that
+    // run this round (shard s on worker s % W).
+    std::vector<Tick> next_;
+    std::vector<std::size_t> runnable_;
     Tick horizon_ = 0;
     bool done_ = false;
     std::atomic<bool> failed_{false};

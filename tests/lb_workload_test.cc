@@ -75,9 +75,10 @@ TEST(LbConservation, EveryPacketForwardedOrPunted)
         EXPECT_EQ(r.backendDelivered, lb.backendPackets);
         // Orphans are the only unknown connections in this shape.
         EXPECT_EQ(lb.punts, r.gen.orphans);
-        if (mode == apps::Mode::Active)
+        if (mode == apps::Mode::Active) {
             EXPECT_EQ(r.puntArrivals, lb.punts)
                 << "punted packets must reach the fallback host";
+        }
         // No faults: every flow's packets hit exactly one backend.
         EXPECT_GT(r.deliveredBy.size(), 0u);
         for (const auto &[flow, mask] : r.deliveredBy)

@@ -171,8 +171,9 @@ TEST(HandlerProfiler, CyclesSumToSwitchCpuBusyCounter)
     for (const auto &p : stats.handlerProfiles) {
         stats_busy += p.busyTicks;
         EXPECT_GT(p.invocations, 0u);
-        if (p.bytes > 0)
+        if (p.bytes > 0) {
             EXPECT_GT(p.cyclesPerByte, 0.0);
+        }
     }
     EXPECT_EQ(stats_busy, cpu_busy);
 }

@@ -437,8 +437,9 @@ TEST(LadderEventQueue, SmallQueueFallbackEntersAndExits)
     for (std::size_t i = 0; i < n; ++i) {
         const Tick when = q.now() + 1 + ((i * 7919) % 1000) * width;
         q.schedule(when, [&fired, &q] { fired.push_back(q.now()); });
-        if (q.size() <= Ladder::smallExit)
+        if (q.size() <= Ladder::smallExit) {
             EXPECT_EQ(q.scheduler().drainEvents(), q.size());
+        }
     }
     EXPECT_GE(q.scheduler().stats().smallExits, 1u);
     // Re-partitioned: the tiers hold the population again.

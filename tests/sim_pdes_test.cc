@@ -22,6 +22,9 @@
  *  - Shard context: outside a worker or ShardGuard, a one-shard
  *    simulation resolves to shard 0 and a multi-shard one throws.
  *  - Events at maxTick run, with one shard or several.
+ *  - Round loop: same-stamp messages run in (source shard, post
+ *    order) order, a message reaches a shard with nothing else to
+ *    do, and a second run sees work scheduled after the first.
  *  - Degenerate partitions hold: one component per shard (the
  *    maximum cut) still merges deterministically.
  */
@@ -143,16 +146,16 @@ drain(Adapter &host, std::uint64_t expected, std::uint64_t *bytes)
     }
 }
 
-/** Run the workload on S shards with @p workers threads; returns the
- * merged fingerprint (and the total bytes drained via @p bytes_out,
- * for a semantic cross-check). */
+/** Run the workload on S shards of a k-ary fat-tree (@p arity) with
+ * @p workers threads; returns the merged fingerprint (and the total
+ * bytes drained via @p bytes_out, for a semantic cross-check). */
 std::uint64_t
 fatTreeRun(std::uint64_t seed, std::size_t shards, unsigned workers,
-           std::uint64_t *bytes_out = nullptr)
+           std::uint64_t *bytes_out = nullptr, unsigned arity = 4)
 {
     sim::Simulation sim;
     Fabric fabric(sim);
-    const Topology topo = buildFatTree(fabric, FatTreeParams{4});
+    const Topology topo = buildFatTree(fabric, FatTreeParams{arity});
     const unsigned n = static_cast<unsigned>(topo.hosts.size());
 
     const ShardPlan plan = fabric.planShards(shards);
@@ -236,6 +239,18 @@ TEST(ShardedRun, RepeatRunsAreBitStable)
 TEST(ShardedRun, FatTreeDigestIsPinned)
 {
     EXPECT_EQ(fatTreeRun(1, 8, 2), 0x75d1d008f3d46832ull);
+}
+
+// The repository benchmark's shape: a k=8 fat-tree cut one shard per
+// switch (80 shards, 6,400 shard pairs), where most shards sit idle
+// in most rounds.
+TEST(ShardedRun, FatTreeK8PerSwitchDigestIsPinned)
+{
+    std::uint64_t bytes1 = 0, bytes4 = 0;
+    EXPECT_EQ(fatTreeRun(1, 80, 1, &bytes1, 8), 0x9558fc8982d00188ull);
+    EXPECT_EQ(fatTreeRun(1, 80, 4, &bytes4, 8), 0x9558fc8982d00188ull);
+    EXPECT_EQ(bytes1, 788480u);
+    EXPECT_EQ(bytes4, 788480u);
 }
 
 TEST(ShardedRun, OneComponentPerShardStress)
@@ -421,6 +436,98 @@ TEST(ShardContext, RunExecutesEventsAtMaxTick)
     }
     EXPECT_EQ(two.runSharded(2), sim::maxTick);
     EXPECT_EQ(ran, 2);
+}
+
+// ---------------------------------------------------------------
+// The round loop's contract, on four bare shards with lookahead 10:
+// cross-shard messages arrive in (source shard, post order) order,
+// a message is delivered even to a shard with nothing else to do,
+// and state scheduled between two runs is seen by the second.
+// ---------------------------------------------------------------
+
+TEST(RoundLoop, SameStampMessagesRunInSourceThenPostOrder)
+{
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+        sim::Simulation sim;
+        sim.enableSharding(4, 10);
+        // Only shard 3 appends, so the log needs no lock.
+        std::vector<int> log;
+        // Shards 2, 0 and 1 each post two messages to shard 3 in
+        // round 0 (all at tick 5), all stamped 15.
+        for (const int src : {2, 0, 1}) {
+            sim::ShardGuard guard(sim, static_cast<std::size_t>(src));
+            sim.events().schedule(5, [&sim, &log, src] {
+                for (int k = 0; k < 2; ++k)
+                    sim.crossSchedule(3, 15, [&log, src, k] {
+                        log.push_back(src * 10 + k);
+                    });
+            });
+        }
+        EXPECT_EQ(sim.runSharded(workers), 15u);
+        EXPECT_EQ(log, (std::vector<int>{0, 1, 10, 11, 20, 21}))
+            << workers << " workers";
+    }
+}
+
+TEST(RoundLoop, MessageToEmptyShardRunsAtItsStamp)
+{
+    sim::Simulation sim;
+    sim.enableSharding(4, 10);
+    sim::Tick ranAt = 0;
+    {
+        // Shard 0 posts to shard 2, whose queue is empty, for tick
+        // 1000 — many windows past the first horizon (11).
+        sim::ShardGuard guard(sim, 0);
+        sim.events().schedule(1, [&sim, &ranAt] {
+            sim.crossSchedule(2, 1000, [&sim, &ranAt] {
+                ranAt = sim.now();
+            });
+        });
+    }
+    {
+        // Shard 1 keeps the floor low with an event every 10 ticks,
+        // so the message waits in shard 2's queue for many rounds.
+        sim::ShardGuard guard(sim, 1);
+        for (sim::Tick t = 5; t < 500; t += 10)
+            sim.events().schedule(t, [] {});
+    }
+    EXPECT_EQ(sim.runSharded(4), 1000u);
+    EXPECT_EQ(ranAt, 1000u);
+    EXPECT_EQ(sim.shardQueue(2).now(), 1000u);
+    EXPECT_EQ(sim.executedEvents(), 1u + 50u + 1u);
+}
+
+TEST(RoundLoop, SecondRunSeesWorkOnAShardIdleInTheFirst)
+{
+    sim::Simulation sim;
+    sim.enableSharding(4, 10);
+    {
+        sim::ShardGuard guard(sim, 0);
+        sim.events().schedule(5, [] {});
+    }
+    EXPECT_EQ(sim.runSharded(2), 5u);
+
+    // Shard 3 sat idle through the first run. Its tick-50 event posts
+    // to shard 1, which answers at 70, before shard 3's own event at
+    // 100: the reply only lands first if the second run's windows
+    // see shard 3's queue from the start.
+    std::vector<sim::Tick> log;
+    {
+        sim::ShardGuard guard(sim, 3);
+        sim.events().schedule(50, [&sim, &log] {
+            sim.crossSchedule(1, 60, [&sim, &log] {
+                sim.crossSchedule(3, 70, [&sim, &log] {
+                    log.push_back(sim.now());
+                });
+            });
+        });
+        sim.events().schedule(100, [&sim, &log] {
+            log.push_back(sim.now());
+        });
+    }
+    EXPECT_EQ(sim.runSharded(2), 100u);
+    EXPECT_EQ(log, (std::vector<sim::Tick>{70, 100}));
+    EXPECT_EQ(sim.executedEvents(), 1u + 4u);
 }
 
 } // namespace
