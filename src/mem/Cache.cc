@@ -1,26 +1,39 @@
 #include "mem/Cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <utility>
 
 namespace san::mem {
 
-Cache::Cache(const CacheParams &params)
-    : params_(params)
+namespace {
+
+std::uint64_t
+lineCount(const CacheParams &params)
 {
-    assert(params_.lineSize > 0 && params_.assoc > 0);
-    numLines_ = params_.size / params_.lineSize;
+    assert(params.lineSize > 0 && params.assoc > 0);
+    return params.size / params.lineSize;
+}
+
+} // namespace
+
+Cache::Cache(const CacheParams &params)
+    : params_(params),
+      numLines_(lineCount(params)),
+      numSets_(numLines_ / params.assoc),
+      ways_(numSets_ * params.assoc),
+      shadow_(numLines_)
+{
     assert(numLines_ >= params_.assoc);
-    numSets_ = numLines_ / params_.assoc;
     assert(numSets_ > 0);
-    sets_.assign(numSets_, std::vector<Line>(params_.assoc));
 }
 
 CacheAccess
 Cache::access(Addr addr, bool write)
 {
     const Addr line = lineAddr(addr);
-    auto &set = sets_[setIndex(line)];
+    const std::span<Line> set = setOf(line);
     ++useClock_;
 
     for (auto &way : set) {
@@ -29,7 +42,7 @@ Cache::access(Addr addr, bool write)
             way.dirty |= write;
             ++hits_;
             if (params_.classifyMisses)
-                shadowTouch(line);
+                shadow_.touch(line);
             return CacheAccess{true, MissClass::None, false};
         }
     }
@@ -45,7 +58,6 @@ Cache::access(Addr addr, bool write)
           case MissClass::Conflict: ++conflict_; break;
           case MissClass::None: break;
         }
-        shadowTouch(line);
     }
 
     Line *victim = &set[0];
@@ -71,7 +83,7 @@ bool
 Cache::contains(Addr addr) const
 {
     const Addr line = lineAddr(addr);
-    const auto &set = sets_[setIndex(line)];
+    const std::span<const Line> set = setOf(line);
     return std::any_of(set.begin(), set.end(), [&](const Line &way) {
         return way.valid && way.tag == line;
     });
@@ -80,38 +92,65 @@ Cache::contains(Addr addr) const
 void
 Cache::invalidateAll()
 {
-    for (auto &set : sets_)
-        for (auto &way : set)
-            way = Line{};
+    std::fill(ways_.begin(), ways_.end(), Line{});
 }
 
 MissClass
 Cache::classify(Addr line)
 {
-    if (!seen_.contains(line)) {
-        seen_.insert(line);
+    // One shadow touch both asks whether a fully-associative cache of
+    // the same capacity still holds the line and makes it MRU there.
+    // If so, only the mapping caused the miss: conflict. Otherwise the
+    // working set simply exceeds capacity. A line never seen before is
+    // cold either way (and is never in the shadow).
+    const bool held = shadow_.touch(line);
+    if (seen_.insert(line))
         return MissClass::Cold;
+    return held ? MissClass::Conflict : MissClass::Capacity;
+}
+
+bool
+Cache::SeenLines::insert(Addr line)
+{
+    if (chunks_.empty())
+        grow();
+    const Addr base = line >> 6;
+    const std::uint64_t bit = std::uint64_t(1) << (line & 63);
+    const std::size_t mask = chunks_.size() - 1;
+    for (std::size_t s = home(base);; s = (s + 1) & mask) {
+        Chunk &c = chunks_[s];
+        if (c.bits == 0) {
+            if (2 * (used_ + 1) > chunks_.size()) {
+                grow();
+                return insert(line);
+            }
+            c = Chunk{base, bit};
+            ++used_;
+            return true;
+        }
+        if (c.base == base) {
+            const bool fresh = (c.bits & bit) == 0;
+            c.bits |= bit;
+            return fresh;
+        }
     }
-    // Present in a fully-associative cache of the same capacity?
-    // Then only the mapping caused the miss: conflict. Otherwise the
-    // working set simply exceeds capacity.
-    return shadowMap_.contains(line) ? MissClass::Conflict
-                                     : MissClass::Capacity;
 }
 
 void
-Cache::shadowTouch(Addr line)
+Cache::SeenLines::grow()
 {
-    auto it = shadowMap_.find(line);
-    if (it != shadowMap_.end()) {
-        shadowLru_.erase(it->second);
-        shadowMap_.erase(it);
-    }
-    shadowLru_.push_front(line);
-    shadowMap_[line] = shadowLru_.begin();
-    if (shadowLru_.size() > numLines_) {
-        shadowMap_.erase(shadowLru_.back());
-        shadowLru_.pop_back();
+    std::vector<Chunk> old = std::move(chunks_);
+    const std::size_t slots = old.empty() ? 64 : 2 * old.size();
+    chunks_.assign(slots, Chunk{});
+    shift_ = 64 - std::countr_zero(slots);
+    const std::size_t mask = slots - 1;
+    for (const Chunk &c : old) {
+        if (c.bits == 0)
+            continue;
+        std::size_t s = home(c.base);
+        while (chunks_[s].bits != 0)
+            s = (s + 1) & mask;
+        chunks_[s] = c;
     }
 }
 

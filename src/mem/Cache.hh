@@ -11,11 +11,11 @@
 #define SAN_MEM_CACHE_HH
 
 #include <cstdint>
-#include <list>
+#include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
+
+#include "mem/LruSet.hh"
 
 namespace san::mem {
 
@@ -84,24 +84,65 @@ class Cache
         std::uint64_t lastUse = 0;
     };
 
+    /**
+     * Grow-only set of line addresses: 64-line bitmaps in an
+     * open-addressed table (linear probing, at most half full; a
+     * chunk with no bits set is an empty slot).
+     */
+    class SeenLines
+    {
+      public:
+        /** @retval true @p line was not in the set (and now is). */
+        bool insert(Addr line);
+
+      private:
+        struct Chunk {
+            Addr base = 0;          //!< line >> 6
+            std::uint64_t bits = 0; //!< one bit per line in the chunk
+        };
+
+        std::size_t
+        home(Addr base) const
+        {
+            return (base * 0x9e3779b97f4a7c15ull) >> shift_;
+        }
+
+        void grow();
+
+        std::vector<Chunk> chunks_;
+        std::size_t used_ = 0;
+        unsigned shift_ = 63;
+    };
+
     Addr lineAddr(Addr a) const { return a / params_.lineSize; }
     std::size_t setIndex(Addr line) const { return line % numSets_; }
 
+    /** The ways of @p line's set in the flat tag array. */
+    std::span<Line>
+    setOf(Addr line)
+    {
+        return {&ways_[setIndex(line) * params_.assoc], params_.assoc};
+    }
+    std::span<const Line>
+    setOf(Addr line) const
+    {
+        return {&ways_[setIndex(line) * params_.assoc], params_.assoc};
+    }
+
     MissClass classify(Addr line);
-    void shadowTouch(Addr line);
 
     CacheParams params_;
-    std::size_t numSets_;
     std::uint64_t numLines_;
-    std::vector<std::vector<Line>> sets_;
+    std::size_t numSets_;
+    /** Set s holds ways [s * assoc, (s + 1) * assoc). */
+    std::vector<Line> ways_;
     std::uint64_t useClock_ = 0;
 
-    // Miss classification state: set of ever-seen lines (cold) and a
-    // fully-associative LRU shadow of equal capacity (capacity vs
-    // conflict).
-    std::unordered_set<Addr> seen_;
-    std::list<Addr> shadowLru_;
-    std::unordered_map<Addr, std::list<Addr>::iterator> shadowMap_;
+    // Miss classification state: every line ever missed on (cold)
+    // and a fully-associative LRU shadow of equal line count that
+    // sees every access (conflict vs capacity).
+    SeenLines seen_;
+    LruSet shadow_;
 
     std::uint64_t hits_ = 0, misses_ = 0;
     std::uint64_t cold_ = 0, capacity_ = 0, conflict_ = 0;

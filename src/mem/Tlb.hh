@@ -8,10 +8,9 @@
 #define SAN_MEM_TLB_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
 #include "mem/Cache.hh"
+#include "mem/LruSet.hh"
 
 namespace san::mem {
 
@@ -20,47 +19,28 @@ class Tlb
 {
   public:
     Tlb(unsigned entries, unsigned page_size)
-        : entries_(entries), pageSize_(page_size)
+        : pageSize_(page_size), lru_(entries)
     {}
 
     /** @retval true the page was resident (TLB hit). */
     bool
     access(Addr addr)
     {
-        const Addr vpn = addr / pageSize_;
-        auto it = map_.find(vpn);
-        if (it != map_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second);
-            ++hits_;
-            return true;
-        }
-        ++misses_;
-        lru_.push_front(vpn);
-        map_[vpn] = lru_.begin();
-        if (lru_.size() > entries_) {
-            map_.erase(lru_.back());
-            lru_.pop_back();
-        }
-        return false;
+        const bool hit = lru_.touch(addr / pageSize_);
+        hit ? ++hits_ : ++misses_;
+        return hit;
     }
 
-    void
-    flush()
-    {
-        lru_.clear();
-        map_.clear();
-    }
+    void flush() { lru_.clear(); }
 
-    unsigned entries() const { return entries_; }
+    unsigned entries() const { return unsigned(lru_.capacity()); }
     unsigned pageSize() const { return pageSize_; }
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
 
   private:
-    unsigned entries_;
     unsigned pageSize_;
-    std::list<Addr> lru_;
-    std::unordered_map<Addr, std::list<Addr>::iterator> map_;
+    LruSet lru_;
     std::uint64_t hits_ = 0, misses_ = 0;
 };
 

@@ -24,6 +24,7 @@
 
 #include "apps/Cluster.hh"
 #include "apps/Grep.hh"
+#include "apps/HashJoin.hh"
 #include "apps/MpegFilter.hh"
 #include "harness/StatsReport.hh"
 #include "obs/Json.hh"
@@ -53,7 +54,9 @@ PrintTo(const GoldenCase &c, std::ostream *os)
 }
 
 /** Small runs that still exercise hosts, switch CPUs, buffers, ATBs,
- * storage and adapters. */
+ * storage and adapters. HashJoin runs on the scaled host caches, so
+ * its host L1D/L2 and switch D$ pin non-zero cold, capacity and
+ * conflict counts. */
 void
 runWorkload(const GoldenCase &c)
 {
@@ -61,6 +64,11 @@ runWorkload(const GoldenCase &c)
         apps::MpegParams params;
         params.fileBytes = 256 * 1024;
         runMpegFilter(c.mode, params);
+    } else if (std::string(c.workload) == "hashjoin") {
+        apps::HashJoinParams params;
+        params.rBytes = 512 * 1024;
+        params.sBytes = 1536 * 1024;
+        runHashJoin(c.mode, params);
     } else {
         apps::GrepParams params;
         params.fileBytes = 70 * 2048; // 2048 lines instead of 16384
@@ -180,7 +188,9 @@ INSTANTIATE_TEST_SUITE_P(
                       GoldenCase{"mpeg", apps::Mode::Active},
                       GoldenCase{"mpeg", apps::Mode::ActivePref},
                       GoldenCase{"grep", apps::Mode::Normal},
-                      GoldenCase{"grep", apps::Mode::Active}),
+                      GoldenCase{"grep", apps::Mode::Active},
+                      GoldenCase{"hashjoin", apps::Mode::Normal},
+                      GoldenCase{"hashjoin", apps::Mode::Active}),
     [](const ::testing::TestParamInfo<GoldenCase> &info) {
         std::string name = std::string(info.param.workload) + "_" +
                            apps::modeName(info.param.mode);

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <string>
+#include <tuple>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "mem/Cache.hh"
@@ -154,6 +160,343 @@ TEST(Tlb, FlushForgetsEverything)
     tlb.flush();
     EXPECT_FALSE(tlb.access(0));
 }
+
+/**
+ * Reference cache: the straightforward node-based statement of the
+ * model. Per-set LRU ways with a use clock; a miss is cold if the
+ * line was never seen, a conflict if a fully-associative LRU of the
+ * same line count still holds it, and capacity otherwise. The
+ * shadow is touched on every access, hits included.
+ */
+class RefCache
+{
+  public:
+    explicit RefCache(const CacheParams &p)
+        : p_(p), numLines_(p.size / p.lineSize),
+          numSets_(numLines_ / p.assoc),
+          sets_(numSets_, std::vector<Way>(p.assoc))
+    {}
+
+    CacheAccess
+    access(Addr addr, bool write)
+    {
+        const Addr line = addr / p_.lineSize;
+        auto &set = sets_[line % numSets_];
+        ++clock_;
+        for (auto &way : set) {
+            if (way.valid && way.tag == line) {
+                way.lastUse = clock_;
+                way.dirty |= write;
+                ++hits_;
+                if (p_.classifyMisses)
+                    shadowTouch(line);
+                return CacheAccess{true, MissClass::None, false};
+            }
+        }
+        ++misses_;
+        MissClass mc = MissClass::Capacity;
+        if (p_.classifyMisses) {
+            if (seen_.insert(line).second) {
+                mc = MissClass::Cold;
+                ++cold_;
+            } else if (shadowMap_.contains(line)) {
+                mc = MissClass::Conflict;
+                ++conflict_;
+            } else {
+                ++capacity_;
+            }
+            shadowTouch(line);
+        }
+        Way *victim = &set[0];
+        for (auto &way : set) {
+            if (!way.valid) {
+                victim = &way;
+                break;
+            }
+            if (way.lastUse < victim->lastUse)
+                victim = &way;
+        }
+        const bool writeback = victim->valid && victim->dirty;
+        writebacks_ += writeback;
+        *victim = Way{line, true, write, clock_};
+        return CacheAccess{false, mc, writeback};
+    }
+
+    bool
+    contains(Addr addr) const
+    {
+        const Addr line = addr / p_.lineSize;
+        const auto &set = sets_[line % numSets_];
+        return std::any_of(set.begin(), set.end(), [&](const Way &w) {
+            return w.valid && w.tag == line;
+        });
+    }
+
+    void
+    invalidateAll()
+    {
+        for (auto &set : sets_)
+            std::fill(set.begin(), set.end(), Way{});
+    }
+
+    std::uint64_t hits_ = 0, misses_ = 0;
+    std::uint64_t cold_ = 0, capacity_ = 0, conflict_ = 0;
+    std::uint64_t writebacks_ = 0;
+
+  private:
+    struct Way {
+        Addr tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t lastUse = 0;
+    };
+
+    void
+    shadowTouch(Addr line)
+    {
+        if (auto it = shadowMap_.find(line); it != shadowMap_.end()) {
+            shadowLru_.erase(it->second);
+            shadowMap_.erase(it);
+        }
+        shadowLru_.push_front(line);
+        shadowMap_[line] = shadowLru_.begin();
+        if (shadowLru_.size() > numLines_) {
+            shadowMap_.erase(shadowLru_.back());
+            shadowLru_.pop_back();
+        }
+    }
+
+    CacheParams p_;
+    std::uint64_t numLines_;
+    std::uint64_t numSets_;
+    std::vector<std::vector<Way>> sets_;
+    std::uint64_t clock_ = 0;
+    std::unordered_set<Addr> seen_;
+    std::list<Addr> shadowLru_;
+    std::unordered_map<Addr, std::list<Addr>::iterator> shadowMap_;
+};
+
+/** Reference TLB: a fully-associative list-plus-map LRU. */
+class RefTlb
+{
+  public:
+    RefTlb(unsigned entries, unsigned page_size)
+        : entries_(entries), pageSize_(page_size)
+    {}
+
+    bool
+    access(Addr addr)
+    {
+        const Addr vpn = addr / pageSize_;
+        if (auto it = map_.find(vpn); it != map_.end()) {
+            lru_.splice(lru_.begin(), lru_, it->second);
+            ++hits_;
+            return true;
+        }
+        ++misses_;
+        lru_.push_front(vpn);
+        map_[vpn] = lru_.begin();
+        if (lru_.size() > entries_) {
+            map_.erase(lru_.back());
+            lru_.pop_back();
+        }
+        return false;
+    }
+
+    void
+    flush()
+    {
+        lru_.clear();
+        map_.clear();
+    }
+
+    std::uint64_t hits_ = 0, misses_ = 0;
+
+  private:
+    unsigned entries_;
+    unsigned pageSize_;
+    std::list<Addr> lru_;
+    std::unordered_map<Addr, std::list<Addr>::iterator> map_;
+};
+
+/** Address-stream shapes the differential tests drive. */
+enum class Stream { Random, Strided, Mixed };
+
+/**
+ * Seeded address generator over a working set of @p ws bytes.
+ * Strided walks a prime number of lines per step so it visits every
+ * set; Mixed sends most accesses to a hot region a sixteenth of the
+ * working set and strides through the rest.
+ */
+class StreamGen
+{
+  public:
+    StreamGen(Stream kind, std::uint64_t ws, unsigned line,
+              std::uint64_t seed)
+        : kind_(kind), ws_(ws), stride_(7ull * line), rng_(seed)
+    {}
+
+    Addr
+    next()
+    {
+        switch (kind_) {
+          case Stream::Random:
+            return base + rng_.below(ws_);
+          case Stream::Strided:
+            return base + stride();
+          case Stream::Mixed:
+            if (rng_.chance(0.8))
+                return base + rng_.below(std::max<std::uint64_t>(
+                                  ws_ / 16, 1));
+            return base + stride();
+        }
+        return base;
+    }
+
+  private:
+    static constexpr Addr base = 0x10000000;
+
+    Addr
+    stride()
+    {
+        pos_ = (pos_ + stride_) % ws_;
+        return pos_ + rng_.below(8);
+    }
+
+    Stream kind_;
+    std::uint64_t ws_;
+    std::uint64_t stride_;
+    std::uint64_t pos_ = 0;
+    Random rng_;
+};
+
+const char *
+streamName(Stream s)
+{
+    switch (s) {
+      case Stream::Random: return "random";
+      case Stream::Strided: return "strided";
+      case Stream::Mixed: return "mixed";
+    }
+    return "?";
+}
+
+/**
+ * Differential oracle: drive Cache and RefCache with the same seeded
+ * streams and require every access result and every counter to agree.
+ * Each (working set, stream) run invalidates the cache halfway, so
+ * refills after a reset are compared too.
+ */
+class CacheOracle
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned,
+                                                 unsigned>>
+{};
+
+TEST_P(CacheOracle, MatchesReferenceAccessForAccess)
+{
+    const auto [size, assoc, line] = GetParam();
+    const std::uint64_t workingSets[] = {4 * 1024, 64 * 1024,
+                                         1024 * 1024,
+                                         64ull * 1024 * 1024};
+    const int n = 40000;
+    for (bool classify : {true, false}) {
+        for (std::uint64_t ws : workingSets) {
+            for (Stream s :
+                 {Stream::Random, Stream::Strided, Stream::Mixed}) {
+                SCOPED_TRACE(std::to_string(ws) + " B " + streamName(s) +
+                             (classify ? " classified" : " unclassified"));
+                const CacheParams p = tiny(size, assoc, line, classify);
+                Cache model(p);
+                RefCache ref(p);
+                StreamGen gen(s, ws, line, ws * 131 + size + assoc);
+                Random writes(ws + line);
+                for (int i = 0; i < n; ++i) {
+                    if (i == n / 2) {
+                        model.invalidateAll();
+                        ref.invalidateAll();
+                    }
+                    const Addr a = gen.next();
+                    const bool w = writes.chance(0.3);
+                    const CacheAccess got = model.access(a, w);
+                    const CacheAccess want = ref.access(a, w);
+                    if (got.hit != want.hit ||
+                        got.missClass != want.missClass ||
+                        got.writeback != want.writeback) {
+                        ADD_FAILURE() << "access " << i << " addr " << a
+                                      << ": hit " << got.hit << "/"
+                                      << want.hit << " class "
+                                      << int(got.missClass) << "/"
+                                      << int(want.missClass) << " wb "
+                                      << got.writeback << "/"
+                                      << want.writeback;
+                        return;
+                    }
+                }
+                EXPECT_EQ(model.hits(), ref.hits_);
+                EXPECT_EQ(model.misses(), ref.misses_);
+                EXPECT_EQ(model.coldMisses(), ref.cold_);
+                EXPECT_EQ(model.capacityMisses(), ref.capacity_);
+                EXPECT_EQ(model.conflictMisses(), ref.conflict_);
+                EXPECT_EQ(model.writebacks(), ref.writebacks_);
+                StreamGen probe(s, ws, line, ws + 17);
+                for (int i = 0; i < 1000; ++i) {
+                    const Addr a = probe.next();
+                    ASSERT_EQ(model.contains(a), ref.contains(a))
+                        << "addr " << a;
+                }
+            }
+        }
+    }
+}
+
+// The switch D$, the scaled host L1D and L2, a highly associative and
+// a direct-mapped geometry.
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheOracle,
+    ::testing::Values(std::tuple{1024u, 2u, 32u},
+                      std::tuple{8192u, 2u, 128u},
+                      std::tuple{65536u, 2u, 128u},
+                      std::tuple{512u, 8u, 64u},
+                      std::tuple{4096u, 1u, 64u}));
+
+class TlbOracle : public ::testing::TestWithParam<unsigned>
+{};
+
+TEST_P(TlbOracle, MatchesReferenceAccessForAccess)
+{
+    const unsigned entries = GetParam();
+    const unsigned page = 4096;
+    const std::uint64_t workingSets[] = {16 * 1024, 1024 * 1024,
+                                         64ull * 1024 * 1024};
+    const int n = 40000;
+    for (std::uint64_t ws : workingSets) {
+        for (Stream s : {Stream::Random, Stream::Strided, Stream::Mixed}) {
+            SCOPED_TRACE(std::to_string(ws) + " B " + streamName(s));
+            Tlb model(entries, page);
+            RefTlb ref(entries, page);
+            StreamGen gen(s, ws, page / 8, ws + entries);
+            for (int i = 0; i < n; ++i) {
+                if (i == n / 2) {
+                    model.flush();
+                    ref.flush();
+                }
+                const Addr a = gen.next();
+                const bool got = model.access(a);
+                const bool want = ref.access(a);
+                if (got != want) {
+                    ADD_FAILURE() << "access " << i << " addr " << a
+                                  << ": hit " << got << "/" << want;
+                    return;
+                }
+            }
+            EXPECT_EQ(model.hits(), ref.hits_);
+            EXPECT_EQ(model.misses(), ref.misses_);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, TlbOracle,
+                         ::testing::Values(1u, 2u, 3u, 64u, 100u));
 
 TEST(Rdram, PageHitFasterThanMiss)
 {

@@ -5,7 +5,95 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
 #include "mem/MemorySystem.hh"
+#include "sim/Random.hh"
+
+namespace {
+
+/** Calls to the replaceable global allocation functions below. */
+std::uint64_t allocations = 0;
+
+void *
+countedAlloc(std::size_t n)
+{
+    ++allocations;
+    return std::malloc(n ? n : 1);
+}
+
+} // namespace
+
+// Counting replacements for the global allocation functions, so a
+// test can assert that a code path allocates nothing. Every form
+// without an alignment argument is replaced, so that each such
+// allocation and its release go through the same malloc/free pair.
+void *
+operator new(std::size_t n)
+{
+    if (void *p = countedAlloc(n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t n)
+{
+    return operator new(n);
+}
+
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n);
+}
+
+// The deletes stay out of line: inlined into a new-expression's
+// cleanup path, free() on memory from operator new would trip GCC's
+// -Wmismatched-new-delete, although these replacements pair them.
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
 
 namespace {
 
@@ -123,6 +211,38 @@ TEST(MemorySystem, StreamingLargeBufferCostScalesWithLines)
     // (256 pages x 8 B PTEs = 16 extra lines).
     EXPECT_GE(ms.l1d().misses(), MiB / 128);
     EXPECT_LE(ms.l1d().misses(), MiB / 128 + 16);
+}
+
+/**
+ * Once every line and page of a working set has been seen, further
+ * accesses within it only move lines between the tag arrays, the
+ * miss-classification shadow and the TLBs: nothing is allocated.
+ * The working set is far larger than every cache and TLB, so the
+ * measured accesses miss, classify and evict at every level.
+ */
+TEST(MemorySystem, WarmAccessesDoNotAllocate)
+{
+    for (const MemorySystemParams &params :
+         {scaledHostMemoryParams(), switchMemoryParams()}) {
+        SCOPED_TRACE(params.name);
+        MemorySystem ms(params);
+        const std::uint64_t ws = 8 * MiB;
+        Tick now = 0;
+        now += ms.dataAccess(0, ws, AccessKind::Load, now);
+
+        Random rng(42);
+        const std::uint64_t before = allocations;
+        for (int i = 0; i < 100000; ++i) {
+            const Addr a = rng.below(ws - 256);
+            const auto kind = static_cast<AccessKind>(rng.below(3));
+            now += ms.dataAccess(a, 1 + rng.below(256), kind, now);
+        }
+        const std::uint64_t allocated = allocations - before;
+        EXPECT_EQ(allocated, 0u);
+        EXPECT_GT(ms.l1d().capacityMisses(), 0u);
+        EXPECT_GT(ms.l1d().conflictMisses(), 0u);
+        EXPECT_GT(ms.dtlb().misses(), ws / params.pageSize);
+    }
 }
 
 TEST(MemorySystem, StallTicksAccumulate)
