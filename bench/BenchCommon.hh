@@ -20,12 +20,12 @@
  *   --threads N          run the simulation on N worker threads
  *                        (sharded conservative PDES; DESIGN.md §14).
  *                        N=1 (default) runs the system as one shard,
- *                        byte-identical to earlier releases.
- *                        Incompatible with --metrics-csv (the
- *                        interval sampler walks live component state
- *                        from its own event). Benches that drive the
- *                        simulator directly (ablations, micro_*)
- *                        ignore the flag.
+ *                        byte-identical to earlier releases. Only
+ *                        benches whose runs shard accept N > 1; the
+ *                        others exit 2 (see init()). Incompatible
+ *                        with --metrics-csv (the interval sampler
+ *                        walks live component state from its own
+ *                        event).
  *   --telemetry[=N]      arm packet-lineage telemetry, sampling one
  *                        packet in N (default 1 = every packet; 0
  *                        arms the hooks without sampling, for
@@ -72,10 +72,10 @@
 #include "fault/FaultPlan.hh"
 #include "harness/Report.hh"
 #include "harness/StatsReport.hh"
-#include "obs/Hooks.hh"
 #include "obs/Metrics.hh"
 #include "obs/Telemetry.hh"
 #include "obs/Trace.hh"
+#include "sim/RunContext.hh"
 #include "sim/Types.hh"
 
 namespace san::bench {
@@ -108,16 +108,20 @@ options()
 
 namespace detail {
 
-/** Trace file + exporter kept alive for the whole process. */
-struct TraceState {
-    std::ofstream file;
+/** The instruments the flags armed, and their output files. */
+struct Instruments {
+    std::ofstream traceFile;
     std::unique_ptr<obs::ChromeTracer> tracer;
+    std::ofstream metricsFile;
+    std::unique_ptr<obs::IntervalSampler> sampler;
+    std::unique_ptr<fault::FaultPlan> plan; //!< null without fault flags
+    std::unique_ptr<obs::Telemetry> telemetry;
 };
 
-inline TraceState &
-traceState()
+inline Instruments &
+instruments()
 {
-    static TraceState state;
+    static Instruments state;
     return state;
 }
 
@@ -129,84 +133,70 @@ capturedStats()
     return stats;
 }
 
-/** Metrics file + sampler kept alive for the whole process. */
-struct MetricsState {
-    std::ofstream file;
-    std::unique_ptr<obs::IntervalSampler> sampler;
-};
-
-inline MetricsState &
-metricsState()
-{
-    static MetricsState state;
-    return state;
-}
-
-/**
- * The installed fault plan. Rebuilt per mode by runFigure() so every
- * mode sees the same fault schedule (one-shot --fault-at events
- * re-arm, rate streams restart from their seeds).
- */
-struct FaultState {
-    std::unique_ptr<fault::FaultPlan> plan;
-};
-
-inline FaultState &
-faultState()
-{
-    static FaultState state;
-    return state;
-}
-
-/** The process-lifetime telemetry engine (installed by init()). */
-struct TelemetryState {
-    std::unique_ptr<obs::Telemetry> tel;
-};
-
-inline TelemetryState &
-telemetryState()
-{
-    static TelemetryState state;
-    return state;
-}
-
 } // namespace detail
 
-/** True when any --fault-spec / --fault-at flag was given. */
-inline bool
-faultsConfigured()
-{
-    return !options().faultSpecs.empty() ||
-           !options().faultEvents.empty();
-}
-
 /**
- * (Re)build the fault plan from the parsed flags and install it via
- * fault::globalPlan(). No-op without fault flags, so fault-free runs
- * keep the zero-overhead fast path.
+ * Build a fresh fault plan from the parsed flags, so a run faces the
+ * whole schedule: one-shot --fault-at events re-arm and rate streams
+ * restart from their seeds. No-op without fault flags, so fault-free
+ * runs keep the zero-overhead fast path.
  */
 inline void
-installFaultPlan()
+rebuildFaultPlan()
 {
-    if (!faultsConfigured())
-        return;
     const BenchOptions &opts = options();
-    auto &fs = detail::faultState();
-    fs.plan = std::make_unique<fault::FaultPlan>(opts.faultSeed);
+    if (opts.faultSpecs.empty() && opts.faultEvents.empty())
+        return;
+    auto plan = std::make_unique<fault::FaultPlan>(opts.faultSeed);
     for (const auto &spec : opts.faultSpecs)
-        fs.plan->addSpec(spec);
+        plan->addSpec(spec);
     for (const auto &event : opts.faultEvents)
-        fs.plan->addEvent(event);
-    fault::globalPlan() = fs.plan.get();
+        plan->addEvent(event);
+    detail::instruments().plan = std::move(plan);
 }
 
 /**
- * Parse the shared flags and install the requested instrumentation
- * (tracer hook, stats-capturing cluster observer). Call once at the
- * top of main(); returns the parsed options.
+ * Start the run labelled @p label (a mode name) and return its
+ * context: a new trace process and metrics run label, a fresh fault
+ * plan, and a fresh telemetry sampler phase, so every mode faces the
+ * same fault schedule and samples the same 1-in-N packets.
+ */
+inline sim::RunContext
+beginRun(const char *label)
+{
+    detail::Instruments &in = detail::instruments();
+    if (in.tracer)
+        in.tracer->beginProcess(label);
+    if (in.sampler)
+        in.sampler->setRunLabel(label);
+    rebuildFaultPlan();
+    if (in.telemetry)
+        in.telemetry->beginRun(label);
+    return {in.tracer.get(), in.sampler.get(), in.plan.get(),
+            in.telemetry.get()};
+}
+
+/**
+ * The armed fault plan and telemetry collector, for a bench that
+ * drives its own simulations instead of runFigure(): every run shares
+ * the one plan and collector, and none is traced or sampled.
+ */
+inline sim::RunContext
+faultsAndTelemetry()
+{
+    const detail::Instruments &in = detail::instruments();
+    return {.faults = in.plan.get(), .telemetry = in.telemetry.get()};
+}
+
+/**
+ * Parse the shared flags and arm the requested instruments (see
+ * beginRun()) and the stats-capturing cluster observer. Call once
+ * at the top of main(); returns the parsed options. A bench whose
+ * runs shard passes @p threaded; every other bench rejects
+ * --threads N > 1 rather than silently running one shard.
  */
 inline BenchOptions &
-init(int argc, char **argv)
+init(int argc, char **argv, bool threaded = false)
 {
     BenchOptions &opts = options();
     for (int i = 1; i < argc; ++i) {
@@ -363,25 +353,27 @@ init(int argc, char **argv)
         std::cerr << "error: --latency-report requires --telemetry\n";
         std::exit(2);
     }
+    if (opts.threads > 1 && !threaded) {
+        std::cerr << "error: --threads " << opts.threads
+                  << ": this bench runs its simulations on one shard "
+                     "(use --threads 1)\n";
+        std::exit(2);
+    }
     if (opts.threads > 1 && !opts.metricsCsvPath.empty()) {
         std::cerr << "error: --metrics-csv requires --threads 1 (the "
                      "interval sampler reads live component state "
                      "from a simulation event)\n";
         std::exit(2);
     }
-    if (opts.telemetry) {
-        auto &ts = detail::telemetryState();
-        ts.tel =
+    detail::Instruments &in = detail::instruments();
+    if (opts.telemetry)
+        in.telemetry =
             std::make_unique<obs::Telemetry>(opts.telemetrySampleRate);
-        obs::globalTelemetry() = ts.tel.get();
-    }
 
     if (!opts.tracePath.empty()) {
-        auto &ts = detail::traceState();
-        ts.file.open(opts.tracePath);
-        if (ts.file) {
-            ts.tracer = std::make_unique<obs::ChromeTracer>(ts.file);
-            obs::globalTracer() = ts.tracer.get();
+        in.traceFile.open(opts.tracePath);
+        if (in.traceFile) {
+            in.tracer = std::make_unique<obs::ChromeTracer>(in.traceFile);
         } else {
             std::cerr << "cannot open trace file " << opts.tracePath
                       << "\n";
@@ -389,20 +381,18 @@ init(int argc, char **argv)
     }
 
     if (!opts.metricsCsvPath.empty()) {
-        auto &ms = detail::metricsState();
-        ms.file.open(opts.metricsCsvPath);
-        if (ms.file) {
+        in.metricsFile.open(opts.metricsCsvPath);
+        if (in.metricsFile) {
             const bool jsonl =
                 opts.metricsCsvPath.size() >= 6 &&
                 opts.metricsCsvPath.compare(
                     opts.metricsCsvPath.size() - 6, 6, ".jsonl") == 0;
-            ms.sampler = std::make_unique<obs::IntervalSampler>(
-                ms.file, opts.metricsInterval,
+            in.sampler = std::make_unique<obs::IntervalSampler>(
+                in.metricsFile, opts.metricsInterval,
                 jsonl ? obs::MetricsFormat::Jsonl
                       : obs::MetricsFormat::Csv);
-            if (obs::globalTracer())
-                ms.sampler->setMirror(obs::globalTracer());
-            obs::globalSampler() = ms.sampler.get();
+            if (in.tracer)
+                in.sampler->setMirror(in.tracer.get());
         } else {
             std::cerr << "cannot open metrics file "
                       << opts.metricsCsvPath << "\n";
@@ -419,10 +409,9 @@ init(int argc, char **argv)
         };
     }
 
-    installFaultPlan();
-    if (faultsConfigured())
-        std::cerr << "fault plan:\n"
-                  << detail::faultState().plan->describe();
+    rebuildFaultPlan();
+    if (in.plan)
+        std::cerr << "fault plan:\n" << in.plan->describe();
     return opts;
 }
 
@@ -471,37 +460,28 @@ writeStatsJson(const std::string &path, const std::string &title)
 } // namespace detail
 
 /**
- * Run @p run_one for all four modes, print overview and/or breakdown
+ * Run @p run_one on @p params in all four modes, each with its own
+ * run context (see beginRun()), print overview and/or breakdown
  * tables, and check the semantic checksum.
  * @return process exit code.
  */
-inline int
+template <typename Params>
+int
 runFigure(const std::string &overview_title,
           const std::string &breakdown_title,
-          const std::function<apps::RunStats(apps::Mode)> &run_one,
-          bool print_overview = true, bool print_breakdown = true)
+          apps::RunStats (*run_one)(apps::Mode, const Params &),
+          Params params, bool print_overview = true,
+          bool print_breakdown = true)
 {
     const BenchOptions &opts = options();
     harness::ModeResults results;
     std::array<double, apps::allModes.size()> wallMs{};
     std::array<double, apps::allModes.size()> cpuMs{};
     for (std::size_t i = 0; i < apps::allModes.size(); ++i) {
-        if (detail::traceState().tracer)
-            detail::traceState().tracer->beginProcess(
-                apps::modeName(apps::allModes[i]));
-        if (detail::metricsState().sampler)
-            detail::metricsState().sampler->setRunLabel(
-                apps::modeName(apps::allModes[i]));
-        // Fresh plan per mode: one-shot events re-arm, rate streams
-        // restart, so every mode faces the same fault schedule.
-        installFaultPlan();
-        // Fresh sampler phase per mode, so every mode samples the
-        // same 1-in-N positions of its packet stream.
-        if (obs::Telemetry *tel = obs::globalTelemetry())
-            tel->beginRun(apps::modeName(apps::allModes[i]));
+        params.cluster.run = beginRun(apps::modeName(apps::allModes[i]));
         const auto t0 = std::chrono::steady_clock::now();
         const std::clock_t c0 = std::clock();
-        results[i] = run_one(apps::allModes[i]);
+        results[i] = run_one(apps::allModes[i], params);
         cpuMs[i] = 1e3 * static_cast<double>(std::clock() - c0) /
                    CLOCKS_PER_SEC;
         wallMs[i] = std::chrono::duration<double, std::milli>(
@@ -559,8 +539,8 @@ runFigure(const std::string &overview_title,
             std::cerr << "cannot open latency report file "
                       << opts.latencyReportPath << "\n";
     }
-    if (detail::traceState().tracer)
-        detail::traceState().tracer->finish();
+    if (detail::instruments().tracer)
+        detail::instruments().tracer->finish();
 
     if (!harness::checksumsAgree(results)) {
         std::cerr << "CHECKSUM MISMATCH across modes\n";
@@ -588,9 +568,7 @@ runBreakdownFigure(int argc, char **argv, const std::string &title,
     Params params;
     if (init(argc, argv).quick && quick_shrink)
         quick_shrink(params);
-    return runFigure(
-        "", title,
-        [&](apps::Mode m) { return run_one(m, params); }, false, true);
+    return runFigure("", title, run_one, params, false, true);
 }
 
 } // namespace san::bench

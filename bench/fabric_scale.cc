@@ -72,6 +72,7 @@ struct Settings {
     unsigned seeds = 10;            //!< fingerprint-stability seeds
     unsigned patternMessages = 4;   //!< per host, pattern sweep
     unsigned threads = 1;           //!< PDES workers (placement runs)
+    sim::RunContext run;            //!< faults + telemetry, all runs
 };
 
 /** One benchmark topology. */
@@ -193,7 +194,7 @@ PlacementResult
 runPlacement(const Shape &shape, Placement pl, const Settings &s,
              std::ostream *latency_out)
 {
-    sim::Simulation sim;
+    sim::Simulation sim(s.run);
     Fabric fabric(sim);
     active::ActiveConfig acfg;
     acfg.cpus = 4;
@@ -203,7 +204,7 @@ runPlacement(const Shape &shape, Placement pl, const Settings &s,
     // its edge switch's shard (net::Fabric::planShards). The pattern
     // sweep and the seed-stability loop stay single-threaded — the
     // placement runs are the scaling workload.
-    obs::Telemetry *tel = obs::globalTelemetry();
+    obs::Telemetry *tel = s.run.telemetry;
     const std::string label =
         std::string(shape.name) + "/" + placementName(pl);
     if (tel)
@@ -335,10 +336,10 @@ struct PatternResult {
 
 PatternResult
 runPattern(const Shape &shape, FabricTrafficParams::Pattern pattern,
-           std::uint64_t seed, unsigned messages,
-           std::uint32_t message_bytes, std::uint64_t *fingerprint)
+           std::uint64_t seed, const Settings &s,
+           std::uint64_t *fingerprint)
 {
-    sim::Simulation sim;
+    sim::Simulation sim(s.run);
     obs::RunFingerprint fp;
     sim.events().setObserver(&fp);
     Fabric fabric(sim);
@@ -352,8 +353,8 @@ runPattern(const Shape &shape, FabricTrafficParams::Pattern pattern,
     FabricTrafficParams p;
     p.pattern = pattern;
     p.seed = seed;
-    p.messagesPerHost = messages;
-    p.messageBytes = message_bytes;
+    p.messagesPerHost = s.patternMessages;
+    p.messageBytes = s.messageBytes;
     FabricTrafficGen gen(sim, topo.hosts, topo.hostGroup, p);
     gen.start();
     sim.run();
@@ -441,7 +442,8 @@ patternKey(FabricTrafficParams::Pattern p)
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions &opts = bench::init(argc, argv);
+    const bench::BenchOptions &opts =
+        bench::init(argc, argv, /*threaded=*/true);
 
     Settings s;
     double minEdgeSpeedup = 0.0;
@@ -452,6 +454,7 @@ main(int argc, char **argv)
         s.patternMessages = 2;
     }
     s.threads = opts.threads;
+    s.run = bench::faultsAndTelemetry();
     for (int i = 1; i < argc; ++i) {
         auto take = [&](const char *flag) -> const char * {
             if (std::strcmp(argv[i], flag) != 0)
@@ -530,7 +533,7 @@ main(int argc, char **argv)
         std::size_t nHosts, nSwitches, nLinks;
         unsigned nGroups;
         {
-            sim::Simulation sim;
+            sim::Simulation sim(s.run);
             Fabric fabric(sim);
             const Topology t =
                 shape.fatTree
@@ -548,9 +551,7 @@ main(int argc, char **argv)
 
         for (std::size_t pi = 0; pi < 3; ++pi) {
             const PatternResult pr =
-                runPattern(shape, kPatterns[pi], 1,
-                           s.patternMessages, s.messageBytes,
-                           nullptr);
+                runPattern(shape, kPatterns[pi], 1, s, nullptr);
             std::printf(
                 "        \"%s\": {\"delivered\": %llu, "
                 "\"agg_gbps\": %.4f, \"lat_mean_ns\": %.1f, "
@@ -638,11 +639,9 @@ main(int argc, char **argv)
         for (unsigned seed = 1; seed <= s.seeds; ++seed) {
             std::uint64_t fpA = 0, fpB = 0;
             runPattern(shape, FabricTrafficParams::Pattern::Uniform,
-                       seed, s.patternMessages, s.messageBytes,
-                       &fpA);
+                       seed, s, &fpA);
             runPattern(shape, FabricTrafficParams::Pattern::Uniform,
-                       seed, s.patternMessages, s.messageBytes,
-                       &fpB);
+                       seed, s, &fpB);
             if (fpA != fpB)
                 stable = false;
             char buf[32];

@@ -17,12 +17,11 @@ main(int argc, char **argv)
 {
     san::apps::MpegParams params;
     const san::bench::BenchOptions &opts =
-        san::bench::init(argc, argv);
+        san::bench::init(argc, argv, /*threaded=*/true);
     if (opts.quick)
         params.fileBytes = 512 * 1024;
     params.cluster.threads = opts.threads;
-    return san::bench::runFigure(
-        "Fig 3: MPEG filter", "",
-        [&](san::apps::Mode m) { return runMpegFilter(m, params); },
-        true, false);
+    return san::bench::runFigure("Fig 3: MPEG filter", "",
+                                 san::apps::runMpegFilter, params, true,
+                                 false);
 }

@@ -14,8 +14,7 @@ main(int argc, char **argv)
         params.rBytes = 4ull * 1024 * 1024;
         params.sBytes = 16ull * 1024 * 1024;
     }
-    return san::bench::runFigure(
-        "Fig 5: HashJoin", "Fig 5: HashJoin",
-        [&](san::apps::Mode m) { return runHashJoin(m, params); },
-        true, false);
+    return san::bench::runFigure("Fig 5: HashJoin", "Fig 5: HashJoin",
+                                 san::apps::runHashJoin, params, true,
+                                 false);
 }

@@ -20,7 +20,6 @@ main(int argc, char **argv)
     san::apps::SelectParams params;
     if (san::bench::init(argc, argv).quick)
         params.tableBytes = 16ull * 1024 * 1024;
-    return san::bench::runFigure(
-        "Fig 7: Select", "Fig 8: Select",
-        [&](san::apps::Mode m) { return runSelect(m, params); });
+    return san::bench::runFigure("Fig 7: Select", "Fig 8: Select",
+                                 san::apps::runSelect, params);
 }

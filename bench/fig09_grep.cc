@@ -9,10 +9,8 @@
 int
 main(int argc, char **argv)
 {
-    san::apps::GrepParams params;
     san::bench::init(argc, argv);
-    return san::bench::runFigure(
-        "Fig 9: Grep", "Fig 9: Grep",
-        [&](san::apps::Mode m) { return runGrep(m, params); },
-        true, false);
+    return san::bench::runFigure("Fig 9: Grep", "Fig 9: Grep",
+                                 san::apps::runGrep,
+                                 san::apps::GrepParams{}, true, false);
 }

@@ -9,10 +9,8 @@
 int
 main(int argc, char **argv)
 {
-    san::apps::TarParams params;
     san::bench::init(argc, argv);
-    return san::bench::runFigure(
-        "Fig 11: Tar", "Fig 11: Tar",
-        [&](san::apps::Mode m) { return runTar(m, params); },
-        true, false);
+    return san::bench::runFigure("Fig 11: Tar", "Fig 11: Tar",
+                                 san::apps::runTar,
+                                 san::apps::TarParams{}, true, false);
 }

@@ -9,10 +9,8 @@
 int
 main(int argc, char **argv)
 {
-    san::apps::SortParams params;
     san::bench::init(argc, argv);
     return san::bench::runFigure(
         "Fig 13: Parallel sort", "Fig 13: Parallel sort",
-        [&](san::apps::Mode m) { return runParallelSort(m, params); },
-        true, false);
+        san::apps::runParallelSort, san::apps::SortParams{}, true, false);
 }

@@ -19,7 +19,7 @@ main(int argc, char **argv)
 {
     using namespace san::apps;
     const san::bench::BenchOptions &opts =
-        san::bench::init(argc, argv);
+        san::bench::init(argc, argv, /*threaded=*/true);
     std::printf("Fig 16: Distributed Reduce (512 B vectors)\n");
     std::printf("%6s %14s %14s %9s %8s\n", "nodes", "normal(us)",
                 "active(us)", "speedup", "correct");
@@ -31,6 +31,7 @@ main(int argc, char **argv)
         ReductionParams params;
         params.nodes = p;
         params.threads = opts.threads;
+        params.run = san::bench::faultsAndTelemetry();
         ReductionRun normal =
             runReduction(false, ReduceKind::Distributed, params);
         ReductionRun active =

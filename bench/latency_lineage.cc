@@ -15,8 +15,8 @@
  *
  * Also measures the *passive* telemetry overhead the ISSUE's ≤2%
  * budget gates: the same incast workload is timed with the hooks
- * absent (globalTelemetry() null) and with the hooks armed at sample
- * rate 0 (every branch taken, no packet sampled), best-of-N process
+ * absent (no collector in the run context) and with the hooks armed
+ * at sample rate 0 (every branch taken, no packet sampled), best-of-N process
  * CPU time. Note this is a packet-path measurement by necessity —
  * micro_kernel exercises the bare event kernel, which has no packets
  * and therefore no telemetry branches at all. Reported as
@@ -82,11 +82,12 @@ cut(const obs::LatencyHistogram &h)
     return c;
 }
 
-/** One traffic run; telemetry (if any) must already be installed and
- * beginRun() primed by the caller. */
+/** One traffic run reporting to @p tel (null: telemetry off), whose
+ * beginRun() the caller has primed. */
 TrafficReport
 runTraffic(TrafficParams::Pattern pattern, const std::string &spec,
-           const RunSettings &s, std::uint64_t *hol_blocked)
+           const RunSettings &s, obs::Telemetry *tel,
+           std::uint64_t *hol_blocked)
 {
     const auto cfg = parsePolicySpec(spec);
     if (!cfg.has_value()) {
@@ -94,7 +95,7 @@ runTraffic(TrafficParams::Pattern pattern, const std::string &spec,
                      spec.c_str());
         std::exit(1);
     }
-    sim::Simulation sim;
+    sim::Simulation sim(sim::RunContext{.telemetry = tel});
     Fabric fabric(sim);
     SwitchParams params;
     params.ports = 8;
@@ -125,13 +126,11 @@ PolicyResult
 runOne(TrafficParams::Pattern pattern, const std::string &spec,
        const RunSettings &s, obs::Telemetry &tel)
 {
-    obs::globalTelemetry() = &tel;
     tel.beginRun(spec);
     PolicyResult r;
     r.policy = spec;
-    r.report = runTraffic(pattern, spec, s, &r.holBlocked);
+    r.report = runTraffic(pattern, spec, s, &tel, &r.holBlocked);
     const obs::TelemetryStats &t = tel.finishRun();
-    obs::globalTelemetry() = nullptr;
     using obs::FlowClass;
     using obs::Stage;
     r.txQueue = cut(t.stageHist(FlowClass::Data, Stage::TxQueue));
@@ -144,21 +143,21 @@ runOne(TrafficParams::Pattern pattern, const std::string &spec,
 }
 
 /**
- * Process CPU seconds for @p iters back-to-back incast workloads,
- * with the telemetry hooks in whatever state the caller installed
- * (null = off, armed-at-rate-0 = every hook branch taken, nothing
- * sampled). One workload is well under a millisecond — below
- * clock() quantization — so each timed sample batches enough
- * iterations to make a sub-2% overhead resolvable. The caller
- * interleaves off/armed samples so a sustained CPU-throttle window
- * (common on shared CI machines) cannot land on only one side.
+ * Process CPU seconds for @p iters back-to-back incast workloads
+ * reporting to @p tel (null = hooks off, armed-at-rate-0 = every
+ * hook branch taken, nothing sampled). One workload is well under a
+ * millisecond — below clock() quantization — so each timed sample
+ * batches enough iterations to make a sub-2% overhead resolvable.
+ * The caller interleaves off/armed samples so a sustained
+ * CPU-throttle window (common on shared CI machines) cannot land on
+ * only one side.
  */
 double
-timeBatch(const RunSettings &s, unsigned iters)
+timeBatch(const RunSettings &s, unsigned iters, obs::Telemetry *tel)
 {
     const std::clock_t c0 = std::clock();
     for (unsigned k = 0; k < iters; ++k)
-        runTraffic(TrafficParams::Pattern::Incast, "fifo", s,
+        runTraffic(TrafficParams::Pattern::Incast, "fifo", s, tel,
                    nullptr);
     return static_cast<double>(std::clock() - c0) / CLOCKS_PER_SEC;
 }
@@ -282,22 +281,17 @@ main(int argc, char **argv)
         // against whichever side always ran second.
         double p, h;
         if (rep % 2 == 0) {
-            obs::globalTelemetry() = nullptr;
-            p = timeBatch(settings, overheadIters);
-            obs::globalTelemetry() = &armed;
-            h = timeBatch(settings, overheadIters);
+            p = timeBatch(settings, overheadIters, nullptr);
+            h = timeBatch(settings, overheadIters, &armed);
         } else {
-            obs::globalTelemetry() = &armed;
-            h = timeBatch(settings, overheadIters);
-            obs::globalTelemetry() = nullptr;
-            p = timeBatch(settings, overheadIters);
+            h = timeBatch(settings, overheadIters, &armed);
+            p = timeBatch(settings, overheadIters, nullptr);
         }
         plain = std::min(plain, p);
         hooked = std::min(hooked, h);
         if (p > 0)
             ratios.push_back(h / p);
     }
-    obs::globalTelemetry() = nullptr;
     // Median of the per-rep paired ratios: each pair runs
     // back-to-back, so a CPU-throttle window hits both sides of the
     // ratio, and the median discards the reps where it straddled

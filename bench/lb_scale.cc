@@ -78,18 +78,9 @@ lbHostBusyMs(const apps::RunStats &s, unsigned lb_host)
 
 /** One mode with the same per-run setup runFigure() performs. */
 ModeRun
-runMode(apps::Mode mode, const lb::LbWorkloadParams &params)
+runMode(apps::Mode mode, lb::LbWorkloadParams params)
 {
-    if (bench::detail::traceState().tracer)
-        bench::detail::traceState().tracer->beginProcess(
-            apps::modeName(mode));
-    if (bench::detail::metricsState().sampler)
-        bench::detail::metricsState().sampler->setRunLabel(
-            apps::modeName(mode));
-    bench::installFaultPlan();
-    if (obs::Telemetry *tel = obs::globalTelemetry())
-        tel->beginRun(apps::modeName(mode));
-
+    params.run = bench::beginRun(apps::modeName(mode));
     const auto t0 = std::chrono::steady_clock::now();
     const std::clock_t c0 = std::clock();
     ModeRun run;
@@ -352,8 +343,8 @@ main(int argc, char **argv)
                          "cannot open latency report file %s\n",
                          opts.latencyReportPath.c_str());
     }
-    if (bench::detail::traceState().tracer)
-        bench::detail::traceState().tracer->finish();
+    if (bench::detail::instruments().tracer)
+        bench::detail::instruments().tracer->finish();
 
     if (minLbLookups > 0 && activeRate < minLbLookups) {
         std::fprintf(stderr,

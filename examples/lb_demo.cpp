@@ -42,10 +42,8 @@ runOnce(apps::Mode mode)
     down.kind = fault::FaultKind::BackendDown;
     down.target = "0";
     plan.addEvent(down);
-    fault::globalPlan() = &plan;
-    lb::LbRunResult res = lb::runLb(mode, params);
-    fault::globalPlan() = nullptr;
-    return res;
+    params.run.faults = &plan;
+    return lb::runLb(mode, params);
 }
 
 } // namespace

@@ -10,8 +10,6 @@
 
 namespace san::active {
 
-std::atomic<std::uint64_t> ActiveSwitch::nextMessageId_{1ull << 48};
-
 // ---------------------------------------------------------------------
 // HandlerContext
 // ---------------------------------------------------------------------
@@ -141,7 +139,7 @@ HandlerContext::postRead(net::NodeId storage, std::uint64_t offset,
         liveTelemetry_->noteHandlerTicks(sim::us(1));
     co_await cpu().busyFor(sim::us(1));
     io::IoRequest req;
-    req.requestId = ActiveSwitch::nextMessageId_++;
+    req.requestId = sw_.nextMessageId();
     req.offset = offset;
     req.bytes = bytes;
     req.replyTo = reply_to;
@@ -171,7 +169,7 @@ ActiveSwitch::ActiveSwitch(sim::Simulation &sim, std::string name,
             sim, mem_params.name, mem_params, config_.cpuHz));
         cpuLoad_.push_back(0);
     }
-    if (fault::FaultPlan *plan = fault::globalPlan()) {
+    if (fault::FaultPlan *plan = sim.context().faults) {
         plan_ = plan;
         crashSite_ =
             plan->site(fault::FaultKind::HandlerCrash, this->name());
@@ -511,7 +509,7 @@ ActiveSwitch::sendUnit(net::NodeId dst, std::uint64_t bytes,
                        std::optional<net::ActiveHeader> active,
                        net::PayloadPtr payload, std::uint32_t tag)
 {
-    const std::uint64_t id = nextMessageId_++;
+    const std::uint64_t id = nextMessageId();
     const unsigned mtu = pool_.params().bytes;
     std::uint64_t remaining = bytes;
     std::uint32_t seq = 0;
@@ -533,7 +531,7 @@ ActiveSwitch::sendUnit(net::NodeId dst, std::uint64_t bytes,
         pkt.messageBytes = bytes;
         if (pkt.last)
             pkt.payload = payload;
-        if (auto *tel = obs::globalTelemetry())
+        if (auto *tel = sim_.context().telemetry)
             pkt.telemetry = tel->sample(pkt.src, pkt.dst,
                                         pkt.active
                                             ? obs::FlowClass::Active

@@ -20,7 +20,6 @@
 #ifndef SAN_ACTIVE_ACTIVE_SWITCH_HH
 #define SAN_ACTIVE_ACTIVE_SWITCH_HH
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -259,6 +258,13 @@ class ActiveSwitch : public net::Switch
     unsigned pickCpu(std::uint8_t cpu_id);
     sim::Task runInstance(InstanceKey key, HandlerFn fn);
 
+    /** Id for the next message or read this switch posts. */
+    std::uint64_t
+    nextMessageId()
+    {
+        return net::messageIdOf(id(), messagesPosted_++);
+    }
+
     /** Send-unit segmentation (mirrors Adapter::sendMessage). */
     void sendUnit(net::NodeId dst, std::uint64_t bytes,
                   std::optional<net::ActiveHeader> active,
@@ -299,9 +305,7 @@ class ActiveSwitch : public net::Switch
     fault::FaultPlan *plan_ = nullptr;   //!< null: no faults, no cost
     fault::FaultSite *crashSite_ = nullptr;
     std::unique_ptr<fault::ReliableChannel> rel_;
-
-    /** Process-wide, and bumped by every shard's worker. */
-    static std::atomic<std::uint64_t> nextMessageId_;
+    std::uint32_t messagesPosted_ = 0;
 };
 
 } // namespace san::active

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "fault/FaultPlan.hh"
-#include "obs/Hooks.hh"
 #include "obs/Metrics.hh"
 
 namespace san::apps {
@@ -16,10 +15,10 @@ clusterObserver()
 }
 
 Cluster::Cluster(const ClusterParams &params)
-    : params_(params), fabric_(sim_, params.link, params.adapter)
+    : params_(params), sim_(params.run),
+      fabric_(sim_, params.link, params.adapter)
 {
     assert(params.hosts + params.storageNodes <= params.switchPorts);
-    sim_.setTracer(obs::globalTracer());
     sw_ = &fabric_.addSwitch<active::ActiveSwitch>(
         net::SwitchParams{params.switchPorts}, params.active);
 
@@ -49,19 +48,19 @@ Cluster::Cluster(const ClusterParams &params)
     // receive channels without scheduling events, and resume on
     // whichever shard pushes.
     if (params.threads > 1) {
-        assert(obs::globalSampler() == nullptr &&
+        assert(params.run.sampler == nullptr &&
                "--metrics-csv requires --threads 1");
         fabric_.applyShardPlan(
             fabric_.planShards(1 + fabric_.adapters().size()));
     }
     shardedFp_.attach(sim_);
 
-    // When a sampler is installed (bench --metrics-csv), point it at
+    // When the run has a sampler (bench --metrics-csv), point it at
     // this cluster: re-register every component's gauges (the
     // previous cluster is gone) and chain it in front of the
     // fingerprint observer. Without a sampler this is all skipped
     // and runs pay nothing.
-    if (obs::IntervalSampler *sampler = obs::globalSampler()) {
+    if (obs::IntervalSampler *sampler = params.run.sampler) {
         sampler->registry().clear();
         // Kernel first: queue depth / horizon / ladder occupancy
         // columns lead every timeline.
@@ -75,11 +74,10 @@ Cluster::Cluster(const ClusterParams &params)
         for (const auto &link : fabric_.links())
             link->registerMetrics(sampler->registry());
         // Recovery timelines, only meaningful under a fault plan.
-        if (fault::globalPlan() != nullptr) {
+        if (const fault::FaultPlan *plan = params.run.faults) {
             obs::MetricsRegistry &m = sampler->registry();
-            m.add("fault.injected", obs::GaugeKind::Rate, [] {
-                return static_cast<double>(
-                    fault::globalPlan()->injected());
+            m.add("fault.injected", obs::GaugeKind::Rate, [plan] {
+                return static_cast<double>(plan->injected());
             });
             m.add("net.retransmits", obs::GaugeKind::Rate, [this] {
                 std::uint64_t n = 0;
@@ -115,7 +113,7 @@ RunStats
 Cluster::collect(Mode mode)
 {
     const sim::Tick end = sim_.runSharded(params_.threads);
-    if (obs::IntervalSampler *sampler = obs::globalSampler())
+    if (obs::IntervalSampler *sampler = sim_.context().sampler)
         sampler->finishRun(end);
     RunStats stats;
     stats.mode = mode;
@@ -153,7 +151,7 @@ Cluster::collect(Mode mode)
     // captures fault timing, and keeping them out lets a fault-free
     // plan ("none:0") reproduce the no-plan fingerprint modulo the
     // protocol's own control traffic.
-    if (const fault::FaultPlan *plan = fault::globalPlan()) {
+    if (const fault::FaultPlan *plan = sim_.context().faults) {
         FaultStats &f = stats.faults;
         f.active = true;
         f.injected = plan->injected();
@@ -208,7 +206,7 @@ Cluster::collect(Mode mode)
     // Fold the lineage records into their histograms now that the run
     // is quiescent. Like FaultStats, never fingerprinted: telemetry
     // observes the event stream without perturbing it.
-    if (obs::Telemetry *tel = obs::globalTelemetry())
+    if (obs::Telemetry *tel = sim_.context().telemetry)
         stats.telemetry = tel->finishRun();
 
     if (clusterObserver())

@@ -35,6 +35,9 @@ struct ClusterParams {
      * stream (see DESIGN.md §14).
      */
     unsigned threads = 1;
+    /** The run's instruments (trace, metrics, faults, telemetry);
+     *  all off by default. */
+    sim::RunContext run{};
     active::ActiveConfig active{};
     mem::MemorySystemParams hostMem = mem::hostMemoryParams();
     host::OsCostParams os{};

@@ -36,7 +36,7 @@ bucketAddr(const HashJoinParams &p, std::uint64_t h)
 RunStats
 runHashJoin(Mode mode, const HashJoinParams &params)
 {
-    ClusterParams cp;
+    ClusterParams cp = params.cluster;
     cp.hostMem = mem::scaledHostMemoryParams();
     Cluster cluster(cp);
     auto &host = cluster.host();

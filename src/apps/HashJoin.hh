@@ -23,6 +23,7 @@
 
 #include <cstdint>
 
+#include "apps/Cluster.hh"
 #include "apps/RunConfig.hh"
 
 namespace san::apps {
@@ -45,6 +46,10 @@ struct HashJoinParams {
     std::uint64_t chunkOverheadInstr = 40;
     std::uint64_t handlerCodeBytes = 2048;
     /** @} */
+
+    /** The system to run on; hostMem is always the scaled host
+     *  caches (mem::scaledHostMemoryParams). */
+    ClusterParams cluster{};
 };
 
 /** Run HashJoin in one mode. checksum = surviving S records. */

@@ -48,7 +48,7 @@ shareOf(const Md5Params &p, unsigned k)
 RunStats
 runMd5(Mode mode, const Md5Params &params)
 {
-    ClusterParams cp;
+    ClusterParams cp = params.cluster;
     cp.active.cpus = isActive(mode) ? params.switchCpus : 1;
     Cluster cluster(cp);
     auto &host = cluster.host();

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 
+#include "apps/Cluster.hh"
 #include "apps/RunConfig.hh"
 
 namespace san::apps {
@@ -37,6 +38,10 @@ struct Md5Params {
     std::uint64_t chunkOverheadInstr = 40;
     std::uint64_t handlerCodeBytes = 4096; //!< fills the 4 KB I$
     /** @} */
+
+    /** The system to run on; its switch has switchCpus embedded CPUs
+     *  in the active modes and one otherwise. */
+    ClusterParams cluster{};
 };
 
 /** Run MD5 in one mode. checksum = interleaved digest (hex). */

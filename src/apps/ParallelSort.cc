@@ -42,7 +42,7 @@ sortDestination(const SortParams &p, std::uint64_t record)
 RunStats
 runParallelSort(Mode mode, const SortParams &params)
 {
-    ClusterParams cp;
+    ClusterParams cp = params.cluster;
     cp.hosts = params.nodes;
     cp.storageNodes = params.nodes;
     cp.switchPorts = 16;

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 
+#include "apps/Cluster.hh"
 #include "apps/RunConfig.hh"
 
 namespace san::apps {
@@ -43,6 +44,10 @@ struct SortParams {
     std::uint64_t chunkOverheadInstr = 40;
     std::uint64_t handlerCodeBytes = 2048;
     /** @} */
+
+    /** The system to run on; nodes sets its host and storage counts,
+     *  on a 16-port switch. */
+    ClusterParams cluster{};
 };
 
 /** Destination node of a record (uniform key distribution). */

@@ -45,7 +45,7 @@ struct ReduceSystem {
     std::vector<unsigned> hostChildIdx; //!< ordinal among leaf children
     unsigned root = 0;
 
-    explicit ReduceSystem(const ReductionParams &p)
+    explicit ReduceSystem(const ReductionParams &p) : sim(p.run)
     {
         const unsigned leaves =
             (p.nodes + p.hostsPerLeaf - 1) / p.hostsPerLeaf;

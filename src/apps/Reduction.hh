@@ -32,6 +32,7 @@
 
 #include "active/ActiveSwitch.hh"
 #include "apps/RunConfig.hh"
+#include "sim/RunContext.hh"
 #include "sim/Types.hh"
 
 namespace san::apps {
@@ -53,6 +54,9 @@ struct ReductionParams {
      * across thread counts (DESIGN.md §14).
      */
     unsigned threads = 1;
+    /** The run's instruments (faults, telemetry, trace); all off by
+     *  default. */
+    sim::RunContext run{};
 
     /** @{ Cost model. */
     /**

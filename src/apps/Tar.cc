@@ -28,7 +28,7 @@ RunStats
 runTar(Mode mode, const TarParams &params)
 {
     // Two hosts: host0 runs tar, host1 is the remote archive target.
-    ClusterParams cp;
+    ClusterParams cp = params.cluster;
     cp.hosts = 2;
     Cluster cluster(cp);
     auto &host = cluster.host(0);

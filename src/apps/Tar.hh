@@ -16,6 +16,7 @@
 
 #include <cstdint>
 
+#include "apps/Cluster.hh"
 #include "apps/RunConfig.hh"
 
 namespace san::apps {
@@ -32,6 +33,9 @@ struct TarParams {
     std::uint64_t forwardInstrPerChunk = 30; //!< handler redirect
     std::uint64_t handlerCodeBytes = 1536;
     /** @} */
+
+    /** The system to run on; it always has two hosts. */
+    ClusterParams cluster{};
 };
 
 /** Run Tar in one mode. checksum = archive bytes at remote node. */

@@ -6,13 +6,6 @@
 
 namespace san::fault {
 
-FaultPlan *&
-globalPlan()
-{
-    static FaultPlan *plan = nullptr;
-    return plan;
-}
-
 const char *
 faultKindName(FaultKind kind)
 {

@@ -16,11 +16,11 @@
  *  - determinism survives topology growth: a site's stream depends
  *    only on its own name, not on construction order.
  *
- * Installing a plan also arms the recovery protocol (end-to-end
- * checksums, ACK/NACK retransmit, handler failover, I/O retries; see
- * fault/Reliable.hh). When no plan is installed (the default), every
- * hook is a null-pointer check and runs are byte-identical to a build
- * without this subsystem.
+ * A run receives its plan through sim::RunContext::faults, which also
+ * arms the recovery protocol (end-to-end checksums, ACK/NACK
+ * retransmit, handler failover, I/O retries; see fault/Reliable.hh).
+ * Without a plan (the default) every hook is a null-pointer check and
+ * runs are byte-identical to a build without this subsystem.
  */
 
 #ifndef SAN_FAULT_FAULT_PLAN_HH
@@ -256,13 +256,6 @@ class FaultPlan
     std::atomic<std::uint64_t> injected_{0};
     std::atomic<std::uint64_t> injectedByKind_[faultKindCount]{};
 };
-
-/**
- * The plan newly built components should inject from, or nullptr
- * (the default: no faults, no recovery overhead, byte-identical
- * runs). Owned by whoever installed it (bench::init() or a test).
- */
-FaultPlan *&globalPlan();
 
 } // namespace san::fault
 

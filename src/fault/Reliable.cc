@@ -51,7 +51,7 @@ ReliableChannel::sendControl(net::PacketKind kind, net::NodeId dst,
     pkt.flowSeq = seq;
     pkt.tag = tagControl;
     pkt.checksum = net::packetChecksum(pkt);
-    if (auto *tel = obs::globalTelemetry())
+    if (auto *tel = sim_.context().telemetry)
         pkt.telemetry = tel->sample(pkt.src, pkt.dst,
                                     obs::FlowClass::Control,
                                     sim_.now());

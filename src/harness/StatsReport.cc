@@ -1,6 +1,6 @@
 #include "harness/StatsReport.hh"
 
-#include <ostream>
+#include <string>
 
 #include "fault/FaultPlan.hh"
 #include "fault/Reliable.hh"
@@ -29,27 +29,6 @@ sumReliable(apps::Cluster &cluster, Getter get)
     if (const auto *rel = cluster.sw().reliable())
         total += get(*rel);
     return total;
-}
-
-void
-dumpCache(std::ostream &os, const std::string &prefix, mem::Cache &c)
-{
-    os << prefix << ".hits " << c.hits() << '\n'
-       << prefix << ".misses " << c.misses() << '\n'
-       << prefix << ".missRate " << c.missRate() << '\n'
-       << prefix << ".writebacks " << c.writebacks() << '\n';
-    if (c.params().classifyMisses) {
-        os << prefix << ".coldMisses " << c.coldMisses() << '\n'
-           << prefix << ".capacityMisses " << c.capacityMisses() << '\n'
-           << prefix << ".conflictMisses " << c.conflictMisses() << '\n';
-    }
-}
-
-void
-dumpTlb(std::ostream &os, const std::string &prefix, mem::Tlb &t)
-{
-    os << prefix << ".hits " << t.hits() << '\n'
-       << prefix << ".misses " << t.misses() << '\n';
 }
 
 void
@@ -94,173 +73,6 @@ dumpLatencyHistJson(obs::JsonWriter &json,
 }
 
 } // namespace
-
-void
-dumpMemoryStats(std::ostream &os, const std::string &prefix,
-                mem::MemorySystem &ms)
-{
-    dumpCache(os, prefix + ".l1i", ms.l1i());
-    dumpCache(os, prefix + ".l1d", ms.l1d());
-    if (ms.l2())
-        dumpCache(os, prefix + ".l2", *ms.l2());
-    dumpTlb(os, prefix + ".itlb", ms.itlb());
-    dumpTlb(os, prefix + ".dtlb", ms.dtlb());
-    os << prefix << ".dram.pageHits " << ms.dram().pageHits() << '\n'
-       << prefix << ".dram.pageMisses " << ms.dram().pageMisses() << '\n'
-       << prefix << ".dram.bytes " << ms.dram().bytesTransferred()
-       << '\n'
-       << prefix << ".stallTicks " << ms.stallTicks() << '\n';
-}
-
-void
-dumpClusterStats(std::ostream &os, apps::Cluster &cluster)
-{
-    for (unsigned i = 0; i < cluster.hostCount(); ++i) {
-        auto &h = cluster.host(i);
-        const std::string prefix = h.name();
-        os << prefix << ".cpu.busyTicks " << h.cpu().busyTicks() << '\n'
-           << prefix << ".cpu.stallTicks " << h.cpu().stallTicks()
-           << '\n';
-        dumpMemoryStats(os, prefix + ".mem", h.cpu().memory());
-        os << prefix << ".hca.bytesSent " << h.hca().bytesSent() << '\n'
-           << prefix << ".hca.bytesReceived " << h.hca().bytesReceived()
-           << '\n'
-           << prefix << ".hca.messagesSent " << h.hca().messagesSent()
-           << '\n'
-           << prefix << ".hca.messagesReceived "
-           << h.hca().messagesReceived() << '\n';
-    }
-
-    auto &sw = cluster.sw();
-    os << sw.name() << ".packetsRouted " << sw.packetsRouted() << '\n'
-       << sw.name() << ".packetsLocal " << sw.packetsLocal() << '\n'
-       << sw.name() << ".handlersInvoked " << sw.handlersInvoked()
-       << '\n'
-       << sw.name() << ".chunksStaged " << sw.chunksStaged() << '\n'
-       << sw.name() << ".dispatchStalls " << sw.dispatchStalls() << '\n';
-    // Emitted only when nonzero so fault-free reports stay
-    // byte-identical to the pre-fault-subsystem goldens.
-    if (sw.droppedPackets() != 0)
-        os << sw.name() << ".droppedPackets " << sw.droppedPackets()
-           << '\n';
-    // Queueing-policy counters appear only for non-default policies:
-    // the stock central output queue keeps seed-golden reports
-    // byte-identical.
-    if (!sw.policy().isPassthrough()) {
-        const auto &pc = sw.policy().counters();
-        const std::string prefix = sw.name() + ".policy";
-        os << prefix << ".name " << sw.policy().name() << '\n'
-           << prefix << ".admitted " << pc.admitted << '\n'
-           << prefix << ".forwarded " << pc.forwarded << '\n'
-           << prefix << ".holBlocked " << pc.holBlocked << '\n'
-           << prefix << ".grants " << pc.grants << '\n'
-           << prefix << ".arbRounds " << pc.arbRounds << '\n'
-           << prefix << ".peakOccupancy " << pc.peakOccupancy << '\n'
-           << prefix << ".maxGrantWaitRounds "
-           << sw.policy().maxGrantWaitRounds() << '\n';
-    }
-    os << sw.name() << ".buffers.allocations "
-       << sw.buffers().allocations() << '\n'
-       << sw.name() << ".buffers.peakInUse " << sw.buffers().peakInUse()
-       << '\n'
-       << sw.name() << ".buffers.allocationFailures "
-       << sw.buffers().allocationFailures() << '\n';
-    for (unsigned i = 0; i < sw.cpuCount(); ++i) {
-        const std::string prefix =
-            sw.name() + ".sp" + std::to_string(i);
-        os << prefix << ".busyTicks " << sw.cpu(i).busyTicks() << '\n'
-           << prefix << ".stallTicks " << sw.cpu(i).stallTicks() << '\n'
-           << prefix << ".atb.mappings " << sw.atb(i).mappings() << '\n'
-           << prefix << ".atb.conflicts " << sw.atb(i).conflicts()
-           << '\n';
-        dumpMemoryStats(os, prefix + ".mem", sw.cpu(i).memory());
-    }
-    for (const auto &[id, p] : sw.handlerProfiles()) {
-        const std::string prefix = sw.name() + ".handler." + p.name;
-        os << prefix << ".invocations " << p.invocations << '\n'
-           << prefix << ".chunks " << p.chunks << '\n'
-           << prefix << ".bytes " << p.bytes << '\n'
-           << prefix << ".busyTicks " << p.busyTicks << '\n'
-           << prefix << ".stallTicks " << p.stallTicks << '\n';
-    }
-
-    for (unsigned i = 0; i < cluster.storageCount(); ++i) {
-        auto &s = cluster.storage(i);
-        const std::string prefix = "storage" + std::to_string(i);
-        os << prefix << ".requestsServed " << s.requestsServed() << '\n'
-           << prefix << ".disk.bytesRead " << s.disks().bytesRead()
-           << '\n'
-           << prefix << ".disk.seeks " << s.disks().seeks() << '\n'
-           << prefix << ".scsi.bytes " << s.bus().bytesTransferred()
-           << '\n'
-           << prefix << ".scsi.transactions " << s.bus().transactions()
-           << '\n';
-        if (s.ioRetries() != 0 || s.ioErrors() != 0 ||
-            s.ioSpikes() != 0)
-            os << prefix << ".io.retries " << s.ioRetries() << '\n'
-               << prefix << ".io.errors " << s.ioErrors() << '\n'
-               << prefix << ".io.spikes " << s.ioSpikes() << '\n';
-    }
-
-    // The whole section appears only under a fault plan, keeping
-    // fault-free reports byte-identical to the seed goldens.
-    if (const fault::FaultPlan *plan = fault::globalPlan()) {
-        const auto sum = [&cluster](auto get) {
-            return sumReliable(cluster, get);
-        };
-        os << "fault.injected " << plan->injected() << '\n'
-           << "net.retransmits "
-           << sum([](const fault::ReliableChannel &r) {
-                  return r.retransmits();
-              })
-           << '\n'
-           << "net.timeouts "
-           << sum([](const fault::ReliableChannel &r) {
-                  return r.timeouts();
-              })
-           << '\n'
-           << "net.crcDrops "
-           << sum([](const fault::ReliableChannel &r) {
-                  return r.crcDrops();
-              })
-           << '\n'
-           << "net.dupDrops "
-           << sum([](const fault::ReliableChannel &r) {
-                  return r.dupDrops();
-              })
-           << '\n'
-           << "switch.failovers " << cluster.sw().handlerFailovers()
-           << '\n';
-    }
-
-    // The lb section appears only while a balancer drives the run,
-    // keeping every other workload's report byte-identical.
-    if (const lb::LoadBalancer *bal = lb::globalBalancer()) {
-        const apps::LbStats &c = bal->counters();
-        os << "lb.lookups " << c.lookups << '\n'
-           << "lb.hotHits " << c.hotHits << '\n'
-           << "lb.tableHits " << c.tableHits << '\n'
-           << "lb.misses " << c.misses << '\n'
-           << "lb.inserts " << c.inserts << '\n'
-           << "lb.insertFailures " << c.insertFailures << '\n'
-           << "lb.removes " << c.removes << '\n'
-           << "lb.forwarded " << c.forwarded << '\n'
-           << "lb.punts " << c.punts << '\n'
-           << "lb.migrations " << c.migrations << '\n'
-           << "lb.peakFlows " << c.peakFlows << '\n'
-           << "lb.flowsLive " << bal->table().live() << '\n'
-           << "lb.tableCapacity " << bal->table().capacity() << '\n'
-           << "lb.tableBytes " << bal->table().memoryBytes() << '\n'
-           << "lb.hotBytes " << lb::ConnTable::hotBytes() << '\n'
-           << "lb.backendsAlive " << bal->maglev().aliveCount() << '\n';
-        if (c.backendDownEvents != 0 || c.backendUpEvents != 0)
-            os << "lb.backendDownEvents " << c.backendDownEvents << '\n'
-               << "lb.backendUpEvents " << c.backendUpEvents << '\n';
-        for (unsigned b = 0; b < c.backendPackets.size(); ++b)
-            os << "lb.backend" << b << ".packets "
-               << c.backendPackets[b] << '\n';
-    }
-}
 
 void
 dumpMemoryStatsJson(obs::JsonWriter &json, mem::MemorySystem &ms)
@@ -404,7 +216,7 @@ dumpClusterStatsJson(obs::JsonWriter &json, apps::Cluster &cluster)
 
     // The fault object only exists under a fault plan, keeping
     // fault-free stats JSON byte-identical to the seed goldens.
-    if (const fault::FaultPlan *plan = fault::globalPlan()) {
+    if (const fault::FaultPlan *plan = cluster.sim().context().faults) {
         const auto sum = [&cluster](auto get) {
             return sumReliable(cluster, get);
         };
@@ -479,7 +291,7 @@ dumpClusterStatsJson(obs::JsonWriter &json, apps::Cluster &cluster)
     // collector, keeping plain stats JSON byte-identical to the seed
     // goldens. The fold ran in Cluster::collect just before the
     // observer fired, so lastRun() describes this run.
-    if (const obs::Telemetry *tel = obs::globalTelemetry()) {
+    if (const obs::Telemetry *tel = cluster.sim().context().telemetry) {
         const obs::TelemetryStats &t = tel->lastRun();
         json.key("telemetry").beginObject();
         json.kv("sampleRate", t.sampleRate);

@@ -1,34 +1,26 @@
 /**
  * @file
  * Component-level statistics dump: caches, TLBs, DRAM, switch,
- * buffers, ATBs, disks and adapters of a cluster, in a stable
- * `component.stat value` format. Benches print this under --stats;
- * it also serves as the simulator's debugging x-ray.
+ * buffers, ATBs, disks and adapters of a cluster, as JSON. Benches
+ * write it under --stats-json; it also serves as the simulator's
+ * debugging x-ray.
  */
 
 #ifndef SAN_HARNESS_STATS_REPORT_HH
 #define SAN_HARNESS_STATS_REPORT_HH
-
-#include <iosfwd>
 
 #include "apps/Cluster.hh"
 #include "obs/Json.hh"
 
 namespace san::harness {
 
-/** Dump every component's counters for one cluster. */
-void dumpClusterStats(std::ostream &os, apps::Cluster &cluster);
-
-/** Dump one memory system's cache/TLB/DRAM counters. */
-void dumpMemoryStats(std::ostream &os, const std::string &prefix,
-                     mem::MemorySystem &ms);
-
 /**
  * Emit one cluster's stats as a JSON object value on @p json:
  * caches, TLBs, RDRAM, switch, ATBs, buffers, disks and adapters,
- * plus the simulated end time and the run fingerprint. This is the
- * machine-readable twin of dumpClusterStats: byte-stable output,
- * compared against golden files by tests/golden_stats_test.
+ * plus the simulated end time and the run fingerprint, and the fault
+ * and telemetry objects when the run had those instruments.
+ * Byte-stable output, compared against golden files by
+ * tests/golden_stats_test.
  */
 void dumpClusterStatsJson(obs::JsonWriter &json, apps::Cluster &cluster);
 

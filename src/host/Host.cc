@@ -6,7 +6,7 @@
 
 namespace san::host {
 
-std::uint64_t Host::nextRequestId_ = 1;
+std::atomic<std::uint64_t> Host::nextRequestId_{1};
 
 Host::Host(sim::Simulation &sim, const std::string &name,
            net::Fabric &fabric, const mem::MemorySystemParams &mem_params,

@@ -20,6 +20,7 @@
 #ifndef SAN_HOST_HOST_HH
 #define SAN_HOST_HOST_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -169,7 +170,14 @@ class Host
     std::unordered_map<std::uint64_t, Pending> pending_;
     std::uint64_t ioErrors_ = 0;
     mem::Addr bufferBrk_ = 0x100000000ull; // I/O buffer arena
-    static std::uint64_t nextRequestId_;
+    /**
+     * I/O request ids, numbered across every host of the process:
+     * --trace prints them as the ids of its "io" async events, so a
+     * per-run count would renumber existing traces. Atomic, because
+     * runs on different threads (sharded hosts, or whole simulations
+     * side by side) draw from it at once.
+     */
+    static std::atomic<std::uint64_t> nextRequestId_;
 };
 
 } // namespace san::host

@@ -12,7 +12,7 @@ StorageNode::StorageNode(sim::Simulation &sim, net::Adapter &tca,
     : sim_(sim), tca_(tca), params_(params),
       disks_(params.disks, params.disk), bus_(params.scsi)
 {
-    if (fault::FaultPlan *plan = fault::globalPlan()) {
+    if (fault::FaultPlan *plan = sim.context().faults) {
         plan_ = plan;
         spikeSite_ =
             plan->site(fault::FaultKind::DiskSpike, tca_.name());

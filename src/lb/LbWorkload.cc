@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/Hooks.hh"
 #include "obs/Metrics.hh"
 
 namespace san::lb {
@@ -53,6 +52,7 @@ runLb(apps::Mode mode, const LbWorkloadParams &params)
     cp.switchPorts =
         p.switchPorts != 0 ? p.switchPorts : cp.hosts + 1;
     cp.active.cpus = p.switchCpus;
+    cp.run = p.run;
     apps::Cluster cluster(cp);
 
     const unsigned lbHostIdx = S + B;
@@ -64,14 +64,14 @@ runLb(apps::Mode mode, const LbWorkloadParams &params)
     p.lb.backends = B;
     p.lb.tupleSeed = p.churn.seed;
     LoadBalancer balancer(p.lb, backendNodes,
-                          cluster.host(lbHostIdx).id());
+                          cluster.host(lbHostIdx).id(), p.run.faults);
     globalBalancer() = &balancer;
 
     // Occupancy / punt / lookup timelines for --metrics-csv. The
     // Cluster constructor re-registered the component gauges just
     // above; columns latch at the first row, so appending here is
     // safe.
-    if (obs::IntervalSampler *sampler = obs::globalSampler()) {
+    if (obs::IntervalSampler *sampler = p.run.sampler) {
         obs::MetricsRegistry &m = sampler->registry();
         m.add("lb.flows", obs::GaugeKind::Gauge, [&balancer] {
             return static_cast<double>(balancer.table().live());

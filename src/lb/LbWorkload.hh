@@ -54,6 +54,9 @@ struct LbWorkloadParams {
      * proportional to flow count). */
     bool recordDeliveries = false;
     unsigned switchPorts = 0; //!< 0 = hosts + 1
+    /** The run's instruments; a fault plan's backend-down/up events
+     *  drive the balancer's pool. */
+    sim::RunContext run{};
 };
 
 struct LbRunResult {

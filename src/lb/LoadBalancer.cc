@@ -18,10 +18,12 @@ globalBalancer()
 
 LoadBalancer::LoadBalancer(const LbParams &params,
                            std::vector<net::NodeId> backend_nodes,
-                           net::NodeId punt_node)
+                           net::NodeId punt_node,
+                           fault::FaultPlan *faults)
     : params_(params), backendNodes_(std::move(backend_nodes)),
       puntNode_(punt_node), table_(params.table),
-      maglev_(params.backends, params.hashSeed, params.maglevSize)
+      maglev_(params.backends, params.hashSeed, params.maglevSize),
+      faults_(faults)
 {
     assert(backendNodes_.size() == params_.backends);
     counters_.backendPackets.assign(params_.backends, 0);
@@ -30,22 +32,21 @@ LoadBalancer::LoadBalancer(const LbParams &params,
 void
 LoadBalancer::pollFaultEvents(sim::Tick now)
 {
-    fault::FaultPlan *plan = fault::globalPlan();
-    if (plan == nullptr)
+    if (faults_ == nullptr)
         return;
     // Targets are backend indices as decimal strings, mirroring how
     // handler-crash events name handler ids.
-    if (plan->eventPending(fault::FaultKind::BackendDown)) {
+    if (faults_->eventPending(fault::FaultKind::BackendDown)) {
         for (unsigned b = 0; b < params_.backends; ++b)
-            if (plan->eventDue(fault::FaultKind::BackendDown,
-                               std::to_string(b), now) &&
+            if (faults_->eventDue(fault::FaultKind::BackendDown,
+                                  std::to_string(b), now) &&
                 maglev_.setAlive(b, false))
                 ++counters_.backendDownEvents;
     }
-    if (plan->eventPending(fault::FaultKind::BackendUp)) {
+    if (faults_->eventPending(fault::FaultKind::BackendUp)) {
         for (unsigned b = 0; b < params_.backends; ++b)
-            if (plan->eventDue(fault::FaultKind::BackendUp,
-                               std::to_string(b), now) &&
+            if (faults_->eventDue(fault::FaultKind::BackendUp,
+                                  std::to_string(b), now) &&
                 maglev_.setAlive(b, true))
                 ++counters_.backendUpEvents;
     }

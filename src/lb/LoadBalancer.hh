@@ -68,9 +68,10 @@ class LoadBalancer
     /** Model PC of the handler's code (distinct I$ region). */
     static constexpr std::uint64_t kCodeAddr = 0x8000;
 
+    /** @p faults (null: none) schedules backend-down/up events. */
     LoadBalancer(const LbParams &params,
                  std::vector<net::NodeId> backend_nodes,
-                 net::NodeId punt_node);
+                 net::NodeId punt_node, fault::FaultPlan *faults);
 
     /** One charged memory operation of a packet's table work. */
     struct MemOp {
@@ -147,6 +148,7 @@ class LoadBalancer
     ConnTable table_;
     Maglev maglev_;
     apps::LbStats counters_;
+    fault::FaultPlan *faults_;
 };
 
 /**

@@ -5,8 +5,6 @@
 
 namespace san::net {
 
-std::atomic<std::uint64_t> Adapter::nextMessageId_{1};
-
 Adapter::Adapter(sim::Simulation &sim, std::string name, NodeId id,
                  const AdapterParams &params)
     : sim_(sim), name_(std::move(name)), id_(id), params_(params),
@@ -20,7 +18,7 @@ Adapter::attach(Link &out, Link &in)
     in_ = &in;
     in.setSink(
         [this](Arrival &&arrival) { receive(std::move(arrival)); });
-    if (fault::FaultPlan *plan = fault::globalPlan()) {
+    if (fault::FaultPlan *plan = sim_.context().faults) {
         rel_ = std::make_unique<fault::ReliableChannel>(
             sim_, name_, id_, plan->recovery(),
             [this](Packet pkt) { out_->send(std::move(pkt)); });
@@ -33,7 +31,8 @@ Adapter::sendMessage(NodeId dst, std::uint64_t bytes,
                      PayloadPtr payload, std::uint32_t tag)
 {
     assert(out_ && "adapter not attached to the fabric");
-    const std::uint64_t id = nextMessageId_++;
+    const std::uint64_t id =
+        messageIdOf(id_, static_cast<std::uint32_t>(msgsOut_));
     // Zero-byte messages (pure notifications) still occupy one
     // header-only packet.
     std::uint64_t remaining = bytes;
@@ -56,7 +55,7 @@ Adapter::sendMessage(NodeId dst, std::uint64_t bytes,
         pkt.messageBytes = bytes;
         if (pkt.last)
             pkt.payload = payload;
-        if (auto *tel = obs::globalTelemetry())
+        if (auto *tel = sim_.context().telemetry)
             pkt.telemetry = tel->sample(pkt.src, pkt.dst,
                                         pkt.active
                                             ? obs::FlowClass::Active

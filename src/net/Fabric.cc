@@ -148,7 +148,7 @@ Fabric::applyShardPlan(const ShardPlan &plan)
 
     sim_.enableSharding(plan.shards, plan.lookahead);
     adapterShard_ = plan.adapterShard;
-    if (obs::Telemetry *tel = obs::globalTelemetry())
+    if (obs::Telemetry *tel = sim_.context().telemetry)
         tel->enableShards(plan.shards);
     for (std::size_t l = 0; l < links_.size(); ++l) {
         const LinkEnds &e = linkEnds_[l];

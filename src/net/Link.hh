@@ -50,7 +50,7 @@ class Link
           psPerByte_(sim::bytesPerSec(params.bandwidthBytesPerSec)),
           credits_(params.credits)
     {
-        if (fault::FaultPlan *plan = fault::globalPlan()) {
+        if (fault::FaultPlan *plan = sim.context().faults) {
             plan_ = plan;
             berSite_ = plan->site(fault::FaultKind::LinkBitError, name_);
             creditSite_ = plan->site(fault::FaultKind::CreditLoss, name_);

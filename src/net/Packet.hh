@@ -41,6 +41,20 @@ struct ActiveHeader {
 inline constexpr std::uint8_t maxHandlerId = 63;
 
 /**
+ * Id of message number @p n posted by node @p src. Each sender numbers
+ * its own messages, so ids are unique within a run (node ids are) and
+ * never depend on thread timing or on other runs in the process. The
+ * high word is src + 1: every id is at least 2^32, clear of the small
+ * host I/O request ids that a switch-initiated read's id (drawn from
+ * the same sequence) is matched against at the replying host.
+ */
+constexpr std::uint64_t
+messageIdOf(NodeId src, std::uint32_t n)
+{
+    return (std::uint64_t(src) + 1) << 32 | n;
+}
+
+/**
  * Opaque application payload carried alongside the timing model.
  * Most packets carry none (timing only); semantic tests attach real
  * data (reduction vectors, matched lines, record keys...).

@@ -99,7 +99,7 @@ Switch::inject(Packet pkt)
     // Local injections enter the policy on the virtual local input
     // port: the Send unit contends for outputs like any input would.
     const sim::Tick now = sim_.now();
-    if (auto *tel = obs::globalTelemetry())
+    if (auto *tel = sim_.context().telemetry)
         tel->countPacket(pkt.src, pkt.dst, pkt.wireBytes());
     if (pkt.telemetry)
         pkt.telemetry->noteSwitchIngress(id_, now);
@@ -118,7 +118,7 @@ Switch::receive(unsigned port, Arrival &&arrival)
     sim_.events().after(
         params_.routingLatency,
         [this, port, a = std::move(arrival)]() mutable {
-            if (auto *tel = obs::globalTelemetry())
+            if (auto *tel = sim_.context().telemetry)
                 tel->countPacket(a.pkt.src, a.pkt.dst,
                                  a.pkt.wireBytes());
             if (a.pkt.dst == id_) {

@@ -219,11 +219,4 @@ Telemetry::finishRun()
     return last_;
 }
 
-Telemetry *&
-globalTelemetry()
-{
-    static Telemetry *telemetry = nullptr;
-    return telemetry;
-}
-
 } // namespace san::obs

@@ -12,10 +12,11 @@
  * telemetry leaves the event stream — and therefore the run
  * fingerprint — byte-identical.
  *
- * When telemetry is off, globalTelemetry() is null and every hook is
- * one predictable branch (the same contract as fault::globalPlan()
- * and the tracer). Packets then carry a null shared_ptr and the
- * per-packet cost is zero.
+ * A run receives its collector through sim::RunContext::telemetry.
+ * When telemetry is off that pointer is null and every hook is one
+ * predictable branch (the same contract as the fault plan and the
+ * tracer). Packets then carry a null shared_ptr and the per-packet
+ * cost is zero.
  *
  * End-of-run folding turns the records into log-bucketed (HDR-style)
  * latency histograms per (flow class, hop, stage) with
@@ -575,14 +576,6 @@ class Telemetry
     TelemetryStats last_;
     std::string label_ = "run";
 };
-
-/**
- * Global telemetry hook, null by default. Installed by the bench
- * harness when --telemetry is given; every instrumentation site
- * guards on it, so the disabled cost is one branch (the
- * fault::globalPlan() contract).
- */
-Telemetry *&globalTelemetry();
 
 } // namespace san::obs
 

@@ -271,8 +271,11 @@ class ShardSet
         std::function<void()> fn;
     };
 
-    /** One shard with an unbounded window. */
-    ShardSet() : outbox_(1), inbox_(1), tasks_(1), sinks_(1)
+    /** One shard with an unbounded window, tracing to @p tracer
+     *  (null: untraced). */
+    explicit ShardSet(Tracer *tracer = nullptr)
+        : outbox_(1), inbox_(1), tasks_(1), tracer_(tracer),
+          sinks_(1, tracer)
     {
         queues_.push_back(std::make_unique<EventQueue>());
     }
@@ -329,14 +332,6 @@ class ShardSet
         for (const auto &q : queues_)
             t = std::max(t, q->now());
         return t;
-    }
-
-    /** Attach (or clear) the run's tracer. */
-    void
-    setTracer(Tracer *tracer)
-    {
-        tracer_ = tracer;
-        routeTraces();
     }
 
     Tracer *tracer() const { return tracer_; }

@@ -13,6 +13,7 @@
 
 #include "sim/EventQueue.hh"
 #include "sim/Pdes.hh"
+#include "sim/RunContext.hh"
 #include "sim/Task.hh"
 #include "sim/Tracer.hh"
 #include "sim/Types.hh"
@@ -29,13 +30,22 @@ namespace san::sim {
  * by worker threads under the conservative barrier-window protocol
  * of sim/Pdes.hh. Component code stays oblivious — events()/now()/
  * tracer() resolve through the worker's thread-local shard context.
+ *
+ * The RunContext given at construction names the run's instruments
+ * (see sim/RunContext.hh); it never changes while the run exists.
  */
 class Simulation
 {
   public:
-    Simulation() = default;
+    explicit Simulation(const RunContext &context = {})
+        : context_(context), shards_(context.tracer)
+    {
+    }
     Simulation(const Simulation &) = delete;
     Simulation &operator=(const Simulation &) = delete;
+
+    /** The instruments this run reports to. */
+    const RunContext &context() const { return context_; }
 
     /** The calling context's event queue: the shard queue inside a
      *  run or ShardGuard, else shard 0 (see ShardSet::defaultShard). */
@@ -60,13 +70,12 @@ class Simulation
     }
 
     /**
-     * Attach (or clear) a tracer. Hardware models consult tracer()
-     * before emitting spans, so a null tracer costs one branch.
-     * Multi-shard runs interpose a per-shard pdes::BufferingTracer so
-     * a single-threaded exporter never sees two shards at once.
+     * The calling shard's trace sink, or null when the run is not
+     * traced. Hardware models consult it before emitting spans, so
+     * an untraced run pays one branch. Multi-shard runs put a
+     * per-shard pdes::BufferingTracer in front of context().tracer,
+     * so a single-threaded exporter never sees two shards at once.
      */
-    void setTracer(Tracer *tracer) { shards_.setTracer(tracer); }
-
     Tracer *
     tracer() const
     {
@@ -171,6 +180,7 @@ class Simulation
   private:
     friend class ShardGuard;
 
+    const RunContext context_;
     pdes::ShardSet shards_;
 };
 

@@ -223,35 +223,6 @@ class Semaphore
     std::deque<std::coroutine_handle<>> waiters_;
 };
 
-/**
- * Completion latch: counts down from n; waiters resume when it hits
- * zero. Useful for joining a set of spawned tasks.
- */
-class Latch
-{
-  public:
-    Latch(Simulation &sim, std::size_t n) : gate_(sim), remaining_(n)
-    {
-        if (remaining_ == 0)
-            gate_.open();
-    }
-
-    void
-    countDown()
-    {
-        assert(remaining_ > 0);
-        if (--remaining_ == 0)
-            gate_.open();
-    }
-
-    std::size_t remaining() const { return remaining_; }
-    Gate::Awaiter wait() { return gate_.wait(); }
-
-  private:
-    Gate gate_;
-    std::size_t remaining_;
-};
-
 } // namespace san::sim
 
 #endif // SAN_SIM_SYNC_HH

@@ -24,17 +24,6 @@ using namespace san;
 using fault::FaultKind;
 using fault::FaultPlan;
 
-/** Install a plan for one test; restore the no-fault default after. */
-struct PlanGuard {
-    explicit PlanGuard(std::uint64_t seed = FaultPlan::defaultSeed)
-        : plan(seed)
-    {
-        fault::globalPlan() = &plan;
-    }
-    ~PlanGuard() { fault::globalPlan() = nullptr; }
-    FaultPlan plan;
-};
-
 TEST(FaultSpecParse, AcceptsKindRateAndOptionalSeed)
 {
     std::string err;
@@ -173,13 +162,14 @@ TEST(FaultEvents, ConsumedOncePerTarget)
 apps::RunStats
 grepUnder(std::uint64_t seed, double ber)
 {
-    PlanGuard guard(seed);
+    FaultPlan plan(seed);
     fault::FaultSpec spec;
     spec.kind = FaultKind::LinkBitError;
     spec.rate = ber;
-    guard.plan.addSpec(spec);
+    plan.addSpec(spec);
     apps::GrepParams p;
     p.fileBytes = 70 * 1024; // 1024 lines
+    p.cluster.run.faults = &plan;
     return apps::runGrep(apps::Mode::Active, p);
 }
 
@@ -211,9 +201,10 @@ TEST(FaultDeterminism, NoneSpecArmsProtocolWithoutInjecting)
     p.fileBytes = 70 * 1024;
     const apps::RunStats bare = apps::runGrep(apps::Mode::Active, p);
 
-    PlanGuard guard;
+    FaultPlan plan;
     fault::FaultSpec spec; // kind None, rate 0
-    guard.plan.addSpec(spec);
+    plan.addSpec(spec);
+    p.cluster.run.faults = &plan;
     const apps::RunStats armed = apps::runGrep(apps::Mode::Active, p);
     EXPECT_TRUE(armed.faults.active);
     EXPECT_EQ(armed.faults.injected, 0u);
@@ -232,19 +223,19 @@ TEST(FaultEvents, BackloggedLinkFiresOneShotAtTransmissionTick)
     // per-packet transmission tick — evaluated at the enqueue tick it
     // would never fire (TICK is in the future when every check runs)
     // and the fault would silently vanish.
-    PlanGuard guard;
+    FaultPlan plan;
     fault::FaultEvent ev;
     ev.at = sim::ns(1056); // 3rd packet: 2 x 528 ns serialization
     ev.kind = FaultKind::LinkBitError;
     ev.target = "l";
-    guard.plan.addEvent(ev);
+    plan.addEvent(ev);
 
-    sim::Simulation s;
+    sim::Simulation s(sim::RunContext{.faults = &plan});
     net::LinkParams lp;
     lp.bandwidthBytesPerSec = 1e9; // (512+16) B packet = 528 ns
     lp.propagation = 0;
     lp.credits = 8;
-    net::Link link(s, "l", lp); // plan must be installed before this
+    net::Link link(s, "l", lp);
     std::vector<net::Arrival> got;
     link.setSink([&](const net::Arrival &a) { got.push_back(a); });
     for (unsigned i = 0; i < 5; ++i) {
@@ -259,7 +250,7 @@ TEST(FaultEvents, BackloggedLinkFiresOneShotAtTransmissionTick)
 
     ASSERT_EQ(got.size(), 5u);
     EXPECT_EQ(link.packetsCorrupted(), 1u);
-    EXPECT_EQ(guard.plan.injected(), 1u);
+    EXPECT_EQ(plan.injected(), 1u);
     for (unsigned i = 0; i < 5; ++i) {
         // Packet i's first bit goes out at i x 528 ns; exactly the one
         // on the wire at ns(1056) is hit.

@@ -22,16 +22,14 @@ using namespace san;
 using fault::FaultKind;
 using fault::FaultPlan;
 
-/** Install a plan for one test; restore the no-fault default after. */
-struct PlanGuard {
-    explicit PlanGuard(std::uint64_t seed = FaultPlan::defaultSeed)
-        : plan(seed)
-    {
-        fault::globalPlan() = &plan;
-    }
-    ~PlanGuard() { fault::globalPlan() = nullptr; }
-    FaultPlan plan;
-};
+/** @p p with @p plan as its run's fault plan. */
+template <typename Params>
+Params
+under(Params p, FaultPlan &plan)
+{
+    p.cluster.run.faults = &plan;
+    return p;
+}
 
 apps::GrepParams
 grepParams()
@@ -55,9 +53,10 @@ TEST(Recovery, LinkBitErrorsAreRetransmittedExactlyOnce)
     const apps::GrepParams p = grepParams();
     const apps::RunStats bare = apps::runGrep(apps::Mode::Active, p);
 
-    PlanGuard guard;
-    addSpec(guard.plan, FaultKind::LinkBitError, 5e-6);
-    const apps::RunStats r = apps::runGrep(apps::Mode::Active, p);
+    FaultPlan plan;
+    addSpec(plan, FaultKind::LinkBitError, 5e-6);
+    const apps::RunStats r =
+        apps::runGrep(apps::Mode::Active, under(p, plan));
 
     EXPECT_GT(r.faults.injected, 0u);
     EXPECT_GT(r.faults.crcDrops, 0u);
@@ -75,9 +74,9 @@ TEST(Recovery, AllModesSurviveLinkBitErrors)
     const apps::GrepParams p = grepParams();
     const apps::RunStats bare = apps::runGrep(apps::Mode::Normal, p);
     for (apps::Mode mode : apps::allModes) {
-        PlanGuard guard;
-        addSpec(guard.plan, FaultKind::LinkBitError, 2e-6);
-        const apps::RunStats r = apps::runGrep(mode, p);
+        FaultPlan plan;
+        addSpec(plan, FaultKind::LinkBitError, 2e-6);
+        const apps::RunStats r = apps::runGrep(mode, under(p, plan));
         EXPECT_EQ(r.checksum, bare.checksum)
             << "mode " << apps::modeName(mode);
         EXPECT_EQ(r.faults.flowAborts, 0u);
@@ -89,13 +88,14 @@ TEST(Recovery, ForcedHandlerCrashFailsOver)
     const apps::GrepParams p = grepParams();
     const apps::RunStats bare = apps::runGrep(apps::Mode::Active, p);
 
-    PlanGuard guard;
+    FaultPlan plan;
     fault::FaultEvent ev;
     ev.at = 0;
     ev.kind = FaultKind::HandlerCrash;
     ev.target = "1"; // grep's handler id
-    guard.plan.addEvent(ev);
-    const apps::RunStats r = apps::runGrep(apps::Mode::Active, p);
+    plan.addEvent(ev);
+    const apps::RunStats r =
+        apps::runGrep(apps::Mode::Active, under(p, plan));
 
     EXPECT_GE(r.faults.failovers, 1u);
     EXPECT_EQ(r.checksum, bare.checksum);
@@ -109,14 +109,15 @@ TEST(Recovery, CrashUnderCorruptionStillConverges)
     const apps::GrepParams p = grepParams();
     const apps::RunStats bare = apps::runGrep(apps::Mode::Active, p);
 
-    PlanGuard guard;
-    addSpec(guard.plan, FaultKind::LinkBitError, 2e-6);
+    FaultPlan plan;
+    addSpec(plan, FaultKind::LinkBitError, 2e-6);
     fault::FaultEvent ev;
     ev.at = 0;
     ev.kind = FaultKind::HandlerCrash;
     ev.target = "1";
-    guard.plan.addEvent(ev);
-    const apps::RunStats r = apps::runGrep(apps::Mode::Active, p);
+    plan.addEvent(ev);
+    const apps::RunStats r =
+        apps::runGrep(apps::Mode::Active, under(p, plan));
 
     EXPECT_GE(r.faults.failovers, 1u);
     EXPECT_GT(r.faults.retransmits, 0u);
@@ -128,9 +129,10 @@ TEST(Recovery, CreditLossResyncsWithoutLoss)
     const apps::GrepParams p = grepParams();
     const apps::RunStats bare = apps::runGrep(apps::Mode::Normal, p);
 
-    PlanGuard guard;
-    addSpec(guard.plan, FaultKind::CreditLoss, 0.001);
-    const apps::RunStats r = apps::runGrep(apps::Mode::Normal, p);
+    FaultPlan plan;
+    addSpec(plan, FaultKind::CreditLoss, 0.001);
+    const apps::RunStats r =
+        apps::runGrep(apps::Mode::Normal, under(p, plan));
 
     EXPECT_GT(r.faults.creditsLost, 0u);
     EXPECT_EQ(r.checksum, bare.checksum);
@@ -144,9 +146,10 @@ TEST(Recovery, DiskTimeoutsRetryToCompletion)
     const apps::RunStats bare =
         apps::runMpegFilter(apps::Mode::Normal, p);
 
-    PlanGuard guard;
-    addSpec(guard.plan, FaultKind::DiskTimeout, 0.05);
-    const apps::RunStats r = apps::runMpegFilter(apps::Mode::Normal, p);
+    FaultPlan plan;
+    addSpec(plan, FaultKind::DiskTimeout, 0.05);
+    const apps::RunStats r =
+        apps::runMpegFilter(apps::Mode::Normal, under(p, plan));
 
     EXPECT_GT(r.faults.ioRetries, 0u);
     EXPECT_EQ(r.faults.ioErrors, 0u); // retries succeed at p=0.05
@@ -162,9 +165,10 @@ TEST(Recovery, DiskSpikesOnlyCostTime)
     const apps::RunStats bare =
         apps::runMpegFilter(apps::Mode::Normal, p);
 
-    PlanGuard guard;
-    addSpec(guard.plan, FaultKind::DiskSpike, 0.02);
-    const apps::RunStats r = apps::runMpegFilter(apps::Mode::Normal, p);
+    FaultPlan plan;
+    addSpec(plan, FaultKind::DiskSpike, 0.02);
+    const apps::RunStats r =
+        apps::runMpegFilter(apps::Mode::Normal, under(p, plan));
 
     EXPECT_GT(r.faults.injected, 0u);
     EXPECT_EQ(r.checksum, bare.checksum);

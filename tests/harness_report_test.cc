@@ -1,15 +1,13 @@
 /**
  * @file
- * Tests for the figure/table printers and the component stats dump.
+ * Tests for the figure/table printers.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "apps/Cluster.hh"
 #include "harness/Report.hh"
-#include "harness/StatsReport.hh"
 
 namespace {
 
@@ -85,31 +83,6 @@ TEST(Report, BreakdownFractionsSumToOne)
                         1e-9);
         }
     }
-}
-
-TEST(StatsReport, DumpsEveryComponentClass)
-{
-    ClusterParams params;
-    params.hosts = 2;
-    Cluster cluster(params);
-    // Exercise the system a little so counters are nonzero.
-    cluster.sim().spawn([](host::Host &a, net::NodeId b) -> sim::Task {
-        co_await a.send(b, 256);
-    }(cluster.host(0), cluster.host(1).id()));
-    cluster.sim().run();
-
-    std::ostringstream oss;
-    dumpClusterStats(oss, cluster);
-    const std::string out = oss.str();
-    for (const char *key :
-         {"host0.cpu.busyTicks", "host0.mem.l1d.hits",
-          "host0.mem.dram.pageHits", "host0.hca.bytesSent",
-          "switch0.packetsRouted", "switch0.buffers.peakInUse",
-          "switch0.sp0.atb.mappings", "storage0.disk.bytesRead",
-          "storage0.scsi.transactions"})
-        EXPECT_NE(out.find(key), std::string::npos) << key;
-    // The 256-byte message was routed.
-    EXPECT_NE(out.find("host0.hca.bytesSent 256"), std::string::npos);
 }
 
 } // namespace

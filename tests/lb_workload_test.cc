@@ -150,9 +150,8 @@ TEST(LbFaults, BackendDownMigratesOnlyItsFlows)
     down.kind = fault::FaultKind::BackendDown;
     down.target = "2";
     plan.addEvent(down);
-    fault::globalPlan() = &plan;
+    p.run.faults = &plan;
     const lb::LbRunResult r = lb::runLb(apps::Mode::Active, p);
-    fault::globalPlan() = nullptr;
 
     const apps::LbStats &lb = r.stats.lb;
     EXPECT_EQ(lb.backendDownEvents, 1u);
@@ -193,9 +192,8 @@ TEST(LbFaults, BackendUpRestoresNewFlowAdmission)
     up.kind = fault::FaultKind::BackendUp;
     up.target = "0";
     plan.addEvent(up);
-    fault::globalPlan() = &plan;
+    p.run.faults = &plan;
     const lb::LbRunResult r = lb::runLb(apps::Mode::Active, p);
-    fault::globalPlan() = nullptr;
 
     EXPECT_EQ(r.stats.lb.backendDownEvents, 1u);
     EXPECT_EQ(r.stats.lb.backendUpEvents, 1u);

@@ -14,7 +14,6 @@
 
 #include "apps/Cluster.hh"
 #include "apps/MpegFilter.hh"
-#include "obs/Hooks.hh"
 #include "obs/Metrics.hh"
 #include "sim/Simulation.hh"
 
@@ -95,19 +94,18 @@ TEST(IntervalSampler, BoundaryEndingRunEmitsNoExtraRow)
     EXPECT_EQ(rows[2], "run," + std::to_string(sim::us(10)) + ",1");
 }
 
-/** One full MPEG-filter run with a sampler installed; returns the
- * time series bytes. */
+/** One full MPEG-filter run with a sampler; returns the time series
+ * bytes. */
 std::string
 sampledMpegRun(apps::Mode mode)
 {
     std::ostringstream csv;
     obs::IntervalSampler sampler(csv, sim::us(100));
-    obs::globalSampler() = &sampler;
     apps::MpegParams params;
     params.fileBytes = 128 * 1024;
+    params.cluster.run.sampler = &sampler;
     sampler.setRunLabel(apps::modeName(mode));
     runMpegFilter(mode, params);
-    obs::globalSampler() = nullptr;
     return csv.str();
 }
 
@@ -130,10 +128,9 @@ TEST(IntervalSampler, SamplingDoesNotPerturbTheRun)
 
     std::ostringstream csv;
     obs::IntervalSampler sampler(csv, sim::us(100));
-    obs::globalSampler() = &sampler;
+    params.cluster.run.sampler = &sampler;
     const apps::RunStats sampled =
         runMpegFilter(apps::Mode::Active, params);
-    obs::globalSampler() = nullptr;
 
     EXPECT_EQ(bare.execTime, sampled.execTime);
     EXPECT_EQ(bare.fingerprint, sampled.fingerprint)

@@ -21,7 +21,6 @@
 #include "fault/FaultPlan.hh"
 #include "harness/Report.hh"
 #include "obs/Telemetry.hh"
-#include "sim/Stats.hh"
 
 #ifndef SAN_GOLDEN_DIR
 #error "SAN_GOLDEN_DIR must point at tests/golden"
@@ -40,30 +39,6 @@ using obs::Stage;
 using obs::Telemetry;
 using obs::TelemetryRecord;
 
-/** Install a telemetry engine for one test; uninstall after. */
-struct TelemetryGuard {
-    explicit TelemetryGuard(std::uint64_t rate,
-                            std::string label = "test")
-        : tel(rate)
-    {
-        obs::globalTelemetry() = &tel;
-        tel.beginRun(std::move(label));
-    }
-    ~TelemetryGuard() { obs::globalTelemetry() = nullptr; }
-    Telemetry tel;
-};
-
-/** Install a fault plan for one test; restore no-fault after. */
-struct PlanGuard {
-    explicit PlanGuard(std::uint64_t seed = FaultPlan::defaultSeed)
-        : plan(seed)
-    {
-        fault::globalPlan() = &plan;
-    }
-    ~PlanGuard() { fault::globalPlan() = nullptr; }
-    FaultPlan plan;
-};
-
 void
 addSpec(FaultPlan &plan, FaultKind kind, double rate)
 {
@@ -74,18 +49,20 @@ addSpec(FaultPlan &plan, FaultKind kind, double rate)
 }
 
 apps::MpegParams
-smallMpeg()
+smallMpeg(const sim::RunContext &run = {})
 {
     apps::MpegParams p;
     p.fileBytes = 256 * 1024;
+    p.cluster.run = run;
     return p;
 }
 
 apps::GrepParams
-smallGrep()
+smallGrep(const sim::RunContext &run = {})
 {
     apps::GrepParams p;
     p.fileBytes = 70 * 1024; // 1024 lines
+    p.cluster.run = run;
     return p;
 }
 
@@ -223,40 +200,6 @@ TEST(FlowSketch, TakeoverInheritsSmallestCounterAsError)
     EXPECT_TRUE(found);
 }
 
-// --- StatGroup histogram percentiles (satellite: derived stats) ------
-
-TEST(StatGroupHistogram, PercentileFromLinearBuckets)
-{
-    sim::Histogram h(0, 100, 10);
-    for (int i = 0; i < 50; ++i)
-        h.sample(5);
-    for (int i = 0; i < 50; ++i)
-        h.sample(95);
-    // Rank 50 is the last sample in the [0,10) bucket; its upper
-    // edge is 10. Rank 99 lands in [90,100); the edge 100 clamps to
-    // the observed max 95.
-    EXPECT_DOUBLE_EQ(h.percentile(0.50), 10.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.99), 95.0);
-    sim::Histogram empty(0, 100, 10);
-    EXPECT_DOUBLE_EQ(empty.percentile(0.5), 0.0);
-}
-
-TEST(StatGroupHistogram, DumpEmitsDerivedPercentiles)
-{
-    sim::StatGroup g("grp");
-    sim::Histogram &h = g.histogram("lat", 0, 100, 10);
-    for (int i = 0; i < 100; ++i)
-        h.sample(42);
-    std::ostringstream oss;
-    g.dump(oss);
-    const std::string out = oss.str();
-    // Every sample is 42: the bucket edge (50) clamps to the
-    // observed max, so all derived percentiles read 42.
-    EXPECT_NE(out.find("grp.lat.p50 42"), std::string::npos) << out;
-    EXPECT_NE(out.find("grp.lat.p90 42"), std::string::npos) << out;
-    EXPECT_NE(out.find("grp.lat.p99 42"), std::string::npos) << out;
-}
-
 // --- Sampler ----------------------------------------------------------
 
 TEST(TelemetrySampler, RateZeroArmsButNeverSamples)
@@ -288,9 +231,10 @@ TEST(TelemetrySampler, OneInNIsDeterministic)
 
 TEST(TelemetryLineage, StampsAreMonotonicOnActiveMpeg)
 {
-    TelemetryGuard guard(1, "mpeg-active");
-    const apps::RunStats r =
-        apps::runMpegFilter(apps::Mode::Active, smallMpeg());
+    Telemetry tel(1);
+    tel.beginRun("mpeg-active");
+    const apps::RunStats r = apps::runMpegFilter(
+        apps::Mode::Active, smallMpeg({.telemetry = &tel}));
 
     ASSERT_TRUE(r.telemetry.active);
     EXPECT_EQ(r.telemetry.sampleRate, 1u);
@@ -301,7 +245,7 @@ TEST(TelemetryLineage, StampsAreMonotonicOnActiveMpeg)
     EXPECT_GT(r.telemetry.bytesObserved, 0u);
 
     std::uint64_t withHops = 0;
-    for (const auto &rec : guard.tel.records()) {
+    for (const auto &rec : tel.records()) {
         expectMonotonic(*rec);
         if (rec->hopCount > 0)
             ++withHops;
@@ -325,14 +269,15 @@ TEST(TelemetryLineage, StampsAreMonotonicOnActiveMpeg)
 
 TEST(TelemetryFault, RetransmitsShowUpInSampledLineage)
 {
-    const apps::GrepParams p = smallGrep();
     const apps::RunStats bare =
-        apps::runGrep(apps::Mode::Active, p);
+        apps::runGrep(apps::Mode::Active, smallGrep());
 
-    PlanGuard faults;
-    addSpec(faults.plan, FaultKind::LinkBitError, 5e-6);
-    TelemetryGuard guard(1, "grep-faulty");
-    const apps::RunStats r = apps::runGrep(apps::Mode::Active, p);
+    FaultPlan plan;
+    addSpec(plan, FaultKind::LinkBitError, 5e-6);
+    Telemetry tel(1);
+    tel.beginRun("grep-faulty");
+    const apps::RunStats r = apps::runGrep(
+        apps::Mode::Active, smallGrep({.faults = &plan, .telemetry = &tel}));
 
     // Telemetry changes neither the answer nor the recovery.
     EXPECT_EQ(r.checksum, bare.checksum);
@@ -345,27 +290,29 @@ TEST(TelemetryFault, RetransmitsShowUpInSampledLineage)
 
     // Recorded stamps stay monotonic even with duplicate copies in
     // flight; inconsistent interleavings are dropped, not recorded.
-    for (const auto &rec : guard.tel.records())
+    for (const auto &rec : tel.records())
         expectMonotonic(*rec);
 }
 
 TEST(TelemetryFingerprint, TenSeedsUnchangedByTelemetry)
 {
-    const apps::GrepParams p = smallGrep();
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
         std::uint64_t plainFp = 0;
         {
-            PlanGuard faults(seed);
-            addSpec(faults.plan, FaultKind::LinkBitError, 2e-6);
-            plainFp =
-                apps::runGrep(apps::Mode::Active, p).fingerprint;
+            FaultPlan plan(seed);
+            addSpec(plan, FaultKind::LinkBitError, 2e-6);
+            plainFp = apps::runGrep(apps::Mode::Active,
+                                    smallGrep({.faults = &plan}))
+                          .fingerprint;
         }
         {
-            PlanGuard faults(seed);
-            addSpec(faults.plan, FaultKind::LinkBitError, 2e-6);
-            TelemetryGuard guard(1, "seeded");
-            const apps::RunStats r =
-                apps::runGrep(apps::Mode::Active, p);
+            FaultPlan plan(seed);
+            addSpec(plan, FaultKind::LinkBitError, 2e-6);
+            Telemetry tel(1);
+            tel.beginRun("seeded");
+            const apps::RunStats r = apps::runGrep(
+                apps::Mode::Active,
+                smallGrep({.faults = &plan, .telemetry = &tel}));
             EXPECT_EQ(r.fingerprint, plainFp) << "seed " << seed;
             EXPECT_GT(r.telemetry.recordsSampled, 0u);
         }
@@ -378,7 +325,7 @@ harness::ModeResults
 mpegWithTelemetry(Telemetry &tel)
 {
     harness::ModeResults results{};
-    const apps::MpegParams p = smallMpeg();
+    const apps::MpegParams p = smallMpeg({.telemetry = &tel});
     for (std::size_t i = 0; i < apps::allModes.size(); ++i) {
         tel.beginRun(apps::modeName(apps::allModes[i]));
         results[i] = apps::runMpegFilter(apps::allModes[i], p);
@@ -396,9 +343,9 @@ latencyReportFor(const harness::ModeResults &results)
 
 TEST(LatencyReport, ByteStableAcrossRepeats)
 {
-    TelemetryGuard guard(1);
-    const std::string a = latencyReportFor(mpegWithTelemetry(guard.tel));
-    const std::string b = latencyReportFor(mpegWithTelemetry(guard.tel));
+    Telemetry tel(1);
+    const std::string a = latencyReportFor(mpegWithTelemetry(tel));
+    const std::string b = latencyReportFor(mpegWithTelemetry(tel));
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b);
 }
@@ -414,9 +361,8 @@ TEST(LatencyReport, MatchesGoldenFile)
     if (policyForced())
         GTEST_SKIP() << "SAN_FORCE_SWITCH_POLICY overrides the "
                         "default policy this golden pins";
-    TelemetryGuard guard(1);
-    const std::string actual =
-        latencyReportFor(mpegWithTelemetry(guard.tel));
+    Telemetry tel(1);
+    const std::string actual = latencyReportFor(mpegWithTelemetry(tel));
     ASSERT_FALSE(actual.empty());
     const std::string path =
         std::string(SAN_GOLDEN_DIR) + "/latency_report_mpeg.txt";

@@ -150,33 +150,4 @@ TEST(Semaphore, LimitsConcurrency)
     EXPECT_EQ(sem.available(), 2u);
 }
 
-TEST(Latch, WaitersReleaseAtZero)
-{
-    Simulation sim;
-    Latch latch(sim, 3);
-    Tick doneAt = 0;
-    sim.spawn([](Simulation &s, Latch &l, Tick &t) -> Task {
-        co_await l.wait();
-        t = s.now();
-    }(sim, latch, doneAt));
-    sim.events().schedule(ns(10), [&] { latch.countDown(); });
-    sim.events().schedule(ns(20), [&] { latch.countDown(); });
-    sim.events().schedule(ns(30), [&] { latch.countDown(); });
-    sim.run();
-    EXPECT_EQ(doneAt, ns(30));
-}
-
-TEST(Latch, ZeroInitialIsOpen)
-{
-    Simulation sim;
-    Latch latch(sim, 0);
-    bool passed = false;
-    sim.spawn([](Latch &l, bool &p) -> Task {
-        co_await l.wait();
-        p = true;
-    }(latch, passed));
-    sim.run();
-    EXPECT_TRUE(passed);
-}
-
 } // namespace
