@@ -177,13 +177,17 @@ beginRun(const char *label)
 }
 
 /**
- * The armed fault plan and telemetry collector, for a bench that
- * drives its own simulations instead of runFigure(): every run shares
- * the one plan and collector, and none is traced or sampled.
+ * The run context for one simulation of a bench that drives its own
+ * simulations instead of runFigure(): a fresh fault plan, so the run
+ * faces the whole schedule whatever ran before it, and the telemetry
+ * collector every run shares. None is traced or sampled. Call once
+ * per Simulation, after the previous one is gone: the call replaces
+ * the plan that run was handed.
  */
 inline sim::RunContext
 faultsAndTelemetry()
 {
+    rebuildFaultPlan();
     const detail::Instruments &in = detail::instruments();
     return {.faults = in.plan.get(), .telemetry = in.telemetry.get()};
 }

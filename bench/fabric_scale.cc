@@ -72,7 +72,6 @@ struct Settings {
     unsigned seeds = 10;            //!< fingerprint-stability seeds
     unsigned patternMessages = 4;   //!< per host, pattern sweep
     unsigned threads = 1;           //!< PDES workers (placement runs)
-    sim::RunContext run;            //!< faults + telemetry, all runs
 };
 
 /** One benchmark topology. */
@@ -194,7 +193,7 @@ PlacementResult
 runPlacement(const Shape &shape, Placement pl, const Settings &s,
              std::ostream *latency_out)
 {
-    sim::Simulation sim(s.run);
+    sim::Simulation sim(bench::faultsAndTelemetry());
     Fabric fabric(sim);
     active::ActiveConfig acfg;
     acfg.cpus = 4;
@@ -204,7 +203,7 @@ runPlacement(const Shape &shape, Placement pl, const Settings &s,
     // its edge switch's shard (net::Fabric::planShards). The pattern
     // sweep and the seed-stability loop stay single-threaded — the
     // placement runs are the scaling workload.
-    obs::Telemetry *tel = s.run.telemetry;
+    obs::Telemetry *tel = sim.context().telemetry;
     const std::string label =
         std::string(shape.name) + "/" + placementName(pl);
     if (tel)
@@ -339,7 +338,7 @@ runPattern(const Shape &shape, FabricTrafficParams::Pattern pattern,
            std::uint64_t seed, const Settings &s,
            std::uint64_t *fingerprint)
 {
-    sim::Simulation sim(s.run);
+    sim::Simulation sim(bench::faultsAndTelemetry());
     obs::RunFingerprint fp;
     sim.events().setObserver(&fp);
     Fabric fabric(sim);
@@ -454,7 +453,6 @@ main(int argc, char **argv)
         s.patternMessages = 2;
     }
     s.threads = opts.threads;
-    s.run = bench::faultsAndTelemetry();
     for (int i = 1; i < argc; ++i) {
         auto take = [&](const char *flag) -> const char * {
             if (std::strcmp(argv[i], flag) != 0)
@@ -533,7 +531,7 @@ main(int argc, char **argv)
         std::size_t nHosts, nSwitches, nLinks;
         unsigned nGroups;
         {
-            sim::Simulation sim(s.run);
+            sim::Simulation sim(bench::faultsAndTelemetry());
             Fabric fabric(sim);
             const Topology t =
                 shape.fatTree

@@ -34,6 +34,7 @@ main(int argc, char **argv)
         params.run = san::bench::faultsAndTelemetry();
         ReductionRun normal =
             runReduction(false, ReduceKind::Distributed, params);
+        params.run = san::bench::faultsAndTelemetry();
         ReductionRun active =
             runReduction(true, ReduceKind::Distributed, params);
         std::printf("%6u %14.2f %14.2f %9.2f %8s\n", p,

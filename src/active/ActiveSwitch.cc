@@ -199,7 +199,7 @@ ActiveSwitch::registerMetrics(obs::MetricsRegistry &m) const
     net::Switch::registerMetrics(m);
     const std::string &n = name();
     m.add(n + ".dispatchQueue", obs::GaugeKind::Gauge,
-          [this] { return static_cast<double>(pending_.size()); });
+          [this] { return static_cast<double>(pending_); });
     m.add(n + ".chunksStaged", obs::GaugeKind::Rate,
           [this] { return static_cast<double>(staged_); });
     m.add(n + ".dispatchStalls", obs::GaugeKind::Rate,
@@ -250,26 +250,23 @@ ActiveSwitch::dispatch(net::Arrival arrival)
 {
     // Arrivals must stay ordered within one handler instance's
     // stream, so if that instance already has packets waiting for
-    // buffers, queue behind them.
+    // buffers, queue behind them without trying to stage.
     const InstanceKey key{arrival.pkt.activeHdr.handlerId,
                           arrival.pkt.activeHdr.cpuId};
-    for (const net::Arrival &waiting : pending_) {
-        const InstanceKey wkey{waiting.pkt.activeHdr.handlerId,
-                               waiting.pkt.activeHdr.cpuId};
-        if (wkey == key) {
-            ++dispatchStalls_;
-            if (auto *tr = sim_.tracer())
-                tr->instant(name(), "dispatch-stall", sim_.now());
-            pending_.push_back(std::move(arrival));
+    auto q = std::find_if(waiting_.begin(), waiting_.end(),
+                          [&key](const WaitQueue &w) {
+                              return w.key == key;
+                          });
+    if (q == waiting_.end()) {
+        if (tryStage(arrival))
             return;
-        }
+        q = waiting_.insert(waiting_.end(), WaitQueue{key, {}});
     }
-    if (!tryStage(arrival)) {
-        ++dispatchStalls_;
-        if (auto *tr = sim_.tracer())
-            tr->instant(name(), "dispatch-stall", sim_.now());
-        pending_.push_back(std::move(arrival));
-    }
+    ++dispatchStalls_;
+    if (auto *tr = sim_.tracer())
+        tr->instant(name(), "dispatch-stall", sim_.now());
+    q->arrivals.emplace_back(arrivalsQueued_++, std::move(arrival));
+    ++pending_;
 }
 
 void
@@ -277,21 +274,34 @@ ActiveSwitch::retryPending()
 {
     // Streams are independent: a stalled instance (out of buffers or
     // ATB slots) must not block other instances' packets — only
-    // per-instance order is preserved.
-    std::vector<InstanceKey> blocked;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-        const InstanceKey key{it->pkt.activeHdr.handlerId,
-                              it->pkt.activeHdr.cpuId};
-        if (std::find(blocked.begin(), blocked.end(), key) !=
-            blocked.end()) {
-            ++it;
+    // per-instance order is preserved. Across instances the oldest
+    // waiting arrival goes first, so attempts run in the order of one
+    // shared arrival queue scanned front to back, skipping instances
+    // that failed. That order matters: staging can start an instance
+    // and so shrink every instance's buffer quota.
+    for (WaitQueue &q : waiting_)
+        q.blocked = false;
+    for (;;) {
+        WaitQueue *oldest = nullptr;
+        for (WaitQueue &q : waiting_) {
+            if (q.blocked)
+                continue;
+            if (oldest == nullptr ||
+                q.arrivals.front().first < oldest->arrivals.front().first)
+                oldest = &q;
+        }
+        if (oldest == nullptr)
+            return;
+        if (!tryStage(oldest->arrivals.front().second)) {
+            oldest->blocked = true;
             continue;
         }
-        if (tryStage(*it)) {
-            it = pending_.erase(it);
-        } else {
-            blocked.push_back(key);
-            ++it;
+        oldest->arrivals.pop_front();
+        --pending_;
+        if (oldest->arrivals.empty()) {
+            if (oldest != &waiting_.back())
+                *oldest = std::move(waiting_.back());
+            waiting_.pop_back();
         }
     }
 }

@@ -209,7 +209,7 @@ class ActiveSwitch : public net::Switch
      */
     const fault::ReliableChannel *reliable() const { return rel_.get(); }
     /** Packets waiting on a free buffer / ATB slot right now. */
-    std::size_t pendingDepth() const { return pending_.size(); }
+    std::size_t pendingDepth() const { return pending_; }
 
     /** Per-handler switch-CPU profiles, keyed by handler ID. */
     const std::map<std::uint8_t, HandlerProfile> &
@@ -249,6 +249,16 @@ class ActiveSwitch : public net::Switch
     };
 
     using InstanceKey = std::pair<std::uint8_t, std::uint8_t>;
+
+    /**
+     * One instance's arrivals waiting for a buffer or an ATB slot,
+     * oldest first, each tagged with its per-switch arrival number.
+     */
+    struct WaitQueue {
+        InstanceKey key;
+        std::deque<std::pair<std::uint64_t, net::Arrival>> arrivals;
+        bool blocked = false; //!< failed to stage in this retry
+    };
 
     /** Stage one packet into a buffer + ATB + instance stream. */
     void dispatch(net::Arrival arrival);
@@ -290,7 +300,10 @@ class ActiveSwitch : public net::Switch
     std::map<std::uint8_t, HandlerProfile> profiles_;
 
     std::map<InstanceKey, Instance> instances_;
-    std::deque<net::Arrival> pending_; //!< waiting for buffer/ATB slot
+    /** One queue per instance with arrivals waiting, in no order. */
+    std::vector<WaitQueue> waiting_;
+    std::size_t pending_ = 0;        //!< arrivals waiting, all queues
+    std::uint64_t arrivalsQueued_ = 0; //!< next arrival number
     /** Owning instance of each data buffer (or none). */
     std::vector<std::optional<InstanceKey>> bufOwner_;
 

@@ -44,14 +44,17 @@
  * folded from them — are bit-identical across W and across repeat
  * runs. See DESIGN.md §14.
  *
- * A round costs O(S + messages), never O(S²). During the execute
+ * A round costs O((shards run + messages) · log S); only a run's
+ * first and last boundaries visit every shard. During the execute
  * phase each shard appends the messages it posts to its own outbox.
  * The barrier's completion step — which runs exactly once, on one
- * thread, with every worker parked — moves them into per-destination
- * inboxes in (source shard, post order) order, takes the floor from
- * their stamps and a per-shard next-event cache (refreshed only for
- * the shards that ran), and lists the shards with work in the new
- * window: mail, or an event below the horizon. Workers run only
+ * thread, with every worker parked — touches only the shards that
+ * ran: it refreshes their leaves in a min-tree over the shards'
+ * next-event ticks and moves their outboxes into per-destination
+ * inboxes in (source shard, post order) order. The floor is the
+ * tree's root or an earlier message stamp. The shards with work in
+ * the new window — mail, or an event below the horizon — come from
+ * the mail destinations and a walk down the tree. Workers run only
  * those shards. The barrier provides all happens-before edges, so
  * the hot path takes no locks.
  */
@@ -275,7 +278,7 @@ class ShardSet
      *  (null: untraced). */
     explicit ShardSet(Tracer *tracer = nullptr)
         : outbox_(1), inbox_(1), tasks_(1), tracer_(tracer),
-          sinks_(1, tracer)
+          sinks_(1, tracer), next_(2, maxTick)
     {
         queues_.push_back(std::make_unique<EventQueue>());
     }
@@ -297,6 +300,7 @@ class ShardSet
         outbox_.assign(shards, {});
         inbox_.assign(shards, {});
         tasks_.resize(shards);
+        next_.assign(2 * shards, maxTick);
         while (queues_.size() < shards)
             queues_.push_back(std::make_unique<EventQueue>());
         routeTraces();
@@ -393,15 +397,20 @@ class ShardSet
         done_ = false;
         failed_.store(false, std::memory_order_relaxed);
 
-        // Work may have been scheduled between runs (under a
-        // ShardGuard), so the next-event cache starts fresh. The
-        // runnable list is sized once, so the completion step never
-        // reallocates it.
-        next_.resize(shards_);
-        for (std::size_t s = 0; s < shards_; ++s)
-            next_[s] = queues_[s]->nextEventTick();
-        runnable_.clear();
-        runnable_.reserve(shards_);
+        // Work may have been scheduled, and mail posted, under a
+        // ShardGuard since the last run, so the first boundary treats
+        // every shard as having just run. A run cut short by an error
+        // can leave mail undelivered; it is listed up front. Both
+        // shard lists are sized once, so the completion step never
+        // reallocates them.
+        runnable_.resize(shards_);
+        mailed_.clear();
+        mailed_.reserve(shards_);
+        for (std::size_t s = 0; s < shards_; ++s) {
+            runnable_[s] = s;
+            if (!inbox_[s].empty())
+                mailed_.push_back(s);
+        }
 
         std::barrier bar(static_cast<std::ptrdiff_t>(W),
                          [this]() noexcept { roundBoundary(); });
@@ -492,36 +501,78 @@ class ShardSet
     {
         // Only the shards that just ran can have changed queues.
         for (const std::size_t s : runnable_)
-            next_[s] = queues_[s]->nextEventTick();
-        runnable_.clear();
+            setNext(s, queues_[s]->nextEventTick());
         if (failed_.load(std::memory_order_relaxed)) {
+            runnable_.clear();
             done_ = true;
             return;
         }
 
         // Publish posted messages: source shard ascending, post order
-        // within a source. Every inbox was drained by the previous
-        // execute phase, since a shard with mail always runs.
-        Tick floor = maxTick;
-        for (auto &out : outbox_) {
-            for (auto &m : out) {
+        // within a source. Only the shards that ran posted any. Every
+        // inbox was drained by the previous execute phase, since a
+        // shard with mail always runs, so a destination's first
+        // message lists it.
+        Tick floor = next_[1];
+        for (const std::size_t s : runnable_) {
+            for (auto &m : outbox_[s]) {
                 floor = std::min(floor, m.when);
+                if (inbox_[m.dst].empty())
+                    mailed_.push_back(m.dst);
                 inbox_[m.dst].push_back(std::move(m));
             }
-            out.clear();
+            outbox_[s].clear();
         }
-        for (const Tick t : next_)
-            floor = std::min(floor, t);
         horizon_ = saturatingAdd(floor, lookahead_);
 
-        // A shard runs if it has mail or an event below the horizon;
-        // a window capped at maxTick also runs the events at maxTick.
-        // No shard to run means every queue and inbox is empty.
-        for (std::size_t s = 0; s < shards_; ++s)
-            if (!inbox_[s].empty() || next_[s] < horizon_ ||
-                (horizon_ == maxTick && !queues_[s]->empty()))
-                runnable_.push_back(s);
+        // A shard runs if it has mail or an event below the horizon.
+        // A window capped at maxTick also runs the events at maxTick,
+        // which the tree cannot tell from an empty queue, so that
+        // window (the run's last) scans every shard. No shard to run
+        // means every queue and inbox is empty.
+        runnable_.clear();
+        if (horizon_ == maxTick) {
+            mailed_.clear();
+            for (std::size_t s = 0; s < shards_; ++s)
+                if (!inbox_[s].empty() || !queues_[s]->empty())
+                    runnable_.push_back(s);
+        } else {
+            // Mail and the tree walk list shards out of order.
+            runnable_.swap(mailed_);
+            collectBelow(1);
+            std::sort(runnable_.begin(), runnable_.end());
+        }
         done_ = runnable_.empty();
+    }
+
+    /** Set shard @p s's next-event tick and the minima above it. */
+    void
+    setNext(std::size_t s, Tick t)
+    {
+        std::size_t i = shards_ + s;
+        next_[i] = t;
+        for (i /= 2; i >= 1; i /= 2) {
+            const Tick m = std::min(next_[2 * i], next_[2 * i + 1]);
+            if (next_[i] == m)
+                break; // every node above already holds its minimum
+            next_[i] = m;
+        }
+    }
+
+    /** List the shards under tree @p node with an event below the
+     *  horizon and no mail (a shard with mail is listed already). */
+    void
+    collectBelow(std::size_t node)
+    {
+        if (next_[node] >= horizon_)
+            return;
+        if (node >= shards_) {
+            if (inbox_[node - shards_].empty())
+                runnable_.push_back(node - shards_);
+            return;
+        }
+        collectBelow(2 * node);
+        collectBelow(2 * node + 1);
     }
 
     template <typename Barrier>
@@ -592,11 +643,17 @@ class ShardSet
 
     // Round state: written in the completion step / under errorMu_,
     // read by workers after the barrier (which supplies the
-    // happens-before edges). next_[s] is shard s's next-event tick
-    // as of its last run; runnable_ lists, ascending, the shards that
-    // run this round (shard s on worker s % W).
+    // happens-before edges). next_ is a min-tree over the shards'
+    // next-event ticks as of their last run: shard s is leaf
+    // next_[S + s] and node i < S holds the minimum of nodes 2i and
+    // 2i + 1, so next_[1] is the earliest of all (with one shard, it
+    // is that shard's leaf). runnable_ lists, ascending,
+    // the shards that run this round (shard s on worker s % W);
+    // mailed_ gathers the shards with mail while the completion step
+    // builds the next runnable_.
     std::vector<Tick> next_;
     std::vector<std::size_t> runnable_;
+    std::vector<std::size_t> mailed_;
     Tick horizon_ = 0;
     bool done_ = false;
     std::atomic<bool> failed_{false};

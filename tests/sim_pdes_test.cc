@@ -18,13 +18,16 @@
  *    same simulated end time — threaded or not; the fingerprint
  *    differs between the one-shard digest and the multi-shard merge.
  *  - Pinned digests: literal S>1 fingerprints, as the goldens pin
- *    the one-shard case.
+ *    the one-shard case, and the active hub's staging order across
+ *    handler instances on one shard and on one shard per switch.
  *  - Shard context: outside a worker or ShardGuard, a one-shard
  *    simulation resolves to shard 0 and a multi-shard one throws.
  *  - Events at maxTick run, with one shard or several.
  *  - Round loop: same-stamp messages run in (source shard, post
  *    order) order, a message reaches a shard with nothing else to
- *    do, and a second run sees work scheduled after the first.
+ *    do, a second run sees work scheduled after the first, mail
+ *    posted before a run is delivered, and a few busy shards among
+ *    100 trade mail identically on 1 and 4 workers.
  *  - Degenerate partitions hold: one component per shard (the
  *    maximum cut) still merges deterministically.
  */
@@ -34,8 +37,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "active/ActiveSwitch.hh"
 #include "apps/Cluster.hh"
 #include "apps/MpegFilter.hh"
 #include "apps/Reduction.hh"
@@ -251,6 +256,144 @@ TEST(ShardedRun, FatTreeK8PerSwitchDigestIsPinned)
     EXPECT_EQ(fatTreeRun(1, 80, 4, &bytes4, 8), 0x9558fc8982d00188ull);
     EXPECT_EQ(bytes1, 788480u);
     EXPECT_EQ(bytes4, 788480u);
+}
+
+// ---------------------------------------------------------------
+// fabric_scale's quick hub shape: a k=4 fat-tree of ActiveSwitches
+// with 4 CPUs each and a filter handler on core switch 0. Every other
+// host sends 4 x 4 KB to it, each sender taking the next of the
+// hub's 4 CPU ids, so four handler instances share the 16 data
+// buffers and their waiting arrivals interleave. The values below pin
+// the Dispatch unit's staging bit for bit; the variant with one
+// instance per sender is the one where the order across instances
+// shows (see the test).
+// ---------------------------------------------------------------
+
+constexpr std::uint8_t kFilterHandler = 7;
+
+sim::Task
+hubFilter(active::HandlerContext &ctx, NodeId collector)
+{
+    for (;;) {
+        const active::StreamChunk chunk = co_await ctx.nextChunk();
+        co_await ctx.awaitValid(chunk, 0, chunk.bytes);
+        co_await ctx.compute(32 + chunk.bytes / 4);
+        const bool last = chunk.lastOfMessage;
+        const std::uint64_t bytes = chunk.messageBytes;
+        const std::uint32_t tag = chunk.tag;
+        ctx.deallocateOne(chunk.address);
+        if (last)
+            co_await ctx.send(collector,
+                              std::max<std::uint64_t>(1, bytes / 16),
+                              std::nullopt, nullptr, tag);
+    }
+}
+
+sim::Task
+hubSender(Adapter &host, NodeId hub, ActiveHeader hdr, unsigned slot,
+          sim::Tick spacing)
+{
+    for (unsigned j = 0; j < 4; ++j) {
+        // A 16 MB ATB window per sender, 128 KB per message.
+        hdr.address = (slot + 1) * 0x01000000u + j * 0x20000u;
+        host.sendMessage(hub, 4096, hdr, nullptr, slot * 4096u + j + 1);
+        co_await sim::Delay{spacing};
+    }
+}
+
+struct HubRun {
+    std::uint64_t fingerprint = 0;
+    std::uint64_t stalls = 0;         //!< the hub's dispatch stalls
+    std::uint64_t collectorBytes = 0;
+    /** The tags of the filter's results, in the order the collector
+     * got them: instances that stage in swapped order at one tick
+     * leave the event ticks, and so the fingerprint, unchanged. */
+    std::uint64_t resultOrder = 0;
+};
+
+sim::Task
+hubCollector(Adapter &host, std::uint64_t expected, HubRun *r)
+{
+    for (std::uint64_t i = 0; i < expected; ++i) {
+        const Message m = co_await host.recvQueue().pop();
+        r->collectorBytes += m.bytes;
+        r->resultOrder = r->resultOrder * 1000003u + m.tag;
+    }
+}
+
+/** The hub shape on one shard, or on one shard per switch, with the
+ *  senders dealt round-robin over @p instances handler instances. */
+HubRun
+hubRun(bool per_switch, unsigned workers, unsigned instances = 4)
+{
+    sim::Simulation sim;
+    Fabric fabric(sim);
+    active::ActiveConfig acfg;
+    acfg.cpus = 4;
+    const Topology topo = buildFatTree<active::ActiveSwitch>(
+        fabric, FatTreeParams{4}, acfg);
+    if (per_switch)
+        fabric.applyShardPlan(fabric.planShards(topo.switchCount()));
+    obs::ShardedFingerprint fp;
+    fp.attach(sim);
+
+    auto *hub = static_cast<active::ActiveSwitch *>(topo.core[0]);
+    const NodeId collector = topo.hosts[0]->id();
+    hub->registerHandler(kFilterHandler, "filter",
+                         [collector](active::HandlerContext &ctx) {
+                             return hubFilter(ctx, collector);
+                         });
+
+    const std::uint64_t pkts = (4096 + fabric.mtu() - 1) / fabric.mtu();
+    const sim::Tick spacing = sim::ns(4096 + pkts * headerBytes);
+    const unsigned n = static_cast<unsigned>(topo.hosts.size());
+    for (unsigned h = 1; h < n; ++h) {
+        ActiveHeader hdr;
+        hdr.handlerId = kFilterHandler;
+        hdr.cpuId = static_cast<std::uint8_t>((h - 1) % instances);
+        sim::ShardGuard guard(sim, fabric.shardOf(*topo.hosts[h]));
+        sim.spawn(hubSender(*topo.hosts[h], hub->id(), hdr, h, spacing));
+    }
+    HubRun r;
+    {
+        sim::ShardGuard guard(sim, fabric.shardOf(*topo.hosts[0]));
+        sim.spawn(hubCollector(*topo.hosts[0], 4u * (n - 1), &r));
+    }
+    sim.runSharded(workers);
+    r.fingerprint = fp.value();
+    r.stalls = hub->dispatchStalls();
+    return r;
+}
+
+// The values fabric_scale --quick prints for fattree4/hub at
+// --threads 1 and at --threads 2 or more.
+TEST(ShardedRun, HubDispatchOrderIsPinned)
+{
+    const HubRun one = hubRun(false, 1);
+    EXPECT_EQ(one.fingerprint, 0x9904e476a15413fbull);
+    EXPECT_EQ(one.stalls, 323u);
+    EXPECT_EQ(one.collectorBytes, 15360u);
+    EXPECT_EQ(one.resultOrder, 0x68946137467d1d08ull);
+    for (const unsigned workers : {1u, 4u}) {
+        const HubRun sharded = hubRun(true, workers);
+        EXPECT_EQ(sharded.fingerprint, 0x91025dcada11312full)
+            << workers << " workers";
+        EXPECT_EQ(sharded.stalls, 322u) << workers << " workers";
+        EXPECT_EQ(sharded.collectorBytes, 15360u)
+            << workers << " workers";
+        EXPECT_EQ(sharded.resultOrder, 0x104d985de4524b58ull)
+            << workers << " workers";
+    }
+
+    // With 4 instances the fair share (4 buffers each) binds, so only
+    // the instance that freed a buffer can take it. With one instance
+    // per sender the share floors at 2 each, a freed buffer can go to
+    // any of several instances, and the arrival order decides which.
+    const HubRun many = hubRun(false, 1, 15);
+    EXPECT_EQ(many.fingerprint, 0xf0d2a1d05cdde5c2ull);
+    EXPECT_EQ(many.stalls, 295u);
+    EXPECT_EQ(many.collectorBytes, 15360u);
+    EXPECT_EQ(many.resultOrder, 0x68946137467d1d08ull);
 }
 
 TEST(ShardedRun, OneComponentPerShardStress)
@@ -528,6 +671,90 @@ TEST(RoundLoop, SecondRunSeesWorkOnAShardIdleInTheFirst)
     EXPECT_EQ(sim.runSharded(2), 100u);
     EXPECT_EQ(log, (std::vector<sim::Tick>{70, 100}));
     EXPECT_EQ(sim.executedEvents(), 1u + 4u);
+}
+
+TEST(RoundLoop, MessagePostedBeforeTheRunRunsAtItsStamp)
+{
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+        sim::Simulation sim;
+        sim.enableSharding(4, 10);
+        // Build code posts from shard 1 to shard 3; no queue holds an
+        // event, so only the posted mail makes the run do anything.
+        sim::Tick ranAt = 0;
+        {
+            sim::ShardGuard guard(sim, 1);
+            sim.crossSchedule(3, 40,
+                              [&sim, &ranAt] { ranAt = sim.now(); });
+        }
+        EXPECT_EQ(sim.runSharded(workers), 40u) << workers << " workers";
+        EXPECT_EQ(ranAt, 40u) << workers << " workers";
+        EXPECT_EQ(sim.executedEvents(), 1u) << workers << " workers";
+    }
+}
+
+/**
+ * Two message chains relayed round the shards 3 -> 64 -> 99 -> 3 of
+ * a 100-shard set, nine hops each; each hop logs (tick, chain * 100 +
+ * hop) on the shard it lands on. Only shard s appends to log[s].
+ */
+struct Relay {
+    sim::Simulation &sim;
+    std::vector<std::vector<std::pair<sim::Tick, int>>> log;
+
+    void
+    hop(std::size_t at, int chain, int hops)
+    {
+        log[at].emplace_back(sim.now(), chain * 100 + hops);
+        if (hops == 9)
+            return;
+        const std::size_t next = at == 3 ? 64 : at == 64 ? 99 : 3;
+        sim.crossSchedule(next, sim.now() + 10 + at % 7,
+                          [this, next, chain, hops] {
+                              hop(next, chain, hops + 1);
+                          });
+    }
+};
+
+TEST(RoundLoop, SparseShardsOfAHundredTradeMail)
+{
+    std::vector<std::vector<std::pair<sim::Tick, int>>> first;
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+        sim::Simulation sim;
+        sim.enableSharding(100, 10);
+        Relay relay{sim, {}};
+        relay.log.resize(100);
+        {
+            // Shards 64 and 99 start empty: until shard 99's own
+            // event at 500, mail is all the work they get.
+            sim::ShardGuard guard(sim, 3);
+            sim.events().schedule(5, [&relay] { relay.hop(3, 1, 0); });
+            sim.events().schedule(8, [&relay] { relay.hop(3, 2, 0); });
+        }
+        {
+            sim::ShardGuard guard(sim, 99);
+            sim.events().schedule(500, [&relay, &sim] {
+                relay.log[99].emplace_back(sim.now(), -1);
+            });
+        }
+        EXPECT_EQ(sim.runSharded(workers), 500u) << workers << " workers";
+        // Two kicks, nine relayed hops per chain, one late event.
+        EXPECT_EQ(sim.executedEvents(), 2u + 18u + 1u)
+            << workers << " workers";
+        // A hop round the cycle takes 13 + 11 + 11 ticks.
+        EXPECT_EQ(relay.log[3].back(),
+                  (std::pair<sim::Tick, int>{113, 209}));
+        EXPECT_EQ(relay.log[99].back(),
+                  (std::pair<sim::Tick, int>{500, -1}));
+        for (std::size_t s = 0; s < 100; ++s) {
+            if (s != 3 && s != 64 && s != 99) {
+                EXPECT_TRUE(relay.log[s].empty()) << "shard " << s;
+            }
+        }
+        if (first.empty())
+            first = relay.log;
+        else
+            EXPECT_EQ(relay.log, first) << workers << " workers";
+    }
 }
 
 } // namespace
