@@ -157,17 +157,18 @@ ActiveSwitch::ActiveSwitch(sim::Simulation &sim, std::string name,
                            const net::SwitchParams &params,
                            const ActiveConfig &config)
     : net::Switch(sim, std::move(name), id, params), config_(config),
-      pool_(config.buffers), jumpTable_(net::maxHandlerId + 1),
+      pool_(config.buffers), cpuLoad_(config.cpus, 0),
       bufOwner_(config.buffers.count)
 {
     assert(config_.cpus >= 1 && config_.cpus <= 4);
+    atbs_.reserve(config_.cpus);
+    cpus_.reserve(config_.cpus);
     for (unsigned i = 0; i < config_.cpus; ++i) {
         atbs_.emplace_back(config_.atbEntries, config_.buffers.bytes);
         auto mem_params = config_.cpuMem;
         mem_params.name = this->name() + ".sp" + std::to_string(i);
         cpus_.push_back(std::make_unique<cpu::SwitchCpu>(
             sim, mem_params.name, mem_params, config_.cpuHz));
-        cpuLoad_.push_back(0);
     }
     if (fault::FaultPlan *plan = sim.context().faults) {
         plan_ = plan;
@@ -187,6 +188,8 @@ ActiveSwitch::registerHandler(std::uint8_t handler_id, std::string name,
     HandlerProfile &prof = profiles_[handler_id];
     prof.id = handler_id;
     prof.name = name;
+    if (jumpTable_.empty())
+        jumpTable_.resize(net::maxHandlerId + 1);
     jumpTable_[handler_id] = JumpEntry{std::move(name), std::move(fn)};
 }
 
@@ -311,7 +314,7 @@ ActiveSwitch::tryStage(const net::Arrival &arrival)
 {
     const net::Packet &pkt = arrival.pkt;
     const std::uint8_t hid = pkt.activeHdr.handlerId;
-    if (!jumpTable_[hid]) {
+    if (hid >= jumpTable_.size() || !jumpTable_[hid]) {
         ++dropped_;
         const std::uint64_t bit = 1ull << (hid & 63u);
         if (!(warnedHandlers_ & bit)) {

@@ -296,6 +296,8 @@ class ActiveSwitch : public net::Switch
         std::string name;
         HandlerFn fn;
     };
+    /** Indexed by handler id; sized by the first registration, so
+     * a switch that never runs a handler holds no table. */
     std::vector<std::optional<JumpEntry>> jumpTable_;
     std::map<std::uint8_t, HandlerProfile> profiles_;
 

@@ -42,6 +42,7 @@ class DataBufferPool
     explicit DataBufferPool(const DataBufferParams &params = {})
         : params_(params), buffers_(params.count)
     {
+        freeList_.reserve(params.count);
         for (unsigned i = 0; i < params.count; ++i)
             freeList_.push_back(params.count - 1 - i);
     }

@@ -22,7 +22,6 @@ Cache::Cache(const CacheParams &params)
     : params_(params),
       numLines_(lineCount(params)),
       numSets_(numLines_ / params.assoc),
-      ways_(numSets_ * params.assoc),
       shadow_(numLines_)
 {
     assert(numLines_ >= params_.assoc);
@@ -33,7 +32,7 @@ CacheAccess
 Cache::access(Addr addr, bool write)
 {
     const Addr line = lineAddr(addr);
-    const std::span<Line> set = setOf(line);
+    std::span<Line> set = setOf(line);
     ++useClock_;
 
     for (auto &way : set) {
@@ -60,6 +59,12 @@ Cache::access(Addr addr, bool write)
         }
     }
 
+    if (stride_ == 0) {
+        // First miss: the tag array is taken now, all ways invalid.
+        ways_.resize(numSets_ * params_.assoc);
+        stride_ = params_.assoc;
+        set = setOf(line);
+    }
     Line *victim = &set[0];
     for (auto &way : set) {
         if (!way.valid) {

@@ -117,16 +117,17 @@ class Cache
     Addr lineAddr(Addr a) const { return a / params_.lineSize; }
     std::size_t setIndex(Addr line) const { return line % numSets_; }
 
-    /** The ways of @p line's set in the flat tag array. */
+    /** The ways of @p line's set in the flat tag array (none before
+     * the first miss allocates it). */
     std::span<Line>
     setOf(Addr line)
     {
-        return {&ways_[setIndex(line) * params_.assoc], params_.assoc};
+        return {ways_.data() + setIndex(line) * stride_, stride_};
     }
     std::span<const Line>
     setOf(Addr line) const
     {
-        return {&ways_[setIndex(line) * params_.assoc], params_.assoc};
+        return {ways_.data() + setIndex(line) * stride_, stride_};
     }
 
     MissClass classify(Addr line);
@@ -134,8 +135,11 @@ class Cache
     CacheParams params_;
     std::uint64_t numLines_;
     std::size_t numSets_;
-    /** Set s holds ways [s * assoc, (s + 1) * assoc). */
+    /** Set s holds ways [s * stride_, (s + 1) * stride_). Empty, with
+     * stride_ 0, until the first miss: every set then reads as no
+     * ways, so lookups miss without a check on the hit path. */
     std::vector<Line> ways_;
+    unsigned stride_ = 0;
     std::uint64_t useClock_ = 0;
 
     // Miss classification state: every line ever missed on (cold)

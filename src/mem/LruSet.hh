@@ -1,17 +1,23 @@
 /**
  * @file
- * Fixed-capacity LRU set of 64-bit keys with flat, index-linked
- * storage: the TLB, and the fully-associative shadow a Cache
- * classifies its misses against.
+ * Bounded LRU set of 64-bit keys with flat, index-linked storage: the
+ * TLB, and the fully-associative shadow a Cache classifies its misses
+ * against.
  *
  * Entries live in a node array kept in recency order by a circular
- * doubly-linked list of 32-bit indices (node `capacity` is the list
- * sentinel). A key is found through a bucket table of chain heads,
- * with four buckets per entry so chains stay short; each node links
- * to the next node of its bucket. A full set evicts its least
- * recently used node and reuses it for the incoming key. Both arrays
- * are sized on the first touch: an LRU that is never used costs no
- * memory, and once taken its storage is never reallocated.
+ * doubly-linked list of 32-bit indices (node 0 is the list sentinel,
+ * entries are nodes 1..size). A key is found through a bucket table
+ * of chain heads, with four buckets per node slot so chains stay
+ * short; each node links to the next node of its bucket. A full set
+ * evicts its least recently used node and reuses it for the incoming
+ * key.
+ *
+ * Storage grows with the keys the set holds: nothing until the first
+ * touch, then room for 16 entries, doubling (and re-chaining every
+ * node into a bucket table four times the new size) until it reaches
+ * the capacity, after which it is never reallocated. Buckets only
+ * find keys; the recency list alone decides what is evicted, so how
+ * far the storage has grown never changes a result.
  */
 
 #ifndef SAN_MEM_LRU_SET_HH
@@ -43,15 +49,15 @@ class LruSet
     bool
     touch(std::uint64_t key)
     {
-        if (size_ != 0 && nodes_[nodes_[sentinel()].next].key == key)
+        if (size_ != 0 && nodes_[nodes_[sentinel].next].key == key)
             return true;
         if (buckets_.empty()) {
             if (capacity_ == 0)
                 return false;
-            allocate();
+            grow();
         }
-        std::uint32_t &head = buckets_[bucket(key)];
-        for (std::uint32_t n = head; n != npos; n = nodes_[n].chain) {
+        std::uint32_t *head = &buckets_[bucket(key)];
+        for (std::uint32_t n = *head; n != npos; n = nodes_[n].chain) {
             if (nodes_[n].key == key) {
                 unlink(n);
                 pushFront(n);
@@ -60,18 +66,22 @@ class LruSet
         }
         std::uint32_t n;
         if (size_ == capacity_) {
-            n = nodes_[sentinel()].prev;
+            n = nodes_[sentinel].prev;
             std::uint32_t *link = &buckets_[bucket(nodes_[n].key)];
             while (*link != n)
                 link = &nodes_[*link].chain;
             *link = nodes_[n].chain;
             unlink(n);
         } else {
-            n = static_cast<std::uint32_t>(size_++);
+            if (size_ + 1 == nodes_.size()) {
+                grow();
+                head = &buckets_[bucket(key)];
+            }
+            n = static_cast<std::uint32_t>(++size_);
         }
         nodes_[n].key = key;
-        nodes_[n].chain = head;
-        head = n;
+        nodes_[n].chain = *head;
+        *head = n;
         pushFront(n);
         return false;
     }
@@ -83,7 +93,7 @@ class LruSet
         if (buckets_.empty())
             return;
         std::fill(buckets_.begin(), buckets_.end(), npos);
-        nodes_[sentinel()].prev = nodes_[sentinel()].next = sentinel();
+        nodes_[sentinel].prev = nodes_[sentinel].next = sentinel;
         size_ = 0;
     }
 
@@ -91,6 +101,9 @@ class LruSet
 
   private:
     static constexpr std::uint32_t npos = ~std::uint32_t(0);
+    static constexpr std::uint32_t sentinel = 0;
+    /** Entries the first touch makes room for. */
+    static constexpr std::uint64_t firstSlots = 16;
 
     struct Node {
         std::uint64_t key = 0;
@@ -98,26 +111,31 @@ class LruSet
         std::uint32_t chain = npos;       //!< next node in the bucket
     };
 
-    std::uint32_t
-    sentinel() const
-    {
-        return static_cast<std::uint32_t>(capacity_);
-    }
-
     std::size_t
     bucket(std::uint64_t key) const
     {
         return (key * 0x9e3779b97f4a7c15ull) >> shift_;
     }
 
+    /** Double the node slots (up to capacity) and re-chain every
+     * entry into a bucket table sized for them. */
     void
-    allocate()
+    grow()
     {
-        const std::uint64_t buckets = std::bit_ceil(4 * capacity_);
+        // Called on the first touch and whenever every slot holds a
+        // key, so size_ is the slot count being outgrown.
+        const std::uint64_t slots =
+            std::min(capacity_, std::max(firstSlots, 2 * size_));
+        // A fresh sentinel links to itself: prev = next = 0.
+        nodes_.resize(slots + 1);
+        const std::uint64_t buckets = std::bit_ceil(4 * slots);
         buckets_.assign(buckets, npos);
         shift_ = 64 - std::countr_zero(buckets);
-        nodes_.resize(capacity_ + 1);
-        nodes_[sentinel()].prev = nodes_[sentinel()].next = sentinel();
+        for (std::uint32_t n = 1; n <= size_; ++n) {
+            std::uint32_t &head = buckets_[bucket(nodes_[n].key)];
+            nodes_[n].chain = head;
+            head = n;
+        }
     }
 
     void
@@ -130,16 +148,16 @@ class LruSet
     void
     pushFront(std::uint32_t n)
     {
-        const std::uint32_t first = nodes_[sentinel()].next;
-        nodes_[n].prev = sentinel();
+        const std::uint32_t first = nodes_[sentinel].next;
+        nodes_[n].prev = sentinel;
         nodes_[n].next = first;
         nodes_[first].prev = n;
-        nodes_[sentinel()].next = n;
+        nodes_[sentinel].next = n;
     }
 
     std::uint64_t capacity_;
     std::uint64_t size_ = 0;
-    std::vector<Node> nodes_;
+    std::vector<Node> nodes_; //!< sentinel + node slots
     std::vector<std::uint32_t> buckets_;
     unsigned shift_ = 63;
 };

@@ -46,8 +46,7 @@ class Rdram
   public:
     explicit Rdram(const RdramParams &params = {})
         : params_(params),
-          psPerByte_(sim::bytesPerSec(params.bandwidthBytesPerSec)),
-          openPage_(params.banks, ~std::uint64_t(0))
+          psPerByte_(sim::bytesPerSec(params.bandwidthBytesPerSec))
     {}
 
     /** Access @p bytes at @p addr starting no earlier than @p now. */
@@ -56,6 +55,8 @@ class Rdram
     {
         const std::uint64_t page = addr / params_.pageBytes;
         const unsigned bank = page % params_.banks;
+        if (openPage_.empty())
+            openPage_.assign(params_.banks, noPage);
         const bool hit = openPage_[bank] == page;
         openPage_[bank] = page;
         hit ? ++pageHits_ : ++pageMisses_;
@@ -75,8 +76,11 @@ class Rdram
     std::uint64_t bytesTransferred() const { return bytesTransferred_; }
 
   private:
+    static constexpr std::uint64_t noPage = ~std::uint64_t(0);
+
     RdramParams params_;
     sim::PsPerByte psPerByte_;
+    /** Open page per bank, taken on the first access. */
     std::vector<std::uint64_t> openPage_;
     sim::Tick channelFree_ = 0;
     std::uint64_t pageHits_ = 0, pageMisses_ = 0;

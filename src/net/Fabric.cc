@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
+#include <span>
 
 #include "obs/Telemetry.hh"
 
@@ -27,9 +27,10 @@ Fabric::addAdapter(const std::string &name)
 }
 
 Link &
-Fabric::newLink(const std::string &name)
+Fabric::newLink(std::string name)
 {
-    links_.push_back(std::make_unique<Link>(sim_, name, linkParams_));
+    links_.push_back(
+        std::make_unique<Link>(sim_, std::move(name), linkParams_));
     return *links_.back();
 }
 
@@ -167,73 +168,95 @@ void
 Fabric::computeRoutes(RouteSpread spread)
 {
     const std::size_t n = switches_.size();
+    const std::size_t n_ad = adapters_.size();
 
-    // Adapters grouped by home switch: each anchor's BFS serves the
-    // anchor's own NodeId plus every destination homed there.
-    std::vector<std::vector<std::size_t>> by_home(n);
-    for (std::size_t a = 0; a < adapters_.size(); ++a) {
+    // Every switch ends up with a route to every other node: size
+    // each table once, so filling it never rehashes.
+    for (const auto &sw : switches_)
+        sw->reserveRoutes(n + n_ad - 1);
+
+    // Adapters grouped by home switch, creation order kept within a
+    // home (a counting sort into one array): each anchor's BFS serves
+    // the anchor's own NodeId plus every destination homed there.
+    std::vector<std::size_t> home_begin(n + 1, 0);
+    for (std::size_t a = 0; a < n_ad; ++a) {
         const int home = adapterHome_[a].first;
         assert(home >= 0 && "adapter never connected");
-        by_home[static_cast<std::size_t>(home)].push_back(a);
+        ++home_begin[static_cast<std::size_t>(home) + 1];
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        home_begin[i + 1] += home_begin[i];
+    std::vector<std::size_t> homed(n_ad);
+    {
+        std::vector<std::size_t> next(home_begin.begin(),
+                                      home_begin.end() - 1);
+        for (std::size_t a = 0; a < n_ad; ++a)
+            homed[next[static_cast<std::size_t>(
+                adapterHome_[a].first)]++] = a;
     }
 
     // For each "anchor" switch t: BFS distances over the switch
-    // graph, then, per switch, the ascending list of output ports
+    // graph, then, per switch i, the ascending list of output ports
     // whose neighbour is one hop closer to t — every equal-cost
-    // shortest-path candidate, in deterministic port order.
+    // shortest-path candidate, in deterministic port order — stored
+    // as cand[cand_begin[i] .. cand_begin[i + 1]). The BFS queue and
+    // the candidate lists are reused across anchors.
     std::vector<int> dist(n);
-    std::vector<std::vector<unsigned>> cand(n);
+    std::vector<std::size_t> bfs(n);
+    std::vector<unsigned> cand;
+    std::vector<std::size_t> cand_begin(n + 1);
     auto towards = [&](std::size_t t) {
         std::fill(dist.begin(), dist.end(), -1);
-        std::queue<std::size_t> bfs;
         dist[t] = 0;
-        bfs.push(t);
-        while (!bfs.empty()) {
-            const std::size_t cur = bfs.front();
-            bfs.pop();
+        bfs[0] = t;
+        for (std::size_t head = 0, tail = 1; head < tail; ++head) {
+            const std::size_t cur = bfs[head];
             for (const auto &[nbr, nbr_port] : switchAdj_[cur]) {
                 (void)nbr_port;
                 if (nbr < 0 || dist[nbr] >= 0)
                     continue;
                 dist[nbr] = dist[cur] + 1;
-                bfs.push(static_cast<std::size_t>(nbr));
+                bfs[tail++] = static_cast<std::size_t>(nbr);
             }
         }
+        cand.clear();
         for (std::size_t i = 0; i < n; ++i) {
-            cand[i].clear();
+            cand_begin[i] = cand.size();
             if (i == t || dist[i] < 0)
                 continue;
             for (unsigned p = 0; p < switchAdj_[i].size(); ++p) {
                 const int nbr = switchAdj_[i][p].first;
                 if (nbr >= 0 && dist[nbr] == dist[i] - 1)
-                    cand[i].push_back(p);
+                    cand.push_back(p);
             }
         }
+        cand_begin[n] = cand.size();
     };
 
     // The tie-break: lowest candidate port, or (DestinationMod)
     // dst mod #candidates into the ascending list — a pure function
     // of (switch, destination), so recomputation is idempotent.
-    const auto pick = [spread](const std::vector<unsigned> &c,
-                               NodeId dst) {
+    const auto pick = [&](std::size_t i, NodeId dst) {
+        const std::size_t first = cand_begin[i];
         return spread == RouteSpread::LowestPort
-                   ? c.front()
-                   : c[dst % c.size()];
+                   ? cand[first]
+                   : cand[first + dst % (cand_begin[i + 1] - first)];
     };
 
     for (std::size_t t = 0; t < n; ++t) {
         towards(t);
+        const std::span<const std::size_t> here(
+            homed.data() + home_begin[t], home_begin[t + 1] - home_begin[t]);
         for (std::size_t i = 0; i < n; ++i) {
-            if (i == t || cand[i].empty())
+            if (cand_begin[i] == cand_begin[i + 1])
                 continue;
             switches_[i]->setRoute(switches_[t]->id(),
-                                   pick(cand[i], switches_[t]->id()));
-            for (const std::size_t a : by_home[t])
-                switches_[i]->setRoute(
-                    adapters_[a]->id(),
-                    pick(cand[i], adapters_[a]->id()));
+                                   pick(i, switches_[t]->id()));
+            for (const std::size_t a : here)
+                switches_[i]->setRoute(adapters_[a]->id(),
+                                       pick(i, adapters_[a]->id()));
         }
-        for (const std::size_t a : by_home[t])
+        for (const std::size_t a : here)
             switches_[t]->setRoute(adapters_[a]->id(),
                                    adapterHome_[a].second);
     }

@@ -164,7 +164,7 @@ class Fabric
 
   private:
     std::size_t switchIndex(const Switch &sw) const;
-    Link &newLink(const std::string &name);
+    Link &newLink(std::string name);
 
     sim::Simulation &sim_;
     LinkParams linkParams_;

@@ -14,13 +14,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
 #include "fault/FaultPlan.hh"
 #include "net/Packet.hh"
 #include "obs/Metrics.hh"
+#include "sim/RingQueue.hh"
 #include "sim/Simulation.hh"
 #include "sim/Types.hh"
 
@@ -103,8 +103,16 @@ class Link
     {
         if (pkt.telemetry)
             pkt.telemetry->noteTxEnqueue(sim_.now());
-        queue_.push_back(std::move(pkt));
-        pump();
+        if (queue_.empty() && credits_ > 0) {
+            // Nothing waits ahead of it and a credit is free: onto
+            // the wire now, and the queue is never touched.
+            transmit(std::move(pkt));
+            return;
+        }
+        // Every credit that comes back pumps the queue, so packets
+        // only ever wait here while the link is out of credits.
+        assert(credits_ == 0 && "a free credit left packets queued");
+        queue_.push(std::move(pkt));
     }
 
     /**
@@ -206,77 +214,81 @@ class Link
     void
     pump()
     {
-        while (!queue_.empty() && credits_ > 0) {
-            const sim::Tick now = sim_.now();
-            const sim::Tick start = std::max(now, wireFree_);
-            Packet pkt = std::move(queue_.front());
-            queue_.pop_front();
-            --credits_;
-            const sim::Tick ser = serialization(pkt);
-            wireFree_ = start + ser;
-            ++packets_;
-            bytes_ += pkt.wireBytes();
-            busyTicks_ += ser;
-            // Fault checks and trace instants happen at the actual
-            // transmission tick `start`, not the enqueue tick: under
-            // wire backlog the two differ, and a one-shot
-            // --fault-at TICK fault must hit the packet that is on
-            // the wire at TICK (with timestamps to match).
-            if (plan_ != nullptr && bitErrorHits(pkt, start)) {
-                // Flip Packet::corrupt instead of any header field:
-                // routing stays deterministic (cut-through forwards
-                // the header before any CRC could run) and the
-                // consuming endpoint's checksum verification fails.
-                pkt.corrupt = true;
-                ++corrupted_;
-                if (auto *tr = sim_.tracer())
-                    tr->instant(name_, "bit-error", start);
-            }
-            const sim::Tick first = start + params_.propagation;
-            const sim::Tick end = first + ser;
+        while (!queue_.empty() && credits_ > 0)
+            transmit(queue_.pop());
+    }
+
+    /** Put @p pkt on the wire, spending one credit. */
+    void
+    transmit(Packet &&pkt)
+    {
+        const sim::Tick now = sim_.now();
+        const sim::Tick start = std::max(now, wireFree_);
+        --credits_;
+        const sim::Tick ser = serialization(pkt);
+        wireFree_ = start + ser;
+        ++packets_;
+        bytes_ += pkt.wireBytes();
+        busyTicks_ += ser;
+        // Fault checks and trace instants happen at the actual
+        // transmission tick `start`, not the enqueue tick: under
+        // wire backlog the two differ, and a one-shot
+        // --fault-at TICK fault must hit the packet that is on
+        // the wire at TICK (with timestamps to match).
+        if (plan_ != nullptr && bitErrorHits(pkt, start)) {
+            // Flip Packet::corrupt instead of any header field:
+            // routing stays deterministic (cut-through forwards
+            // the header before any CRC could run) and the
+            // consuming endpoint's checksum verification fails.
+            pkt.corrupt = true;
+            ++corrupted_;
             if (auto *tr = sim_.tracer())
-                tr->span(name_, "packet", start, end);
-            if (pkt.telemetry) {
-                // Queue + credit-stall wait ends at the transmission
-                // tick; the stamp lands at `start` for the same
-                // reason the fault checks above do.
-                pkt.telemetry->noteTxStart(start);
-                if (auto *tr = sim_.tracer()) {
-                    // The flow point sits inside this link's
-                    // "packet" span, which anchors the arrow chain.
-                    if (!pkt.telemetry->flowTraced) {
-                        pkt.telemetry->flowTraced = true;
-                        tr->flowBegin(name_, "lineage",
-                                      pkt.telemetry->uid, start);
-                    } else {
-                        tr->flowStep(name_, "lineage",
-                                     pkt.telemetry->uid, start);
-                    }
+                tr->instant(name_, "bit-error", start);
+        }
+        const sim::Tick first = start + params_.propagation;
+        const sim::Tick end = first + ser;
+        if (auto *tr = sim_.tracer())
+            tr->span(name_, "packet", start, end);
+        if (pkt.telemetry) {
+            // Queue + credit-stall wait ends at the transmission
+            // tick; the stamp lands at `start` for the same
+            // reason the fault checks above do.
+            pkt.telemetry->noteTxStart(start);
+            if (auto *tr = sim_.tracer()) {
+                // The flow point sits inside this link's
+                // "packet" span, which anchors the arrow chain.
+                if (!pkt.telemetry->flowTraced) {
+                    pkt.telemetry->flowTraced = true;
+                    tr->flowBegin(name_, "lineage",
+                                  pkt.telemetry->uid, start);
+                } else {
+                    tr->flowStep(name_, "lineage",
+                                 pkt.telemetry->uid, start);
                 }
             }
-            // Virtual cut-through: the receiver sees the packet as
-            // soon as the header is in, and may begin routing or
-            // processing while the payload is still streaming.
-            // Arrival.start/.end describe the payload timing.
-            const sim::Tick header_in =
-                first + sim::transferTime(headerBytes, psPerByte_);
-            if (cross_) {
-                // Boundary link: the delivery executes on the
-                // receiver's shard. header_in >= start + propagation
-                // >= now + lookahead, so the stamp is always safe to
-                // hand over at the next barrier.
-                sim_.crossSchedule(
-                    dstShard_, header_in,
-                    [this, p = std::move(pkt), first, end]() mutable {
-                        sink_(Arrival{std::move(p), first, end});
-                    });
-            } else {
-                sim_.events().schedule(
-                    header_in,
-                    [this, p = std::move(pkt), first, end]() mutable {
-                        sink_(Arrival{std::move(p), first, end});
-                    });
-            }
+        }
+        // Virtual cut-through: the receiver sees the packet as
+        // soon as the header is in, and may begin routing or
+        // processing while the payload is still streaming.
+        // Arrival.start/.end describe the payload timing.
+        const sim::Tick header_in =
+            first + sim::transferTime(headerBytes, psPerByte_);
+        if (cross_) {
+            // Boundary link: the delivery executes on the
+            // receiver's shard. header_in >= start + propagation
+            // >= now + lookahead, so the stamp is always safe to
+            // hand over at the next barrier.
+            sim_.crossSchedule(
+                dstShard_, header_in,
+                [this, p = std::move(pkt), first, end]() mutable {
+                    sink_(Arrival{std::move(p), first, end});
+                });
+        } else {
+            sim_.events().schedule(
+                header_in,
+                [this, p = std::move(pkt), first, end]() mutable {
+                    sink_(Arrival{std::move(p), first, end});
+                });
         }
     }
 
@@ -322,7 +334,7 @@ class Link
     sim::PsPerByte psPerByte_;
     Sink sink_;
     std::function<void()> creditObserver_; //!< sender-side wakeup
-    std::deque<Packet> queue_;
+    sim::RingQueue<Packet> queue_; //!< storage on first backlog
     unsigned credits_;
     sim::Tick wireFree_ = 0;
     std::uint64_t packets_ = 0;

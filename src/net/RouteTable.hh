@@ -16,6 +16,7 @@
 #ifndef SAN_NET_ROUTE_TABLE_HH
 #define SAN_NET_ROUTE_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -51,6 +52,20 @@ class RouteTable
             ++used_;
         }
         s.port = port;
+    }
+
+    /**
+     * Size the table for @p entries destinations at once, so filling
+     * it never rehashes. Keeps every installed route.
+     */
+    void
+    reserve(std::size_t entries)
+    {
+        std::size_t capacity = std::max(slots_.size(), kMinCapacity);
+        while (entries * 4 > capacity * 3)
+            capacity *= 2;
+        if (capacity != slots_.size())
+            rehash(capacity);
     }
 
     /** The port routed toward @p dst, or nullptr when absent. */

@@ -71,6 +71,13 @@ class Switch
      */
     void setRoute(NodeId dst, unsigned port);
 
+    /** Size the routing table for @p destinations routes at once. */
+    void
+    reserveRoutes(std::size_t destinations)
+    {
+        routes_.reserve(destinations);
+    }
+
     /** Look up the output port for @p dst (asserts it exists). */
     unsigned route(NodeId dst) const;
     bool hasRoute(NodeId dst) const;

@@ -91,8 +91,7 @@ parsePolicySpec(std::string_view spec)
 // ---------------------------------------------------------------------
 
 QueueingPolicy::QueueingPolicy(Switch &sw)
-    : sw_(sw), fwdFrom_(sw.params().ports + 1, 0),
-      fwdBytesFrom_(sw.params().ports + 1, 0)
+    : sw_(sw), fwdFrom_(sw.params().ports + 1)
 {}
 
 unsigned
@@ -129,8 +128,8 @@ QueueingPolicy::forward(unsigned in_port, unsigned out_port, Packet &&pkt)
     Link *out = sw_.outLink(out_port);
     assert(out != nullptr && "routing to unwired port");
     ++counters_.forwarded;
-    fwdFrom_[in_port] += 1;
-    fwdBytesFrom_[in_port] += pkt.wireBytes();
+    fwdFrom_[in_port].cells += 1;
+    fwdFrom_[in_port].bytes += pkt.wireBytes();
     if (pkt.telemetry) {
         // The single egress choke point for every policy: the hop
         // closes here. Passthrough ingress never stamped an
@@ -185,13 +184,13 @@ QueueingPolicy::portAttached(unsigned port)
 std::uint64_t
 QueueingPolicy::forwardedFrom(unsigned in_port) const
 {
-    return fwdFrom_.at(in_port);
+    return fwdFrom_.at(in_port).cells;
 }
 
 std::uint64_t
 QueueingPolicy::forwardedBytesFrom(unsigned in_port) const
 {
-    return fwdBytesFrom_.at(in_port);
+    return fwdFrom_.at(in_port).bytes;
 }
 
 void
@@ -220,13 +219,38 @@ namespace {
 // ---------------------------------------------------------------------
 
 /**
- * Unbounded: a pure passthrough onto the output link, byte-identical
- * to the pre-policy switch (the link's internal queue *is* the
- * paper's idealized central output queue). Bounded: per-output FIFOs
- * drawing from one shared cell pool; when the pool is full, arriving
- * cells stay in per-input staging with their credit withheld, so one
- * hot output starves every input behind it — classic HOL blocking,
- * kept on purpose as the baseline the other policies beat.
+ * Unbounded shared memory: a pure passthrough onto the output link,
+ * byte-identical to the pre-policy switch (the link's internal queue
+ * *is* the paper's idealized central output queue). It holds no
+ * cells, so it owns no queues: the default switch pays nothing for
+ * the policy layer beyond its forward counters.
+ */
+class CentralPassthroughPolicy final : public QueueingPolicy
+{
+  public:
+    explicit CentralPassthroughPolicy(Switch &sw) : QueueingPolicy(sw) {}
+
+    const char *name() const override { return "central"; }
+
+    bool isPassthrough() const override { return true; }
+
+    void
+    ingress(unsigned in, unsigned out, Arrival &&arrival) override
+    {
+        // Legacy order exactly: credit first, then forward.
+        creditReturn(in);
+        forward(in, out, std::move(arrival.pkt));
+    }
+
+    std::size_t occupancy() const override { return 0; }
+};
+
+/**
+ * Bounded shared memory: per-output FIFOs drawing from one shared
+ * cell pool; when the pool is full, arriving cells stay in per-input
+ * staging with their credit withheld, so one hot output starves every
+ * input behind it — classic HOL blocking, kept on purpose as the
+ * baseline the other policies beat.
  */
 class CentralOutputPolicy final : public QueueingPolicy
 {
@@ -236,27 +260,15 @@ class CentralOutputPolicy final : public QueueingPolicy
           fifo_(portCount()), staged_(inputCount()),
           busy_(portCount(), false)
     {
-        if (cap_ != 0)
-            observeOutputCredits([this] { onCredit(); });
+        assert(cap_ != 0 && "unbounded central memory is the passthrough");
+        observeOutputCredits([this] { onCredit(); });
     }
 
-    const char *
-    name() const override
-    {
-        return cap_ == 0 ? "central" : "central-bounded";
-    }
-
-    bool isPassthrough() const override { return cap_ == 0; }
+    const char *name() const override { return "central-bounded"; }
 
     void
     ingress(unsigned in, unsigned out, Arrival &&arrival) override
     {
-        if (cap_ == 0) {
-            // Legacy order exactly: credit first, then forward.
-            creditReturn(in);
-            forward(in, out, std::move(arrival.pkt));
-            return;
-        }
         // A cell may only bypass staging when its input has nothing
         // staged: admitting around staged cells would reorder the
         // input's wire stream (and with it some flow).
@@ -346,7 +358,7 @@ class CentralOutputPolicy final : public QueueingPolicy
             serve(out);
     }
 
-    const unsigned cap_; //!< 0 = unbounded passthrough
+    const unsigned cap_; //!< shared-memory cells
     std::vector<std::deque<Cell>> fifo_;   //!< per output
     std::vector<std::deque<Cell>> staged_; //!< per input, credit held
     std::vector<char> busy_;               //!< per-output server busy
@@ -873,6 +885,8 @@ makeQueueingPolicy(Switch &sw, const SwitchPolicyConfig &cfg)
     case SwitchPolicyKind::CentralOutput:
         break;
     }
+    if (cfg.sharedCapacityCells == 0)
+        return std::make_unique<CentralPassthroughPolicy>(sw);
     return std::make_unique<CentralOutputPolicy>(sw, cfg);
 }
 

@@ -11,8 +11,8 @@
  * on net::Switch — the transit-path analogue of the event kernel's
  * BasicEventQueue<Scheduler> policy template — with three policies:
  *
- *  - CentralOutputPolicy (default): the paper's central output queue.
- *    With an unbounded shared memory it is a pure passthrough that
+ *  - The paper's central output queue (default). With an unbounded
+ *    shared memory it is a pure passthrough that holds no queues and
  *    reproduces the pre-policy switch byte-for-byte (same events in
  *    the same order, so run fingerprints are unchanged). With a
  *    finite `sharedCapacityCells` it models the real Switch-3: cells
@@ -262,9 +262,12 @@ class QueueingPolicy
     SwitchPolicyCounters counters_;
 
   private:
-    std::vector<std::uint64_t> fwdFrom_;      //!< per-input cells
-    std::vector<std::uint64_t> fwdBytesFrom_; //!< per-input wire bytes
-    std::function<void()> creditObserver_;    //!< set on output links
+    struct Forwarded {
+        std::uint64_t cells = 0;
+        std::uint64_t bytes = 0; //!< wire bytes
+    };
+    std::vector<Forwarded> fwdFrom_;       //!< per input
+    std::function<void()> creditObserver_; //!< set on output links
 };
 
 /** Build the policy object @p cfg describes, bound to @p sw. */

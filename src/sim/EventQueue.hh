@@ -310,18 +310,14 @@ class LadderScheduler
             return m;
         if (ringCount_ > 0) {
             // First nonempty bucket in window order holds the global
-            // minimum (spill events are all >= windowLimit_). O(ring)
-            // scan, but only on the cold drained-span path.
-            for (std::size_t i = 1; i < bucketCount; ++i) {
-                const auto &b =
-                    buckets_[(curIdx_ + i) & (bucketCount - 1)];
-                if (b.empty())
-                    continue;
-                Tick min = maxTick;
-                for (const EventRef &e : b)
-                    min = e.when < min ? e.when : min;
-                return min;
-            }
+            // minimum (spill events are all >= windowLimit_); the
+            // occupancy mask finds it without probing empty buckets.
+            const auto &b =
+                buckets_[(curIdx_ + nextBucket()) & (bucketCount - 1)];
+            Tick min = maxTick;
+            for (const EventRef &e : b)
+                min = e.when < min ? e.when : min;
+            return min;
         }
         return spill_.empty() ? maxTick : spill_.front().when;
     }
@@ -362,6 +358,7 @@ class LadderScheduler
                 fn(e);
             b.clear();
         }
+        occupied_ = {};
         for (const EventRef &e : spill_)
             fn(e);
         spill_.clear();
@@ -400,7 +397,9 @@ class LadderScheduler
             const std::size_t dist =
                 static_cast<std::size_t>((e.when - curSpanStart_) >>
                                          shift_);
-            buckets_[(curIdx_ + dist) & (bucketCount - 1)].push_back(e);
+            const std::size_t idx = (curIdx_ + dist) & (bucketCount - 1);
+            buckets_[idx].push_back(e);
+            occupied_[idx / 64] |= std::uint64_t(1) << (idx % 64);
             ++ringCount_;
             ++stats_.bucketPushes;
         } else {
@@ -465,6 +464,7 @@ class LadderScheduler
                 pending.insert(pending.end(), b.begin(), b.end());
                 b.clear();
             }
+            occupied_ = {};
             ringCount_ = 0;
         }
         curIdx_ = 0;
@@ -514,6 +514,35 @@ class LadderScheduler
     }
 
     /**
+     * Distance, in buckets, from the draining slot to the next
+     * nonempty one in window order (1 .. bucketCount - 1), or
+     * bucketCount when the ring is empty. Reads the occupancy mask a
+     * word at a time, starting just past curIdx_ and wrapping. The
+     * draining slot's own bucket is always empty (its events went to
+     * the drain tier), so the wrap never returns distance 0.
+     */
+    std::size_t
+    nextBucket() const
+    {
+        const std::size_t from = (curIdx_ + 1) & (bucketCount - 1);
+        const std::size_t word = from / 64;
+        const std::uint64_t above = ~std::uint64_t(0) << (from % 64);
+        for (std::size_t k = 0; k <= occupiedWords; ++k) {
+            const std::size_t w = (word + k) % occupiedWords;
+            std::uint64_t bits = occupied_[w];
+            if (k == 0)
+                bits &= above;
+            else if (k == occupiedWords)
+                bits &= ~above;
+            if (bits != 0) {
+                const std::size_t idx = w * 64 + std::countr_zero(bits);
+                return (idx - curIdx_) & (bucketCount - 1);
+            }
+        }
+        return bucketCount;
+    }
+
+    /**
      * The drain tier ran dry but events remain: slide (or jump) the
      * window forward until the next event is in the drain tier.
      */
@@ -558,22 +587,20 @@ class LadderScheduler
                 }
             }
         }
-        // Jump straight to the next nonempty bucket: the scan is a
-        // tight empty() loop over the 6 KB ring header array, and the
-        // span arithmetic is done once for the whole jump instead of
-        // per slid-over bucket. Equivalent to sliding one bucket at a
-        // time: a ring event never sits more than bucketCount - 1
-        // slots out (place() spills anything past windowLimit_), and
-        // batching the refill files every spill event into the same
-        // bucket it would have reached incrementally — (curIdx_ +
-        // dist) advances in lockstep with curSpanStart_, and refilled
-        // events all land strictly behind the adopted bucket (their
-        // ticks are >= the pre-jump windowLimit_).
-        std::size_t d = 1;
-        while (d < bucketCount &&
-               buckets_[(curIdx_ + d) & (bucketCount - 1)].empty())
-            ++d;
-        assert(d < bucketCount && "ringCount_ out of sync with ring");
+        // Jump straight to the next nonempty bucket, found in the
+        // occupancy mask, with the span arithmetic done once for the
+        // whole jump instead of per slid-over bucket. Equivalent to
+        // sliding one bucket at a time: a ring event never sits more
+        // than bucketCount - 1 slots out (place() spills anything past
+        // windowLimit_), and batching the refill files every spill
+        // event into the same bucket it would have reached
+        // incrementally — (curIdx_ + dist) advances in lockstep with
+        // curSpanStart_, and refilled events all land strictly behind
+        // the adopted bucket (their ticks are >= the pre-jump
+        // windowLimit_).
+        const std::size_t d = nextBucket();
+        assert(d > 0 && d < bucketCount &&
+               "ringCount_ out of sync with ring");
         const Tick step = Tick(d) << shift_;
         curIdx_ = (curIdx_ + d) & (bucketCount - 1);
         curSpanStart_ = satAdd(curSpanStart_, step);
@@ -588,6 +615,7 @@ class LadderScheduler
         auto &bucket = buckets_[curIdx_];
         ++stats_.adoptions;
         ringCount_ -= bucket.size();
+        occupied_[curIdx_ / 64] &= ~(std::uint64_t(1) << (curIdx_ % 64));
         run_.swap(bucket);
         std::sort(run_.begin(), run_.end(),
                   [](const EventRef &a, const EventRef &b) {
@@ -598,6 +626,10 @@ class LadderScheduler
     std::vector<EventRef> run_;  //!< adopted bucket, sorted descending
     std::vector<EventRef> side_; //!< heap: mid-step same-span events
     std::array<std::vector<EventRef>, bucketCount> buckets_;
+    /** One bit per ring bucket, set while the bucket holds events. */
+    static constexpr std::size_t occupiedWords = bucketCount / 64;
+    static_assert(bucketCount % 64 == 0);
+    std::array<std::uint64_t, occupiedWords> occupied_{};
     std::vector<EventRef> spill_;
 
     unsigned shift_ = 16;     //!< initial width 65536 ps (~65 ns)

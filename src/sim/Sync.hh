@@ -20,6 +20,7 @@
 #include <optional>
 #include <utility>
 
+#include "sim/RingQueue.hh"
 #include "sim/Simulation.hh"
 
 namespace san::sim {
@@ -43,7 +44,7 @@ class Channel
     void
     push(T value)
     {
-        items_.push_back(std::move(value));
+        items_.push(std::move(value));
         wakeOne();
     }
 
@@ -57,9 +58,7 @@ class Channel
     {
         if (items_.empty())
             return std::nullopt;
-        T v = std::move(items_.front());
-        items_.pop_front();
-        return v;
+        return items_.pop();
     }
 
     struct PopAwaiter {
@@ -72,8 +71,7 @@ class Channel
             // Only claim a value directly if no earlier popper is
             // queued, preserving FIFO service.
             if (ch.waiters_.empty() && !ch.items_.empty()) {
-                value = std::move(ch.items_.front());
-                ch.items_.pop_front();
+                value = ch.items_.pop();
                 return true;
             }
             return false;
@@ -82,7 +80,7 @@ class Channel
         void
         await_suspend(std::coroutine_handle<> h)
         {
-            ch.waiters_.push_back(Waiter{h, this});
+            ch.waiters_.push(Waiter{h, this});
         }
 
         T
@@ -107,16 +105,15 @@ class Channel
     {
         if (waiters_.empty() || items_.empty())
             return;
-        Waiter w = waiters_.front();
-        waiters_.pop_front();
-        w.awaiter->value = std::move(items_.front());
-        items_.pop_front();
+        const Waiter w = waiters_.pop();
+        w.awaiter->value = items_.pop();
         sim_.events().postNow(detail::Resume{w.handle});
     }
 
     Simulation &sim_;
-    std::deque<T> items_;
-    std::deque<Waiter> waiters_;
+    // No storage until the first value or popper has to wait.
+    RingQueue<T> items_;
+    RingQueue<Waiter> waiters_;
 };
 
 /**

@@ -381,11 +381,63 @@ streamName(Stream s)
     return "?";
 }
 
+/** Accesses per differential run. */
+constexpr int oracleAccesses = 40000;
+
+/**
+ * Drive Cache and RefCache with one seeded stream over @p ws bytes,
+ * invalidating both at access @p reset_at, and require every access
+ * result, every counter and a probe of the final contents to agree.
+ */
+void
+cacheMatchesReference(const CacheParams &p, Stream s, std::uint64_t ws,
+                      std::uint64_t seed, int reset_at)
+{
+    Cache model(p);
+    RefCache ref(p);
+    StreamGen gen(s, ws, p.lineSize, seed);
+    Random writes(ws + p.lineSize);
+    for (int i = 0; i < oracleAccesses; ++i) {
+        if (i == reset_at) {
+            model.invalidateAll();
+            ref.invalidateAll();
+        }
+        const Addr a = gen.next();
+        const bool w = writes.chance(0.3);
+        const CacheAccess got = model.access(a, w);
+        const CacheAccess want = ref.access(a, w);
+        if (got.hit != want.hit || got.missClass != want.missClass ||
+            got.writeback != want.writeback) {
+            ADD_FAILURE() << "access " << i << " addr " << a << ": hit "
+                          << got.hit << "/" << want.hit << " class "
+                          << int(got.missClass) << "/"
+                          << int(want.missClass) << " wb "
+                          << got.writeback << "/" << want.writeback;
+            return;
+        }
+    }
+    EXPECT_EQ(model.hits(), ref.hits_);
+    EXPECT_EQ(model.misses(), ref.misses_);
+    EXPECT_EQ(model.coldMisses(), ref.cold_);
+    EXPECT_EQ(model.capacityMisses(), ref.capacity_);
+    EXPECT_EQ(model.conflictMisses(), ref.conflict_);
+    EXPECT_EQ(model.writebacks(), ref.writebacks_);
+    StreamGen probe(s, ws, p.lineSize, ws + 17);
+    for (int i = 0; i < 1000; ++i) {
+        const Addr a = probe.next();
+        ASSERT_EQ(model.contains(a), ref.contains(a)) << "addr " << a;
+    }
+}
+
 /**
  * Differential oracle: drive Cache and RefCache with the same seeded
  * streams and require every access result and every counter to agree.
  * Each (working set, stream) run invalidates the cache halfway, so
- * refills after a reset are compared too.
+ * refills after a reset are compared too. The growth runs then cover
+ * the model's storage, which grows with the lines it has seen: 10,
+ * 1,000 and 5,000 distinct lines (below, across and past the
+ * shadow's growth steps for the larger geometries) and a 16 KB set,
+ * each invalidated once about half its lines have been seen.
  */
 class CacheOracle
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned,
@@ -398,105 +450,109 @@ TEST_P(CacheOracle, MatchesReferenceAccessForAccess)
     const std::uint64_t workingSets[] = {4 * 1024, 64 * 1024,
                                          1024 * 1024,
                                          64ull * 1024 * 1024};
-    const int n = 40000;
+    const std::uint64_t growthSets[] = {10ull * line, 16 * 1024,
+                                        1000ull * line, 5000ull * line};
     for (bool classify : {true, false}) {
+        const CacheParams p = tiny(size, assoc, line, classify);
+        const std::string how = classify ? " classified" : " unclassified";
         for (std::uint64_t ws : workingSets) {
             for (Stream s :
                  {Stream::Random, Stream::Strided, Stream::Mixed}) {
                 SCOPED_TRACE(std::to_string(ws) + " B " + streamName(s) +
-                             (classify ? " classified" : " unclassified"));
-                const CacheParams p = tiny(size, assoc, line, classify);
-                Cache model(p);
-                RefCache ref(p);
-                StreamGen gen(s, ws, line, ws * 131 + size + assoc);
-                Random writes(ws + line);
-                for (int i = 0; i < n; ++i) {
-                    if (i == n / 2) {
-                        model.invalidateAll();
-                        ref.invalidateAll();
-                    }
-                    const Addr a = gen.next();
-                    const bool w = writes.chance(0.3);
-                    const CacheAccess got = model.access(a, w);
-                    const CacheAccess want = ref.access(a, w);
-                    if (got.hit != want.hit ||
-                        got.missClass != want.missClass ||
-                        got.writeback != want.writeback) {
-                        ADD_FAILURE() << "access " << i << " addr " << a
-                                      << ": hit " << got.hit << "/"
-                                      << want.hit << " class "
-                                      << int(got.missClass) << "/"
-                                      << int(want.missClass) << " wb "
-                                      << got.writeback << "/"
-                                      << want.writeback;
-                        return;
-                    }
-                }
-                EXPECT_EQ(model.hits(), ref.hits_);
-                EXPECT_EQ(model.misses(), ref.misses_);
-                EXPECT_EQ(model.coldMisses(), ref.cold_);
-                EXPECT_EQ(model.capacityMisses(), ref.capacity_);
-                EXPECT_EQ(model.conflictMisses(), ref.conflict_);
-                EXPECT_EQ(model.writebacks(), ref.writebacks_);
-                StreamGen probe(s, ws, line, ws + 17);
-                for (int i = 0; i < 1000; ++i) {
-                    const Addr a = probe.next();
-                    ASSERT_EQ(model.contains(a), ref.contains(a))
-                        << "addr " << a;
-                }
+                             how);
+                cacheMatchesReference(p, s, ws, ws * 131 + size + assoc,
+                                      oracleAccesses / 2);
+            }
+        }
+        for (std::uint64_t ws : growthSets) {
+            const std::uint64_t lines = ws / line;
+            for (Stream s :
+                 {Stream::Random, Stream::Strided, Stream::Mixed}) {
+                SCOPED_TRACE(std::to_string(lines) + " lines " +
+                             streamName(s) + how);
+                cacheMatchesReference(p, s, ws, lines * 7 + size + assoc,
+                                      static_cast<int>(lines / 2));
             }
         }
     }
 }
 
 // The switch D$, the scaled host L1D and L2, a highly associative and
-// a direct-mapped geometry.
+// a direct-mapped geometry, and the full-size host L2.
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheOracle,
     ::testing::Values(std::tuple{1024u, 2u, 32u},
                       std::tuple{8192u, 2u, 128u},
                       std::tuple{65536u, 2u, 128u},
                       std::tuple{512u, 8u, 64u},
-                      std::tuple{4096u, 1u, 64u}));
+                      std::tuple{4096u, 1u, 64u},
+                      std::tuple{524288u, 2u, 128u}));
 
+/**
+ * Drive Tlb and RefTlb with one seeded stream over @p ws bytes,
+ * flushing both at access @p reset_at; every result and both
+ * counters must agree.
+ */
+void
+tlbMatchesReference(unsigned entries, Stream s, std::uint64_t ws,
+                    std::uint64_t seed, int reset_at)
+{
+    const unsigned page = 4096;
+    Tlb model(entries, page);
+    RefTlb ref(entries, page);
+    StreamGen gen(s, ws, page / 8, seed);
+    for (int i = 0; i < oracleAccesses; ++i) {
+        if (i == reset_at) {
+            model.flush();
+            ref.flush();
+        }
+        const Addr a = gen.next();
+        const bool got = model.access(a);
+        const bool want = ref.access(a);
+        if (got != want) {
+            ADD_FAILURE() << "access " << i << " addr " << a << ": hit "
+                          << got << "/" << want;
+            return;
+        }
+    }
+    EXPECT_EQ(model.hits(), ref.hits_);
+    EXPECT_EQ(model.misses(), ref.misses_);
+}
+
+/**
+ * The TLB oracle: the working-set runs flush halfway; the growth runs
+ * touch exactly 10, 1,000 and 5,000 distinct pages and flush once
+ * about half of them have been seen, so a large TLB is flushed while
+ * its storage is still growing and then refilled past its capacity.
+ */
 class TlbOracle : public ::testing::TestWithParam<unsigned>
 {};
 
 TEST_P(TlbOracle, MatchesReferenceAccessForAccess)
 {
     const unsigned entries = GetParam();
-    const unsigned page = 4096;
+    const std::uint64_t page = 4096;
     const std::uint64_t workingSets[] = {16 * 1024, 1024 * 1024,
                                          64ull * 1024 * 1024};
-    const int n = 40000;
     for (std::uint64_t ws : workingSets) {
         for (Stream s : {Stream::Random, Stream::Strided, Stream::Mixed}) {
             SCOPED_TRACE(std::to_string(ws) + " B " + streamName(s));
-            Tlb model(entries, page);
-            RefTlb ref(entries, page);
-            StreamGen gen(s, ws, page / 8, ws + entries);
-            for (int i = 0; i < n; ++i) {
-                if (i == n / 2) {
-                    model.flush();
-                    ref.flush();
-                }
-                const Addr a = gen.next();
-                const bool got = model.access(a);
-                const bool want = ref.access(a);
-                if (got != want) {
-                    ADD_FAILURE() << "access " << i << " addr " << a
-                                  << ": hit " << got << "/" << want;
-                    return;
-                }
-            }
-            EXPECT_EQ(model.hits(), ref.hits_);
-            EXPECT_EQ(model.misses(), ref.misses_);
+            tlbMatchesReference(entries, s, ws, ws + entries,
+                                oracleAccesses / 2);
+        }
+    }
+    for (std::uint64_t pages : {10, 1000, 5000}) {
+        for (Stream s : {Stream::Random, Stream::Strided, Stream::Mixed}) {
+            SCOPED_TRACE(std::to_string(pages) + " pages " +
+                         streamName(s));
+            tlbMatchesReference(entries, s, pages * page, pages + entries,
+                                static_cast<int>(pages / 2));
         }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, TlbOracle,
-                         ::testing::Values(1u, 2u, 3u, 64u, 100u));
+                         ::testing::Values(1u, 2u, 3u, 64u, 100u, 4096u));
 
 TEST(Rdram, PageHitFasterThanMiss)
 {

@@ -6,99 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
+#include "CountingNew.hh"
+#include "mem/LruSet.hh"
 #include "mem/MemorySystem.hh"
 #include "sim/Random.hh"
 
 namespace {
 
-/** Calls to the replaceable global allocation functions below. */
-std::uint64_t allocations = 0;
-
-void *
-countedAlloc(std::size_t n)
-{
-    ++allocations;
-    return std::malloc(n ? n : 1);
-}
-
-} // namespace
-
-// Counting replacements for the global allocation functions, so a
-// test can assert that a code path allocates nothing. Every form
-// without an alignment argument is replaced, so that each such
-// allocation and its release go through the same malloc/free pair.
-void *
-operator new(std::size_t n)
-{
-    if (void *p = countedAlloc(n))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    return operator new(n);
-}
-
-void *
-operator new(std::size_t n, const std::nothrow_t &) noexcept
-{
-    return countedAlloc(n);
-}
-
-void *
-operator new[](std::size_t n, const std::nothrow_t &) noexcept
-{
-    return countedAlloc(n);
-}
-
-// The deletes stay out of line: inlined into a new-expression's
-// cleanup path, free() on memory from operator new would trip GCC's
-// -Wmismatched-new-delete, although these replacements pair them.
-[[gnu::noinline]] void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
-namespace {
-
 using namespace san::mem;
 using namespace san::sim;
+using san::test::allocatedBytes;
+using san::test::allocations;
 
 TEST(MemorySystem, PresetGeometriesMatchPaper)
 {
@@ -243,6 +162,39 @@ TEST(MemorySystem, WarmAccessesDoNotAllocate)
         EXPECT_GT(ms.l1d().conflictMisses(), 0u);
         EXPECT_GT(ms.dtlb().misses(), ws / params.pageSize);
     }
+}
+
+/**
+ * A memory model takes its storage when a run first uses it. The
+ * paper's host hierarchy (two 32 KB L1s and a 512 KB L2 with 128 B
+ * lines, two 64-entry TLBs, RDRAM) builds without a tag array, a
+ * classification shadow or a bank table; a single access then
+ * allocates what that access reaches.
+ */
+TEST(MemoryFootprint, HostHierarchyBuildsWithoutStorage)
+{
+    const MemorySystemParams params = hostMemoryParams();
+    const std::uint64_t before = allocatedBytes;
+    MemorySystem ms(params);
+    EXPECT_LT(allocatedBytes - before, 4096u);
+    EXPECT_GT(ms.dataAccess(0, 8, AccessKind::Load, 0), 0u);
+    EXPECT_EQ(ms.dataAccess(0, 8, AccessKind::Load, 0), 0u);
+}
+
+/**
+ * An LRU set's storage grows with the keys it holds: one of capacity
+ * 4096 (the host L2 shadow's line count) that has seen 16 keys owns
+ * under 4 KB, where sizing it for its capacity would take 160 KB.
+ */
+TEST(MemoryFootprint, LruSetGrowsWithTheKeysItHolds)
+{
+    const std::uint64_t before = allocatedBytes;
+    LruSet lru(4096);
+    for (std::uint64_t k = 0; k < 16; ++k)
+        EXPECT_FALSE(lru.touch(k * 4096));
+    EXPECT_LT(allocatedBytes - before, 4096u);
+    for (std::uint64_t k = 0; k < 16; ++k)
+        EXPECT_TRUE(lru.touch(k * 4096));
 }
 
 TEST(MemorySystem, StallTicksAccumulate)

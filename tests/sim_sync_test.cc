@@ -77,6 +77,29 @@ TEST(Channel, TryPopDoesNotBlock)
     EXPECT_EQ(*v, 7);
 }
 
+/**
+ * A channel's storage starts empty and doubles as values back up;
+ * values stay in push order when it grows while its oldest value sits
+ * mid-ring, and across several doublings.
+ */
+TEST(Channel, FifoAcrossStorageGrowth)
+{
+    Simulation sim;
+    Channel<int> ch(sim);
+    int next_in = 0;
+    int next_out = 0;
+    for (int round = 0; round < 4; ++round) {
+        for (int i = 0; i < 5 + 7 * round; ++i)
+            ch.push(next_in++);
+        for (int i = 0; i < 3 + round; ++i)
+            EXPECT_EQ(ch.tryPop().value_or(-1), next_out++);
+    }
+    EXPECT_EQ(ch.size(), static_cast<std::size_t>(next_in - next_out));
+    while (auto v = ch.tryPop())
+        EXPECT_EQ(*v, next_out++);
+    EXPECT_EQ(next_out, next_in);
+}
+
 TEST(Channel, MultiplePoppersServedFifo)
 {
     Simulation sim;
