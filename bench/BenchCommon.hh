@@ -46,25 +46,32 @@
  *                        for handler-crash). Repeatable.
  *   --fault-seed SEED    base seed of every fault stream (default
  *                        fault::FaultPlan::defaultSeed)
+ *
+ * Every bench parses its command line with one strict parser (Flags):
+ * an argument no flag claims, a missing value, or a value that does
+ * not parse in full exits 2 and names it.
  */
 
 #ifndef SAN_BENCH_BENCH_COMMON_HH
 #define SAN_BENCH_BENCH_COMMON_HH
 
 #include <array>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <ctime>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
-
+#include <type_traits>
 #include <vector>
 
 #include "apps/Cluster.hh"
@@ -79,6 +86,146 @@
 #include "sim/Types.hh"
 
 namespace san::bench {
+
+/**
+ * A strict command-line parser. Every argument must belong to a flag
+ * added here and every value must parse in full; anything else exits
+ * 2 naming the argument, so a mistyped gate flag cannot switch its
+ * gate off unnoticed.
+ */
+class Flags
+{
+  public:
+    /** Takes one flag value; returns what is wrong with it, or an
+     * empty string if it was accepted. */
+    using Handler = std::function<std::string(const char *)>;
+
+    /** A flag without a value. */
+    Flags &
+    flag(const char *name, std::function<void()> on)
+    {
+        entries_.push_back({name, false, [on](const char *) {
+                                on();
+                                return std::string();
+                            }});
+        return *this;
+    }
+
+    /** A flag without a value that sets @p out. */
+    Flags &
+    flag(const char *name, bool &out)
+    {
+        return flag(name, [&out] { out = true; });
+    }
+
+    /** A flag with a value: the next argument, or, when @p name ends
+     * in '=', the rest of the same argument. */
+    Flags &
+    value(const char *name, Handler on)
+    {
+        entries_.push_back({name, true, std::move(on)});
+        return *this;
+    }
+
+    /** A numeric flag: the whole value must parse as a T. */
+    template <typename T>
+        requires std::is_arithmetic_v<T>
+    Flags &
+    number(const char *name, T &out)
+    {
+        return value(name,
+                     [&out](const char *v) { return parseNumber(v, out); });
+    }
+
+    /** A numeric flag that overrides a default chosen after parsing. */
+    template <typename T>
+    Flags &
+    number(const char *name, std::optional<T> &out)
+    {
+        return value(name, [&out](const char *v) {
+            T x{};
+            std::string error = parseNumber(v, x);
+            if (error.empty())
+                out = x;
+            return error;
+        });
+    }
+
+    /** Parse @p text in full as a T: a finite number for a floating
+     * type, a non-negative integer in T's range (decimal, 0x hex or
+     * 0 octal) otherwise. */
+    template <typename T>
+    static std::string
+    parseNumber(const char *text, T &out)
+    {
+        char *end = nullptr;
+        errno = 0;
+        if constexpr (std::is_floating_point_v<T>) {
+            const double v = std::strtod(text, &end);
+            if (end == text || *end != '\0' || errno == ERANGE ||
+                !std::isfinite(v))
+                return "needs a number";
+            out = static_cast<T>(v);
+        } else {
+            const unsigned long long v = std::strtoull(text, &end, 0);
+            if (end == text || *end != '\0' || *text < '0' ||
+                *text > '9' || errno == ERANGE ||
+                v > std::numeric_limits<T>::max())
+                return "needs a non-negative integer";
+            out = static_cast<T>(v);
+        }
+        return {};
+    }
+
+    /** Apply every argument to its flag, or exit 2. */
+    void
+    parse(int argc, char **argv) const
+    {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const Entry *hit = nullptr;
+            bool attached = false;
+            for (const Entry &e : entries_) {
+                attached = e.name.back() == '=';
+                if (attached ? arg.compare(0, e.name.size(), e.name) == 0
+                             : arg == e.name) {
+                    hit = &e;
+                    break;
+                }
+            }
+            if (hit == nullptr)
+                fail("unrecognised argument '" + arg + "'");
+            const char *val = "";
+            if (attached) {
+                val = argv[i] + hit->name.size();
+            } else if (hit->takesValue) {
+                if (i + 1 >= argc)
+                    fail(hit->name + " requires a value");
+                val = argv[++i];
+            }
+            const std::string error = hit->on(val);
+            if (!error.empty())
+                fail(hit->name + (attached ? "" : " ") + val + ": " +
+                     error);
+        }
+    }
+
+  private:
+    struct Entry {
+        std::string name;
+        bool takesValue;
+        Handler on;
+    };
+
+    [[noreturn]] static void
+    fail(const std::string &what)
+    {
+        std::cerr << "error: " << what << "\n";
+        std::exit(2);
+    }
+
+    std::vector<Entry> entries_;
+};
 
 /** Command-line options shared by every figure bench. */
 struct BenchOptions {
@@ -193,142 +340,83 @@ faultsAndTelemetry()
 }
 
 /**
- * Parse the shared flags and arm the requested instruments (see
- * beginRun()) and the stats-capturing cluster observer. Call once
- * at the top of main(); returns the parsed options. A bench whose
- * runs shard passes @p threaded; every other bench rejects
- * --threads N > 1 rather than silently running one shard.
+ * Parse the shared flags, plus the bench's own @p flags, and arm the
+ * requested instruments (see beginRun()) and the stats-capturing
+ * cluster observer. Call once at the top of main(); returns the
+ * parsed options. A bench whose runs shard passes @p threaded; every
+ * other bench rejects --threads N > 1 rather than silently running
+ * one shard.
  */
 inline BenchOptions &
-init(int argc, char **argv, bool threaded = false)
+init(int argc, char **argv, bool threaded = false, Flags flags = {})
 {
     BenchOptions &opts = options();
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            opts.quick = true;
-        } else if (std::strcmp(argv[i], "--fingerprint") == 0) {
-            opts.fingerprint = true;
-        } else if (std::strcmp(argv[i], "--perf") == 0) {
-            opts.perf = true;
-        } else if (std::strcmp(argv[i], "--threads") == 0) {
-            if (i + 1 >= argc) {
-                std::cerr << "error: --threads requires a count\n";
-                std::exit(2);
-            }
-            const char *arg = argv[++i];
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(arg, &end, 0);
-            if (end == arg || *end != '\0' || n == 0 || n > 256) {
-                std::cerr << "error: --threads needs an integer in "
-                             "[1, 256], got '"
-                          << arg << "'\n";
-                std::exit(2);
-            }
-            opts.threads = static_cast<unsigned>(n);
-        } else if (std::strcmp(argv[i], "--stats-json") == 0) {
-            if (i + 1 >= argc) {
-                std::cerr << "error: --stats-json requires a file\n";
-                std::exit(2);
-            }
-            opts.statsJsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--trace") == 0) {
-            if (i + 1 >= argc) {
-                std::cerr << "error: --trace requires a file\n";
-                std::exit(2);
-            }
-            opts.tracePath = argv[++i];
-        } else if (std::strcmp(argv[i], "--metrics-csv") == 0) {
-            if (i + 1 >= argc) {
-                std::cerr << "error: --metrics-csv requires a file\n";
-                std::exit(2);
-            }
-            opts.metricsCsvPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--metrics-interval") == 0) {
-            if (i + 1 >= argc) {
-                std::cerr << "error: --metrics-interval requires a "
-                             "value in microseconds\n";
-                std::exit(2);
-            }
-            const char *arg = argv[++i];
-            char *end = nullptr;
-            const double micros = std::strtod(arg, &end);
-            if (end == arg || *end != '\0' || !(micros > 0)) {
-                std::cerr << "error: --metrics-interval needs a "
-                             "positive number of microseconds, got '"
-                          << arg << "'\n";
-                std::exit(2);
-            }
-            opts.metricsInterval =
-                static_cast<sim::Tick>(micros * 1e6); // us -> ps
-            if (opts.metricsInterval == 0) {
-                std::cerr << "error: --metrics-interval '" << arg
-                          << "' is below one picosecond\n";
-                std::exit(2);
-            }
-        } else if (std::strcmp(argv[i], "--fault-spec") == 0) {
-            if (i + 1 >= argc) {
-                std::cerr << "error: --fault-spec requires "
-                             "KIND:RATE[:SEED]\n";
-                std::exit(2);
-            }
-            std::string error;
-            const auto spec =
-                fault::FaultPlan::parseSpec(argv[++i], &error);
-            if (!spec) {
-                std::cerr << "error: --fault-spec: " << error << "\n";
-                std::exit(2);
-            }
-            opts.faultSpecs.push_back(*spec);
-        } else if (std::strcmp(argv[i], "--fault-at") == 0) {
-            if (i + 1 >= argc) {
-                std::cerr << "error: --fault-at requires "
-                             "TICK:KIND:TARGET\n";
-                std::exit(2);
-            }
-            std::string error;
-            auto event = fault::FaultPlan::parseAt(argv[++i], &error);
-            if (!event) {
-                std::cerr << "error: --fault-at: " << error << "\n";
-                std::exit(2);
-            }
-            opts.faultEvents.push_back(std::move(*event));
-        } else if (std::strcmp(argv[i], "--telemetry") == 0) {
-            opts.telemetry = true;
-            opts.telemetrySampleRate = 1;
-        } else if (std::strncmp(argv[i], "--telemetry=", 12) == 0) {
-            const char *arg = argv[i] + 12;
-            char *end = nullptr;
-            opts.telemetrySampleRate = std::strtoull(arg, &end, 0);
-            if (end == arg || *end != '\0') {
-                std::cerr << "error: --telemetry=N needs an integer "
-                             "sample rate, got '"
-                          << arg << "'\n";
-                std::exit(2);
-            }
-            opts.telemetry = true;
-        } else if (std::strcmp(argv[i], "--latency-report") == 0) {
-            if (i + 1 >= argc) {
-                std::cerr
-                    << "error: --latency-report requires a file\n";
-                std::exit(2);
-            }
-            opts.latencyReportPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--fault-seed") == 0) {
-            if (i + 1 >= argc) {
-                std::cerr << "error: --fault-seed requires a value\n";
-                std::exit(2);
-            }
-            const char *arg = argv[++i];
-            char *end = nullptr;
-            opts.faultSeed = std::strtoull(arg, &end, 0);
-            if (end == arg || *end != '\0') {
-                std::cerr << "error: --fault-seed needs an integer, "
-                             "got '"
-                          << arg << "'\n";
-                std::exit(2);
-            }
-        }
-    }
+    const auto path = [](std::string &out) {
+        return [&out](const char *v) {
+            out = v;
+            return std::string();
+        };
+    };
+    flags.flag("--quick", opts.quick)
+        .flag("--fingerprint", opts.fingerprint)
+        .flag("--perf", opts.perf)
+        .value("--threads",
+               [&opts](const char *v) {
+                   unsigned long n = 0;
+                   if (!Flags::parseNumber(v, n).empty() || n == 0 ||
+                       n > 256)
+                       return std::string("needs an integer in [1, 256]");
+                   opts.threads = static_cast<unsigned>(n);
+                   return std::string();
+               })
+        .value("--stats-json", path(opts.statsJsonPath))
+        .value("--trace", path(opts.tracePath))
+        .value("--metrics-csv", path(opts.metricsCsvPath))
+        .value("--metrics-interval",
+               [&opts](const char *v) {
+                   double micros = 0.0;
+                   if (!Flags::parseNumber(v, micros).empty() ||
+                       !(micros > 0) ||
+                       micros * 1e6 >= static_cast<double>(sim::maxTick))
+                       return std::string(
+                           "needs a positive number of microseconds");
+                   opts.metricsInterval =
+                       static_cast<sim::Tick>(micros * 1e6); // us -> ps
+                   if (opts.metricsInterval == 0)
+                       return std::string("is below one picosecond");
+                   return std::string();
+               })
+        .value("--fault-spec",
+               [&opts](const char *v) {
+                   std::string error;
+                   const auto spec = fault::FaultPlan::parseSpec(v, &error);
+                   if (!spec)
+                       return error;
+                   opts.faultSpecs.push_back(*spec);
+                   return std::string();
+               })
+        .value("--fault-at",
+               [&opts](const char *v) {
+                   std::string error;
+                   auto event = fault::FaultPlan::parseAt(v, &error);
+                   if (!event)
+                       return error;
+                   opts.faultEvents.push_back(std::move(*event));
+                   return std::string();
+               })
+        .number("--fault-seed", opts.faultSeed)
+        .flag("--telemetry",
+              [&opts] {
+                  opts.telemetry = true;
+                  opts.telemetrySampleRate = 1;
+              })
+        .value("--telemetry=",
+               [&opts](const char *v) {
+                   opts.telemetry = true;
+                   return Flags::parseNumber(v, opts.telemetrySampleRate);
+               })
+        .value("--latency-report", path(opts.latencyReportPath));
+    flags.parse(argc, argv);
 
     auto reject_collision = [](const std::string &a_flag,
                                const std::string &a,
@@ -417,16 +505,6 @@ init(int argc, char **argv, bool threaded = false)
     if (in.plan)
         std::cerr << "fault plan:\n" << in.plan->describe();
     return opts;
-}
-
-/** True if --quick appears in the argument list. */
-inline bool
-quickMode(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--quick") == 0)
-            return true;
-    return false;
 }
 
 namespace detail {

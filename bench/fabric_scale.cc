@@ -45,8 +45,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -333,8 +333,22 @@ struct PatternResult {
     double interFrac = 0.0;
 };
 
+const char *
+patternKey(TrafficParams::Pattern p)
+{
+    switch (p) {
+    case TrafficParams::Pattern::Uniform: return "uniform";
+    case TrafficParams::Pattern::Permutation:
+        return "permutation";
+    case TrafficParams::Pattern::GroupLocal:
+        return "group_local";
+    default: // the single-switch hotspot patterns
+        return "?";
+    }
+}
+
 PatternResult
-runPattern(const Shape &shape, FabricTrafficParams::Pattern pattern,
+runPattern(const Shape &shape, TrafficParams::Pattern pattern,
            std::uint64_t seed, const Settings &s,
            std::uint64_t *fingerprint)
 {
@@ -349,24 +363,33 @@ runPattern(const Shape &shape, FabricTrafficParams::Pattern pattern,
             ? buildFatTree(fabric, FatTreeParams{shape.k})
             : buildDragonfly(fabric, shape.df);
 
-    FabricTrafficParams p;
+    TrafficParams p;
     p.pattern = pattern;
     p.seed = seed;
-    p.messagesPerHost = s.patternMessages;
+    p.messages = s.patternMessages;
     p.messageBytes = s.messageBytes;
-    FabricTrafficGen gen(sim, topo.hosts, topo.hostGroup, p);
+    TrafficGen gen(sim, topo.hosts, topo.hostGroup, p);
     gen.start();
     sim.run();
 
-    const FabricTrafficReport rep = gen.report();
+    const TrafficReport rep = gen.report();
+    if (rep.delivered != rep.posted) {
+        std::fprintf(stderr,
+                     "FATAL: %s/%s lost messages: posted %llu "
+                     "delivered %llu\n",
+                     shape.name, patternKey(pattern),
+                     static_cast<unsigned long long>(rep.posted),
+                     static_cast<unsigned long long>(rep.delivered));
+        std::exit(1);
+    }
     PatternResult r;
-    r.delivered = rep.deliveredMessages;
+    r.delivered = rep.delivered;
     r.aggGBps = rep.aggregateGBps;
     r.latMeanNs = rep.latencyMeanNs;
     r.latMaxNs = rep.latencyMaxNs;
-    if (rep.deliveredMessages > 0)
-        r.interFrac = static_cast<double>(rep.interGroupMessages) /
-                      static_cast<double>(rep.deliveredMessages);
+    if (rep.delivered > 0)
+        r.interFrac = static_cast<double>(rep.interGroup) /
+                      static_cast<double>(rep.delivered);
     if (fingerprint)
         *fingerprint = fp.value();
     return r;
@@ -410,74 +433,32 @@ runLookupMicro()
     return r;
 }
 
-std::uint64_t
-parseU64(const char *flag, const char *arg)
-{
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(arg, &end, 0);
-    if (end == arg || *end != '\0') {
-        std::fprintf(stderr, "error: %s needs an integer, got '%s'\n",
-                     flag, arg);
-        std::exit(2);
-    }
-    return v;
-}
-
-const char *
-patternKey(FabricTrafficParams::Pattern p)
-{
-    switch (p) {
-    case FabricTrafficParams::Pattern::Uniform: return "uniform";
-    case FabricTrafficParams::Pattern::Permutation:
-        return "permutation";
-    case FabricTrafficParams::Pattern::GroupLocal:
-        return "group_local";
-    }
-    return "?";
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions &opts =
-        bench::init(argc, argv, /*threaded=*/true);
-
     Settings s;
+    std::optional<unsigned> messages, seeds;
     double minEdgeSpeedup = 0.0;
     double maxLookupRatio = 0.0;
+    bench::Flags own;
+    own.number("--messages", messages)
+        .number("--message-bytes", s.messageBytes)
+        .number("--seeds", seeds)
+        .number("--min-edge-speedup", minEdgeSpeedup)
+        .number("--max-lookup-ratio", maxLookupRatio);
+    const bench::BenchOptions &opts =
+        bench::init(argc, argv, /*threaded=*/true, std::move(own));
+
     if (opts.quick) {
         s.messages = 4;
         s.seeds = 3;
         s.patternMessages = 2;
     }
+    s.messages = messages.value_or(s.messages);
+    s.seeds = seeds.value_or(s.seeds);
     s.threads = opts.threads;
-    for (int i = 1; i < argc; ++i) {
-        auto take = [&](const char *flag) -> const char * {
-            if (std::strcmp(argv[i], flag) != 0)
-                return nullptr;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "error: %s requires a value\n",
-                             flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (const char *v = take("--messages"))
-            s.messages =
-                static_cast<unsigned>(parseU64("--messages", v));
-        else if (const char *v = take("--message-bytes"))
-            s.messageBytes = static_cast<std::uint32_t>(
-                parseU64("--message-bytes", v));
-        else if (const char *v = take("--seeds"))
-            s.seeds = static_cast<unsigned>(parseU64("--seeds", v));
-        else if (const char *v = take("--min-edge-speedup"))
-            minEdgeSpeedup = std::strtod(v, nullptr);
-        else if (const char *v = take("--max-lookup-ratio"))
-            maxLookupRatio = std::strtod(v, nullptr);
-        // Anything else is a shared flag bench::init() consumed.
-    }
 
     std::vector<Shape> shapes;
     shapes.push_back({"fattree4", true, 4, {}});
@@ -506,10 +487,10 @@ main(int argc, char **argv)
                  "(ratio %.2f)\n",
                  micro.nsSmall, micro.nsBig, micro.ratio);
 
-    constexpr FabricTrafficParams::Pattern kPatterns[] = {
-        FabricTrafficParams::Pattern::Uniform,
-        FabricTrafficParams::Pattern::Permutation,
-        FabricTrafficParams::Pattern::GroupLocal};
+    constexpr TrafficParams::Pattern kPatterns[] = {
+        TrafficParams::Pattern::Uniform,
+        TrafficParams::Pattern::Permutation,
+        TrafficParams::Pattern::GroupLocal};
 
     bool gateFailed = false;
     std::printf("{\n  \"schema\": \"san-fabric-scale-v1\",\n"
@@ -636,9 +617,9 @@ main(int argc, char **argv)
         std::string seedList;
         for (unsigned seed = 1; seed <= s.seeds; ++seed) {
             std::uint64_t fpA = 0, fpB = 0;
-            runPattern(shape, FabricTrafficParams::Pattern::Uniform,
+            runPattern(shape, TrafficParams::Pattern::Uniform,
                        seed, s, &fpA);
-            runPattern(shape, FabricTrafficParams::Pattern::Uniform,
+            runPattern(shape, TrafficParams::Pattern::Uniform,
                        seed, s, &fpB);
             if (fpA != fpB)
                 stable = false;

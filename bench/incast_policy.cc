@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "BenchCommon.hh"
 #include "net/Fabric.hh"
 #include "net/Traffic.hh"
 #include "sim/Simulation.hh"
@@ -89,15 +90,28 @@ runOne(TrafficParams::Pattern pattern, const std::string &spec,
     TrafficParams traffic;
     traffic.pattern = pattern;
     traffic.messageBytes = s.messageBytes;
-    traffic.permMessages = s.permMessages;
     traffic.hotMessages = s.hotMessages;
-    TrafficGen gen(sim, hosts, traffic);
+    // Incast sends only the hot messages; perm_hotspot sends both.
+    traffic.messages = pattern == TrafficParams::Pattern::Incast
+                           ? s.hotMessages
+                           : s.permMessages + s.hotMessages;
+    TrafficGen gen(sim, hosts, {}, traffic);
     gen.start();
     sim.run();
 
     PolicyResult r;
     r.policy = sw.policy().name();
     r.report = gen.report();
+    if (r.report.delivered != r.report.posted) {
+        std::fprintf(stderr,
+                     "FATAL: %s lost messages: posted %llu delivered "
+                     "%llu\n",
+                     spec.c_str(),
+                     static_cast<unsigned long long>(r.report.posted),
+                     static_cast<unsigned long long>(
+                         r.report.delivered));
+        std::exit(1);
+    }
     r.holBlocked = sw.policy().counters().holBlocked;
     r.maxGrantWait = sw.policy().maxGrantWaitRounds();
     return r;
@@ -120,9 +134,9 @@ printJsonResult(const char *label, const PolicyResult &r, bool last)
         "\"lat_mean_ns\": %.1f, \"lat_max_ns\": %.1f, "
         "\"jain\": %.4f, \"hol_blocked\": %llu, "
         "\"max_grant_wait\": %llu}%s\n",
-        label, r.policy.c_str(), t.aggregateGBps, t.permGoodputGBps,
-        static_cast<double>(t.permDoneAt) / 1e6, t.permLatencyMeanNs,
-        t.permLatencyMaxNs, t.jainFairness,
+        label, r.policy.c_str(), t.aggregateGBps, t.goodputGBps,
+        static_cast<double>(t.measuredDoneAt) / 1e6, t.latencyMeanNs,
+        t.latencyMaxNs, t.jainFairness,
         static_cast<unsigned long long>(r.holBlocked),
         static_cast<unsigned long long>(r.maxGrantWait),
         last ? "" : ",");
@@ -135,28 +149,12 @@ main(int argc, char **argv)
 {
     RunSettings settings;
     double minVoqSpeedup = 0.0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--message-bytes") == 0 &&
-            i + 1 < argc) {
-            settings.messageBytes = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (std::strcmp(argv[i], "--perm") == 0 && i + 1 < argc) {
-            settings.permMessages = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (std::strcmp(argv[i], "--hot") == 0 && i + 1 < argc) {
-            settings.hotMessages = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (std::strcmp(argv[i], "--min-voq-speedup") == 0 &&
-                   i + 1 < argc) {
-            minVoqSpeedup = std::strtod(argv[++i], nullptr);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--message-bytes N] [--perm N] "
-                         "[--hot N] [--min-voq-speedup X]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    bench::Flags()
+        .number("--message-bytes", settings.messageBytes)
+        .number("--perm", settings.permMessages)
+        .number("--hot", settings.hotMessages)
+        .number("--min-voq-speedup", minVoqSpeedup)
+        .parse(argc, argv);
 
     const char *specs[] = {"fifo", "voq", "xpoint", "central"};
     const TrafficParams::Pattern patterns[] = {
@@ -186,8 +184,8 @@ main(int argc, char **argv)
                          "%-14s %-16s %9.3f %9.3f %11.0f %9.1f "
                          "%7.4f %8llu\n",
                          "", r.policy.c_str(), t.aggregateGBps,
-                         t.permGoodputGBps, t.permLatencyMeanNs,
-                         static_cast<double>(t.permDoneAt) / 1e6,
+                         t.goodputGBps, t.latencyMeanNs,
+                         static_cast<double>(t.measuredDoneAt) / 1e6,
                          t.jainFairness,
                          static_cast<unsigned long long>(r.holBlocked));
             if (pattern == TrafficParams::Pattern::PermutationHotspot) {

@@ -36,11 +36,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <string>
 #include <vector>
 
+#include "BenchCommon.hh"
 #include "net/Fabric.hh"
 #include "net/Traffic.hh"
 #include "obs/Telemetry.hh"
@@ -112,14 +112,27 @@ runTraffic(TrafficParams::Pattern pattern, const std::string &spec,
     TrafficParams traffic;
     traffic.pattern = pattern;
     traffic.messageBytes = s.messageBytes;
-    traffic.permMessages = s.permMessages;
     traffic.hotMessages = s.hotMessages;
-    TrafficGen gen(sim, hosts, traffic);
+    // Incast sends only the hot messages; perm_hotspot sends both.
+    traffic.messages = pattern == TrafficParams::Pattern::Incast
+                           ? s.hotMessages
+                           : s.permMessages + s.hotMessages;
+    TrafficGen gen(sim, hosts, {}, traffic);
     gen.start();
     sim.run();
     if (hol_blocked != nullptr)
         *hol_blocked = sw.policy().counters().holBlocked;
-    return gen.report();
+    const TrafficReport r = gen.report();
+    if (r.delivered != r.posted) {
+        std::fprintf(stderr,
+                     "FATAL: %s lost messages: posted %llu delivered "
+                     "%llu\n",
+                     spec.c_str(),
+                     static_cast<unsigned long long>(r.posted),
+                     static_cast<unsigned long long>(r.delivered));
+        std::exit(1);
+    }
+    return r;
 }
 
 PolicyResult
@@ -197,38 +210,14 @@ main(int argc, char **argv)
     unsigned overheadReps = 25;
     unsigned overheadIters = 128;
     double maxOverhead = 0.0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--message-bytes") == 0 &&
-            i + 1 < argc) {
-            settings.messageBytes = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (std::strcmp(argv[i], "--perm") == 0 && i + 1 < argc) {
-            settings.permMessages = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (std::strcmp(argv[i], "--hot") == 0 && i + 1 < argc) {
-            settings.hotMessages = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (std::strcmp(argv[i], "--overhead-reps") == 0 &&
-                   i + 1 < argc) {
-            overheadReps = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (std::strcmp(argv[i], "--overhead-iters") == 0 &&
-                   i + 1 < argc) {
-            overheadIters = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (std::strcmp(argv[i], "--max-overhead") == 0 &&
-                   i + 1 < argc) {
-            maxOverhead = std::strtod(argv[++i], nullptr);
-        } else {
-            std::fprintf(
-                stderr,
-                "usage: %s [--message-bytes N] [--perm N] [--hot N] "
-                "[--overhead-reps N] [--overhead-iters N] "
-                "[--max-overhead X]\n",
-                argv[0]);
-            return 2;
-        }
-    }
+    bench::Flags()
+        .number("--message-bytes", settings.messageBytes)
+        .number("--perm", settings.permMessages)
+        .number("--hot", settings.hotMessages)
+        .number("--overhead-reps", overheadReps)
+        .number("--overhead-iters", overheadIters)
+        .number("--max-overhead", maxOverhead)
+        .parse(argc, argv);
 
     obs::Telemetry tel(1); // sample every packet
     const char *specs[] = {"fifo", "voq"};

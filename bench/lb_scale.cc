@@ -34,8 +34,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
+#include <optional>
 #include <string>
 
 #include "BenchCommon.hh"
@@ -151,88 +151,47 @@ printTableRow(const char *label, const ModeRun &run, unsigned lb_host)
                  lbHostBusyMs(run.res.stats, lb_host));
 }
 
-std::uint64_t
-parseU64(const char *flag, const char *arg)
-{
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(arg, &end, 0);
-    if (end == arg || *end != '\0') {
-        std::fprintf(stderr, "error: %s needs an integer, got '%s'\n",
-                     flag, arg);
-        std::exit(2);
-    }
-    return v;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions &opts = bench::init(argc, argv);
-
     lb::LbWorkloadParams params;
-    params.churn.flows = 1'000'000;
     params.churn.dataRounds = 1;
     params.churn.packetBytes = 64;
     params.churn.closeEvery = 4;
+    params.churn.seed = 1;
+    std::optional<std::uint64_t> flows;
+    std::optional<unsigned> churnOpens, orphanEvery;
+    double minLbLookups = 0.0;
+    bench::Flags own;
+    own.number("--lb-flows", flows)
+        .number("--lb-senders", params.senders)
+        .number("--lb-backends", params.backends)
+        .number("--lb-cpus", params.switchCpus)
+        .number("--lb-rounds", params.churn.dataRounds)
+        .number("--lb-bytes", params.churn.packetBytes)
+        .number("--lb-close-every", params.churn.closeEvery)
+        .number("--lb-churn-opens", churnOpens)
+        .number("--lb-orphan-every", orphanEvery)
+        .number("--lb-table-capacity", params.lb.table.capacity)
+        .number("--lb-seed", params.churn.seed)
+        .number("--min-lb-lookups", minLbLookups);
+    const bench::BenchOptions &opts =
+        bench::init(argc, argv, false, std::move(own));
+
+    params.churn.flows = 1'000'000;
     params.churn.churnOpens = 65'536;
     params.churn.orphanEvery = 1'024;
-    params.churn.seed = 1;
     if (opts.quick) {
         params.churn.flows = 20'000;
         params.churn.churnOpens = 2'048;
         params.churn.orphanEvery = 256;
     }
-
-    double minLbLookups = 0.0;
-    for (int i = 1; i < argc; ++i) {
-        auto take = [&](const char *flag) -> const char * {
-            if (std::strcmp(argv[i], flag) != 0)
-                return nullptr;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "error: %s requires a value\n",
-                             flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (const char *v = take("--lb-flows"))
-            params.churn.flows = parseU64("--lb-flows", v);
-        else if (const char *v = take("--lb-senders"))
-            params.senders =
-                static_cast<unsigned>(parseU64("--lb-senders", v));
-        else if (const char *v = take("--lb-backends"))
-            params.backends =
-                static_cast<unsigned>(parseU64("--lb-backends", v));
-        else if (const char *v = take("--lb-cpus"))
-            params.switchCpus =
-                static_cast<unsigned>(parseU64("--lb-cpus", v));
-        else if (const char *v = take("--lb-rounds"))
-            params.churn.dataRounds =
-                static_cast<unsigned>(parseU64("--lb-rounds", v));
-        else if (const char *v = take("--lb-bytes"))
-            params.churn.packetBytes = static_cast<std::uint32_t>(
-                parseU64("--lb-bytes", v));
-        else if (const char *v = take("--lb-close-every"))
-            params.churn.closeEvery = static_cast<unsigned>(
-                parseU64("--lb-close-every", v));
-        else if (const char *v = take("--lb-churn-opens"))
-            params.churn.churnOpens = static_cast<unsigned>(
-                parseU64("--lb-churn-opens", v));
-        else if (const char *v = take("--lb-orphan-every"))
-            params.churn.orphanEvery = static_cast<unsigned>(
-                parseU64("--lb-orphan-every", v));
-        else if (const char *v = take("--lb-table-capacity"))
-            params.lb.table.capacity =
-                parseU64("--lb-table-capacity", v);
-        else if (const char *v = take("--lb-seed"))
-            params.churn.seed = parseU64("--lb-seed", v);
-        else if (const char *v = take("--min-lb-lookups"))
-            minLbLookups = std::strtod(v, nullptr);
-        // Anything else is a shared flag bench::init() already
-        // consumed (it tolerates ours the same way).
-    }
+    params.churn.flows = flows.value_or(params.churn.flows);
+    params.churn.churnOpens = churnOpens.value_or(params.churn.churnOpens);
+    params.churn.orphanEvery =
+        orphanEvery.value_or(params.churn.orphanEvery);
 
     const unsigned lbHost = params.senders + params.backends;
 

@@ -1,20 +1,21 @@
 /**
  * @file
- * Event-kernel micro-benchmark, three experiments in one binary.
+ * Event-kernel micro-benchmark, two experiments in one binary.
  *
- * 1. Slot-arena overhaul (PR 4): the kernel against the pre-overhaul
- *    design (std::function entries inside std::priority_queue), on
- *    the capture sizes the simulator actually schedules:
+ * 1. Kernel throughput on the capture sizes the simulator actually
+ *    schedules (the slot arena stores up to 48 B inline):
  *
  *      resume16   16 B capture — coroutine resumption / channel wakeup
- *      packet48   48 B capture — at the slot's inline boundary; the
- *                                old std::function heap-allocates here
- *      message96  96 B capture — Packet-sized; both designs allocate,
- *                                the new kernel from a recycling pool
+ *      packet48   48 B capture — at the slot's inline boundary
+ *      message96  96 B capture — Packet-sized; served from the
+ *                                slot arena's recycling overflow pool
  *
- * 2. Ladder scheduler (PR 5): EventQueue (ladder) against
- *    HeapEventQueue (the PR 4 binary heap) at pending depths 1k, 10k
- *    and 100k, under three scheduling-horizon mixes:
+ *    tools/perf_baseline gates each workload's kernel_eps against the
+ *    committed baseline's (an absolute events/sec floor).
+ *
+ * 2. Ladder scheduler: EventQueue (ladder) against HeapEventQueue
+ *    (the binary heap, also the ladder fuzz oracle) at pending depths
+ *    1k, 10k and 100k, under three scheduling-horizon mixes:
  *
  *      short   1..1000 ns delays — link serialization, routing,
  *              credit returns: the dominant simulator pattern the
@@ -24,45 +25,25 @@
  *      far     mostly short, 1/16 jumping +1 ms — adversarial for the
  *              ladder: spill pushes, refills and window rebases
  *
- * 3. Per-hop packet shuffle (PR 10 audit): a real net::Packet moved
- *    vs copied through the staging -> VOQ -> output queue chain a
- *    switch hop performs. The production switch-policy queues have
- *    been move-only since the PR 6 policy lab (every staged_/voq/
- *    crosspoint Cell transfer in net/SwitchPolicy.cc is std::move),
- *    so this case does not gate a new optimisation — it documents
- *    what the move path is worth: a Packet carries two shared_ptr
- *    fields (payload, telemetry), so the copy variant pays four
- *    atomic refcount bumps per hop that the move variant skips.
- *    Both variants run the identical shuffle and must agree on a
- *    folded sink.
+ *    Both queues replay identical schedules and cross-check a folded
+ *    sink value, so a determinism divergence fails the bench.
  *
- * Experiments 1 and 2 replay identical schedules through both kernels
- * and cross-check a folded sink value, so a determinism divergence
- * fails the bench. Prints a JSON report on stdout (consumed by
- * tools/perf_baseline, schema san-micro-kernel-v3) and human-readable
- * tables on stderr. --min-speedup X gates the PR 4 headline
- * (packet48); --min-ladder-speedup X gates the PR 5 headline
- * (short-horizon mix at 10k pending). The hop-shuffle ratio is
- * recorded, not gated: it compares against a hypothetical copy
- * implementation, not against a previous build.
+ * Prints a JSON report on stdout (consumed by tools/perf_baseline,
+ * schema san-micro-kernel-v4) and human-readable tables on stderr.
+ * --min-ladder-speedup X gates the ladder's speedup on short_10k (the
+ * short-horizon mix at 10k pending).
  *
- * Usage: micro_kernel [--events N] [--min-speedup X]
- *                     [--min-ladder-speedup X]
+ * Usage: micro_kernel [--events N] [--min-ladder-speedup X]
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
-#include <deque>
-#include <functional>
-#include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
-#include "net/Packet.hh"
+#include "BenchCommon.hh"
 #include "sim/EventQueue.hh"
 #include "sim/Types.hh"
 
@@ -70,75 +51,7 @@ namespace {
 
 using san::sim::Tick;
 
-/**
- * The pre-overhaul kernel, verbatim: type-erased std::function
- * callbacks ordered by a std::priority_queue, popped by moving out of
- * the const top() (the const_cast UB the overhaul removed — kept here
- * unchanged because it IS the baseline being measured).
- */
-class LegacyQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    Tick now() const { return now_; }
-
-    void
-    schedule(Tick when, Callback cb)
-    {
-        if (when < now_)
-            when = now_;
-        heap_.push(Entry{when, nextSeq_++, std::move(cb)});
-    }
-
-    void
-    after(Tick delta, Callback cb)
-    {
-        schedule(now_ + delta, std::move(cb));
-    }
-
-    bool
-    step()
-    {
-        if (heap_.empty())
-            return false;
-        Entry top = std::move(const_cast<Entry &>(heap_.top()));
-        heap_.pop();
-        now_ = top.when;
-        top.cb();
-        return true;
-    }
-
-    Tick
-    run()
-    {
-        while (step()) {}
-        return now_;
-    }
-
-    std::uint64_t executedEvents() const { return nextSeq_ - heap_.size(); }
-
-  private:
-    struct Entry {
-        Tick when;
-        std::uint64_t seq;
-        Callback cb;
-
-        bool
-        operator>(const Entry &o) const
-        {
-            if (when != o.when)
-                return when > o.when;
-            return seq > o.seq;
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-    Tick now_ = 0;
-    std::uint64_t nextSeq_ = 0;
-};
-
-/** Deterministic xorshift so both kernels see identical schedules. */
+/** Deterministic xorshift: every run sees the identical schedule. */
 struct Rng {
     std::uint64_t s;
     std::uint64_t
@@ -154,9 +67,9 @@ struct Rng {
 
 /** Self-rescheduling load shared by every capture size: @p Pad extra
  * 8-byte words ride in the capture alongside the state pointer. */
-template <typename Queue, unsigned Pad>
+template <unsigned Pad>
 struct Load {
-    Queue q;
+    san::sim::EventQueue q;
     Rng rng{0x9e3779b97f4a7c15ull};
     std::uint64_t remaining = 0;
     std::uint64_t sink = 0;
@@ -200,9 +113,7 @@ struct Load {
 struct Result {
     const char *name;
     std::size_t captureBytes;
-    double legacyEps;
     double kernelEps;
-    double speedup() const { return legacyEps > 0 ? kernelEps / legacyEps : 0; }
 };
 
 /** Scheduling-horizon mix of one depth-scaled workload. */
@@ -350,148 +261,16 @@ compareDepth(std::uint64_t pending, Mix mix, std::uint64_t events)
                        ladderEps};
 }
 
-/**
- * One switch hop's worth of queue shuffling on a real net::Packet:
- * ingress staging, VOQ admission, output drain (the exact chain
- * net/SwitchPolicy.cc runs per forwarded packet). @p Move selects the
- * production move path or the hypothetical copy path; both fold the
- * same sink so a semantic divergence aborts the bench.
- */
-template <bool Move>
-struct HopShuffle {
-    std::deque<san::net::Packet> staged, voq, outq;
-    std::uint64_t sink = 0;
-
-    static san::net::Packet
-    make(std::uint32_t seq, const san::net::PayloadPtr &payload)
-    {
-        san::net::Packet p;
-        p.src = 1;
-        p.dst = 2;
-        p.payloadBytes = 4096;
-        p.messageId = 7;
-        p.seq = seq;
-        p.messageBytes = 1u << 20;
-        p.payload = payload;
-        // Model a sampled packet: the telemetry shared_ptr is where
-        // the copy path pays its second pair of refcount bumps.
-        p.telemetry = std::make_shared<san::obs::TelemetryRecord>();
-        return p;
-    }
-
-    san::net::Packet
-    take(std::deque<san::net::Packet> &q)
-    {
-        if constexpr (Move) {
-            san::net::Packet p = std::move(q.front());
-            q.pop_front();
-            return p;
-        } else {
-            san::net::Packet p = q.front();
-            q.pop_front();
-            return p;
-        }
-    }
-
-    void
-    put(std::deque<san::net::Packet> &q, san::net::Packet &&p)
-    {
-        if constexpr (Move)
-            q.push_back(std::move(p));
-        else
-            q.push_back(p);
-    }
-
-    /** @p hops total queue transfers over @p inflight packets;
-     * returns hops/sec of process CPU time. */
-    double
-    run(std::uint64_t hops, unsigned inflight)
-    {
-        const auto payload =
-            std::make_shared<const std::vector<std::uint8_t>>(4096);
-        for (unsigned i = 0; i < inflight; ++i)
-            staged.push_back(make(i, payload));
-        const std::clock_t c0 = std::clock();
-        for (std::uint64_t h = 0; h < hops; ++h) {
-            if (!staged.empty()) {
-                put(voq, take(staged));
-            } else if (!voq.empty()) {
-                san::net::Packet p = take(voq);
-                sink += p.seq ^ p.payloadBytes;
-                put(outq, std::move(p));
-            } else {
-                // Recirculate: the drained packet re-enters staging,
-                // as a multi-hop path would present it to the next
-                // switch.
-                put(staged, take(outq));
-            }
-        }
-        const double secs =
-            static_cast<double>(std::clock() - c0) / CLOCKS_PER_SEC;
-        return secs > 0 ? static_cast<double>(hops) / secs : 0.0;
-    }
-};
-
-struct HopResult {
-    double copyHps;
-    double moveHps;
-    double speedup() const { return copyHps > 0 ? moveHps / copyHps : 0; }
-};
-
-HopResult
-compareHopShuffle(std::uint64_t hops)
-{
-    constexpr unsigned kInflight = 512;
-    HopShuffle<false>{}.run(hops / 8, kInflight);
-    HopShuffle<true>{}.run(hops / 8, kInflight);
-    HopResult r{0.0, 0.0};
-    std::uint64_t copySink = 0, moveSink = 0;
-    for (int rep = 0; rep < 2; ++rep) {
-        HopShuffle<false> copy;
-        r.copyHps = std::max(r.copyHps, copy.run(hops, kInflight));
-        copySink = copy.sink;
-        HopShuffle<true> move;
-        r.moveHps = std::max(r.moveHps, move.run(hops, kInflight));
-        moveSink = move.sink;
-    }
-    if (copySink != moveSink) {
-        std::fprintf(stderr,
-                     "FATAL: hop shuffle: copy and move diverged "
-                     "(sink %llu vs %llu)\n",
-                     static_cast<unsigned long long>(copySink),
-                     static_cast<unsigned long long>(moveSink));
-        std::exit(1);
-    }
-    return r;
-}
-
 template <unsigned Pad>
 Result
-compare(const char *name, std::uint64_t events, unsigned pending)
+measure(const char *name, std::uint64_t events, unsigned pending)
 {
-    static_assert(sizeof(typename Load<LegacyQueue, Pad>::Cb) ==
-                  sizeof(typename Load<san::sim::EventQueue, Pad>::Cb));
-    // Interleave a warmup of each side before its timed run so
-    // allocator state is comparable.
-    Load<LegacyQueue, Pad>{}.run(events / 8, pending);
-    Load<LegacyQueue, Pad> legacy;
-    const double legacyEps = legacy.run(events, pending);
-    Load<san::sim::EventQueue, Pad>{}.run(events / 8, pending);
-    Load<san::sim::EventQueue, Pad> kernel;
-    const double kernelEps = kernel.run(events, pending);
-    // The schedules are identical, so the folded sinks must agree —
-    // a cheap determinism cross-check between the two kernels.
-    if (legacy.sink != kernel.sink) {
-        std::fprintf(stderr,
-                     "FATAL: %s: legacy and kernel diverged "
-                     "(sink %llu vs %llu)\n",
-                     name,
-                     static_cast<unsigned long long>(legacy.sink),
-                     static_cast<unsigned long long>(kernel.sink));
-        std::exit(1);
-    }
-    return Result{name, sizeof(typename Load<LegacyQueue, Pad>::Cb),
-                  legacyEps, kernelEps};
+    // One untimed run of the same length first warms the allocator
+    // and the core, as the timed run would find them mid-simulation.
+    Load<Pad>{}.run(events, pending);
+    Load<Pad> load;
+    const double eps = load.run(events, pending);
+    return Result{name, sizeof(typename Load<Pad>::Cb), eps};
 }
 
 } // namespace
@@ -500,33 +279,18 @@ int
 main(int argc, char **argv)
 {
     std::uint64_t events = 2'000'000;
-    double minSpeedup = 0.0;
     double minLadderSpeedup = 0.0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc) {
-            events = std::strtoull(argv[++i], nullptr, 0);
-        } else if (std::strcmp(argv[i], "--min-speedup") == 0 &&
-                   i + 1 < argc) {
-            minSpeedup = std::strtod(argv[++i], nullptr);
-        } else if (std::strcmp(argv[i], "--min-ladder-speedup") == 0 &&
-                   i + 1 < argc) {
-            minLadderSpeedup = std::strtod(argv[++i], nullptr);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--events N] [--min-speedup X] "
-                         "[--min-ladder-speedup X]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    san::bench::Flags()
+        .number("--events", events)
+        .number("--min-ladder-speedup", minLadderSpeedup)
+        .parse(argc, argv);
     const unsigned pending = 4096;
 
     const Result results[] = {
-        compare<1>("resume16", events, pending),
-        compare<5>("packet48", events, pending),
-        compare<11>("message96", events, pending),
+        measure<1>("resume16", events, pending),
+        measure<5>("packet48", events, pending),
+        measure<11>("message96", events, pending),
     };
-    const double headline = results[1].speedup();
 
     const Mix mixes[] = {Mix::Short, Mix::Uniform, Mix::Far};
     const std::uint64_t depths[] = {1'024, 10'240, 102'400};
@@ -534,21 +298,18 @@ main(int argc, char **argv)
     for (const Mix mix : mixes)
         for (const std::uint64_t depth : depths)
             depthResults.push_back(compareDepth(depth, mix, events));
-    // The acceptance headline: short-horizon events at 10k pending,
+    // The gated ladder speedup: short-horizon events at 10k pending,
     // the depth the large figures actually carry.
-    double ladderHeadline = 0.0;
+    double ladderSpeedup = 0.0;
     for (const DepthResult &r : depthResults)
         if (r.mix == Mix::Short && r.pending == 10'240)
-            ladderHeadline = r.speedup();
+            ladderSpeedup = r.speedup();
 
-    const HopResult hop = compareHopShuffle(events);
-
-    std::fprintf(stderr, "%-10s %8s %15s %15s %8s\n", "workload",
-                 "capture", "legacy ev/s", "kernel ev/s", "speedup");
+    std::fprintf(stderr, "%-10s %8s %15s\n", "workload", "capture",
+                 "kernel ev/s");
     for (const Result &r : results)
-        std::fprintf(stderr, "%-10s %7zuB %15.0f %15.0f %7.2fx\n",
-                     r.name, r.captureBytes, r.legacyEps, r.kernelEps,
-                     r.speedup());
+        std::fprintf(stderr, "%-10s %7zuB %15.0f\n", r.name,
+                     r.captureBytes, r.kernelEps);
     std::fprintf(stderr, "%-12s %8s %15s %15s %8s\n", "depth-load",
                  "pending", "heap ev/s", "ladder ev/s", "speedup");
     for (const DepthResult &r : depthResults)
@@ -556,24 +317,18 @@ main(int argc, char **argv)
                      r.name.c_str(),
                      static_cast<unsigned long long>(r.pending),
                      r.heapEps, r.ladderEps, r.speedup());
-    std::fprintf(stderr,
-                 "%-12s %8s %15.0f %15.0f %7.2fx\n", "hop-shuffle",
-                 "copy/mv", hop.copyHps, hop.moveHps, hop.speedup());
 
-    std::printf("{\n  \"schema\": \"san-micro-kernel-v3\",\n"
+    std::printf("{\n  \"schema\": \"san-micro-kernel-v4\",\n"
                 "  \"events\": %llu,\n  \"workloads\": {\n",
                 static_cast<unsigned long long>(events));
     for (std::size_t i = 0; i < 3; ++i) {
         const Result &r = results[i];
         std::printf("    \"%s\": {\"capture_bytes\": %zu, "
-                    "\"legacy_eps\": %.0f, \"kernel_eps\": %.0f, "
-                    "\"speedup\": %.4f}%s\n",
-                    r.name, r.captureBytes, r.legacyEps, r.kernelEps,
-                    r.speedup(), i + 1 < 3 ? "," : "");
+                    "\"kernel_eps\": %.0f}%s\n",
+                    r.name, r.captureBytes, r.kernelEps,
+                    i + 1 < 3 ? "," : "");
     }
-    std::printf("  },\n  \"headline_speedup\": %.4f,\n"
-                "  \"depth_workloads\": {\n",
-                headline);
+    std::printf("  },\n  \"depth_workloads\": {\n");
     for (std::size_t i = 0; i < depthResults.size(); ++i) {
         const DepthResult &r = depthResults[i];
         std::printf("    \"%s\": {\"pending\": %llu, \"mix\": \"%s\", "
@@ -584,24 +339,13 @@ main(int argc, char **argv)
                     mixName(r.mix), r.heapEps, r.ladderEps,
                     r.speedup(), i + 1 < depthResults.size() ? "," : "");
     }
-    std::printf("  },\n  \"ladder_headline_speedup\": %.4f,\n"
-                "  \"hop_shuffle\": {\"copy_hps\": %.0f, "
-                "\"move_hps\": %.0f, \"speedup\": %.4f}\n}\n",
-                ladderHeadline, hop.copyHps, hop.moveHps,
-                hop.speedup());
+    std::printf("  }\n}\n");
 
-    if (minSpeedup > 0 && headline < minSpeedup) {
+    if (minLadderSpeedup > 0 && ladderSpeedup < minLadderSpeedup) {
         std::fprintf(stderr,
-                     "FAIL: headline speedup %.2fx below required "
-                     "%.2fx\n",
-                     headline, minSpeedup);
-        return 1;
-    }
-    if (minLadderSpeedup > 0 && ladderHeadline < minLadderSpeedup) {
-        std::fprintf(stderr,
-                     "FAIL: ladder headline speedup %.2fx below "
+                     "FAIL: ladder speedup %.2fx on short_10k below "
                      "required %.2fx\n",
-                     ladderHeadline, minLadderSpeedup);
+                     ladderSpeedup, minLadderSpeedup);
         return 1;
     }
     return 0;

@@ -33,12 +33,12 @@ runPatterns(const char *what, bool fat_tree, unsigned k,
             const DragonflyParams &df)
 {
     struct {
-        FabricTrafficParams::Pattern pattern;
+        TrafficParams::Pattern pattern;
         const char *name;
     } const patterns[] = {
-        {FabricTrafficParams::Pattern::Uniform, "uniform"},
-        {FabricTrafficParams::Pattern::Permutation, "permutation"},
-        {FabricTrafficParams::Pattern::GroupLocal, "group-local"},
+        {TrafficParams::Pattern::Uniform, "uniform"},
+        {TrafficParams::Pattern::Permutation, "permutation"},
+        {TrafficParams::Pattern::GroupLocal, "group-local"},
     };
 
     bool printed_header = false;
@@ -60,34 +60,28 @@ runPatterns(const char *what, bool fat_tree, unsigned k,
             printed_header = true;
         }
 
-        FabricTrafficParams p;
+        TrafficParams p;
         p.pattern = pattern;
-        p.messagesPerHost = 4;
+        p.messages = 4;
         p.messageBytes = 4096;
-        FabricTrafficGen gen(sim, topo.hosts, topo.hostGroup, p);
+        TrafficGen gen(sim, topo.hosts, topo.hostGroup, p);
         gen.start();
         sim.run();
 
-        const FabricTrafficReport r = gen.report();
-        if (r.deliveredMessages != r.postedMessages) {
+        const TrafficReport r = gen.report();
+        if (r.delivered != r.posted) {
             std::printf("LOST MESSAGES: posted %llu delivered %llu\n",
-                        static_cast<unsigned long long>(
-                            r.postedMessages),
-                        static_cast<unsigned long long>(
-                            r.deliveredMessages));
+                        static_cast<unsigned long long>(r.posted),
+                        static_cast<unsigned long long>(r.delivered));
             std::exit(1);
         }
         std::printf("%-12s %10llu %12.3f %12.2f %12.2f %11.0f%%\n",
-                    name,
-                    static_cast<unsigned long long>(
-                        r.deliveredMessages),
+                    name, static_cast<unsigned long long>(r.delivered),
                     r.aggregateGBps, r.latencyMeanNs / 1e3,
                     r.latencyMaxNs / 1e3,
-                    r.deliveredMessages > 0
-                        ? 100.0 *
-                              static_cast<double>(
-                                  r.interGroupMessages) /
-                              static_cast<double>(r.deliveredMessages)
+                    r.delivered > 0
+                        ? 100.0 * static_cast<double>(r.interGroup) /
+                              static_cast<double>(r.delivered)
                         : 0.0);
     }
 }

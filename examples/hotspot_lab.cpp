@@ -18,6 +18,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -54,8 +55,12 @@ runPolicy(const std::string &spec, bool timeline)
     }
     fabric.computeRoutes();
 
-    net::TrafficParams traffic; // defaults: 48 perm + 24 hot x 4 KB
-    net::TrafficGen gen(sim, hosts, traffic);
+    net::TrafficParams traffic;
+    traffic.pattern = net::TrafficParams::Pattern::PermutationHotspot;
+    traffic.messageBytes = 4096;
+    traffic.messages = 72; // 48 ring + 24 hot
+    traffic.hotMessages = 24;
+    net::TrafficGen gen(sim, hosts, {}, traffic);
 
     // Timeline of the policy's buffers, one row per 50 us. Only
     // non-default policies export gauges, and one timeline is enough
@@ -74,11 +79,17 @@ runPolicy(const std::string &spec, bool timeline)
         sampler.finishRun(end);
 
     const net::TrafficReport r = gen.report();
+    if (r.delivered != r.posted) {
+        std::printf("LOST MESSAGES: posted %llu delivered %llu\n",
+                    static_cast<unsigned long long>(r.posted),
+                    static_cast<unsigned long long>(r.delivered));
+        std::exit(1);
+    }
     std::printf("%-16s agg %5.2f GB/s  ring %5.2f GB/s  "
                 "latency %8.1f us (max %8.1f)  jain %.4f  "
                 "HOL-blocked %llu\n",
-                sw.policy().name(), r.aggregateGBps, r.permGoodputGBps,
-                r.permLatencyMeanNs / 1e3, r.permLatencyMaxNs / 1e3,
+                sw.policy().name(), r.aggregateGBps, r.goodputGBps,
+                r.latencyMeanNs / 1e3, r.latencyMaxNs / 1e3,
                 r.jainFairness,
                 static_cast<unsigned long long>(
                     sw.policy().counters().holBlocked));

@@ -63,9 +63,6 @@ struct DragonflyParams {
 
 /** A built multi-switch fabric: hosts plus its layer structure. */
 struct Topology {
-    enum class Kind { FatTree, Dragonfly };
-
-    Kind kind = Kind::FatTree;
     std::string name;
     unsigned groups = 0; //!< fat-tree pods / dragonfly groups
 
@@ -128,7 +125,6 @@ buildFatTree(Fabric &fabric, const FatTreeParams &p,
     sp.ports = k;
 
     Topology topo;
-    topo.kind = Topology::Kind::FatTree;
     topo.name = "fattree k=" + std::to_string(k);
     topo.groups = k;
 
@@ -189,7 +185,6 @@ buildDragonfly(Fabric &fabric, const DragonflyParams &p,
     sp.ports = ph + (a - 1) + h;
 
     Topology topo;
-    topo.kind = Topology::Kind::Dragonfly;
     topo.name = "dragonfly a=" + std::to_string(a) +
                 " p=" + std::to_string(ph) + " h=" + std::to_string(h);
     topo.groups = g;

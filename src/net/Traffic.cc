@@ -2,203 +2,20 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace san::net {
 
+using Pattern = TrafficParams::Pattern;
+
 TrafficGen::TrafficGen(sim::Simulation &sim, std::vector<Adapter *> hosts,
+                       std::vector<unsigned> hostGroup,
                        const TrafficParams &params)
-    : sim_(sim), hosts_(std::move(hosts)), params_(params)
-{
-    assert(hosts_.size() >= 2 && "traffic needs at least two hosts");
-    assert(params_.hotspot < hosts_.size());
-    for (unsigned i = 0; i < hosts_.size(); ++i)
-        if (i != params_.hotspot)
-            senders_.push_back(i);
-    if (params_.spacing == 0) {
-        // One message's wire time at the default 1 GB/s (1 byte/ns):
-        // each sender offers exactly its link rate.
-        const std::uint64_t pkts =
-            (params_.messageBytes + params_.mtu - 1) / params_.mtu;
-        params_.spacing = sim::ns(params_.messageBytes +
-                                  pkts * headerBytes);
-    }
-    if (params_.pattern == TrafficParams::Pattern::Incast)
-        params_.permMessages = 0;
-}
-
-void
-TrafficGen::post(unsigned sender_slot, unsigned msg_index)
-{
-    // Deterministic interleave: within a sender's post sequence,
-    // every hotInterleave-th message is hot until the hot budget is
-    // spent, then the remaining ring messages drain.
-    unsigned hot_before = 0;
-    const unsigned k = std::max(1u, params_.hotInterleave);
-    for (unsigned j = 0; j < msg_index; ++j)
-        if (hot_before < params_.hotMessages && (j + 1) % k == 0)
-            ++hot_before;
-    bool hot = hot_before < params_.hotMessages &&
-               (msg_index + 1) % k == 0;
-    // Pure incast: everything is hot.
-    if (params_.permMessages == 0)
-        hot = true;
-    // Hot budget exhausted but perm budget too? (msg_index always
-    // < permMessages + hotMessages, so one of the two has room.)
-    const unsigned perm_before = msg_index - hot_before;
-    if (!hot && perm_before >= params_.permMessages)
-        hot = true;
-    assert(msg_index < params_.permMessages + params_.hotMessages);
-
-    const unsigned src = senders_[sender_slot];
-    unsigned dst;
-    if (hot) {
-        dst = params_.hotspot;
-    } else {
-        // Ring permutation over the senders: slot s -> slot s+1.
-        dst = senders_[(sender_slot + 1) % senders_.size()];
-    }
-    const std::uint32_t tag = nextTag_++;
-    meta_[tag] = MessageMeta{sim_.now(), sender_slot, hot};
-    hosts_[src]->sendMessage(hosts_[dst]->id(), params_.messageBytes,
-                             std::nullopt, nullptr, tag);
-}
-
-sim::Task
-TrafficGen::drain(Adapter &host, unsigned expected)
-{
-    for (unsigned i = 0; i < expected; ++i) {
-        Message msg = co_await host.recvQueue().pop();
-        onDelivery(msg);
-    }
-}
-
-void
-TrafficGen::onDelivery(const Message &msg)
-{
-    const auto it = meta_.find(msg.tag);
-    if (it == meta_.end())
-        return; // not ours
-    deliveries_.push_back(Delivery{msg.completedAt, msg.bytes,
-                                   it->second.postedAt,
-                                   it->second.senderSlot,
-                                   it->second.hot});
-}
-
-void
-TrafficGen::start()
-{
-    assert(!started_ && "start() is one-shot");
-    started_ = true;
-    firstPostAt_ = sim_.now();
-
-    const unsigned total = params_.permMessages + params_.hotMessages;
-    for (unsigned s = 0; s < senders_.size(); ++s) {
-        for (unsigned j = 0; j < total; ++j) {
-            const sim::Tick at = firstPostAt_ + j * params_.spacing;
-            sim_.events().schedule(
-                at, [this, s, j] { post(s, j); });
-        }
-    }
-
-    // Expected deliveries: the hotspot gets every hot message, each
-    // sender gets its ring predecessor's perm messages.
-    const auto n = static_cast<unsigned>(senders_.size());
-    sim_.spawn(drain(*hosts_[params_.hotspot],
-                     n * params_.hotMessages));
-    for (unsigned s = 0; s < n; ++s)
-        sim_.spawn(drain(*hosts_[senders_[s]], params_.permMessages));
-}
-
-TrafficReport
-TrafficGen::report() const
-{
-    TrafficReport r;
-    r.firstPostAt = firstPostAt_;
-
-    const auto n = static_cast<unsigned>(senders_.size());
-    std::vector<std::uint64_t> fairBytes(n, 0);
-    std::vector<sim::Tick> fairLast(n, 0);
-    double latSum = 0.0;
-    std::uint64_t latCount = 0;
-
-    const bool usePermForFairness = params_.permMessages != 0;
-    for (const Delivery &d : deliveries_) {
-        r.deliveredBytes += d.bytes;
-        ++r.deliveredMessages;
-        r.lastDeliveryAt = std::max(r.lastDeliveryAt, d.at);
-        if (d.hot) {
-            r.hotBytes += d.bytes;
-        } else {
-            r.permBytes += d.bytes;
-            r.permDoneAt = std::max(r.permDoneAt, d.at);
-        }
-        const bool counts = usePermForFairness ? !d.hot : d.hot;
-        if (counts) {
-            fairBytes[d.senderSlot] += d.bytes;
-            fairLast[d.senderSlot] =
-                std::max(fairLast[d.senderSlot], d.at);
-            latSum += static_cast<double>(d.at - d.postedAt);
-            r.permLatencyMaxNs =
-                std::max(r.permLatencyMaxNs,
-                         static_cast<double>(d.at - d.postedAt) / 1e3);
-            ++latCount;
-        }
-    }
-    if (r.permDoneAt == 0)
-        r.permDoneAt = r.lastDeliveryAt; // pure incast
-    for (const Delivery &d : deliveries_)
-        if (d.at <= r.permDoneAt)
-            r.bytesAtPermDone += d.bytes;
-
-    const auto window =
-        static_cast<double>(r.permDoneAt - r.firstPostAt);
-    if (window > 0) {
-        // Ticks are picoseconds: bytes/ps * 1e12 / 1e9 = GB/s.
-        r.aggregateGBps =
-            static_cast<double>(r.bytesAtPermDone) * 1e3 / window;
-        r.permGoodputGBps =
-            static_cast<double>(usePermForFairness ? r.permBytes
-                                                   : r.hotBytes) *
-            1e3 / window;
-    }
-    if (latCount > 0)
-        r.permLatencyMeanNs =
-            latSum / static_cast<double>(latCount) / 1e3;
-
-    // Jain over per-sender goodput: bytes / (own completion window).
-    double sum = 0.0, sumSq = 0.0;
-    unsigned live = 0;
-    for (unsigned s = 0; s < n; ++s) {
-        if (fairBytes[s] == 0)
-            continue;
-        const auto w =
-            static_cast<double>(fairLast[s] - r.firstPostAt);
-        if (w <= 0)
-            continue;
-        const double x = static_cast<double>(fairBytes[s]) / w;
-        sum += x;
-        sumSq += x * x;
-        ++live;
-    }
-    if (live > 0 && sumSq > 0)
-        r.jainFairness = (sum * sum) / (live * sumSq);
-    return r;
-}
-
-//
-// ---- FabricTrafficGen ----
-//
-
-FabricTrafficGen::FabricTrafficGen(sim::Simulation &sim,
-                                   std::vector<Adapter *> hosts,
-                                   std::vector<unsigned> hostGroup,
-                                   const FabricTrafficParams &params)
     : sim_(sim), hosts_(std::move(hosts)),
       hostGroup_(std::move(hostGroup)), params_(params)
 {
-    assert(hosts_.size() >= 2 &&
-           "fabric traffic needs at least two hosts");
+    assert(hosts_.size() >= 2 && "traffic needs at least two hosts");
+    assert(params_.pattern != Pattern::PermutationHotspot ||
+           params_.hotMessages <= params_.messages);
     if (hostGroup_.empty())
         hostGroup_.assign(hosts_.size(), 0);
     assert(hostGroup_.size() == hosts_.size());
@@ -214,139 +31,205 @@ FabricTrafficGen::FabricTrafficGen(sim::Simulation &sim,
         groupMembers_[hostGroup_[i]].push_back(i);
     }
 
-    if (params_.spacing == 0) {
-        const std::uint64_t pkts =
-            (params_.messageBytes + params_.mtu - 1) / params_.mtu;
-        params_.spacing =
-            sim::ns(params_.messageBytes + pkts * headerBytes);
-    }
+    // One message's wire time at 1 GB/s (1 byte/ns), headers
+    // included: each sender offers exactly its link rate.
+    const std::uint64_t mtu = hosts_.front()->mtu();
+    const std::uint64_t pkts = (params_.messageBytes + mtu - 1) / mtu;
+    spacing_ = sim::ns(params_.messageBytes + pkts * headerBytes);
+}
+
+bool
+TrafficGen::measured(const Post &post) const
+{
+    // A PermutationHotspot run with no ring budget is an incast, and
+    // is measured as one.
+    return params_.pattern != Pattern::PermutationHotspot ||
+           post.dst != 0 || params_.messages == params_.hotMessages;
 }
 
 unsigned
-FabricTrafficGen::destination(unsigned host, unsigned round) const
+TrafficGen::messagesFrom(unsigned host) const
+{
+    const bool hotspot = params_.pattern == Pattern::Incast ||
+                         params_.pattern == Pattern::PermutationHotspot;
+    return hotspot && host == 0 ? 0 : params_.messages;
+}
+
+unsigned
+TrafficGen::destination(unsigned host, unsigned j) const
 {
     const auto n = static_cast<unsigned>(hosts_.size());
-    const std::uint64_t r = detMix64(
-        params_.seed ^
-        detMix64((static_cast<std::uint64_t>(host) << 32) | round));
+    const auto mix = [&] {
+        return detMix64(
+            params_.seed ^
+            detMix64((static_cast<std::uint64_t>(host) << 32) | j));
+    };
+    const auto anyButSelf = [&] {
+        const auto d = static_cast<unsigned>(mix() % (n - 1));
+        return d >= host ? d + 1 : d;
+    };
 
     switch (params_.pattern) {
-    case FabricTrafficParams::Pattern::Uniform: {
-        unsigned d = static_cast<unsigned>(r % (n - 1));
-        return d >= host ? d + 1 : d; // skip self
-    }
-    case FabricTrafficParams::Pattern::Permutation: {
-        // round is deliberately unused: the permutation is fixed for
-        // the whole run, the sustained adversarial load.
+    case Pattern::Uniform:
+        return anyButSelf();
+    case Pattern::Permutation: {
+        // j is deliberately unused: the permutation is fixed for the
+        // whole run, the sustained adversarial load.
         if (groups_ <= 1) {
             const unsigned off =
                 1 + static_cast<unsigned>(params_.seed % (n - 1));
             return (host + off) % n;
         }
-        const unsigned g = hostGroup_[host];
         const unsigned hop =
-            1 + static_cast<unsigned>(
-                    params_.seed % (groups_ > 1 ? groups_ - 1 : 1));
-        const auto &target = groupMembers_[(g + hop) % groups_];
+            1 + static_cast<unsigned>(params_.seed % (groups_ - 1));
+        const auto &target = groupMembers_[(hostGroup_[host] + hop) %
+                                           groups_];
         return target[groupRank_[host] % target.size()];
     }
-    case FabricTrafficParams::Pattern::GroupLocal: {
+    case Pattern::GroupLocal: {
         const auto &mem = groupMembers_[hostGroup_[host]];
-        if (mem.size() <= 1) { // degenerate group: fall back
-            unsigned d = static_cast<unsigned>(r % (n - 1));
-            return d >= host ? d + 1 : d;
-        }
-        unsigned idx = static_cast<unsigned>(r % (mem.size() - 1));
+        if (mem.size() <= 1) // degenerate group: fall back
+            return anyButSelf();
+        auto idx = static_cast<unsigned>(mix() % (mem.size() - 1));
         if (idx >= groupRank_[host])
             ++idx; // skip self within the group
         return mem[idx];
+    }
+    case Pattern::Incast:
+        return 0;
+    case Pattern::PermutationHotspot: {
+        // Every third message is hot until the hot budget is spent;
+        // once the ring budget is spent, the rest are hot too.
+        const unsigned hot = params_.hotMessages;
+        const unsigned hotBefore = std::min(hot, j / 3);
+        if ((hotBefore < hot && (j + 1) % 3 == 0) ||
+            j - hotBefore >= params_.messages - hot)
+            return 0;
+        return host % (n - 1) + 1; // ring over hosts 1..n-1
     }
     }
     return (host + 1) % n; // unreachable
 }
 
 void
-FabricTrafficGen::post(unsigned host, unsigned round)
+TrafficGen::post(unsigned host, unsigned j)
 {
-    const unsigned dst = destination(host, round);
-    const std::uint32_t tag = nextTag_++;
-    meta_[tag] = MessageMeta{sim_.now(),
-                             hostGroup_[host] == hostGroup_[dst]};
+    const unsigned dst = destination(host, j);
+    posts_.push_back(Post{sim_.now(), host, dst});
     hosts_[host]->sendMessage(hosts_[dst]->id(), params_.messageBytes,
-                              std::nullopt, nullptr, tag);
-    ++posted_;
+                              std::nullopt, nullptr,
+                              static_cast<std::uint32_t>(posts_.size()));
 }
 
 sim::Task
-FabricTrafficGen::drain(Adapter &host, unsigned expected)
+TrafficGen::drain(Adapter &host, unsigned expected)
 {
     for (unsigned i = 0; i < expected; ++i) {
-        Message msg = co_await host.recvQueue().pop();
-        const auto it = meta_.find(msg.tag);
-        if (it == meta_.end())
+        const Message msg = co_await host.recvQueue().pop();
+        if (msg.tag == 0 || msg.tag > posts_.size())
             continue; // not ours
-        ++deliveredMessages_;
-        deliveredBytes_ += msg.bytes;
-        lastDeliveryAt_ = std::max(lastDeliveryAt_, msg.completedAt);
-        if (it->second.intraGroup)
-            ++intra_;
-        else
-            ++inter_;
-        const double ns =
-            static_cast<double>(msg.completedAt -
-                                it->second.postedAt) /
-            1e3;
-        latSumNs_ += ns;
-        latMaxNs_ = std::max(latMaxNs_, ns);
+        deliveries_.push_back(
+            Delivery{msg.tag, msg.completedAt, msg.bytes});
     }
 }
 
 void
-FabricTrafficGen::start()
+TrafficGen::start()
 {
     assert(!started_ && "start() is one-shot");
     started_ = true;
     firstPostAt_ = sim_.now();
 
-    // The destination map is pure, so per-host delivery expectations
-    // are exact — each drain knows precisely how many messages to
-    // absorb and the run ends when the last one lands.
+    // destination() is pure, so per-host delivery expectations are
+    // exact: each drain knows precisely how many messages to absorb
+    // and the run ends when the last one lands.
     std::vector<unsigned> expected(hosts_.size(), 0);
-    for (unsigned h = 0; h < hosts_.size(); ++h)
-        for (unsigned j = 0; j < params_.messagesPerHost; ++j)
+    std::size_t total = 0;
+    for (unsigned h = 0; h < hosts_.size(); ++h) {
+        for (unsigned j = 0; j < messagesFrom(h); ++j)
             ++expected[destination(h, j)];
+        total += messagesFrom(h);
+    }
+    posts_.reserve(total);
+    deliveries_.reserve(total);
 
     for (unsigned h = 0; h < hosts_.size(); ++h)
-        for (unsigned j = 0; j < params_.messagesPerHost; ++j)
-            sim_.events().schedule(
-                firstPostAt_ + j * params_.spacing,
-                [this, h, j] { post(h, j); });
+        for (unsigned j = 0; j < messagesFrom(h); ++j)
+            sim_.events().schedule(firstPostAt_ + j * spacing_,
+                                   [this, h, j] { post(h, j); });
 
     for (unsigned h = 0; h < hosts_.size(); ++h)
         if (expected[h] > 0)
             sim_.spawn(drain(*hosts_[h], expected[h]));
 }
 
-FabricTrafficReport
-FabricTrafficGen::report() const
+TrafficReport
+TrafficGen::report() const
 {
-    FabricTrafficReport r;
-    r.postedMessages = posted_;
-    r.deliveredMessages = deliveredMessages_;
-    r.deliveredBytes = deliveredBytes_;
-    r.intraGroupMessages = intra_;
-    r.interGroupMessages = inter_;
+    TrafficReport r;
+    r.posted = posts_.size();
     r.firstPostAt = firstPostAt_;
-    r.lastDeliveryAt = lastDeliveryAt_;
+
+    std::vector<std::uint64_t> fairBytes(hosts_.size(), 0);
+    std::vector<sim::Tick> fairLast(hosts_.size(), 0);
+    sim::Tick latSum = 0;
+    sim::Tick latMax = 0;
+    std::uint64_t latCount = 0;
+    for (const Delivery &d : deliveries_) {
+        const Post &p = posts_[d.tag - 1];
+        ++r.delivered;
+        r.deliveredBytes += d.bytes;
+        r.lastDeliveryAt = std::max(r.lastDeliveryAt, d.at);
+        if (hostGroup_[p.src] == hostGroup_[p.dst])
+            ++r.intraGroup;
+        else
+            ++r.interGroup;
+        if (!measured(p))
+            continue;
+        r.measuredBytes += d.bytes;
+        r.measuredDoneAt = std::max(r.measuredDoneAt, d.at);
+        fairBytes[p.src] += d.bytes;
+        fairLast[p.src] = std::max(fairLast[p.src], d.at);
+        latSum += d.at - p.at;
+        latMax = std::max(latMax, d.at - p.at);
+        ++latCount;
+    }
+    if (r.measuredDoneAt == 0)
+        r.measuredDoneAt = r.lastDeliveryAt;
+    for (const Delivery &d : deliveries_)
+        if (d.at <= r.measuredDoneAt)
+            r.bytesAtMeasuredDone += d.bytes;
+
     const auto window =
-        static_cast<double>(lastDeliveryAt_ - firstPostAt_);
-    if (window > 0)
+        static_cast<double>(r.measuredDoneAt - r.firstPostAt);
+    if (window > 0) {
+        // Ticks are picoseconds: bytes/ps * 1e12 / 1e9 = GB/s.
         r.aggregateGBps =
-            static_cast<double>(deliveredBytes_) * 1e3 / window;
-    if (deliveredMessages_ > 0)
-        r.latencyMeanNs =
-            latSumNs_ / static_cast<double>(deliveredMessages_);
-    r.latencyMaxNs = latMaxNs_;
+            static_cast<double>(r.bytesAtMeasuredDone) * 1e3 / window;
+        r.goodputGBps =
+            static_cast<double>(r.measuredBytes) * 1e3 / window;
+    }
+    if (latCount > 0)
+        r.latencyMeanNs = static_cast<double>(latSum) /
+                          static_cast<double>(latCount) / 1e3;
+    r.latencyMaxNs = static_cast<double>(latMax) / 1e3;
+
+    // Jain over per-sender goodput: bytes / (own completion window).
+    double sum = 0.0, sumSq = 0.0;
+    unsigned live = 0;
+    for (std::size_t s = 0; s < hosts_.size(); ++s) {
+        if (fairBytes[s] == 0)
+            continue;
+        const auto w = static_cast<double>(fairLast[s] - r.firstPostAt);
+        if (w <= 0)
+            continue;
+        const double x = static_cast<double>(fairBytes[s]) / w;
+        sum += x;
+        sumSq += x * x;
+        ++live;
+    }
+    if (live > 0 && sumSq > 0)
+        r.jainFairness = (sum * sum) / (live * sumSq);
     return r;
 }
 
@@ -363,12 +246,7 @@ FlowChurnGen::FlowChurnGen(sim::Simulation &sim,
     assert(!senders_.empty() && "flow churn needs a sender");
     assert(params_.dst != invalidNode);
     assert(params_.handlerCpus >= 1);
-    if (params_.spacing == 0) {
-        const std::uint64_t pkts =
-            (params_.packetBytes + params_.mtu - 1) / params_.mtu;
-        params_.spacing =
-            sim::ns(params_.packetBytes + pkts * headerBytes);
-    }
+    assert(params_.spacing > 0);
 }
 
 void

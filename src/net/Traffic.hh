@@ -1,30 +1,43 @@
 /**
  * @file
- * Synthetic hotspot/incast traffic for the switch policy lab.
+ * Synthetic traffic: one deterministic generator for the switch
+ * policy lab and the fabric sweeps, plus the flow-churn generator
+ * behind the load-balancer workloads.
  *
- * Two patterns, both classic switch-evaluation workloads:
+ * TrafficGen's five patterns:
  *
- *  - Incast (N-to-1): every sender streams messages at one hot
- *    receiver. The hot output link is the bottleneck under any
- *    policy; what differs is queueing delay and fairness across
- *    senders.
- *  - Permutation-with-hotspot: senders exchange messages in a ring
- *    (a permutation a non-blocking switch carries at full rate)
- *    while also interleaving a fraction of hot messages at a node
- *    that only receives. The hot backlog is what separates the
- *    policies: a finite central output queue lets it head-of-line
- *    block the permutation traffic, VOQs absorb it per input and
- *    keep the ring at line rate.
+ *  - Uniform: every message picks a fresh pseudo-random destination
+ *    (never self), the benign all-to-all a multipath fabric should
+ *    carry near line rate.
+ *  - Permutation: a fixed seeded permutation that always crosses
+ *    groups. Host i targets the same intra-group rank in group
+ *    (g + 1 + seed mod (groups-1)) mod groups, so every byte
+ *    traverses the aggregation/core (fat-tree) or a single global
+ *    channel (dragonfly).
+ *  - GroupLocal: a pseudo-random destination within the sender's own
+ *    group (pod), traffic that never needs the upper stages.
+ *  - Incast (N-to-1): every host but host 0 streams at host 0. The
+ *    hot output link is the bottleneck under any switch policy; what
+ *    differs is queueing delay and fairness across senders.
+ *  - PermutationHotspot: every host but host 0 sends to its successor
+ *    in a ring over hosts 1..n-1 (a permutation a non-blocking switch
+ *    carries at full rate), and every third message goes to host 0
+ *    until the sender's hot budget is spent. A finite central output
+ *    queue lets that hot backlog head-of-line block the ring; VOQs
+ *    absorb it per input and keep the ring at line rate.
  *
- * The generator is deterministic (fixed interleave, fixed spacing,
- * no PRNG), so per-policy reports are byte-stable and golden-testable.
+ * Under the two hotspot patterns host 0 only receives: its own sends
+ * would contend with the hot backlog and blur the comparison.
+ *
+ * There is no PRNG state: a destination is a pure function of
+ * (pattern, seed, host, message index), so every report is byte-stable
+ * and golden-testable.
  */
 
 #ifndef SAN_NET_TRAFFIC_HH
 #define SAN_NET_TRAFFIC_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/Adapter.hh"
@@ -33,101 +46,7 @@
 
 namespace san::net {
 
-/** Traffic pattern configuration. */
-struct TrafficParams {
-    enum class Pattern { Incast, PermutationHotspot };
-
-    Pattern pattern = Pattern::PermutationHotspot;
-    /** Index (into the host vector) of the hot receiver. It only
-     * receives: its own sends would contend with the hot backlog and
-     * blur the comparison. */
-    unsigned hotspot = 0;
-    std::uint32_t messageBytes = 4096;
-    unsigned permMessages = 48; //!< ring messages per sender
-    unsigned hotMessages = 24;  //!< hot messages per sender
-    /** Every k-th posted message goes to the hotspot (until the
-     * sender's hot budget is spent). */
-    unsigned hotInterleave = 3;
-    /** Gap between message posts per sender; 0 = one message wire
-     * time at 1 GB/s, i.e. each sender offers its full link rate. */
-    sim::Tick spacing = 0;
-    unsigned mtu = defaultMtu; //!< for the default spacing estimate
-};
-
-/** End-of-run traffic summary (all values deterministic). */
-struct TrafficReport {
-    std::uint64_t deliveredBytes = 0;
-    std::uint64_t deliveredMessages = 0;
-    std::uint64_t permBytes = 0;
-    std::uint64_t hotBytes = 0;
-    sim::Tick firstPostAt = 0;
-    sim::Tick lastDeliveryAt = 0;
-    /** When the last permutation (non-hot) message completed; equals
-     * lastDeliveryAt for pure incast. */
-    sim::Tick permDoneAt = 0;
-    /** Payload bytes (hot + perm) delivered by permDoneAt. */
-    std::uint64_t bytesAtPermDone = 0;
-    /** Aggregate goodput over the permutation window, GB/s. */
-    double aggregateGBps = 0.0;
-    /** Permutation-only goodput over the same window, GB/s. */
-    double permGoodputGBps = 0.0;
-    double permLatencyMeanNs = 0.0;
-    double permLatencyMaxNs = 0.0;
-    /** Jain index over per-sender goodput (1.0 = perfectly fair). */
-    double jainFairness = 1.0;
-};
-
-/**
- * Drives one pattern over a set of fabric endpoints. Construct after
- * wiring and computeRoutes(), call start() before Simulation::run(),
- * and report() after it returns.
- */
-class TrafficGen
-{
-  public:
-    TrafficGen(sim::Simulation &sim, std::vector<Adapter *> hosts,
-               const TrafficParams &params);
-
-    /** Schedule every send and spawn the receive drains. */
-    void start();
-
-    /** Summarize the run (call after Simulation::run()). */
-    TrafficReport report() const;
-
-  private:
-    struct MessageMeta {
-        sim::Tick postedAt = 0;
-        unsigned senderSlot = 0; //!< index into senders_
-        bool hot = false;
-    };
-    struct Delivery {
-        sim::Tick at = 0;
-        std::uint64_t bytes = 0;
-        sim::Tick postedAt = 0;
-        unsigned senderSlot = 0;
-        bool hot = false;
-    };
-
-    void post(unsigned sender_slot, unsigned msg_index);
-    sim::Task drain(Adapter &host, unsigned expected);
-    void onDelivery(const Message &msg);
-
-    sim::Simulation &sim_;
-    std::vector<Adapter *> hosts_;
-    TrafficParams params_;
-    std::vector<unsigned> senders_; //!< host indices that send
-    std::unordered_map<std::uint32_t, MessageMeta> meta_; //!< by tag
-    std::vector<Delivery> deliveries_;
-    std::uint32_t nextTag_ = 1;
-    sim::Tick firstPostAt_ = 0;
-    bool started_ = false;
-};
-
-//
-// ---- Fabric-wide traffic (multi-switch topologies) ----
-//
-
-/** splitmix64 finalizer: the deterministic mixer behind the fabric
+/** splitmix64 finalizer: the deterministic mixer behind the random
  * traffic patterns (and stylistically the same one the run
  * fingerprint folds with). */
 constexpr std::uint64_t
@@ -139,106 +58,115 @@ detMix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** Fabric-wide pattern configuration. */
-struct FabricTrafficParams {
+/** Traffic pattern configuration. */
+struct TrafficParams {
     enum class Pattern {
-        /** Every message picks a fresh pseudo-random destination
-         * (never self) — the benign all-to-all a multipath fabric
-         * should carry near line rate. */
         Uniform,
-        /** A fixed seeded permutation that always crosses groups:
-         * host i targets the same intra-group rank in group
-         * (g + 1 + seed mod (groups-1)) mod groups. The classic
-         * adversarial pattern — every byte traverses the
-         * aggregation/core (fat-tree) or a single global channel
-         * (dragonfly). */
         Permutation,
-        /** Pseudo-random destination within the sender's own group
-         * (pod): edge/local-switch traffic that never needs the
-         * upper stages. */
         GroupLocal,
+        Incast,
+        PermutationHotspot,
     };
 
     Pattern pattern = Pattern::Uniform;
+    /** Destination seed of the Uniform, Permutation and GroupLocal
+     * patterns. */
     std::uint64_t seed = 1;
     std::uint32_t messageBytes = 2048;
-    unsigned messagesPerHost = 8;
-    /** Gap between message posts per sender; 0 = one message wire
-     * time at 1 GB/s (each sender offers its full link rate). */
-    sim::Tick spacing = 0;
-    unsigned mtu = defaultMtu;
-};
-
-/** End-of-run fabric traffic summary (all values deterministic). */
-struct FabricTrafficReport {
-    std::uint64_t postedMessages = 0;
-    std::uint64_t deliveredMessages = 0;
-    std::uint64_t deliveredBytes = 0;
-    std::uint64_t intraGroupMessages = 0;
-    std::uint64_t interGroupMessages = 0;
-    sim::Tick firstPostAt = 0;
-    sim::Tick lastDeliveryAt = 0;
-    /** Delivered payload over the whole run window, GB/s. */
-    double aggregateGBps = 0.0;
-    double latencyMeanNs = 0.0;
-    double latencyMaxNs = 0.0;
+    /** Messages each sending host posts, one message wire time apart
+     * (each sender offers exactly its link rate). */
+    unsigned messages = 8;
+    /** PermutationHotspot only: how many of a sender's messages go to
+     * host 0; the rest follow the ring. */
+    unsigned hotMessages = 0;
 };
 
 /**
- * Drives one fabric-wide pattern over a topology's hosts. The
- * destination of every (host, message) pair is a pure function of
- * (pattern, seed, host, message) — see destination() — so runs are
- * deterministic and tests can pin exact destination sets. Construct
- * after wiring and computeRoutes(), call start() before
- * Simulation::run(), and report() after it returns.
+ * End-of-run summary (all values deterministic). Latency, goodput and
+ * fairness cover the measured class: every message, except under
+ * PermutationHotspot with a ring budget, where it is the ring traffic
+ * (every message not aimed at host 0).
  */
-class FabricTrafficGen
+struct TrafficReport {
+    std::uint64_t posted = 0;    //!< messages posted
+    std::uint64_t delivered = 0; //!< messages drained
+    std::uint64_t deliveredBytes = 0;
+    std::uint64_t measuredBytes = 0; //!< delivered, measured class
+    std::uint64_t intraGroup = 0;    //!< delivered within a group
+    std::uint64_t interGroup = 0;    //!< delivered across groups
+    sim::Tick firstPostAt = 0;
+    sim::Tick lastDeliveryAt = 0;
+    /** When the last measured message completed. */
+    sim::Tick measuredDoneAt = 0;
+    /** Payload bytes of every class delivered by measuredDoneAt. */
+    std::uint64_t bytesAtMeasuredDone = 0;
+    /** bytesAtMeasuredDone over [firstPostAt, measuredDoneAt], GB/s. */
+    double aggregateGBps = 0.0;
+    /** measuredBytes over the same window, GB/s. */
+    double goodputGBps = 0.0;
+    double latencyMeanNs = 0.0;
+    double latencyMaxNs = 0.0;
+    /** Jain index over per-sender goodput (1.0 = perfectly fair). */
+    double jainFairness = 1.0;
+};
+
+/**
+ * Drives one pattern over a set of fabric endpoints. Every post is
+ * scheduled up front at t0 + j * spacing, in (sender, j) order; tags
+ * count from 1 in post order. Construct after wiring and
+ * computeRoutes(), call start() before Simulation::run(), and
+ * report() after it returns.
+ */
+class TrafficGen
 {
   public:
     /** @p hostGroup gives each host's group (pod); pass an empty
-     * vector to treat the fabric as one group. */
-    FabricTrafficGen(sim::Simulation &sim,
-                     std::vector<Adapter *> hosts,
-                     std::vector<unsigned> hostGroup,
-                     const FabricTrafficParams &params);
+     * vector to treat the hosts as one group. */
+    TrafficGen(sim::Simulation &sim, std::vector<Adapter *> hosts,
+               std::vector<unsigned> hostGroup,
+               const TrafficParams &params);
 
-    /** The host index that host @p host's message @p round targets.
-     * Pure, total, never @p host itself. */
-    unsigned destination(unsigned host, unsigned round) const;
+    /** How many messages host @p host posts: none from host 0 under
+     * the hotspot patterns, params.messages from every other. */
+    unsigned messagesFrom(unsigned host) const;
+
+    /** The host that host @p host's message @p j targets. Pure, and
+     * never @p host itself for a host that posts. */
+    unsigned destination(unsigned host, unsigned j) const;
 
     /** Schedule every send and spawn the receive drains. One-shot. */
     void start();
 
     /** Summarize the run (call after Simulation::run()). */
-    FabricTrafficReport report() const;
+    TrafficReport report() const;
 
   private:
-    struct MessageMeta {
-        sim::Tick postedAt = 0;
-        bool intraGroup = false;
+    struct Post {
+        sim::Tick at = 0;
+        unsigned src = 0;
+        unsigned dst = 0;
+    };
+    struct Delivery {
+        std::uint32_t tag = 0;
+        sim::Tick at = 0;
+        std::uint64_t bytes = 0;
     };
 
-    void post(unsigned host, unsigned round);
+    bool measured(const Post &post) const;
+    void post(unsigned host, unsigned j);
     sim::Task drain(Adapter &host, unsigned expected);
 
     sim::Simulation &sim_;
     std::vector<Adapter *> hosts_;
     std::vector<unsigned> hostGroup_;
-    FabricTrafficParams params_;
+    TrafficParams params_;
+    sim::Tick spacing_ = 0;
     unsigned groups_ = 1;
     std::vector<std::vector<unsigned>> groupMembers_;
     std::vector<unsigned> groupRank_; //!< host -> index in its group
-    std::unordered_map<std::uint32_t, MessageMeta> meta_; //!< by tag
-    std::uint32_t nextTag_ = 1;
-    std::uint64_t posted_ = 0;
-    std::uint64_t deliveredMessages_ = 0;
-    std::uint64_t deliveredBytes_ = 0;
-    std::uint64_t intra_ = 0;
-    std::uint64_t inter_ = 0;
+    std::vector<Post> posts_;         //!< by tag - 1
+    std::vector<Delivery> deliveries_;
     sim::Tick firstPostAt_ = 0;
-    sim::Tick lastDeliveryAt_ = 0;
-    double latSumNs_ = 0.0;
-    double latMaxNs_ = 0.0;
     bool started_ = false;
 };
 
@@ -353,9 +281,8 @@ struct FlowChurnParams {
     /** Every k-th data packet is followed by one for an orphan flow
      * that was never opened (table miss -> host punt); 0 = none. */
     unsigned orphanEvery = 0;
-    /** Gap between posts per sender; 0 = one packet wire time. */
+    /** Gap between posts per sender (non-zero). */
     sim::Tick spacing = 0;
-    unsigned mtu = defaultMtu;
     /** Destination node: the active switch itself (handler packets
      * terminate there) or the lb host (the software baseline). */
     NodeId dst = invalidNode;

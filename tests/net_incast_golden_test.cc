@@ -66,10 +66,9 @@ runLab(const std::string &label, const std::string &spec)
     TrafficParams traffic;
     traffic.pattern = TrafficParams::Pattern::PermutationHotspot;
     traffic.messageBytes = 2048;
-    traffic.permMessages = 12;
+    traffic.messages = 18; // 12 ring + 6 hot
     traffic.hotMessages = 6;
-    traffic.hotInterleave = 3;
-    TrafficGen gen(sim, hosts, traffic);
+    TrafficGen gen(sim, hosts, {}, traffic);
 
     std::ostringstream csv;
     obs::IntervalSampler sampler(csv, sim::us(10));
@@ -89,21 +88,22 @@ runLab(const std::string &label, const std::string &spec)
     json.key("traffic").beginObject();
     json.kv("pattern", "perm_hotspot");
     json.kv("messageBytes", traffic.messageBytes);
-    json.kv("permMessages", traffic.permMessages);
+    json.kv("permMessages", traffic.messages - traffic.hotMessages);
     json.kv("hotMessages", traffic.hotMessages);
     json.endObject();
+    // The measured class is the ring ("perm") traffic.
     json.key("report").beginObject();
     json.kv("deliveredBytes", r.deliveredBytes);
-    json.kv("deliveredMessages", r.deliveredMessages);
-    json.kv("permBytes", r.permBytes);
-    json.kv("hotBytes", r.hotBytes);
+    json.kv("deliveredMessages", r.delivered);
+    json.kv("permBytes", r.measuredBytes);
+    json.kv("hotBytes", r.deliveredBytes - r.measuredBytes);
     json.kv("lastDeliveryAt", static_cast<std::uint64_t>(r.lastDeliveryAt));
-    json.kv("permDoneAt", static_cast<std::uint64_t>(r.permDoneAt));
-    json.kv("bytesAtPermDone", r.bytesAtPermDone);
+    json.kv("permDoneAt", static_cast<std::uint64_t>(r.measuredDoneAt));
+    json.kv("bytesAtPermDone", r.bytesAtMeasuredDone);
     json.kv("aggregateGBps", r.aggregateGBps);
-    json.kv("permGoodputGBps", r.permGoodputGBps);
-    json.kv("permLatencyMeanNs", r.permLatencyMeanNs);
-    json.kv("permLatencyMaxNs", r.permLatencyMaxNs);
+    json.kv("permGoodputGBps", r.goodputGBps);
+    json.kv("permLatencyMeanNs", r.latencyMeanNs);
+    json.kv("permLatencyMaxNs", r.latencyMaxNs);
     json.kv("jainFairness", r.jainFairness);
     json.endObject();
     const auto &pc = sw.policy().counters();
@@ -119,7 +119,7 @@ runLab(const std::string &label, const std::string &spec)
     json.endObject();
 
     // Sanity independent of the golden: every posted byte arrived.
-    EXPECT_EQ(r.deliveredMessages, 7u * (12 + 6));
+    EXPECT_EQ(r.delivered, 7u * (12 + 6));
     EXPECT_EQ(r.deliveredBytes, 7ull * (12 + 6) * 2048);
 
     return LabOutput{oss.str(), csv.str()};

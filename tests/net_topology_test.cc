@@ -1,16 +1,18 @@
 /**
  * @file
- * Topology-builder and fabric-traffic tests: fat-tree / dragonfly
- * shapes, all-pairs reachability at scale, and the deterministic
- * fabric-wide traffic patterns.
+ * Topology-builder and traffic-generator tests: fat-tree / dragonfly
+ * shapes, all-pairs reachability at scale, and the five deterministic
+ * traffic patterns (three fabric-wide, two on a single switch).
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "net/Fabric.hh"
 #include "net/Topology.hh"
 #include "net/Traffic.hh"
 #include "sim/Simulation.hh"
@@ -76,16 +78,16 @@ TEST(Topology, FatTreeK8Counts)
 
     // Uniform fabric traffic as a reachability smoke at 128 hosts:
     // every posted message lands.
-    FabricTrafficParams p;
-    p.pattern = FabricTrafficParams::Pattern::Uniform;
-    p.messagesPerHost = 2;
+    TrafficParams p;
+    p.pattern = TrafficParams::Pattern::Uniform;
+    p.messages = 2;
     p.messageBytes = 256;
-    FabricTrafficGen gen(s, topo.hosts, topo.hostGroup, p);
+    TrafficGen gen(s, topo.hosts, topo.hostGroup, p);
     gen.start();
     s.run();
-    const FabricTrafficReport r = gen.report();
-    EXPECT_EQ(r.postedMessages, 256u);
-    EXPECT_EQ(r.deliveredMessages, 256u);
+    const TrafficReport r = gen.report();
+    EXPECT_EQ(r.posted, 256u);
+    EXPECT_EQ(r.delivered, 256u);
     EXPECT_EQ(r.deliveredBytes, 256u * 256u);
 }
 
@@ -147,20 +149,20 @@ TEST(Topology, DragonflyBenchShapeHas144Hosts)
     EXPECT_EQ(dragonflyHostCount(params), 144u);
 }
 
-TEST(FabricTraffic, UniformConservesMessagesAndAvoidsSelf)
+TEST(Traffic, UniformConservesMessagesAndAvoidsSelf)
 {
     Simulation s;
     Fabric fabric(s);
     const Topology topo = buildFatTree(fabric, FatTreeParams{4});
 
-    FabricTrafficParams p;
-    p.pattern = FabricTrafficParams::Pattern::Uniform;
-    p.messagesPerHost = 6;
+    TrafficParams p;
+    p.pattern = TrafficParams::Pattern::Uniform;
+    p.messages = 6;
     p.messageBytes = 512;
     p.seed = 42;
-    FabricTrafficGen gen(s, topo.hosts, topo.hostGroup, p);
+    TrafficGen gen(s, topo.hosts, topo.hostGroup, p);
     for (unsigned h = 0; h < topo.hosts.size(); ++h)
-        for (unsigned j = 0; j < p.messagesPerHost; ++j) {
+        for (unsigned j = 0; j < p.messages; ++j) {
             const unsigned d = gen.destination(h, j);
             ASSERT_LT(d, topo.hosts.size());
             EXPECT_NE(d, h);
@@ -169,52 +171,52 @@ TEST(FabricTraffic, UniformConservesMessagesAndAvoidsSelf)
         }
     gen.start();
     s.run();
-    const FabricTrafficReport r = gen.report();
-    EXPECT_EQ(r.postedMessages, 16u * 6u);
-    EXPECT_EQ(r.deliveredMessages, r.postedMessages);
-    EXPECT_EQ(r.deliveredBytes, r.postedMessages * 512u);
-    EXPECT_EQ(r.intraGroupMessages + r.interGroupMessages,
-              r.deliveredMessages);
+    const TrafficReport r = gen.report();
+    EXPECT_EQ(r.posted, 16u * 6u);
+    EXPECT_EQ(r.delivered, r.posted);
+    EXPECT_EQ(r.deliveredBytes, r.posted * 512u);
+    EXPECT_EQ(r.intraGroup + r.interGroup,
+              r.delivered);
     EXPECT_GT(r.aggregateGBps, 0.0);
     EXPECT_GT(r.latencyMeanNs, 0.0);
 }
 
-TEST(FabricTraffic, GroupLocalNeverLeavesThePod)
+TEST(Traffic, GroupLocalNeverLeavesThePod)
 {
     Simulation s;
     Fabric fabric(s);
     const Topology topo = buildFatTree(fabric, FatTreeParams{4});
 
-    FabricTrafficParams p;
-    p.pattern = FabricTrafficParams::Pattern::GroupLocal;
-    p.messagesPerHost = 5;
-    FabricTrafficGen gen(s, topo.hosts, topo.hostGroup, p);
+    TrafficParams p;
+    p.pattern = TrafficParams::Pattern::GroupLocal;
+    p.messages = 5;
+    TrafficGen gen(s, topo.hosts, topo.hostGroup, p);
     for (unsigned h = 0; h < topo.hosts.size(); ++h)
-        for (unsigned j = 0; j < p.messagesPerHost; ++j) {
+        for (unsigned j = 0; j < p.messages; ++j) {
             const unsigned d = gen.destination(h, j);
             EXPECT_NE(d, h);
             EXPECT_EQ(topo.hostGroup[d], topo.hostGroup[h]);
         }
     gen.start();
     s.run();
-    const FabricTrafficReport r = gen.report();
-    EXPECT_EQ(r.deliveredMessages, 16u * 5u);
-    EXPECT_EQ(r.interGroupMessages, 0u);
-    EXPECT_EQ(r.intraGroupMessages, r.deliveredMessages);
+    const TrafficReport r = gen.report();
+    EXPECT_EQ(r.delivered, 16u * 5u);
+    EXPECT_EQ(r.interGroup, 0u);
+    EXPECT_EQ(r.intraGroup, r.delivered);
 }
 
-TEST(FabricTraffic, PermutationAlwaysCrossesGroups)
+TEST(Traffic, PermutationAlwaysCrossesGroups)
 {
     Simulation s;
     Fabric fabric(s);
     const DragonflyParams params{2, 2, 1};
     const Topology topo = buildDragonfly(fabric, params);
 
-    FabricTrafficParams p;
-    p.pattern = FabricTrafficParams::Pattern::Permutation;
-    p.messagesPerHost = 4;
+    TrafficParams p;
+    p.pattern = TrafficParams::Pattern::Permutation;
+    p.messages = 4;
     p.seed = 7;
-    FabricTrafficGen gen(s, topo.hosts, topo.hostGroup, p);
+    TrafficGen gen(s, topo.hosts, topo.hostGroup, p);
     // A fixed permutation: destination ignores the round, never maps
     // two senders to one target, and always leaves the group.
     std::set<unsigned> targets;
@@ -227,10 +229,123 @@ TEST(FabricTraffic, PermutationAlwaysCrossesGroups)
     EXPECT_EQ(targets.size(), topo.hosts.size());
     gen.start();
     s.run();
-    const FabricTrafficReport r = gen.report();
-    EXPECT_EQ(r.deliveredMessages, 12u * 4u);
-    EXPECT_EQ(r.intraGroupMessages, 0u);
-    EXPECT_EQ(r.interGroupMessages, r.deliveredMessages);
+    const TrafficReport r = gen.report();
+    EXPECT_EQ(r.delivered, 12u * 4u);
+    EXPECT_EQ(r.intraGroup, 0u);
+    EXPECT_EQ(r.interGroup, r.delivered);
+}
+
+/** The policy lab's shape: 8 hosts on one 8-port switch. */
+struct SingleSwitch {
+    Simulation sim;
+    Fabric fabric{sim};
+    std::vector<Adapter *> hosts;
+
+    SingleSwitch()
+    {
+        Switch &sw = fabric.addSwitch(SwitchParams{8});
+        for (unsigned h = 0; h < 8; ++h) {
+            Adapter &a = fabric.addAdapter("h" + std::to_string(h));
+            fabric.connect(sw, h, a);
+            hosts.push_back(&a);
+        }
+        fabric.computeRoutes();
+    }
+};
+
+TEST(Traffic, EveryPatternIsPureAndConservesOnOneSwitch)
+{
+    using P = TrafficParams::Pattern;
+    for (const P pattern : {P::Uniform, P::Permutation, P::GroupLocal,
+                            P::Incast, P::PermutationHotspot}) {
+        SingleSwitch net;
+        TrafficParams p;
+        p.pattern = pattern;
+        p.messages = 9;
+        p.hotMessages = 3;
+        p.messageBytes = 1000;
+        TrafficGen gen(net.sim, net.hosts, {}, p);
+        const TrafficGen twin(net.sim, net.hosts, {}, p);
+
+        std::vector<unsigned> before;
+        for (unsigned h = 0; h < 8; ++h)
+            for (unsigned j = 0; j < gen.messagesFrom(h); ++j) {
+                const unsigned d = gen.destination(h, j);
+                ASSERT_LT(d, 8u);
+                EXPECT_NE(d, h);
+                EXPECT_EQ(twin.destination(h, j), d);
+                before.push_back(d);
+            }
+        gen.start();
+        net.sim.run();
+
+        // Running changed no answer: destination() keeps no state.
+        std::vector<unsigned> after;
+        for (unsigned h = 0; h < 8; ++h)
+            for (unsigned j = 0; j < gen.messagesFrom(h); ++j)
+                after.push_back(gen.destination(h, j));
+        EXPECT_EQ(after, before);
+
+        const TrafficReport r = gen.report();
+        EXPECT_EQ(r.posted, before.size());
+        EXPECT_EQ(r.delivered, r.posted);
+        EXPECT_EQ(r.deliveredBytes, r.posted * 1000u);
+        EXPECT_EQ(r.intraGroup, r.delivered); // one group
+    }
+}
+
+TEST(Traffic, HotspotPatternsNeverPostFromHostZero)
+{
+    using P = TrafficParams::Pattern;
+    for (const P pattern : {P::Incast, P::PermutationHotspot}) {
+        SingleSwitch net;
+        TrafficParams p;
+        p.pattern = pattern;
+        p.messages = 6;
+        p.hotMessages = 2;
+        TrafficGen gen(net.sim, net.hosts, {}, p);
+        EXPECT_EQ(gen.messagesFrom(0), 0u);
+        for (unsigned h = 1; h < 8; ++h)
+            EXPECT_EQ(gen.messagesFrom(h), 6u);
+        gen.start();
+        net.sim.run();
+        EXPECT_EQ(net.hosts[0]->messagesSent(), 0u);
+        EXPECT_EQ(gen.report().posted, 7u * 6u);
+    }
+}
+
+TEST(Traffic, PermutationHotspotSplitsEachSenderRingAndHot)
+{
+    SingleSwitch net;
+    TrafficParams p;
+    p.pattern = TrafficParams::Pattern::PermutationHotspot;
+    p.messages = 72;
+    p.hotMessages = 24;
+    p.messageBytes = 4096;
+    TrafficGen gen(net.sim, net.hosts, {}, p);
+    for (unsigned h = 1; h < 8; ++h) {
+        const unsigned successor = h % 7 + 1;
+        unsigned hot = 0, ring = 0;
+        for (unsigned j = 0; j < 72; ++j) {
+            const unsigned d = gen.destination(h, j);
+            hot += d == 0;
+            ring += d == successor;
+        }
+        EXPECT_EQ(hot, 24u) << "sender " << h;
+        EXPECT_EQ(ring, 48u) << "sender " << h;
+    }
+    gen.start();
+    net.sim.run();
+
+    const TrafficReport r = gen.report();
+    EXPECT_EQ(r.posted, 7u * 72u);
+    EXPECT_EQ(r.delivered, r.posted);
+    EXPECT_EQ(r.deliveredBytes, 7u * 72u * 4096u);
+    // The measured class is the ring traffic.
+    EXPECT_EQ(r.measuredBytes, 7u * 48u * 4096u);
+    EXPECT_EQ(net.hosts[0]->messagesReceived(), 7u * 24u);
+    for (unsigned h = 1; h < 8; ++h)
+        EXPECT_EQ(net.hosts[h]->messagesReceived(), 48u) << h;
 }
 
 } // namespace
