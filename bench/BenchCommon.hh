@@ -318,7 +318,7 @@ beginRun(const char *label)
         in.sampler->setRunLabel(label);
     rebuildFaultPlan();
     if (in.telemetry)
-        in.telemetry->beginRun(label);
+        in.telemetry->beginRun();
     return {in.tracer.get(), in.sampler.get(), in.plan.get(),
             in.telemetry.get()};
 }

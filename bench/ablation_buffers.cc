@@ -14,6 +14,7 @@
 
 #include <cstdio>
 
+#include "BenchCommon.hh"
 #include "apps/Grep.hh"
 #include "apps/Select.hh"
 
@@ -21,8 +22,9 @@ using namespace san;
 using namespace san::apps;
 
 int
-main()
+main(int argc, char **argv)
 {
+    san::bench::Flags().parse(argc, argv); // takes no flags
     std::printf("Ablation: data-buffer pool size (active+pref)\n");
     std::printf("%8s %16s %16s\n", "buffers", "grep exec(ms)",
                 "select exec(ms)");

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "BenchCommon.hh"
 #include "apps/Grep.hh"
 #include "apps/Select.hh"
 
@@ -17,8 +18,9 @@ using namespace san;
 using namespace san::apps;
 
 int
-main()
+main(int argc, char **argv)
 {
+    san::bench::Flags().parse(argc, argv); // takes no flags
     std::printf("Ablation: MTU / data-buffer size (active+pref)\n");
     std::printf("%8s %16s %16s\n", "MTU(B)", "grep exec(ms)",
                 "select exec(ms)");

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 
+#include "BenchCommon.hh"
 #include "apps/MpegFilter.hh"
 #include "apps/Select.hh"
 
@@ -19,8 +20,9 @@ using namespace san;
 using namespace san::apps;
 
 int
-main()
+main(int argc, char **argv)
 {
+    san::bench::Flags().parse(argc, argv); // takes no flags
     std::printf("Ablation: switch CPU clock (active+pref exec, ms)\n");
     std::printf("%10s %14s %14s %18s\n", "clock", "mpeg", "select",
                 "mpeg switch-util");

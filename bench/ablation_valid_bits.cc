@@ -22,6 +22,7 @@
 
 #include <cstdio>
 
+#include "BenchCommon.hh"
 #include "apps/Cluster.hh"
 #include "apps/Reduction.hh"
 
@@ -57,8 +58,9 @@ firstTouchLatency(unsigned line_bytes)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    san::bench::Flags().parse(argc, argv); // takes no flags
     std::printf("Ablation 1: handler wait for the first byte of a "
                 "512 B message\n");
     std::printf("%12s %22s\n", "line bytes", "extra wait (ns)");

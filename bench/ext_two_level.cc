@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "BenchCommon.hh"
 #include "apps/Cluster.hh"
 #include "apps/DetHash.hh"
 #include "apps/StreamCommon.hh"
@@ -259,8 +260,9 @@ name(Scheme s)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    san::bench::Flags().parse(argc, argv); // takes no flags
     std::printf("Extension: two-level active I/O (32 MB select, "
                 "selectivity 0.25)\n");
     std::printf("%-14s %10s %12s %13s %11s %11s %9s\n", "scheme",

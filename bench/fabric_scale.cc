@@ -207,7 +207,7 @@ runPlacement(const Shape &shape, Placement pl, const Settings &s,
     const std::string label =
         std::string(shape.name) + "/" + placementName(pl);
     if (tel)
-        tel->beginRun(label);
+        tel->beginRun();
     if (s.threads > 1)
         fabric.applyShardPlan(fabric.planShards(topo.switchCount()));
     obs::ShardedFingerprint fp;

@@ -11,11 +11,13 @@
 
 #include <cstdio>
 
+#include "BenchCommon.hh"
 #include "apps/Reduction.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    san::bench::Flags().parse(argc, argv); // takes no flags
     using namespace san::apps;
     std::printf("Fig 15: Reduce-to-one (512 B vectors)\n");
     std::printf("%6s %14s %14s %9s %8s\n", "nodes", "normal(us)",

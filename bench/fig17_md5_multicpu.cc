@@ -11,11 +11,13 @@
 
 #include <cstdio>
 
+#include "BenchCommon.hh"
 #include "apps/Md5App.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    san::bench::Flags().parse(argc, argv); // takes no flags
     using namespace san::apps;
     Md5Params params;
 

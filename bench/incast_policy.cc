@@ -40,92 +40,16 @@
 #include <vector>
 
 #include "BenchCommon.hh"
-#include "net/Fabric.hh"
-#include "net/Traffic.hh"
-#include "sim/Simulation.hh"
+#include "PolicyLab.hh"
 
 namespace {
 
 using namespace san;
 using namespace san::net;
 
-struct RunSettings {
-    std::uint32_t messageBytes = 4096;
-    unsigned permMessages = 48;
-    unsigned hotMessages = 24;
-};
-
-struct PolicyResult {
-    std::string policy;
-    TrafficReport report;
-    std::uint64_t holBlocked = 0;
-    std::uint64_t maxGrantWait = 0;
-};
-
-PolicyResult
-runOne(TrafficParams::Pattern pattern, const std::string &spec,
-       const RunSettings &s)
-{
-    const auto cfg = parsePolicySpec(spec);
-    if (!cfg.has_value()) {
-        std::fprintf(stderr, "FATAL: bad policy spec %s\n",
-                     spec.c_str());
-        std::exit(1);
-    }
-
-    sim::Simulation sim;
-    Fabric fabric(sim);
-    SwitchParams params;
-    params.ports = 8;
-    params.policy = *cfg;
-    Switch &sw = fabric.addSwitch(params);
-    std::vector<Adapter *> hosts;
-    for (unsigned h = 0; h < 8; ++h) {
-        Adapter &a = fabric.addAdapter("h" + std::to_string(h));
-        fabric.connect(sw, h, a);
-        hosts.push_back(&a);
-    }
-    fabric.computeRoutes();
-
-    TrafficParams traffic;
-    traffic.pattern = pattern;
-    traffic.messageBytes = s.messageBytes;
-    traffic.hotMessages = s.hotMessages;
-    // Incast sends only the hot messages; perm_hotspot sends both.
-    traffic.messages = pattern == TrafficParams::Pattern::Incast
-                           ? s.hotMessages
-                           : s.permMessages + s.hotMessages;
-    TrafficGen gen(sim, hosts, {}, traffic);
-    gen.start();
-    sim.run();
-
-    PolicyResult r;
-    r.policy = sw.policy().name();
-    r.report = gen.report();
-    if (r.report.delivered != r.report.posted) {
-        std::fprintf(stderr,
-                     "FATAL: %s lost messages: posted %llu delivered "
-                     "%llu\n",
-                     spec.c_str(),
-                     static_cast<unsigned long long>(r.report.posted),
-                     static_cast<unsigned long long>(
-                         r.report.delivered));
-        std::exit(1);
-    }
-    r.holBlocked = sw.policy().counters().holBlocked;
-    r.maxGrantWait = sw.policy().maxGrantWaitRounds();
-    return r;
-}
-
-const char *
-patternName(TrafficParams::Pattern p)
-{
-    return p == TrafficParams::Pattern::Incast ? "incast"
-                                               : "perm_hotspot";
-}
-
 void
-printJsonResult(const char *label, const PolicyResult &r, bool last)
+printJsonResult(const char *label, const bench::PolicyLabRun &r,
+                bool last)
 {
     const TrafficReport &t = r.report;
     std::printf(
@@ -147,7 +71,7 @@ printJsonResult(const char *label, const PolicyResult &r, bool last)
 int
 main(int argc, char **argv)
 {
-    RunSettings settings;
+    bench::PolicyLabLoad settings;
     double minVoqSpeedup = 0.0;
     bench::Flags()
         .number("--message-bytes", settings.messageBytes)
@@ -170,14 +94,15 @@ main(int argc, char **argv)
                 settings.hotMessages);
     for (std::size_t p = 0; p < 2; ++p) {
         const auto pattern = patterns[p];
-        std::printf("    \"%s\": {\n", patternName(pattern));
+        std::printf("    \"%s\": {\n", bench::patternName(pattern));
         std::fprintf(stderr,
                      "%-14s %-16s %9s %9s %11s %9s %7s %8s\n",
-                     patternName(pattern), "policy", "agg GB/s",
+                     bench::patternName(pattern), "policy", "agg GB/s",
                      "perm GB/s", "latency ns", "done us", "jain",
                      "HOLblk");
         for (std::size_t i = 0; i < 4; ++i) {
-            const PolicyResult r = runOne(pattern, specs[i], settings);
+            const bench::PolicyLabRun r =
+                bench::runPolicyLab(pattern, specs[i], settings);
             printJsonResult(specs[i], r, i + 1 == 4);
             const TrafficReport &t = r.report;
             std::fprintf(stderr,

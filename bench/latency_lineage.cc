@@ -41,21 +41,13 @@
 #include <vector>
 
 #include "BenchCommon.hh"
-#include "net/Fabric.hh"
-#include "net/Traffic.hh"
+#include "PolicyLab.hh"
 #include "obs/Telemetry.hh"
-#include "sim/Simulation.hh"
 
 namespace {
 
 using namespace san;
 using namespace san::net;
-
-struct RunSettings {
-    std::uint32_t messageBytes = 4096;
-    unsigned permMessages = 48;
-    unsigned hotMessages = 24;
-};
 
 struct StageCut {
     std::uint64_t samples = 0;
@@ -66,7 +58,6 @@ struct StageCut {
 
 struct PolicyResult {
     std::string policy;
-    TrafficReport report;
     std::uint64_t holBlocked = 0;
     StageCut txQueue, policyWait, switchQueue, endToEnd;
 };
@@ -82,68 +73,15 @@ cut(const obs::LatencyHistogram &h)
     return c;
 }
 
-/** One traffic run reporting to @p tel (null: telemetry off), whose
- * beginRun() the caller has primed. */
-TrafficReport
-runTraffic(TrafficParams::Pattern pattern, const std::string &spec,
-           const RunSettings &s, obs::Telemetry *tel,
-           std::uint64_t *hol_blocked)
-{
-    const auto cfg = parsePolicySpec(spec);
-    if (!cfg.has_value()) {
-        std::fprintf(stderr, "FATAL: bad policy spec %s\n",
-                     spec.c_str());
-        std::exit(1);
-    }
-    sim::Simulation sim(sim::RunContext{.telemetry = tel});
-    Fabric fabric(sim);
-    SwitchParams params;
-    params.ports = 8;
-    params.policy = *cfg;
-    Switch &sw = fabric.addSwitch(params);
-    std::vector<Adapter *> hosts;
-    for (unsigned h = 0; h < 8; ++h) {
-        Adapter &a = fabric.addAdapter("h" + std::to_string(h));
-        fabric.connect(sw, h, a);
-        hosts.push_back(&a);
-    }
-    fabric.computeRoutes();
-
-    TrafficParams traffic;
-    traffic.pattern = pattern;
-    traffic.messageBytes = s.messageBytes;
-    traffic.hotMessages = s.hotMessages;
-    // Incast sends only the hot messages; perm_hotspot sends both.
-    traffic.messages = pattern == TrafficParams::Pattern::Incast
-                           ? s.hotMessages
-                           : s.permMessages + s.hotMessages;
-    TrafficGen gen(sim, hosts, {}, traffic);
-    gen.start();
-    sim.run();
-    if (hol_blocked != nullptr)
-        *hol_blocked = sw.policy().counters().holBlocked;
-    const TrafficReport r = gen.report();
-    if (r.delivered != r.posted) {
-        std::fprintf(stderr,
-                     "FATAL: %s lost messages: posted %llu delivered "
-                     "%llu\n",
-                     spec.c_str(),
-                     static_cast<unsigned long long>(r.posted),
-                     static_cast<unsigned long long>(r.delivered));
-        std::exit(1);
-    }
-    return r;
-}
-
 PolicyResult
 runOne(TrafficParams::Pattern pattern, const std::string &spec,
-       const RunSettings &s, obs::Telemetry &tel)
+       const bench::PolicyLabLoad &s, obs::Telemetry &tel)
 {
-    tel.beginRun(spec);
+    tel.beginRun();
     PolicyResult r;
     r.policy = spec;
-    r.report = runTraffic(pattern, spec, s, &tel, &r.holBlocked);
-    const obs::TelemetryStats &t = tel.finishRun();
+    r.holBlocked = bench::runPolicyLab(pattern, spec, s, &tel).holBlocked;
+    const obs::TelemetryStats t = tel.finishRun();
     using obs::FlowClass;
     using obs::Stage;
     r.txQueue = cut(t.stageHist(FlowClass::Data, Stage::TxQueue));
@@ -166,20 +104,14 @@ runOne(TrafficParams::Pattern pattern, const std::string &spec,
  * only one side.
  */
 double
-timeBatch(const RunSettings &s, unsigned iters, obs::Telemetry *tel)
+timeBatch(const bench::PolicyLabLoad &s, unsigned iters,
+          obs::Telemetry *tel)
 {
     const std::clock_t c0 = std::clock();
     for (unsigned k = 0; k < iters; ++k)
-        runTraffic(TrafficParams::Pattern::Incast, "fifo", s, tel,
-                   nullptr);
+        bench::runPolicyLab(TrafficParams::Pattern::Incast, "fifo", s,
+                            tel);
     return static_cast<double>(std::clock() - c0) / CLOCKS_PER_SEC;
-}
-
-const char *
-patternName(TrafficParams::Pattern p)
-{
-    return p == TrafficParams::Pattern::Incast ? "incast"
-                                               : "perm_hotspot";
 }
 
 void
@@ -206,7 +138,7 @@ printJsonResult(const char *label, const PolicyResult &r, bool last)
 int
 main(int argc, char **argv)
 {
-    RunSettings settings;
+    bench::PolicyLabLoad settings;
     unsigned overheadReps = 25;
     unsigned overheadIters = 128;
     double maxOverhead = 0.0;
@@ -233,10 +165,10 @@ main(int argc, char **argv)
                 settings.hotMessages);
     for (std::size_t p = 0; p < 2; ++p) {
         const auto pattern = patterns[p];
-        std::printf("    \"%s\": {\n", patternName(pattern));
+        std::printf("    \"%s\": {\n", bench::patternName(pattern));
         std::fprintf(stderr,
                      "%-14s %-8s %8s %9s %9s %9s %9s %9s\n",
-                     patternName(pattern), "policy", "samples",
+                     bench::patternName(pattern), "policy", "samples",
                      "txq p99", "polW p99", "swq p99", "e2e p50",
                      "e2e p99");
         for (std::size_t i = 0; i < 2; ++i) {
@@ -260,7 +192,7 @@ main(int argc, char **argv)
     // Passive overhead: hooks absent vs armed-at-rate-0. Same
     // deterministic workload, best-of-N CPU time each.
     obs::Telemetry armed(0);
-    armed.beginRun("overhead");
+    armed.beginRun();
     double plain = 1e30;
     double hooked = 1e30;
     std::vector<double> ratios;

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "BenchCommon.hh"
 #include "apps/Grep.hh"
 #include "apps/HashJoin.hh"
 #include "apps/Md5App.hh"
@@ -17,8 +18,9 @@
 #include "apps/Tar.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    san::bench::Flags().parse(argc, argv); // takes no flags
     using namespace san::apps;
     MpegParams mpeg;
     HashJoinParams hj;

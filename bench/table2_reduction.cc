@@ -8,11 +8,13 @@
 
 #include <cstdio>
 
+#include "BenchCommon.hh"
 #include "apps/Reduction.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    san::bench::Flags().parse(argc, argv); // takes no flags
     using namespace san::apps;
     ReductionParams params;
     params.nodes = 8;

@@ -522,39 +522,15 @@ ActiveSwitch::sendUnit(net::NodeId dst, std::uint64_t bytes,
                        std::optional<net::ActiveHeader> active,
                        net::PayloadPtr payload, std::uint32_t tag)
 {
-    const std::uint64_t id = nextMessageId();
-    const unsigned mtu = pool_.params().bytes;
-    std::uint64_t remaining = bytes;
-    std::uint32_t seq = 0;
-    do {
-        const std::uint32_t chunk = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(remaining, mtu));
-        remaining -= chunk;
-        net::Packet pkt;
-        pkt.src = this->id();
-        pkt.dst = dst;
-        pkt.payloadBytes = chunk;
-        pkt.active = active.has_value();
-        if (active)
-            pkt.activeHdr = *active;
-        pkt.messageId = id;
-        pkt.tag = tag;
-        pkt.seq = seq++;
-        pkt.last = (remaining == 0);
-        pkt.messageBytes = bytes;
-        if (pkt.last)
-            pkt.payload = payload;
-        if (auto *tel = sim_.context().telemetry)
-            pkt.telemetry = tel->sample(pkt.src, pkt.dst,
-                                        pkt.active
-                                            ? obs::FlowClass::Active
-                                            : obs::FlowClass::Data,
-                                        sim_.now());
-        if (rel_)
-            rel_->send(std::move(pkt));
-        else
-            inject(std::move(pkt));
-    } while (remaining > 0);
+    net::packetize(id(), dst, bytes, active, std::move(payload), tag,
+                   nextMessageId(), pool_.params().bytes,
+                   sim_.context().telemetry, sim_.now(),
+                   [this](net::Packet &&pkt) {
+                       if (rel_)
+                           rel_->send(std::move(pkt));
+                       else
+                           inject(std::move(pkt));
+                   });
 }
 
 } // namespace san::active

@@ -208,8 +208,6 @@ class ActiveSwitch : public net::Switch
      * installed at construction; nullptr otherwise.
      */
     const fault::ReliableChannel *reliable() const { return rel_.get(); }
-    /** Packets waiting on a free buffer / ATB slot right now. */
-    std::size_t pendingDepth() const { return pending_; }
 
     /** Per-handler switch-CPU profiles, keyed by handler ID. */
     const std::map<std::uint8_t, HandlerProfile> &
@@ -275,7 +273,7 @@ class ActiveSwitch : public net::Switch
         return net::messageIdOf(id(), messagesPosted_++);
     }
 
-    /** Send-unit segmentation (mirrors Adapter::sendMessage). */
+    /** The send unit: net::packetize at the data-buffer size. */
     void sendUnit(net::NodeId dst, std::uint64_t bytes,
                   std::optional<net::ActiveHeader> active,
                   net::PayloadPtr payload, std::uint32_t tag);

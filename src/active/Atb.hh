@@ -32,7 +32,6 @@ class Atb
     {}
 
     unsigned entries() const { return static_cast<unsigned>(entries_.size()); }
-    unsigned bufBytes() const { return bufBytes_; }
 
     /** Index of the direct-mapped slot for a mapping base address. */
     std::size_t

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "fault/FaultPlan.hh"
+#include "fault/Reliable.hh"
 #include "obs/Metrics.hh"
 
 namespace san::apps {
@@ -74,29 +75,19 @@ Cluster::Cluster(const ClusterParams &params)
         for (const auto &link : fabric_.links())
             link->registerMetrics(sampler->registry());
         // Recovery timelines, only meaningful under a fault plan.
-        if (const fault::FaultPlan *plan = params.run.faults) {
-            obs::MetricsRegistry &m = sampler->registry();
-            m.add("fault.injected", obs::GaugeKind::Rate, [plan] {
-                return static_cast<double>(plan->injected());
-            });
-            m.add("net.retransmits", obs::GaugeKind::Rate, [this] {
-                std::uint64_t n = 0;
-                for (const auto &a : fabric_.adapters())
-                    if (const auto *rel = a->reliable())
-                        n += rel->retransmits();
-                if (const auto *rel = sw_->reliable())
-                    n += rel->retransmits();
-                return static_cast<double>(n);
-            });
-            m.add("switch.failovers", obs::GaugeKind::Rate, [this] {
-                return static_cast<double>(sw_->handlerFailovers());
-            });
-            m.add("io.retries", obs::GaugeKind::Rate, [this] {
-                std::uint64_t n = 0;
-                for (const auto &s : storage_)
-                    n += s->ioRetries();
-                return static_cast<double>(n);
-            });
+        if (params.run.faults != nullptr) {
+            const auto recovery = [this, sampler](
+                                      const char *name,
+                                      std::uint64_t FaultStats::*tally) {
+                sampler->registry().add(
+                    name, obs::GaugeKind::Rate, [this, tally] {
+                        return static_cast<double>(faultTally().*tally);
+                    });
+            };
+            recovery("fault.injected", &FaultStats::injected);
+            recovery("net.retransmits", &FaultStats::retransmits);
+            recovery("switch.failovers", &FaultStats::failovers);
+            recovery("io.retries", &FaultStats::ioRetries);
         }
         sampler->attach(sim_.events());
     }
@@ -109,13 +100,55 @@ Cluster::spawnOnHost(unsigned i, sim::Task task)
     sim_.spawn(std::move(task));
 }
 
+FaultStats
+Cluster::faultTally() const
+{
+    FaultStats f;
+    const fault::FaultPlan *plan = sim_.context().faults;
+    if (plan == nullptr)
+        return f;
+    f.active = true;
+    f.injected = plan->injected();
+    for (unsigned k = 0; k < fault::faultKindCount; ++k)
+        f.injectedByKind[k] =
+            plan->injectedOf(static_cast<fault::FaultKind>(k));
+    const auto fold = [&f](const fault::ReliableChannel *rel) {
+        if (rel == nullptr)
+            return;
+        f.retransmits += rel->retransmits();
+        f.timeouts += rel->timeouts();
+        f.crcDrops += rel->crcDrops();
+        f.dupDrops += rel->dupDrops();
+        f.oooDrops += rel->oooDrops();
+        f.controlDrops += rel->controlDrops();
+        f.acksSent += rel->acksSent();
+        f.nacksSent += rel->nacksSent();
+        f.flowAborts += rel->aborts();
+    };
+    for (const auto &a : fabric_.adapters())
+        fold(a->reliable());
+    fold(sw_->reliable());
+    f.failovers = sw_->handlerFailovers();
+    f.switchDrops = sw_->droppedPackets();
+    for (const auto &s : storage_) {
+        f.ioRetries += s->ioRetries();
+        f.ioErrors += s->ioErrors();
+        f.ioSpikes += s->ioSpikes();
+    }
+    for (const auto &link : fabric_.links()) {
+        f.packetsCorrupted += link->packetsCorrupted();
+        f.creditsLost += link->creditsLost();
+    }
+    return f;
+}
+
 RunStats
-Cluster::collect(Mode mode)
+Cluster::collect(Mode mode, const std::function<void(LbStats &)> &fillLb)
 {
     const sim::Tick end = sim_.runSharded(params_.threads);
     if (obs::IntervalSampler *sampler = sim_.context().sampler)
         sampler->finishRun(end);
-    RunStats stats;
+    RunStats &stats = stats_;
     stats.mode = mode;
     stats.execTime = end;
     stats.eventsExecuted = sim_.executedEvents();
@@ -151,63 +184,40 @@ Cluster::collect(Mode mode)
     // captures fault timing, and keeping them out lets a fault-free
     // plan ("none:0") reproduce the no-plan fingerprint modulo the
     // protocol's own control traffic.
-    if (const fault::FaultPlan *plan = sim_.context().faults) {
-        FaultStats &f = stats.faults;
-        f.active = true;
-        f.injected = plan->injected();
-        const auto fold = [&f](const fault::ReliableChannel *rel) {
-            if (rel == nullptr)
-                return;
-            f.retransmits += rel->retransmits();
-            f.timeouts += rel->timeouts();
-            f.crcDrops += rel->crcDrops();
-            f.dupDrops += rel->dupDrops();
-            f.flowAborts += rel->aborts();
-        };
-        for (const auto &a : fabric_.adapters())
-            fold(a->reliable());
-        fold(sw_->reliable());
-        f.failovers = sw_->handlerFailovers();
-        for (const auto &s : storage_) {
-            f.ioRetries += s->ioRetries();
-            f.ioErrors += s->ioErrors();
-        }
-        for (const auto &link : fabric_.links())
-            f.creditsLost += link->creditsLost();
-    }
+    stats.faults = faultTally();
 
     // Seed the stat fold with the deterministic per-shard stream
-    // merge (DESIGN.md §14).
-    shardedFp_.combineInto(fingerprint_);
-
-    // Fold the end-of-run stat values on top of the per-event stream
-    // so a run with identical timing but different results still
-    // yields a different fingerprint.
-    fingerprint_.foldStat("execTime", static_cast<double>(end));
-    fingerprint_.foldStat("hostIoBytes",
-                          static_cast<double>(stats.hostIoBytes));
+    // merge (DESIGN.md §14), then fold the end-of-run stat values on
+    // top of the per-event stream so a run with identical timing but
+    // different results still yields a different fingerprint.
+    obs::RunFingerprint fingerprint;
+    shardedFp_.combineInto(fingerprint);
+    fingerprint.foldStat("execTime", static_cast<double>(end));
+    fingerprint.foldStat("hostIoBytes",
+                         static_cast<double>(stats.hostIoBytes));
     for (const auto &h : stats.hosts) {
-        fingerprint_.foldStat("host.busy", static_cast<double>(h.busy));
-        fingerprint_.foldStat("host.stall",
-                              static_cast<double>(h.stall));
+        fingerprint.foldStat("host.busy", static_cast<double>(h.busy));
+        fingerprint.foldStat("host.stall", static_cast<double>(h.stall));
     }
     for (const auto &s : stats.switchCpus) {
-        fingerprint_.foldStat("sp.busy", static_cast<double>(s.busy));
-        fingerprint_.foldStat("sp.stall", static_cast<double>(s.stall));
+        fingerprint.foldStat("sp.busy", static_cast<double>(s.busy));
+        fingerprint.foldStat("sp.stall", static_cast<double>(s.stall));
     }
     for (const auto &p : stats.handlerProfiles) {
-        fingerprint_.foldStat("handler.busy",
-                              static_cast<double>(p.busyTicks));
-        fingerprint_.foldStat("handler.bytes",
-                              static_cast<double>(p.bytes));
+        fingerprint.foldStat("handler.busy",
+                             static_cast<double>(p.busyTicks));
+        fingerprint.foldStat("handler.bytes",
+                             static_cast<double>(p.bytes));
     }
-    stats.fingerprint = fingerprint_.value();
+    stats.fingerprint = fingerprint.value();
 
     // Fold the lineage records into their histograms now that the run
     // is quiescent. Like FaultStats, never fingerprinted: telemetry
     // observes the event stream without perturbing it.
     if (obs::Telemetry *tel = sim_.context().telemetry)
         stats.telemetry = tel->finishRun();
+    if (fillLb)
+        fillLb(stats.lb);
 
     if (clusterObserver())
         clusterObserver()(*this, mode);

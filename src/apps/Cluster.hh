@@ -71,39 +71,46 @@ class Cluster
     }
 
     /**
-     * The run fingerprint (see obs::RunFingerprint): collect() folds
-     * the per-shard event streams and then the end-of-run stat values
-     * into it, and reports it in RunStats.
-     */
-    obs::RunFingerprint &fingerprint() { return fingerprint_; }
-
-    /**
      * Spawn a task pinned to host @p i's shard. The per-figure run
      * functions start their host loops through this so the task's
      * events land on the host's logical process.
      */
     void spawnOnHost(unsigned i, sim::Task task);
 
-    /** Run to completion and collect the paper's metrics. */
-    RunStats collect(Mode mode);
+    /**
+     * Run to completion and collect the run's record: the paper's
+     * metrics, the run fingerprint, and the fault, telemetry and
+     * (through @p fillLb, called once the run has ended) load-balancer
+     * tallies. The cluster observer reads it as stats() before it is
+     * returned.
+     */
+    RunStats collect(Mode mode,
+                     const std::function<void(LbStats &)> &fillLb = {});
+
+    /** The record collect() built (empty before it runs). */
+    const RunStats &stats() const { return stats_; }
 
   private:
+    /** The recovery counters summed over every component. */
+    FaultStats faultTally() const;
+
     ClusterParams params_;
     sim::Simulation sim_;
-    obs::RunFingerprint fingerprint_;
     obs::ShardedFingerprint shardedFp_;
     net::Fabric fabric_;
     active::ActiveSwitch *sw_ = nullptr;
     std::vector<std::unique_ptr<host::Host>> hosts_;
     std::vector<std::unique_ptr<io::StorageNode>> storage_;
+    RunStats stats_;
 };
 
 /**
- * Hook called at the end of every Cluster::collect(), while the
- * cluster and its components are still alive. The bench driver and
- * the golden-stats tests use it to export machine-readable stats
- * from runs whose Cluster is otherwise an implementation detail of
- * the per-app run functions. Empty (default) means disabled.
+ * Hook called at the end of every Cluster::collect(), once the run's
+ * record (Cluster::stats()) is complete, while the cluster and its
+ * components are still alive. The bench driver and the golden-stats
+ * tests use it to export machine-readable stats from runs whose
+ * Cluster is otherwise an implementation detail of the per-app run
+ * functions. Empty (default) means disabled.
  */
 using ClusterObserver = std::function<void(Cluster &, Mode)>;
 ClusterObserver &clusterObserver();

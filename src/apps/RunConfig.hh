@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cpu/Cpu.hh"
+#include "fault/FaultPlan.hh"
 #include "obs/Telemetry.hh"
 #include "sim/Types.hh"
 
@@ -79,20 +80,31 @@ struct HandlerCpuProfile {
  * Fault-injection and recovery counters of one run. All zero — and
  * `active` false — unless a fault plan was installed (fault/): the
  * struct exists so reliability sweeps can read recovery behaviour
- * without touching component internals.
+ * without touching component internals, and the stats JSON's fault
+ * object renders it. Reliable-channel counters sum every endpoint
+ * engine (adapters and the switch).
  */
 struct FaultStats {
     bool active = false;           //!< a fault plan drove this run
     std::uint64_t injected = 0;    //!< total faults injected
+    /** Faults injected, per fault::FaultKind. */
+    std::array<std::uint64_t, fault::faultKindCount> injectedByKind{};
     std::uint64_t retransmits = 0; //!< data packets resent (all flows)
     std::uint64_t timeouts = 0;    //!< retransmit-timer expiries
     std::uint64_t crcDrops = 0;    //!< corrupt packets caught on arrival
     std::uint64_t dupDrops = 0;    //!< duplicates suppressed (dedup)
+    std::uint64_t oooDrops = 0;    //!< out-of-order arrivals dropped
+    std::uint64_t controlDrops = 0; //!< corrupt ACK/NACKs dropped
+    std::uint64_t acksSent = 0;
+    std::uint64_t nacksSent = 0;
+    std::uint64_t flowAborts = 0;  //!< flows past the retry budget
     std::uint64_t failovers = 0;   //!< handler crash relaunches
+    std::uint64_t switchDrops = 0; //!< packets the switch dropped
     std::uint64_t ioRetries = 0;   //!< disk chunk reads re-issued
     std::uint64_t ioErrors = 0;    //!< completions with error status
+    std::uint64_t ioSpikes = 0;    //!< disk latency spikes
+    std::uint64_t packetsCorrupted = 0; //!< link bit errors
     std::uint64_t creditsLost = 0; //!< link credit flits lost
-    std::uint64_t flowAborts = 0;  //!< flows past the retry budget
 };
 
 /**
@@ -118,7 +130,9 @@ struct LbStats {
     std::uint64_t backendUpEvents = 0;
     std::uint64_t hotBytes = 0;     //!< hot-index footprint (<= 1 KB)
     std::uint64_t tableBytes = 0;   //!< full-table footprint
+    std::uint64_t tableCapacity = 0; //!< table entries
     double occupancy = 0.0;         //!< live entries / table capacity
+    std::uint64_t backendsAlive = 0; //!< at end of run
     /** Packets each backend received from the balancer. */
     std::vector<std::uint64_t> backendPackets;
 };

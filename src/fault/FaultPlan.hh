@@ -214,8 +214,6 @@ class FaultPlan
             std::memory_order_relaxed);
     }
 
-    std::uint64_t baseSeed() const { return baseSeed_; }
-
     RecoveryParams &recovery() { return recovery_; }
     const RecoveryParams &recovery() const { return recovery_; }
 

@@ -3,33 +3,11 @@
 #include <string>
 
 #include "fault/FaultPlan.hh"
-#include "fault/Reliable.hh"
-#include "lb/LoadBalancer.hh"
 #include "obs/Telemetry.hh"
 
 namespace san::harness {
 
 namespace {
-
-/**
- * Sum one reliable-delivery counter over every endpoint engine in the
- * cluster (host HCAs, storage TCAs, the switch itself).
- */
-template <typename Getter>
-std::uint64_t
-sumReliable(apps::Cluster &cluster, Getter get)
-{
-    std::uint64_t total = 0;
-    for (unsigned i = 0; i < cluster.hostCount(); ++i)
-        if (const auto *rel = cluster.host(i).hca().reliable())
-            total += get(*rel);
-    for (unsigned i = 0; i < cluster.storageCount(); ++i)
-        if (const auto *rel = cluster.storage(i).tca().reliable())
-            total += get(*rel);
-    if (const auto *rel = cluster.sw().reliable())
-        total += get(*rel);
-    return total;
-}
 
 void
 dumpCacheJson(obs::JsonWriter &json, mem::Cache &c)
@@ -72,8 +50,6 @@ dumpLatencyHistJson(obs::JsonWriter &json,
     json.endObject();
 }
 
-} // namespace
-
 void
 dumpMemoryStatsJson(obs::JsonWriter &json, mem::MemorySystem &ms)
 {
@@ -99,12 +75,15 @@ dumpMemoryStatsJson(obs::JsonWriter &json, mem::MemorySystem &ms)
     json.endObject();
 }
 
+} // namespace
+
 void
 dumpClusterStatsJson(obs::JsonWriter &json, apps::Cluster &cluster)
 {
+    const apps::RunStats &run = cluster.stats();
     json.beginObject();
-    json.kv("execTimePs", cluster.sim().now());
-    json.kv("fingerprint", cluster.fingerprint().value());
+    json.kv("execTimePs", run.execTime);
+    json.kv("fingerprint", run.fingerprint);
 
     json.key("hosts").beginArray();
     for (unsigned i = 0; i < cluster.hostCount(); ++i) {
@@ -174,11 +153,8 @@ dumpClusterStatsJson(obs::JsonWriter &json, apps::Cluster &cluster)
         json.endObject();
     }
     json.endArray();
-    const sim::Tick sp_cycle =
-        sim::Frequency(sw.config().cpuHz).period();
     json.key("handlers").beginArray();
-    for (const auto &[id, p] : sw.handlerProfiles()) {
-        const std::uint64_t cycles = p.busyTicks / sp_cycle;
+    for (const apps::HandlerCpuProfile &p : run.handlerProfiles) {
         json.beginObject();
         json.kv("id", static_cast<std::uint64_t>(p.id));
         json.kv("name", p.name);
@@ -187,11 +163,8 @@ dumpClusterStatsJson(obs::JsonWriter &json, apps::Cluster &cluster)
         json.kv("bytes", p.bytes);
         json.kv("busyTicks", p.busyTicks);
         json.kv("stallTicks", p.stallTicks);
-        json.kv("busyCycles", cycles);
-        json.kv("cyclesPerByte",
-                p.bytes > 0 ? static_cast<double>(cycles) /
-                                  static_cast<double>(p.bytes)
-                            : 0.0);
+        json.kv("busyCycles", p.busyCycles);
+        json.kv("cyclesPerByte", p.cyclesPerByte);
         json.endObject();
     }
     json.endArray();
@@ -216,83 +189,46 @@ dumpClusterStatsJson(obs::JsonWriter &json, apps::Cluster &cluster)
 
     // The fault object only exists under a fault plan, keeping
     // fault-free stats JSON byte-identical to the seed goldens.
-    if (const fault::FaultPlan *plan = cluster.sim().context().faults) {
-        const auto sum = [&cluster](auto get) {
-            return sumReliable(cluster, get);
-        };
+    if (const apps::FaultStats &f = run.faults; f.active) {
         json.key("fault").beginObject();
-        json.kv("injected", plan->injected());
-        for (unsigned k = 1; k < fault::faultKindCount; ++k) {
-            const auto kind = static_cast<fault::FaultKind>(k);
-            if (plan->injectedOf(kind) != 0)
+        json.kv("injected", f.injected);
+        for (unsigned k = 1; k < fault::faultKindCount; ++k)
+            if (f.injectedByKind[k] != 0)
                 json.kv(std::string("injected.") +
-                            fault::faultKindName(kind),
-                        plan->injectedOf(kind));
-        }
+                            fault::faultKindName(
+                                static_cast<fault::FaultKind>(k)),
+                        f.injectedByKind[k]);
         json.key("net").beginObject();
-        json.kv("retransmits",
-                sum([](const fault::ReliableChannel &r) {
-                    return r.retransmits();
-                }));
-        json.kv("timeouts", sum([](const fault::ReliableChannel &r) {
-                    return r.timeouts();
-                }));
-        json.kv("crcDrops", sum([](const fault::ReliableChannel &r) {
-                    return r.crcDrops();
-                }));
-        json.kv("dupDrops", sum([](const fault::ReliableChannel &r) {
-                    return r.dupDrops();
-                }));
-        json.kv("oooDrops", sum([](const fault::ReliableChannel &r) {
-                    return r.oooDrops();
-                }));
-        json.kv("controlDrops",
-                sum([](const fault::ReliableChannel &r) {
-                    return r.controlDrops();
-                }));
-        json.kv("acksSent", sum([](const fault::ReliableChannel &r) {
-                    return r.acksSent();
-                }));
-        json.kv("nacksSent", sum([](const fault::ReliableChannel &r) {
-                    return r.nacksSent();
-                }));
-        json.kv("flowAborts", sum([](const fault::ReliableChannel &r) {
-                    return r.aborts();
-                }));
+        json.kv("retransmits", f.retransmits);
+        json.kv("timeouts", f.timeouts);
+        json.kv("crcDrops", f.crcDrops);
+        json.kv("dupDrops", f.dupDrops);
+        json.kv("oooDrops", f.oooDrops);
+        json.kv("controlDrops", f.controlDrops);
+        json.kv("acksSent", f.acksSent);
+        json.kv("nacksSent", f.nacksSent);
+        json.kv("flowAborts", f.flowAborts);
         json.endObject();
         json.key("switch").beginObject();
-        json.kv("failovers", cluster.sw().handlerFailovers());
-        json.kv("droppedPackets", cluster.sw().droppedPackets());
+        json.kv("failovers", f.failovers);
+        json.kv("droppedPackets", f.switchDrops);
         json.endObject();
         json.key("io").beginObject();
-        std::uint64_t io_retries = 0, io_errors = 0, io_spikes = 0;
-        for (unsigned i = 0; i < cluster.storageCount(); ++i) {
-            io_retries += cluster.storage(i).ioRetries();
-            io_errors += cluster.storage(i).ioErrors();
-            io_spikes += cluster.storage(i).ioSpikes();
-        }
-        json.kv("retries", io_retries);
-        json.kv("errors", io_errors);
-        json.kv("spikes", io_spikes);
+        json.kv("retries", f.ioRetries);
+        json.kv("errors", f.ioErrors);
+        json.kv("spikes", f.ioSpikes);
         json.endObject();
         json.key("links").beginObject();
-        std::uint64_t corrupted = 0, credits_lost = 0;
-        for (const auto &link : cluster.fabric().links()) {
-            corrupted += link->packetsCorrupted();
-            credits_lost += link->creditsLost();
-        }
-        json.kv("packetsCorrupted", corrupted);
-        json.kv("creditsLost", credits_lost);
+        json.kv("packetsCorrupted", f.packetsCorrupted);
+        json.kv("creditsLost", f.creditsLost);
         json.endObject();
         json.endObject();
     }
 
     // The telemetry object only exists when --telemetry armed the
     // collector, keeping plain stats JSON byte-identical to the seed
-    // goldens. The fold ran in Cluster::collect just before the
-    // observer fired, so lastRun() describes this run.
-    if (const obs::Telemetry *tel = cluster.sim().context().telemetry) {
-        const obs::TelemetryStats &t = tel->lastRun();
+    // goldens.
+    if (const obs::TelemetryStats &t = run.telemetry; t.active) {
         json.key("telemetry").beginObject();
         json.kv("sampleRate", t.sampleRate);
         json.kv("recordsSampled", t.recordsSampled);
@@ -366,10 +302,9 @@ dumpClusterStatsJson(obs::JsonWriter &json, apps::Cluster &cluster)
         json.endObject();
     }
 
-    // The lb object only exists while a balancer drives the run,
+    // The lb object only exists when a balancer drove the run,
     // keeping every other workload's stats JSON byte-identical.
-    if (const lb::LoadBalancer *bal = lb::globalBalancer()) {
-        const apps::LbStats &c = bal->counters();
+    if (const apps::LbStats &c = run.lb; c.active) {
         json.key("lb").beginObject();
         json.kv("lookups", c.lookups);
         json.kv("hotHits", c.hotHits);
@@ -382,12 +317,11 @@ dumpClusterStatsJson(obs::JsonWriter &json, apps::Cluster &cluster)
         json.kv("punts", c.punts);
         json.kv("migrations", c.migrations);
         json.kv("peakFlows", c.peakFlows);
-        json.kv("flowsLive", bal->table().live());
-        json.kv("tableCapacity", bal->table().capacity());
-        json.kv("tableBytes", bal->table().memoryBytes());
-        json.kv("hotBytes", lb::ConnTable::hotBytes());
-        json.kv("backendsAlive",
-                static_cast<std::uint64_t>(bal->maglev().aliveCount()));
+        json.kv("flowsLive", c.flowsTracked);
+        json.kv("tableCapacity", c.tableCapacity);
+        json.kv("tableBytes", c.tableBytes);
+        json.kv("hotBytes", c.hotBytes);
+        json.kv("backendsAlive", c.backendsAlive);
         if (c.backendDownEvents != 0 || c.backendUpEvents != 0) {
             json.kv("backendDownEvents", c.backendDownEvents);
             json.kv("backendUpEvents", c.backendUpEvents);

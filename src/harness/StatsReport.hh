@@ -15,17 +15,15 @@
 namespace san::harness {
 
 /**
- * Emit one cluster's stats as a JSON object value on @p json:
- * caches, TLBs, RDRAM, switch, ATBs, buffers, disks and adapters,
- * plus the simulated end time and the run fingerprint, and the fault
- * and telemetry objects when the run had those instruments.
- * Byte-stable output, compared against golden files by
- * tests/golden_stats_test.
+ * Emit one collected cluster's stats as a JSON object value on
+ * @p json: caches, TLBs, RDRAM, switch, ATBs, buffers, disks and
+ * adapters, read from the components; and, from the run's record
+ * (Cluster::stats()), the simulated end time, the run fingerprint,
+ * the handler profiles, and the fault, telemetry and lb objects
+ * when the run had those instruments. Byte-stable output, compared
+ * against golden files by tests/golden_stats_test.
  */
 void dumpClusterStatsJson(obs::JsonWriter &json, apps::Cluster &cluster);
-
-/** One memory system as a JSON object value. */
-void dumpMemoryStatsJson(obs::JsonWriter &json, mem::MemorySystem &ms);
 
 } // namespace san::harness
 

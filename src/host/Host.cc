@@ -6,8 +6,6 @@
 
 namespace san::host {
 
-std::atomic<std::uint64_t> Host::nextRequestId_{1};
-
 Host::Host(sim::Simulation &sim, const std::string &name,
            net::Fabric &fabric, const mem::MemorySystemParams &mem_params,
            const OsCostParams &os_params)
@@ -66,7 +64,8 @@ Host::postRead(net::NodeId storage, std::uint64_t offset,
 {
     // Normal path: the kernel is on the issue side of every request.
     co_await cpu_.busyFor(osRequestCost(osParams_, bytes));
-    const std::uint64_t id = nextRequestId_++;
+    const std::uint64_t id =
+        net::messageIdOf(hca_->id(), requestsPosted_++);
     Pending &p = pending_[id];
     p.expected = bytes;
     p.gate = std::make_unique<sim::Gate>(sim_);
@@ -90,7 +89,8 @@ Host::postReadTo(net::NodeId storage, std::uint64_t offset,
     // Active path: user-level queue-pair post; the data never enters
     // this host, so no kernel request cost applies.
     co_await cpu_.busyFor(osParams_.qpPost);
-    const std::uint64_t id = nextRequestId_++;
+    const std::uint64_t id =
+        net::messageIdOf(hca_->id(), requestsPosted_++);
     io::IoRequest req;
     req.requestId = id;
     req.offset = offset;

@@ -20,7 +20,6 @@
 #ifndef SAN_HOST_HOST_HH
 #define SAN_HOST_HOST_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -67,7 +66,6 @@ class Host
     net::Adapter &hca() { return *hca_; }
     net::NodeId id() const { return hca_->id(); }
     const std::string &name() const { return name_; }
-    const OsCostParams &osParams() const { return osParams_; }
 
     /** Spawn the receive demux. Call once after fabric wiring. */
     void start();
@@ -171,13 +169,13 @@ class Host
     std::uint64_t ioErrors_ = 0;
     mem::Addr bufferBrk_ = 0x100000000ull; // I/O buffer arena
     /**
-     * I/O request ids, numbered across every host of the process:
-     * --trace prints them as the ids of its "io" async events, so a
-     * per-run count would renumber existing traces. Atomic, because
-     * runs on different threads (sharded hosts, or whole simulations
-     * side by side) draw from it at once.
+     * I/O requests this host has posted. Request n's id is
+     * net::messageIdOf(hca id, n): unique within the run, and apart,
+     * at the replying host, from a switch-initiated read's id, which
+     * the switch draws from its own message sequence. --trace prints
+     * these ids on its "io" async events.
      */
-    static std::atomic<std::uint64_t> nextRequestId_;
+    std::uint32_t requestsPosted_ = 0;
 };
 
 } // namespace san::host

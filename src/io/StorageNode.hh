@@ -76,7 +76,6 @@ class StorageNode
      * at the device before consuming any fabric bandwidth.
      */
     void setDeviceFilter(DeviceFilter filter);
-    bool hasDeviceFilter() const { return static_cast<bool>(filter_.process); }
 
     std::uint64_t requestsServed() const { return requests_; }
     /** Requests accepted but not yet fully streamed back. */

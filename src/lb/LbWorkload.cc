@@ -65,7 +65,6 @@ runLb(apps::Mode mode, const LbWorkloadParams &params)
     p.lb.tupleSeed = p.churn.seed;
     LoadBalancer balancer(p.lb, backendNodes,
                           cluster.host(lbHostIdx).id(), p.run.faults);
-    globalBalancer() = &balancer;
 
     // Occupancy / punt / lookup timelines for --metrics-csv. The
     // Cluster constructor re-registered the component gauges just
@@ -129,10 +128,10 @@ runLb(apps::Mode mode, const LbWorkloadParams &params)
             p.recordDeliveries, res));
 
     gen.start();
-    res.stats = cluster.collect(mode);
-    balancer.fillStats(res.stats.lb);
+    res.stats = cluster.collect(mode, [&balancer](apps::LbStats &lb) {
+        balancer.fillStats(lb);
+    });
     res.gen = gen.counts();
-    globalBalancer() = nullptr;
     return res;
 }
 

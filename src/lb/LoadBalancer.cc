@@ -9,13 +9,6 @@
 
 namespace san::lb {
 
-LoadBalancer *&
-globalBalancer()
-{
-    static LoadBalancer *balancer = nullptr;
-    return balancer;
-}
-
 LoadBalancer::LoadBalancer(const LbParams &params,
                            std::vector<net::NodeId> backend_nodes,
                            net::NodeId punt_node,
@@ -234,6 +227,8 @@ LoadBalancer::fillStats(apps::LbStats &out) const
     out.flowsTracked = table_.live();
     out.hotBytes = ConnTable::hotBytes();
     out.tableBytes = table_.memoryBytes();
+    out.tableCapacity = table_.capacity();
+    out.backendsAlive = maglev_.aliveCount();
     out.occupancy = static_cast<double>(table_.live()) /
                     static_cast<double>(table_.capacity());
 }

@@ -114,13 +114,7 @@ class LoadBalancer
 
     const apps::LbStats &counters() const { return counters_; }
     const ConnTable &table() const { return table_; }
-    const Maglev &maglev() const { return maglev_; }
     const LbParams &params() const { return params_; }
-    net::NodeId backendNode(unsigned b) const
-    {
-        return backendNodes_.at(b);
-    }
-    net::NodeId puntNode() const { return puntNode_; }
 
   private:
     sim::Task handlerBody(active::HandlerContext &ctx);
@@ -150,14 +144,6 @@ class LoadBalancer
     apps::LbStats counters_;
     fault::FaultPlan *faults_;
 };
-
-/**
- * The balancer driving the current run, or nullptr (the default).
- * Installed by the lb workload for the duration of a run so the
- * stats report and metrics sampler can export lb state; when null,
- * reports are byte-identical to pre-lb output.
- */
-LoadBalancer *&globalBalancer();
 
 } // namespace san::lb
 

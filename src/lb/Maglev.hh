@@ -77,7 +77,6 @@ class Maglev
         return true;
     }
 
-    unsigned backendCount() const { return n_; }
     unsigned size() const { return static_cast<unsigned>(table_.size()); }
     std::uint64_t memoryBytes() const { return table_.size(); }
 

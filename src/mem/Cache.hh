@@ -59,7 +59,6 @@ class Cache
     void invalidateAll();
 
     const CacheParams &params() const { return params_; }
-    std::uint64_t numLines() const { return numLines_; }
 
     /** @{ Statistics. */
     std::uint64_t hits() const { return hits_; }

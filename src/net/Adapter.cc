@@ -31,42 +31,16 @@ Adapter::sendMessage(NodeId dst, std::uint64_t bytes,
                      PayloadPtr payload, std::uint32_t tag)
 {
     assert(out_ && "adapter not attached to the fabric");
-    const std::uint64_t id =
-        messageIdOf(id_, static_cast<std::uint32_t>(msgsOut_));
-    // Zero-byte messages (pure notifications) still occupy one
-    // header-only packet.
-    std::uint64_t remaining = bytes;
-    std::uint32_t seq = 0;
-    do {
-        const std::uint32_t chunk = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(remaining, params_.mtu));
-        remaining -= chunk;
-        Packet pkt;
-        pkt.src = id_;
-        pkt.dst = dst;
-        pkt.payloadBytes = chunk;
-        pkt.active = active.has_value();
-        if (active)
-            pkt.activeHdr = *active;
-        pkt.messageId = id;
-        pkt.tag = tag;
-        pkt.seq = seq++;
-        pkt.last = (remaining == 0);
-        pkt.messageBytes = bytes;
-        if (pkt.last)
-            pkt.payload = payload;
-        if (auto *tel = sim_.context().telemetry)
-            pkt.telemetry = tel->sample(pkt.src, pkt.dst,
-                                        pkt.active
-                                            ? obs::FlowClass::Active
-                                            : obs::FlowClass::Data,
-                                        sim_.now());
-        bytesOut_ += chunk;
-        if (rel_)
-            rel_->send(std::move(pkt));
-        else
-            out_->send(std::move(pkt));
-    } while (remaining > 0);
+    packetize(id_, dst, bytes, active, std::move(payload), tag,
+              messageIdOf(id_, static_cast<std::uint32_t>(msgsOut_)),
+              params_.mtu, sim_.context().telemetry, sim_.now(),
+              [this](Packet &&pkt) {
+                  bytesOut_ += pkt.payloadBytes;
+                  if (rel_)
+                      rel_->send(std::move(pkt));
+                  else
+                      out_->send(std::move(pkt));
+              });
     ++msgsOut_;
 }
 

@@ -147,7 +147,6 @@ class Fabric
     }
 
     sim::Simulation &sim() { return sim_; }
-    const LinkParams &linkParams() const { return linkParams_; }
     unsigned mtu() const { return adapterParams_.mtu; }
     const std::vector<std::unique_ptr<Switch>> &switches() const
     {

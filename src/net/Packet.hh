@@ -11,8 +11,10 @@
 #ifndef SAN_NET_PACKET_HH
 #define SAN_NET_PACKET_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "obs/Telemetry.hh"
 #include "sim/Types.hh"
@@ -42,11 +44,10 @@ inline constexpr std::uint8_t maxHandlerId = 63;
 
 /**
  * Id of message number @p n posted by node @p src. Each sender numbers
- * its own messages, so ids are unique within a run (node ids are) and
+ * its own messages (and each host its own I/O requests, see
+ * host::Host), so ids are unique within a run (node ids are) and
  * never depend on thread timing or on other runs in the process. The
- * high word is src + 1: every id is at least 2^32, clear of the small
- * host I/O request ids that a switch-initiated read's id (drawn from
- * the same sequence) is matched against at the replying host.
+ * high word is src + 1, so no id is 0.
  */
 constexpr std::uint64_t
 messageIdOf(NodeId src, std::uint32_t n)
@@ -115,6 +116,52 @@ struct Packet {
         return payloadBytes + headerBytes;
     }
 };
+
+/**
+ * Split message @p id of @p bytes from @p src to @p dst into packets
+ * of at most @p mtu payload bytes, and hand each to @p sink in
+ * order. Every packet carries the message's header fields and size;
+ * the last one carries @p payload. A zero-byte message (a pure
+ * notification) still occupies one header-only packet. Under
+ * telemetry (@p tel non-null) each packet is offered to the sampler
+ * as it is born, at @p now. Every sender (adapters, the active
+ * switch's send unit) packetizes through this one function.
+ */
+template <typename Sink>
+void
+packetize(NodeId src, NodeId dst, std::uint64_t bytes,
+          const std::optional<ActiveHeader> &active, PayloadPtr payload,
+          std::uint32_t tag, std::uint64_t id, unsigned mtu,
+          obs::Telemetry *tel, sim::Tick now, Sink &&sink)
+{
+    std::uint64_t remaining = bytes;
+    std::uint32_t seq = 0;
+    do {
+        const std::uint32_t chunk = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(remaining, mtu));
+        remaining -= chunk;
+        Packet pkt;
+        pkt.src = src;
+        pkt.dst = dst;
+        pkt.payloadBytes = chunk;
+        pkt.active = active.has_value();
+        if (active)
+            pkt.activeHdr = *active;
+        pkt.messageId = id;
+        pkt.tag = tag;
+        pkt.seq = seq++;
+        pkt.last = (remaining == 0);
+        pkt.messageBytes = bytes;
+        if (pkt.last)
+            pkt.payload = std::move(payload);
+        if (tel != nullptr)
+            pkt.telemetry = tel->sample(src, dst,
+                                        pkt.active ? obs::FlowClass::Active
+                                                   : obs::FlowClass::Data,
+                                        now);
+        sink(std::move(pkt));
+    } while (remaining > 0);
+}
 
 /**
  * 32-bit FNV-1a over the packet's identifying header fields: the

@@ -56,9 +56,8 @@ hopStageName(HopStage s)
 }
 
 void
-Telemetry::beginRun(std::string label)
+Telemetry::beginRun()
 {
-    label_ = std::move(label);
     packetsObserved_ = 0;
     bytesObserved_ = 0;
     records_.clear();
@@ -113,7 +112,7 @@ Telemetry::sample(std::uint32_t src, std::uint32_t dst, FlowClass fc,
     return rec;
 }
 
-const TelemetryStats &
+TelemetryStats
 Telemetry::finishRun()
 {
     // Fold the per-shard slices first: counters and sketches merge
@@ -131,11 +130,11 @@ Telemetry::finishRun()
     std::sort(records_.begin(), records_.end(),
               [](const auto &a, const auto &b) { return a->uid < b->uid; });
 
-    last_ = TelemetryStats{};
-    last_.active = true;
-    last_.sampleRate = rate_;
-    last_.packetsObserved = packetsObserved_;
-    last_.bytesObserved = bytesObserved_;
+    TelemetryStats out;
+    out.active = true;
+    out.sampleRate = rate_;
+    out.packetsObserved = packetsObserved_;
+    out.bytesObserved = bytesObserved_;
 
     struct FlowLat {
         std::uint64_t samples = 0;
@@ -146,19 +145,19 @@ Telemetry::finishRun()
 
     // Records fold in creation (uid) order: byte-stable output.
     for (const auto &rec : records_) {
-        ++last_.recordsSampled;
-        last_.retransmitsSampled += rec->retransmits;
-        last_.stampsDropped += rec->stampsDropped;
+        ++out.recordsSampled;
+        out.retransmitsSampled += rec->retransmits;
+        out.stampsDropped += rec->stampsDropped;
         if (!rec->delivered) {
-            ++last_.recordsInFlight;
+            ++out.recordsInFlight;
             continue;
         }
-        ++last_.recordsDelivered;
+        ++out.recordsDelivered;
         const auto fc = static_cast<std::size_t>(rec->flowClass);
         const sim::Tick e2e = rec->deliveredAt > rec->bornAt
                                   ? rec->deliveredAt - rec->bornAt
                                   : 0;
-        auto &stages = last_.stage[fc];
+        auto &stages = out.stage[fc];
         stages[static_cast<std::size_t>(Stage::EndToEnd)].add(e2e);
         stages[static_cast<std::size_t>(Stage::TxQueue)].add(
             rec->stage[static_cast<std::size_t>(Stage::TxQueue)]);
@@ -181,7 +180,7 @@ Telemetry::finishRun()
             stages[static_cast<std::size_t>(Stage::LbLookup)].add(lbl);
         for (std::size_t h = 0; h < rec->hopCount; ++h) {
             const TelemetryHop &hop = rec->hops[h];
-            auto &hh = last_.hop[fc][h];
+            auto &hh = out.hop[fc][h];
             hh[static_cast<std::size_t>(HopStage::Residency)].add(
                 hop.egress - hop.ingress);
             hh[static_cast<std::size_t>(HopStage::PolicyWait)].add(
@@ -196,7 +195,7 @@ Telemetry::finishRun()
     }
 
     for (const FlowSketch::Entry &e : sketch_.top(kTopFlows))
-        last_.topByVolume.push_back(TelemetryFlowVolume{
+        out.topByVolume.push_back(TelemetryFlowVolume{
             static_cast<std::uint32_t>(e.key >> 32),
             static_cast<std::uint32_t>(e.key), e.bytes, e.error});
 
@@ -211,12 +210,12 @@ Telemetry::finishRun()
     if (byLat.size() > kTopFlows)
         byLat.resize(kTopFlows);
     for (const auto &[key, fl] : byLat)
-        last_.worstLatency.push_back(TelemetryFlowLatency{
+        out.worstLatency.push_back(TelemetryFlowLatency{
             static_cast<std::uint32_t>(key >> 32),
             static_cast<std::uint32_t>(key), fl.samples, fl.worst,
             fl.samples ? fl.sum / fl.samples : 0});
 
-    return last_;
+    return out;
 }
 
 } // namespace san::obs

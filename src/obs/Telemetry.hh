@@ -490,13 +490,11 @@ class Telemetry
         enableShards(1);
     }
 
-    std::uint64_t sampleRate() const { return rate_; }
-    const std::string &runLabel() const { return label_; }
 
     /** Reset per-run state (sampler phase, records, sketch) to one
      * slice — a partitioned run re-arms more via enableShards()
      * once its partition is known. */
-    void beginRun(std::string label);
+    void beginRun();
 
     /**
      * Arm one slice per shard: sampling decisions, records, packet
@@ -510,8 +508,6 @@ class Telemetry
      * net::Fabric::applyShardPlan calls this, after beginRun().
      */
     void enableShards(std::size_t shards);
-
-    std::size_t shardSlices() const { return slices_.size(); }
 
     /**
      * Sampling decision for a packet being born. Returns the new
@@ -537,11 +533,8 @@ class Telemetry
         sl.sketch.add(src, dst, wireBytes);
     }
 
-    /** Fold all records into histograms / flow tables; the result
-     * stays readable via lastRun() until the next beginRun(). */
-    const TelemetryStats &finishRun();
-
-    const TelemetryStats &lastRun() const { return last_; }
+    /** Fold all records into histograms / flow tables. */
+    TelemetryStats finishRun();
     std::uint64_t recordsLive() const;
 
     /** The run's sampled records in uid order (filled by finishRun,
@@ -573,8 +566,6 @@ class Telemetry
     std::vector<std::shared_ptr<TelemetryRecord>> records_;
     std::vector<std::unique_ptr<Slice>> slices_;
     FlowSketch sketch_;
-    TelemetryStats last_;
-    std::string label_ = "run";
 };
 
 } // namespace san::obs

@@ -75,7 +75,6 @@ ChromeTracer::metadata(const char *name, int pid, int tid,
         os_ << c;
     }
     os_ << "\"}}";
-    ++events_;
 }
 
 void
@@ -87,56 +86,6 @@ ChromeTracer::close()
     first_ = false;
 }
 
-void
-ChromeTracer::header(const char *ph, const char *name, int tid,
-                     sim::Tick ts)
-{
-    close();
-    os_ << "{\"name\":\"" << name << "\",\"cat\":\"sim\",\"ph\":\""
-        << ph << "\",\"pid\":" << pid_ << ",\"tid\":" << tid
-        << ",\"ts\":";
-    writeMicros(os_, ts);
-    ++events_;
-}
-
-void
-ChromeTracer::span(const std::string &track, const char *name,
-                   sim::Tick start, sim::Tick end)
-{
-    const int tid = tidFor(track);
-    header("X", name, tid, start);
-    os_ << ",\"dur\":";
-    writeMicros(os_, end - start);
-    os_ << "}";
-}
-
-void
-ChromeTracer::instant(const std::string &track, const char *name,
-                      sim::Tick at)
-{
-    const int tid = tidFor(track);
-    header("i", name, tid, at);
-    os_ << ",\"s\":\"t\"}";
-}
-
-void
-ChromeTracer::asyncBegin(const std::string &track, const char *name,
-                         std::uint64_t id, sim::Tick at)
-{
-    const int tid = tidFor(track);
-    header("b", name, tid, at);
-    os_ << ",\"id\":" << id << "}";
-}
-
-void
-ChromeTracer::asyncEnd(const std::string &track, const char *name,
-                       std::uint64_t id, sim::Tick at)
-{
-    const int tid = tidFor(track);
-    header("e", name, tid, at);
-    os_ << ",\"id\":" << id << "}";
-}
-
 // Flow events ("s"/"t"/"f") bind to the slice enclosing them on
 // their track, so callers emit them inside (or as zero-duration
 // anchors alongside) an "X" span at the same timestamp. The "f"
@@ -144,43 +93,40 @@ ChromeTracer::asyncEnd(const std::string &track, const char *name,
 // what Perfetto needs to draw the terminating arrow head.
 
 void
-ChromeTracer::flowBegin(const std::string &track, const char *name,
-                        std::uint64_t id, sim::Tick at)
+ChromeTracer::emit(const std::string &track, const sim::TraceEvent &e)
 {
+    using sim::TracePhase;
+    static constexpr char phases[] = {'X', 'i', 'b', 'e',
+                                      'C', 's', 't', 'f'};
     const int tid = tidFor(track);
-    header("s", name, tid, at);
-    os_ << ",\"id\":" << id << "}";
-}
-
-void
-ChromeTracer::flowStep(const std::string &track, const char *name,
-                       std::uint64_t id, sim::Tick at)
-{
-    const int tid = tidFor(track);
-    header("t", name, tid, at);
-    os_ << ",\"id\":" << id << "}";
-}
-
-void
-ChromeTracer::flowEnd(const std::string &track, const char *name,
-                      std::uint64_t id, sim::Tick at)
-{
-    const int tid = tidFor(track);
-    header("f", name, tid, at);
-    os_ << ",\"bp\":\"e\",\"id\":" << id << "}";
-}
-
-void
-ChromeTracer::counter(const std::string &track, const char *name,
-                      sim::Tick at, double value)
-{
-    const int tid = tidFor(track);
-    header("C", name, tid, at);
-    os_ << ",\"args\":{\"value\":";
-    char buf[40];
-    auto res = std::to_chars(buf, buf + sizeof(buf), value);
-    os_.write(buf, res.ptr - buf);
-    os_ << "}}";
+    close();
+    os_ << "{\"name\":\"" << e.name << "\",\"cat\":\"sim\",\"ph\":\""
+        << phases[static_cast<unsigned>(e.phase)]
+        << "\",\"pid\":" << pid_ << ",\"tid\":" << tid << ",\"ts\":";
+    writeMicros(os_, e.at);
+    switch (e.phase) {
+      case TracePhase::Span:
+        os_ << ",\"dur\":";
+        writeMicros(os_, e.end - e.at);
+        break;
+      case TracePhase::Instant:
+        os_ << ",\"s\":\"t\"";
+        break;
+      case TracePhase::Counter: {
+        os_ << ",\"args\":{\"value\":";
+        char buf[40];
+        auto res = std::to_chars(buf, buf + sizeof(buf), e.value);
+        os_.write(buf, res.ptr - buf);
+        os_ << "}";
+        break;
+      }
+      case TracePhase::FlowEnd:
+        os_ << ",\"bp\":\"e\",\"id\":" << e.id;
+        break;
+      default: // async and the other flow points
+        os_ << ",\"id\":" << e.id;
+    }
+    os_ << "}";
 }
 
 } // namespace san::obs

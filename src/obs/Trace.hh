@@ -10,14 +10,14 @@
  * thread_name metadata events so the viewer shows real names.
  *
  * Spans map to complete ("X") events, instants to "i", async
- * begin/end to nestable "b"/"e" pairs. Timestamps convert from the
+ * begin/end to nestable "b"/"e" pairs, counters to "C" and flow
+ * begin/step/end to "s"/"t"/"f". Timestamps convert from the
  * simulator's picosecond ticks to the format's microseconds.
  */
 
 #ifndef SAN_OBS_TRACE_HH
 #define SAN_OBS_TRACE_HH
 
-#include <cstdint>
 #include <map>
 #include <string>
 
@@ -45,32 +45,13 @@ class ChromeTracer : public sim::Tracer
     /** Close the JSON array. Idempotent. */
     void finish();
 
-    /** Events written so far (metadata included). */
-    std::uint64_t eventsWritten() const { return events_; }
-
-    void span(const std::string &track, const char *name,
-              sim::Tick start, sim::Tick end) override;
-    void instant(const std::string &track, const char *name,
-                 sim::Tick at) override;
-    void asyncBegin(const std::string &track, const char *name,
-                    std::uint64_t id, sim::Tick at) override;
-    void asyncEnd(const std::string &track, const char *name,
-                  std::uint64_t id, sim::Tick at) override;
-    void counter(const std::string &track, const char *name,
-                 sim::Tick at, double value) override;
-    void flowBegin(const std::string &track, const char *name,
-                   std::uint64_t id, sim::Tick at) override;
-    void flowStep(const std::string &track, const char *name,
-                  std::uint64_t id, sim::Tick at) override;
-    void flowEnd(const std::string &track, const char *name,
-                 std::uint64_t id, sim::Tick at) override;
+    void emit(const std::string &track,
+              const sim::TraceEvent &event) override;
 
   private:
     int tidFor(const std::string &track);
     void metadata(const char *name, int pid, int tid,
                   const std::string &value);
-    void header(const char *ph, const char *name, int tid,
-                sim::Tick ts);
     void close();
 
     std::ostream &os_;
@@ -78,7 +59,6 @@ class ChromeTracer : public sim::Tracer
     bool finished_ = false;
     int pid_ = 0;
     int nextTid_ = 1;
-    std::uint64_t events_ = 0;
     /** (pid, track name) -> tid. */
     std::map<std::pair<int, std::string>, int> tids_;
 };

@@ -135,7 +135,7 @@ saturatingAdd(Tick a, Tick b)
 }
 
 /**
- * Per-shard trace sink: records every call and replays it into the
+ * Per-shard trace sink: records every event and replays it into the
  * real exporter after the run, one shard at a time, so a non
  * thread-safe tracer (obs::ChromeTracer writes a FILE*) never sees
  * two shards at once. Replay order is deterministic (shard id, then
@@ -145,116 +145,20 @@ class BufferingTracer : public Tracer
 {
   public:
     void
-    span(const std::string &track, const char *name, Tick start,
-         Tick end) override
+    emit(const std::string &track, const TraceEvent &event) override
     {
-        recs_.push_back({Kind::Span, track, name, start, end, 0, 0.0});
-    }
-
-    void
-    instant(const std::string &track, const char *name, Tick at) override
-    {
-        recs_.push_back({Kind::Instant, track, name, at, 0, 0, 0.0});
-    }
-
-    void
-    asyncBegin(const std::string &track, const char *name,
-               std::uint64_t id, Tick at) override
-    {
-        recs_.push_back({Kind::AsyncBegin, track, name, at, 0, id, 0.0});
-    }
-
-    void
-    asyncEnd(const std::string &track, const char *name,
-             std::uint64_t id, Tick at) override
-    {
-        recs_.push_back({Kind::AsyncEnd, track, name, at, 0, id, 0.0});
-    }
-
-    void
-    counter(const std::string &track, const char *name, Tick at,
-            double value) override
-    {
-        recs_.push_back({Kind::Counter, track, name, at, 0, 0, value});
-    }
-
-    void
-    flowBegin(const std::string &track, const char *name,
-              std::uint64_t id, Tick at) override
-    {
-        recs_.push_back({Kind::FlowBegin, track, name, at, 0, id, 0.0});
-    }
-
-    void
-    flowStep(const std::string &track, const char *name,
-             std::uint64_t id, Tick at) override
-    {
-        recs_.push_back({Kind::FlowStep, track, name, at, 0, id, 0.0});
-    }
-
-    void
-    flowEnd(const std::string &track, const char *name,
-            std::uint64_t id, Tick at) override
-    {
-        recs_.push_back({Kind::FlowEnd, track, name, at, 0, id, 0.0});
+        events_.emplace_back(track, event);
     }
 
     void
     replayTo(Tracer &out) const
     {
-        for (const auto &r : recs_) {
-            switch (r.kind) {
-              case Kind::Span:
-                out.span(r.track, r.name, r.a, r.b);
-                break;
-              case Kind::Instant:
-                out.instant(r.track, r.name, r.a);
-                break;
-              case Kind::AsyncBegin:
-                out.asyncBegin(r.track, r.name, r.id, r.a);
-                break;
-              case Kind::AsyncEnd:
-                out.asyncEnd(r.track, r.name, r.id, r.a);
-                break;
-              case Kind::Counter:
-                out.counter(r.track, r.name, r.a, r.value);
-                break;
-              case Kind::FlowBegin:
-                out.flowBegin(r.track, r.name, r.id, r.a);
-                break;
-              case Kind::FlowStep:
-                out.flowStep(r.track, r.name, r.id, r.a);
-                break;
-              case Kind::FlowEnd:
-                out.flowEnd(r.track, r.name, r.id, r.a);
-                break;
-            }
-        }
+        for (const auto &[track, event] : events_)
+            out.emit(track, event);
     }
 
-    std::size_t recorded() const { return recs_.size(); }
-
   private:
-    enum class Kind : std::uint8_t {
-        Span,
-        Instant,
-        AsyncBegin,
-        AsyncEnd,
-        Counter,
-        FlowBegin,
-        FlowStep,
-        FlowEnd,
-    };
-    struct Rec {
-        Kind kind;
-        std::string track;
-        const char *name; // trace names are string literals by contract
-        Tick a;
-        Tick b;
-        std::uint64_t id;
-        double value;
-    };
-    std::vector<Rec> recs_;
+    std::vector<std::pair<std::string, TraceEvent>> events_;
 };
 
 /**

@@ -16,7 +16,14 @@
  * closed intervals of simulated time on a track; instants are
  * zero-width markers; async begin/end pairs bracket logically-scoped
  * operations that interleave on one track (handler instances,
- * outstanding I/O requests), matched by id.
+ * outstanding I/O requests), matched by id; counters are sampled
+ * values; flow begin/step/end chains are drawn by trace viewers as
+ * arrows between the slices they land on (per-packet latency
+ * lineage across adapter -> link -> switch -> handler -> destination
+ * tracks), matched by id.
+ *
+ * Every kind is one TraceEvent passed to the one virtual call,
+ * emit(); the per-kind calls below only build the event.
  */
 
 #ifndef SAN_SIM_TRACER_HH
@@ -29,80 +36,98 @@
 
 namespace san::sim {
 
+/** What a trace event marks. */
+enum class TracePhase : std::uint8_t {
+    Span,
+    Instant,
+    AsyncBegin,
+    AsyncEnd,
+    Counter,
+    FlowBegin,
+    FlowStep,
+    FlowEnd,
+};
+
+/** One model-level trace event. */
+struct TraceEvent {
+    TracePhase phase;
+    /** A string literal by contract: buffered events keep the
+     * pointer until they are replayed after the run. */
+    const char *name;
+    Tick at;              //!< timestamp (a span's start)
+    Tick end = 0;         //!< a span's end
+    std::uint64_t id = 0; //!< async and flow match id
+    double value = 0.0;   //!< counter value
+};
+
 /** Receiver of model-level trace events. */
 class Tracer
 {
   public:
     virtual ~Tracer() = default;
 
+    /** Record @p event on @p track. */
+    virtual void emit(const std::string &track, const TraceEvent &event) = 0;
+
     /** A closed interval [start, end] of work on @p track. */
-    virtual void span(const std::string &track, const char *name,
-                      Tick start, Tick end) = 0;
+    void
+    span(const std::string &track, const char *name, Tick start, Tick end)
+    {
+        emit(track, {TracePhase::Span, name, start, end});
+    }
 
     /** A zero-width marker at @p at. */
-    virtual void instant(const std::string &track, const char *name,
-                         Tick at) = 0;
+    void
+    instant(const std::string &track, const char *name, Tick at)
+    {
+        emit(track, {TracePhase::Instant, name, at});
+    }
 
     /** @{ An async operation on @p track, matched by @p id. */
-    virtual void asyncBegin(const std::string &track, const char *name,
-                            std::uint64_t id, Tick at) = 0;
-    virtual void asyncEnd(const std::string &track, const char *name,
-                          std::uint64_t id, Tick at) = 0;
+    void
+    asyncBegin(const std::string &track, const char *name,
+               std::uint64_t id, Tick at)
+    {
+        emit(track, {TracePhase::AsyncBegin, name, at, 0, id});
+    }
+
+    void
+    asyncEnd(const std::string &track, const char *name,
+             std::uint64_t id, Tick at)
+    {
+        emit(track, {TracePhase::AsyncEnd, name, at, 0, id});
+    }
     /** @} */
 
-    /**
-     * A sampled counter value (utilization, occupancy, rate) named
-     * @p name on @p track at time @p at. Defaulted to a no-op so
-     * exporters that only care about spans need not implement it;
-     * obs::ChromeTracer renders these as "ph":"C" counter tracks.
-     */
-    virtual void
+    /** A sampled value (utilization, occupancy, rate) at @p at. */
+    void
     counter(const std::string &track, const char *name, Tick at,
             double value)
     {
-        (void)track;
-        (void)name;
-        (void)at;
-        (void)value;
+        emit(track, {TracePhase::Counter, name, at, 0, 0, value});
     }
 
-    /**
-     * @{ Flow arrows: a chain of points matched by @p id, drawn by
-     * trace viewers as arrows between the slices they land on
-     * (flowBegin starts a chain, flowStep continues it, flowEnd
-     * terminates it). Used for per-packet latency lineage across
-     * adapter -> link -> switch -> handler -> destination tracks.
-     * Defaulted to no-ops, like counter(), so span-only exporters
-     * need not care.
-     */
-    virtual void
+    /** @{ Flow arrows, matched by @p id: flowBegin starts a chain,
+     * flowStep continues it, flowEnd terminates it. */
+    void
     flowBegin(const std::string &track, const char *name,
               std::uint64_t id, Tick at)
     {
-        (void)track;
-        (void)name;
-        (void)id;
-        (void)at;
+        emit(track, {TracePhase::FlowBegin, name, at, 0, id});
     }
 
-    virtual void
+    void
     flowStep(const std::string &track, const char *name,
              std::uint64_t id, Tick at)
     {
-        (void)track;
-        (void)name;
-        (void)id;
-        (void)at;
+        emit(track, {TracePhase::FlowStep, name, at, 0, id});
     }
 
-    virtual void
+    void
     flowEnd(const std::string &track, const char *name,
             std::uint64_t id, Tick at)
     {
-        (void)track;
-        (void)name;
-        (void)id;
-        (void)at;
+        emit(track, {TracePhase::FlowEnd, name, at, 0, id});
     }
     /** @} */
 };

@@ -10,32 +10,34 @@
  *
  *     SAN_UPDATE_GOLDEN=1 ctest -R GoldenStats
  *
- * and commit the diff alongside the change that caused it.
+ * and commit the diff alongside the change that caused it. One case
+ * runs grep under faults with telemetry on, pinning the stats JSON's
+ * fault and telemetry objects.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "Golden.hh"
 #include "apps/Cluster.hh"
 #include "apps/Grep.hh"
 #include "apps/HashJoin.hh"
 #include "apps/MpegFilter.hh"
+#include "fault/FaultPlan.hh"
 #include "harness/StatsReport.hh"
 #include "obs/Json.hh"
-
-#ifndef SAN_GOLDEN_DIR
-#error "SAN_GOLDEN_DIR must point at tests/golden"
-#endif
+#include "obs/Telemetry.hh"
 
 namespace {
 
 using namespace san;
+using test::policyForced;
+using test::updatingGoldens;
 
 /** One golden case: a workload at reduced size, in one mode. */
 struct GoldenCase {
@@ -53,13 +55,44 @@ PrintTo(const GoldenCase &c, std::ostream *os)
     *os << c.workload << '/' << apps::modeName(c.mode);
 }
 
+/** Add the fault-spec @p spec or, with @p at, the fault event
+ * @p spec to @p plan. */
+void
+addFault(fault::FaultPlan &plan, const std::string &spec, bool at)
+{
+    std::string error;
+    if (at) {
+        auto event = fault::FaultPlan::parseAt(spec, &error);
+        ASSERT_TRUE(event.has_value()) << error;
+        plan.addEvent(*event);
+    } else {
+        auto parsed = fault::FaultPlan::parseSpec(spec, &error);
+        ASSERT_TRUE(parsed.has_value()) << error;
+        plan.addSpec(*parsed);
+    }
+}
+
 /** Small runs that still exercise hosts, switch CPUs, buffers, ATBs,
  * storage and adapters. HashJoin runs on the scaled host caches, so
  * its host L1D/L2 and switch D$ pin non-zero cold, capacity and
- * conflict counts. */
+ * conflict counts. grep_faulted adds link bit errors, disk latency
+ * spikes and a handler crash, and samples every packet. */
 void
 runWorkload(const GoldenCase &c)
 {
+    if (std::string(c.workload) == "grep_faulted") {
+        fault::FaultPlan plan;
+        addFault(plan, "link-ber:2e-6", false);
+        addFault(plan, "disk-spike:0.05", false);
+        addFault(plan, "0:handler-crash:1", true);
+        obs::Telemetry tel(1);
+        apps::GrepParams params;
+        params.fileBytes = 70 * 2048;
+        params.cluster.run.faults = &plan;
+        params.cluster.run.telemetry = &tel;
+        runGrep(c.mode, params);
+        return;
+    }
     if (std::string(c.workload) == "mpeg") {
         apps::MpegParams params;
         params.fileBytes = 256 * 1024;
@@ -93,28 +126,17 @@ statsJsonFor(const GoldenCase &c)
 }
 
 std::string
-goldenPathFor(const GoldenCase &c)
+goldenFileFor(const GoldenCase &c)
 {
     std::string name = apps::modeName(c.mode);
     for (char &c2 : name)
         if (c2 == '+')
             c2 = '_';
-    return std::string(SAN_GOLDEN_DIR) + "/" + c.workload + "_" + name +
-           ".json";
+    return std::string(c.workload) + "_" + name + ".json";
 }
 
 class GoldenStats : public ::testing::TestWithParam<GoldenCase>
 {};
-
-/** The goldens pin the *default* policy's event stream; a forced
- * policy override (the CI policy matrix) legitimately changes every
- * default-configured switch's timing, so these comparisons are
- * meaningless under it. */
-bool
-policyForced()
-{
-    return std::getenv("SAN_FORCE_SWITCH_POLICY") != nullptr;
-}
 
 TEST_P(GoldenStats, MatchesGoldenFile)
 {
@@ -124,24 +146,9 @@ TEST_P(GoldenStats, MatchesGoldenFile)
     const GoldenCase &c = GetParam();
     const std::string actual = statsJsonFor(c);
     ASSERT_FALSE(actual.empty());
-    const std::string path = goldenPathFor(c);
-
-    if (std::getenv("SAN_UPDATE_GOLDEN") != nullptr) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << actual;
-        GTEST_SKIP() << "golden file regenerated: " << path;
-    }
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in) << "missing golden file " << path
-                    << "; generate it with SAN_UPDATE_GOLDEN=1";
-    std::ostringstream golden;
-    golden << in.rdbuf();
-    EXPECT_EQ(actual, golden.str())
-        << "stats diverged from " << path
-        << "\nIf this change is intended, regenerate with "
-           "SAN_UPDATE_GOLDEN=1 and commit the new golden files.";
+    test::expectMatchesGolden(actual, goldenFileFor(c));
+    if (updatingGoldens())
+        GTEST_SKIP() << "golden file regenerated";
 }
 
 TEST(GoldenFingerprint, FreshRunReproducesCommittedFingerprint)
@@ -154,13 +161,14 @@ TEST(GoldenFingerprint, FreshRunReproducesCommittedFingerprint)
     // explicit-heap/slot-arena overhaul: any reordering, dropped or
     // duplicated event changes the fold.
     const GoldenCase c{"mpeg", apps::Mode::Active};
-    if (std::getenv("SAN_UPDATE_GOLDEN") != nullptr)
+    if (updatingGoldens())
         GTEST_SKIP() << "goldens being regenerated";
     if (policyForced())
         GTEST_SKIP() << "SAN_FORCE_SWITCH_POLICY changes the event "
                         "stream the fingerprint pins";
-    std::ifstream in(goldenPathFor(c));
-    ASSERT_TRUE(in) << "missing golden file " << goldenPathFor(c);
+    const std::string path = test::goldenPath(goldenFileFor(c));
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "missing golden file " << path;
     std::uint64_t committed = 0;
     for (std::string line; std::getline(in, line);) {
         const auto pos = line.find("\"fingerprint\": ");
@@ -190,7 +198,8 @@ INSTANTIATE_TEST_SUITE_P(
                       GoldenCase{"grep", apps::Mode::Normal},
                       GoldenCase{"grep", apps::Mode::Active},
                       GoldenCase{"hashjoin", apps::Mode::Normal},
-                      GoldenCase{"hashjoin", apps::Mode::Active}),
+                      GoldenCase{"hashjoin", apps::Mode::Active},
+                      GoldenCase{"grep_faulted", apps::Mode::Active}),
     [](const ::testing::TestParamInfo<GoldenCase> &info) {
         std::string name = std::string(info.param.workload) + "_" +
                            apps::modeName(info.param.mode);

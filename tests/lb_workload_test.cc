@@ -11,24 +11,20 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <numeric>
 #include <sstream>
 #include <string>
 
+#include "Golden.hh"
 #include "fault/FaultPlan.hh"
 #include "harness/StatsReport.hh"
 #include "lb/LbWorkload.hh"
 #include "obs/Json.hh"
 
-#ifndef SAN_GOLDEN_DIR
-#error "SAN_GOLDEN_DIR must point at tests/golden"
-#endif
-
 namespace {
 
 using namespace san;
+using test::policyForced;
 
 lb::LbWorkloadParams
 smallParams()
@@ -210,14 +206,6 @@ TEST(LbScale, HotIndexStaysCacheResident)
     EXPECT_GT(r.stats.lb.hotHits, 0u);
 }
 
-/** The goldens pin the default policy's timing; a forced override
- * (the CI policy matrix) legitimately changes it. */
-bool
-policyForced()
-{
-    return std::getenv("SAN_FORCE_SWITCH_POLICY") != nullptr;
-}
-
 TEST(LbGolden, StatsSnapshotMatchesGoldenFile)
 {
     if (policyForced())
@@ -237,22 +225,9 @@ TEST(LbGolden, StatsSnapshotMatchesGoldenFile)
     ASSERT_NE(captured.find("\"lb\""), std::string::npos)
         << "stats JSON must carry the lb section during an lb run";
 
-    const std::string path =
-        std::string(SAN_GOLDEN_DIR) + "/lb_scale.json";
-    if (std::getenv("SAN_UPDATE_GOLDEN") != nullptr) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << captured;
-        GTEST_SKIP() << "golden file regenerated: " << path;
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in) << "missing golden file " << path
-                    << "; generate it with SAN_UPDATE_GOLDEN=1";
-    std::ostringstream golden;
-    golden << in.rdbuf();
-    EXPECT_EQ(captured, golden.str())
-        << "lb stats diverged from " << path
-        << "\nIf intended, regenerate with SAN_UPDATE_GOLDEN=1.";
+    test::expectMatchesGolden(captured, "lb_scale.json");
+    if (test::updatingGoldens())
+        GTEST_SKIP() << "golden file regenerated";
 }
 
 } // namespace

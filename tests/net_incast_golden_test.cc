@@ -15,21 +15,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "Golden.hh"
 #include "net/Fabric.hh"
 #include "net/Traffic.hh"
 #include "obs/Json.hh"
 #include "obs/Metrics.hh"
 #include "sim/Simulation.hh"
-
-#ifndef SAN_GOLDEN_DIR
-#error "SAN_GOLDEN_DIR must point at tests/golden"
-#endif
 
 namespace {
 
@@ -125,41 +120,21 @@ runLab(const std::string &label, const std::string &spec)
     return LabOutput{oss.str(), csv.str()};
 }
 
-void
-compareGolden(const std::string &actual, const std::string &file)
-{
-    const std::string path = std::string(SAN_GOLDEN_DIR) + "/" + file;
-    if (std::getenv("SAN_UPDATE_GOLDEN") != nullptr) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << actual;
-        return;
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in) << "missing golden file " << path
-                    << "; generate it with SAN_UPDATE_GOLDEN=1";
-    std::ostringstream golden;
-    golden << in.rdbuf();
-    EXPECT_EQ(actual, golden.str())
-        << "incast stats diverged from " << path
-        << "\nIf intended, regenerate with SAN_UPDATE_GOLDEN=1.";
-}
-
 TEST(IncastGolden, BoundedFifoMatchesGolden)
 {
     const LabOutput out = runLab("incast_fifo", "fifo");
-    compareGolden(out.json, "incast_fifo.json");
-    compareGolden(out.csv, "incast_fifo.csv");
-    if (std::getenv("SAN_UPDATE_GOLDEN") != nullptr)
+    test::expectMatchesGolden(out.json, "incast_fifo.json");
+    test::expectMatchesGolden(out.csv, "incast_fifo.csv");
+    if (test::updatingGoldens())
         GTEST_SKIP() << "goldens regenerated";
 }
 
 TEST(IncastGolden, VoqIslipMatchesGolden)
 {
     const LabOutput out = runLab("incast_voq", "voq");
-    compareGolden(out.json, "incast_voq.json");
-    compareGolden(out.csv, "incast_voq.csv");
-    if (std::getenv("SAN_UPDATE_GOLDEN") != nullptr)
+    test::expectMatchesGolden(out.json, "incast_voq.json");
+    test::expectMatchesGolden(out.csv, "incast_voq.csv");
+    if (test::updatingGoldens())
         GTEST_SKIP() << "goldens regenerated";
 }
 

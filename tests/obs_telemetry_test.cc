@@ -11,24 +11,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
+#include "Golden.hh"
 #include "apps/Grep.hh"
 #include "apps/MpegFilter.hh"
 #include "fault/FaultPlan.hh"
 #include "harness/Report.hh"
 #include "obs/Telemetry.hh"
 
-#ifndef SAN_GOLDEN_DIR
-#error "SAN_GOLDEN_DIR must point at tests/golden"
-#endif
-
 namespace {
 
 using namespace san;
+using test::policyForced;
 using fault::FaultKind;
 using fault::FaultPlan;
 using obs::FlowClass;
@@ -64,12 +60,6 @@ smallGrep(const sim::RunContext &run = {})
     p.fileBytes = 70 * 1024; // 1024 lines
     p.cluster.run = run;
     return p;
-}
-
-bool
-policyForced()
-{
-    return std::getenv("SAN_FORCE_SWITCH_POLICY") != nullptr;
 }
 
 /** Recorded hops must read forward in time, each inside the next. */
@@ -205,7 +195,7 @@ TEST(FlowSketch, TakeoverInheritsSmallestCounterAsError)
 TEST(TelemetrySampler, RateZeroArmsButNeverSamples)
 {
     Telemetry tel(0);
-    tel.beginRun("r");
+    tel.beginRun();
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(tel.sample(1, 2, FlowClass::Data, 0), nullptr);
     EXPECT_EQ(tel.recordsLive(), 0u);
@@ -214,7 +204,7 @@ TEST(TelemetrySampler, RateZeroArmsButNeverSamples)
 TEST(TelemetrySampler, OneInNIsDeterministic)
 {
     Telemetry tel(3);
-    tel.beginRun("r");
+    tel.beginRun();
     int sampled = 0;
     for (int i = 0; i < 9; ++i)
         if (tel.sample(1, 2, FlowClass::Data, i) != nullptr)
@@ -222,7 +212,7 @@ TEST(TelemetrySampler, OneInNIsDeterministic)
     EXPECT_EQ(sampled, 3); // packets 0, 3, 6
     EXPECT_EQ(tel.recordsLive(), 3u);
     // beginRun resets the sampler phase: same decisions again.
-    tel.beginRun("r2");
+    tel.beginRun();
     EXPECT_NE(tel.sample(1, 2, FlowClass::Data, 0), nullptr);
     EXPECT_EQ(tel.sample(1, 2, FlowClass::Data, 1), nullptr);
 }
@@ -232,7 +222,7 @@ TEST(TelemetrySampler, OneInNIsDeterministic)
 TEST(TelemetryLineage, StampsAreMonotonicOnActiveMpeg)
 {
     Telemetry tel(1);
-    tel.beginRun("mpeg-active");
+    tel.beginRun();
     const apps::RunStats r = apps::runMpegFilter(
         apps::Mode::Active, smallMpeg({.telemetry = &tel}));
 
@@ -275,7 +265,7 @@ TEST(TelemetryFault, RetransmitsShowUpInSampledLineage)
     FaultPlan plan;
     addSpec(plan, FaultKind::LinkBitError, 5e-6);
     Telemetry tel(1);
-    tel.beginRun("grep-faulty");
+    tel.beginRun();
     const apps::RunStats r = apps::runGrep(
         apps::Mode::Active, smallGrep({.faults = &plan, .telemetry = &tel}));
 
@@ -309,7 +299,7 @@ TEST(TelemetryFingerprint, TenSeedsUnchangedByTelemetry)
             FaultPlan plan(seed);
             addSpec(plan, FaultKind::LinkBitError, 2e-6);
             Telemetry tel(1);
-            tel.beginRun("seeded");
+            tel.beginRun();
             const apps::RunStats r = apps::runGrep(
                 apps::Mode::Active,
                 smallGrep({.faults = &plan, .telemetry = &tel}));
@@ -327,7 +317,7 @@ mpegWithTelemetry(Telemetry &tel)
     harness::ModeResults results{};
     const apps::MpegParams p = smallMpeg({.telemetry = &tel});
     for (std::size_t i = 0; i < apps::allModes.size(); ++i) {
-        tel.beginRun(apps::modeName(apps::allModes[i]));
+        tel.beginRun();
         results[i] = apps::runMpegFilter(apps::allModes[i], p);
     }
     return results;
@@ -364,25 +354,9 @@ TEST(LatencyReport, MatchesGoldenFile)
     Telemetry tel(1);
     const std::string actual = latencyReportFor(mpegWithTelemetry(tel));
     ASSERT_FALSE(actual.empty());
-    const std::string path =
-        std::string(SAN_GOLDEN_DIR) + "/latency_report_mpeg.txt";
-
-    if (std::getenv("SAN_UPDATE_GOLDEN") != nullptr) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << actual;
-        GTEST_SKIP() << "golden file regenerated: " << path;
-    }
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in) << "missing golden file " << path
-                    << "; generate it with SAN_UPDATE_GOLDEN=1";
-    std::ostringstream golden;
-    golden << in.rdbuf();
-    EXPECT_EQ(actual, golden.str())
-        << "latency report diverged from " << path
-        << "\nIf this change is intended, regenerate with "
-           "SAN_UPDATE_GOLDEN=1 and commit the new golden file.";
+    test::expectMatchesGolden(actual, "latency_report_mpeg.txt");
+    if (test::updatingGoldens())
+        GTEST_SKIP() << "golden file regenerated";
 }
 
 } // namespace

@@ -30,7 +30,7 @@ runInstrumented()
     ber.rate = 2e-6;
     plan.addSpec(ber);
     obs::Telemetry tel(1);
-    tel.beginRun("a");
+    tel.beginRun();
     apps::GrepParams p;
     p.cluster.run.faults = &plan;
     p.cluster.run.telemetry = &tel;
