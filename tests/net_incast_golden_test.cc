@@ -1,16 +1,14 @@
 /**
  * @file
  * Deterministic incast golden test: a small permutation-with-hotspot
- * run through the bounded-FIFO central queue and through VOQ+iSLIP,
- * each dumped as byte-stable stats JSON plus a metrics-CSV timeline
- * and compared against checked-in goldens. Regenerate after an
- * intended timing change with
+ * run through each buffered policy and service order the lab offers
+ * (the bounded-FIFO central queue, VOQ+iSLIP in round-robin and
+ * oldest-first order, the crosspoint crossbar in round-robin and
+ * longest-first order), each dumped as byte-stable stats JSON plus a
+ * metrics-CSV timeline and compared against checked-in goldens.
+ * Regenerate after an intended timing change with
  *
  *     SAN_UPDATE_GOLDEN=1 ctest -R IncastGolden
- *
- * Both runs configure their policy explicitly, so the files stay
- * valid under the CI policy matrix's SAN_FORCE_SWITCH_POLICY (the
- * override only replaces default-configured switches).
  */
 
 #include <gtest/gtest.h>
@@ -134,6 +132,33 @@ TEST(IncastGolden, VoqIslipMatchesGolden)
     const LabOutput out = runLab("incast_voq", "voq");
     test::expectMatchesGolden(out.json, "incast_voq.json");
     test::expectMatchesGolden(out.csv, "incast_voq.csv");
+    if (test::updatingGoldens())
+        GTEST_SKIP() << "goldens regenerated";
+}
+
+TEST(IncastGolden, VoqOldestFirstMatchesGolden)
+{
+    const LabOutput out = runLab("incast_voq_oldest", "voq:oldest");
+    test::expectMatchesGolden(out.json, "incast_voq_oldest.json");
+    test::expectMatchesGolden(out.csv, "incast_voq_oldest.csv");
+    if (test::updatingGoldens())
+        GTEST_SKIP() << "goldens regenerated";
+}
+
+TEST(IncastGolden, CrosspointMatchesGolden)
+{
+    const LabOutput out = runLab("incast_xpoint", "xpoint");
+    test::expectMatchesGolden(out.json, "incast_xpoint.json");
+    test::expectMatchesGolden(out.csv, "incast_xpoint.csv");
+    if (test::updatingGoldens())
+        GTEST_SKIP() << "goldens regenerated";
+}
+
+TEST(IncastGolden, CrosspointLongestFirstMatchesGolden)
+{
+    const LabOutput out = runLab("incast_xpoint_longest", "xpoint:longest");
+    test::expectMatchesGolden(out.json, "incast_xpoint_longest.json");
+    test::expectMatchesGolden(out.csv, "incast_xpoint_longest.csv");
     if (test::updatingGoldens())
         GTEST_SKIP() << "goldens regenerated";
 }
