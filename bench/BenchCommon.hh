@@ -543,8 +543,10 @@ writeStatsJson(const std::string &path, const std::string &title)
 
 /**
  * Run @p run_one on @p params in all four modes, each with its own
- * run context (see beginRun()), print overview and/or breakdown
- * tables, and check the semantic checksum.
+ * run context (see beginRun()), print the paper's two figures of the
+ * benchmark (the overview under @p overview_title, then the
+ * execution-time breakdown under @p breakdown_title), and check the
+ * semantic checksum.
  * @return process exit code.
  */
 template <typename Params>
@@ -552,8 +554,7 @@ int
 runFigure(const std::string &overview_title,
           const std::string &breakdown_title,
           apps::RunStats (*run_one)(apps::Mode, const Params &),
-          Params params, bool print_overview = true,
-          bool print_breakdown = true)
+          Params params)
 {
     const BenchOptions &opts = options();
     harness::ModeResults results;
@@ -571,15 +572,9 @@ runFigure(const std::string &overview_title,
                         .count();
     }
 
-    if (print_overview)
-        harness::printOverview(std::cout, overview_title, results);
-    if (print_breakdown)
-        harness::printBreakdown(std::cout, breakdown_title, results);
-    harness::printHandlerProfile(std::cout,
-                                 overview_title.empty()
-                                     ? breakdown_title
-                                     : overview_title,
-                                 results);
+    harness::printOverview(std::cout, overview_title, results);
+    harness::printBreakdown(std::cout, breakdown_title, results);
+    harness::printHandlerProfile(std::cout, overview_title, results);
 
     if (opts.fingerprint)
         for (const auto &r : results)
@@ -606,17 +601,11 @@ runFigure(const std::string &overview_title,
                       << std::setprecision(6) << "\n";
         }
     if (!opts.statsJsonPath.empty())
-        detail::writeStatsJson(opts.statsJsonPath,
-                               overview_title.empty() ? breakdown_title
-                                                      : overview_title);
+        detail::writeStatsJson(opts.statsJsonPath, overview_title);
     if (!opts.latencyReportPath.empty()) {
         std::ofstream out(opts.latencyReportPath);
         if (out)
-            harness::printLatencyReport(out,
-                                        overview_title.empty()
-                                            ? breakdown_title
-                                            : overview_title,
-                                        results);
+            harness::printLatencyReport(out, overview_title, results);
         else
             std::cerr << "cannot open latency report file "
                       << opts.latencyReportPath << "\n";
@@ -631,26 +620,6 @@ runFigure(const std::string &overview_title,
     }
     std::cout << "checksum: " << results[0].checksum << "\n";
     return 0;
-}
-
-/**
- * Whole-main() driver for the breakdown-figure benches (Fig 4, 6, 8,
- * 10, 12, 14), which differ only in the app run function and how
- * --quick shrinks the problem. @p quick_shrink (may be empty) adjusts
- * the default-constructed params when --quick was given.
- */
-template <typename Params>
-int
-runBreakdownFigure(int argc, char **argv, const std::string &title,
-                   apps::RunStats (*run_one)(apps::Mode,
-                                             const Params &),
-                   const std::function<void(Params &)> &quick_shrink =
-                       {})
-{
-    Params params;
-    if (init(argc, argv).quick && quick_shrink)
-        quick_shrink(params);
-    return runFigure("", title, run_one, params, false, true);
 }
 
 } // namespace san::bench

@@ -1,7 +1,9 @@
 /**
  * @file
- * Figure 3: MPEG-filter overview (exec time, host utilization, host
- * I/O traffic across the four configurations).
+ * Figures 3 and 4: MPEG-filter overview (exec time, host
+ * utilization, host I/O traffic across the four configurations) and
+ * execution-time breakdown (busy / cache stall / idle for host and
+ * switch CPUs).
  *
  * Paper-reported shape: normal+pref ~1.13x over normal; active cases
  * 1.23x / 1.36x over the corresponding normal cases; host I/O
@@ -21,7 +23,6 @@ main(int argc, char **argv)
     if (opts.quick)
         params.fileBytes = 512 * 1024;
     params.cluster.threads = opts.threads;
-    return san::bench::runFigure("Fig 3: MPEG filter", "",
-                                 san::apps::runMpegFilter, params, true,
-                                 false);
+    return san::bench::runFigure("Fig 3: MPEG filter", "Fig 4: MPEG filter",
+                                 san::apps::runMpegFilter, params);
 }

@@ -1,6 +1,8 @@
 /**
  * @file
- * Fig 5: HashJoin (overview: exec time, host utilization, host I/O traffic).
+ * Figs 5 and 6: HashJoin (overview: exec time, host utilization, host
+ * I/O traffic; then the execution-time breakdown: busy / cache stall /
+ * idle).
  */
 
 #include "BenchCommon.hh"
@@ -14,7 +16,6 @@ main(int argc, char **argv)
         params.rBytes = 4ull * 1024 * 1024;
         params.sBytes = 16ull * 1024 * 1024;
     }
-    return san::bench::runFigure("Fig 5: HashJoin", "Fig 5: HashJoin",
-                                 san::apps::runHashJoin, params, true,
-                                 false);
+    return san::bench::runFigure("Fig 5: HashJoin", "Fig 6: HashJoin",
+                                 san::apps::runHashJoin, params);
 }

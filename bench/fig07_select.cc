@@ -1,6 +1,7 @@
 /**
  * @file
- * Figure 7 + Figure 8: database Select, four configurations.
+ * Figures 7 and 8: database Select, four configurations (overview,
+ * then the execution-time breakdown).
  *
  * Paper-reported shape: "normal" performs worst (synchronous I/O
  * stalls); the other three are nearly identical (the workload is

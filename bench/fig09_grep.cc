@@ -1,6 +1,8 @@
 /**
  * @file
- * Fig 9: Grep (overview: exec time, host utilization, host I/O traffic).
+ * Figs 9 and 10: Grep (overview: exec time, host utilization, host I/O
+ * traffic; then the execution-time breakdown: busy / cache stall /
+ * idle).
  */
 
 #include "BenchCommon.hh"
@@ -10,7 +12,7 @@ int
 main(int argc, char **argv)
 {
     san::bench::init(argc, argv);
-    return san::bench::runFigure("Fig 9: Grep", "Fig 9: Grep",
+    return san::bench::runFigure("Fig 9: Grep", "Fig 10: Grep",
                                  san::apps::runGrep,
-                                 san::apps::GrepParams{}, true, false);
+                                 san::apps::GrepParams{});
 }

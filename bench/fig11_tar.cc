@@ -1,6 +1,8 @@
 /**
  * @file
- * Fig 11: Tar (overview: exec time, host utilization, host I/O traffic).
+ * Figs 11 and 12: Tar (overview: exec time, host utilization, host
+ * I/O traffic; then the execution-time breakdown: busy / cache stall /
+ * idle).
  */
 
 #include "BenchCommon.hh"
@@ -10,7 +12,7 @@ int
 main(int argc, char **argv)
 {
     san::bench::init(argc, argv);
-    return san::bench::runFigure("Fig 11: Tar", "Fig 11: Tar",
+    return san::bench::runFigure("Fig 11: Tar", "Fig 12: Tar",
                                  san::apps::runTar,
-                                 san::apps::TarParams{}, true, false);
+                                 san::apps::TarParams{});
 }

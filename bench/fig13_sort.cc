@@ -1,6 +1,8 @@
 /**
  * @file
- * Fig 13: Parallel sort (overview: exec time, host utilization, host I/O traffic).
+ * Figs 13 and 14: Parallel sort (overview: exec time, host
+ * utilization, host I/O traffic; then the execution-time breakdown:
+ * busy / cache stall / idle).
  */
 
 #include "BenchCommon.hh"
@@ -11,6 +13,6 @@ main(int argc, char **argv)
 {
     san::bench::init(argc, argv);
     return san::bench::runFigure(
-        "Fig 13: Parallel sort", "Fig 13: Parallel sort",
-        san::apps::runParallelSort, san::apps::SortParams{}, true, false);
+        "Fig 13: Parallel sort", "Fig 14: Parallel sort",
+        san::apps::runParallelSort, san::apps::SortParams{});
 }

@@ -15,6 +15,7 @@
  *
  * Build & run:  ./build/examples/hotspot_lab [policy-spec ...]
  *   policy-spec: kind[:order], e.g. voq:oldest, xpoint:longest, fifo
+ *   (a spec net::parsePolicySpec rejects exits 2 before any run)
  */
 
 #include <cstdio>
@@ -33,19 +34,14 @@ using namespace san;
 namespace {
 
 void
-runPolicy(const std::string &spec, bool timeline)
+runPolicy(const std::string &spec, const net::SwitchPolicyConfig &cfg,
+          bool timeline)
 {
-    const auto cfg = net::parsePolicySpec(spec);
-    if (!cfg.has_value()) {
-        std::fprintf(stderr, "unknown policy spec: %s\n", spec.c_str());
-        return;
-    }
-
     sim::Simulation sim;
     net::Fabric fabric(sim);
     net::SwitchParams params;
     params.ports = 8;
-    params.policy = *cfg;
+    params.policy = cfg;
     net::Switch &sw = fabric.addSwitch(params);
     std::vector<net::Adapter *> hosts;
     for (unsigned h = 0; h < 8; ++h) {
@@ -105,11 +101,21 @@ main(int argc, char **argv)
         specs.emplace_back(argv[i]);
     if (specs.empty())
         specs = {"fifo", "voq", "xpoint", "central"};
+    std::vector<net::SwitchPolicyConfig> cfgs;
+    for (const std::string &spec : specs) {
+        const auto cfg = net::parsePolicySpec(spec);
+        if (!cfg.has_value()) {
+            std::fprintf(stderr, "unknown policy spec: %s\n",
+                         spec.c_str());
+            return 2;
+        }
+        cfgs.push_back(*cfg);
+    }
 
     std::printf("permutation-with-hotspot, 8-port switch, "
                 "7 senders x (48 ring + 24 hot) x 4 KB\n");
-    for (const std::string &spec : specs)
-        runPolicy(spec, spec == "voq");
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        runPolicy(specs[i], cfgs[i], specs[i] == "voq");
     std::printf("\nThe bounded FIFO and the crossbar's shallow "
                 "crosspoints let the hot backlog block the ring; "
                 "VOQs absorb it per input and track the unbounded "

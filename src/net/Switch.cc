@@ -1,7 +1,6 @@
 #include "net/Switch.hh"
 
 #include <cassert>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -9,43 +8,11 @@
 
 namespace san::net {
 
-namespace {
-
-/** The stock configuration the SAN_FORCE_SWITCH_POLICY override may
- * replace. Explicitly configured policies always win: a test that
- * asks for a bounded FIFO keeps it even under a forced-VOQ matrix. */
-bool
-isStockPolicy(const SwitchPolicyConfig &cfg)
-{
-    return cfg.kind == SwitchPolicyKind::CentralOutput &&
-           cfg.sharedCapacityCells == 0;
-}
-
-SwitchPolicyConfig
-resolvePolicy(const SwitchPolicyConfig &cfg, const std::string &name)
-{
-    if (!isStockPolicy(cfg))
-        return cfg;
-    if (const char *env = std::getenv("SAN_FORCE_SWITCH_POLICY")) {
-        if (auto forced = parsePolicySpec(env))
-            return *forced;
-        sim::logAt(sim::LogLevel::Warn, name, 0,
-                   "ignoring unparseable SAN_FORCE_SWITCH_POLICY: ",
-                   env);
-    }
-    return cfg;
-}
-
-} // namespace
-
 Switch::Switch(sim::Simulation &sim, std::string name, NodeId id,
                const SwitchParams &params)
     : sim_(sim), name_(std::move(name)), id_(id), params_(params),
-      ports_(params.ports)
-{
-    params_.policy = resolvePolicy(params.policy, name_);
-    policy_ = makeQueueingPolicy(*this, params_.policy);
-}
+      ports_(params.ports), policy_(makeQueueingPolicy(*this, params.policy))
+{}
 
 void
 Switch::attachPort(unsigned port, Link &out, Link &in)

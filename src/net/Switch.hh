@@ -8,11 +8,12 @@
  * to the switch's queueing policy (see net/SwitchPolicy.hh), which
  * owns buffering, arbitration and the credit-return point. The
  * default policy is the paper's central output queue and reproduces
- * the pre-policy switch byte-for-byte; per-input VOQ + iSLIP and
- * crosspoint-buffered organizations are selectable per switch (or
- * forced repo-wide with SAN_FORCE_SWITCH_POLICY). Packets addressed
- * to the switch itself never enter the policy: they are handed to
- * deliverLocal(), which the active switch overrides.
+ * the pre-policy switch byte-for-byte; a bounded central queue,
+ * per-input VOQ + iSLIP and crosspoint-buffered organizations are
+ * selectable per switch through SwitchParams::policy, the only place
+ * a switch's policy comes from. Packets addressed to the switch
+ * itself never enter the policy: they are handed to deliverLocal(),
+ * which the active switch overrides.
  */
 
 #ifndef SAN_NET_SWITCH_HH

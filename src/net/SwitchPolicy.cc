@@ -74,6 +74,10 @@ parsePolicySpec(std::string_view spec)
         return std::nullopt;
     }
     if (!order.empty()) {
+        // The central queue serves each output in arrival order, so
+        // an order it cannot honour is an error, not a no-op.
+        if (cfg.kind == SwitchPolicyKind::CentralOutput)
+            return std::nullopt;
         if (order == "fifo")
             cfg.order = ServiceOrder::Fifo;
         else if (order == "oldest")
@@ -245,40 +249,32 @@ class CentralPassthroughPolicy final : public QueueingPolicy
     std::size_t occupancy() const override { return 0; }
 };
 
+// ---------------------------------------------------------------------
+// The buffered-policy core
+// ---------------------------------------------------------------------
+
 /**
- * Bounded shared memory: per-output FIFOs drawing from one shared
- * cell pool; when the pool is full, arriving cells stay in per-input
- * staging with their credit withheld, so one hot output starves every
- * input behind it — classic HOL blocking, kept on purpose as the
- * baseline the other policies beat.
+ * What every buffered policy shares: per-input staging that holds a
+ * cell's link credit until the cell fits its buffer, admission (the
+ * credit-return point, counters and the telemetry admit stamp), and
+ * the occupancy the gauges read. Each policy adds where an admitted
+ * cell goes and when an output is served.
  */
-class CentralOutputPolicy final : public QueueingPolicy
+class BufferedPolicy : public QueueingPolicy
 {
   public:
-    CentralOutputPolicy(Switch &sw, const SwitchPolicyConfig &cfg)
-        : QueueingPolicy(sw), cap_(cfg.sharedCapacityCells),
-          fifo_(portCount()), staged_(inputCount()),
-          busy_(portCount(), false)
-    {
-        assert(cap_ != 0 && "unbounded central memory is the passthrough");
-        observeOutputCredits([this] { onCredit(); });
-    }
-
-    const char *name() const override { return "central-bounded"; }
-
     void
     ingress(unsigned in, unsigned out, Arrival &&arrival) override
     {
+        Cell c{std::move(arrival.pkt), simulation().now(), in, out};
         // A cell may only bypass staging when its input has nothing
         // staged: admitting around staged cells would reorder the
         // input's wire stream (and with it some flow).
-        if (staged_[in].empty() && occ_ < cap_) {
-            admit(Cell{std::move(arrival.pkt), simulation().now(), in,
-                       out});
+        if (staged_[in].empty() && hasRoom(c)) {
+            admit(std::move(c));
         } else {
             ++counters_.holBlocked;
-            staged_[in].push_back(Cell{std::move(arrival.pkt),
-                                       simulation().now(), in, out});
+            staged_[in].push_back(std::move(c));
         }
     }
 
@@ -293,6 +289,56 @@ class CentralOutputPolicy final : public QueueingPolicy
         return n;
     }
 
+  protected:
+    explicit BufferedPolicy(Switch &sw)
+        : QueueingPolicy(sw), staged_(inputCount())
+    {
+        observeOutputCredits([this] { kick(); });
+    }
+
+    /** Cell @p c would fit the buffer it is routed to right now. */
+    virtual bool hasRoom(const Cell &c) const = 0;
+
+    /** File just-admitted cell @p c into its buffer. */
+    virtual void place(Cell &&c) = 0;
+
+    /** Move buffered cells toward their outputs where possible. */
+    virtual void serveOutputs() = 0;
+
+    /** Wake the outputs unless nothing is buffered (the credit
+     * observer: a returned credit may unblock a stalled output). */
+    void
+    kick()
+    {
+        if (occ_ != 0)
+            serveOutputs();
+    }
+
+    /** Admit input @p in's head staged cell if it fits; true if it
+     * did. Never past the head: that would reorder the input's
+     * wire stream. */
+    bool
+    admitHead(unsigned in)
+    {
+        if (staged_[in].empty() || !hasRoom(staged_[in].front()))
+            return false;
+        Cell c = std::move(staged_[in].front());
+        staged_[in].pop_front();
+        admit(std::move(c));
+        return true;
+    }
+
+    /** Admit input @p in's staged cells in wire order while they fit. */
+    void
+    admitStaged(unsigned in)
+    {
+        while (admitHead(in)) {
+        }
+    }
+
+    std::vector<std::deque<Cell>> staged_; //!< per input, credit held
+    std::uint64_t occ_ = 0;                //!< cells in the buffers
+
   private:
     void
     admit(Cell &&c)
@@ -304,9 +350,45 @@ class CentralOutputPolicy final : public QueueingPolicy
         creditReturn(c.in);
         if (c.pkt.telemetry)
             c.pkt.telemetry->noteAdmitted(simulation().now());
+        place(std::move(c));
+    }
+};
+
+/**
+ * Bounded shared memory: per-output FIFOs drawing from one shared
+ * cell pool; when the pool is full, arriving cells stay in per-input
+ * staging with their credit withheld, so one hot output starves every
+ * input behind it — classic HOL blocking, kept on purpose as the
+ * baseline the other policies beat.
+ */
+class CentralOutputPolicy final : public BufferedPolicy
+{
+  public:
+    CentralOutputPolicy(Switch &sw, const SwitchPolicyConfig &cfg)
+        : BufferedPolicy(sw), cap_(cfg.sharedCapacityCells),
+          fifo_(portCount()), busy_(portCount(), false)
+    {
+        assert(cap_ != 0 && "unbounded central memory is the passthrough");
+    }
+
+    const char *name() const override { return "central-bounded"; }
+
+  private:
+    bool hasRoom(const Cell &) const override { return occ_ < cap_; }
+
+    void
+    place(Cell &&c) override
+    {
         const unsigned out = c.out;
         fifo_[out].push_back(std::move(c));
         serve(out);
+    }
+
+    void
+    serveOutputs() override
+    {
+        for (unsigned out = 0; out < portCount(); ++out)
+            serve(out);
     }
 
     void
@@ -325,45 +407,105 @@ class CentralOutputPolicy final : public QueueingPolicy
         simulation().events().after(ser, [this, out] {
             busy_[out] = false;
             --occ_;
-            admitStaged();
+            admitRoundRobin();
             serve(out);
         });
     }
 
     /** Round-robin the freed shared slots over the staged inputs. */
     void
-    admitStaged()
+    admitRoundRobin()
     {
         const unsigned n = inputCount();
-        unsigned scanned = 0;
-        while (occ_ < cap_ && scanned < n) {
-            if (!staged_[rr_].empty()) {
-                Cell c = std::move(staged_[rr_].front());
-                staged_[rr_].pop_front();
-                scanned = 0;
-                admit(std::move(c));
-            } else {
-                ++scanned;
-            }
-            rr_ = (rr_ + 1) % n;
-        }
-    }
-
-    void
-    onCredit()
-    {
-        if (occ_ == 0)
-            return;
-        for (unsigned out = 0; out < portCount(); ++out)
-            serve(out);
+        for (unsigned scanned = 0; occ_ < cap_ && scanned < n;
+             rr_ = (rr_ + 1) % n)
+            scanned = admitHead(rr_) ? 0 : scanned + 1;
     }
 
     const unsigned cap_; //!< shared-memory cells
-    std::vector<std::deque<Cell>> fifo_;   //!< per output
-    std::vector<std::deque<Cell>> staged_; //!< per input, credit held
-    std::vector<char> busy_;               //!< per-output server busy
-    std::uint64_t occ_ = 0;
+    std::vector<std::deque<Cell>> fifo_; //!< per output
+    std::vector<char> busy_;             //!< per-output server busy
     unsigned rr_ = 0; //!< staged-admission round-robin pointer
+};
+
+/**
+ * The buffered crossbars' shared structure: one FIFO per (input,
+ * output) pair, so a cell only ever waits behind cells of its own
+ * pair, and the service order that picks which input an output
+ * takes next.
+ */
+class MatrixPolicy : public BufferedPolicy
+{
+  public:
+    const char *name() const override { return name_.c_str(); }
+
+  protected:
+    /** @p kind names the policy; @p fifo_label its Fifo order. */
+    MatrixPolicy(Switch &sw, unsigned cap, ServiceOrder order,
+                 const char *kind, const char *fifo_label)
+        : BufferedPolicy(sw), cap_(std::max(1u, cap)), order_(order),
+          queues_(inputCount() * portCount()),
+          name_(std::string(kind) + "-" +
+                (order == ServiceOrder::Fifo ? fifo_label
+                                             : serviceOrderName(order)))
+    {}
+
+    std::deque<Cell> &
+    queue(unsigned in, unsigned out)
+    {
+        return queues_[in * portCount() + out];
+    }
+
+    const std::deque<Cell> &
+    queue(unsigned in, unsigned out) const
+    {
+        return queues_[in * portCount() + out];
+    }
+
+    bool
+    hasRoom(const Cell &c) const override
+    {
+        return queue(c.in, c.out).size() < cap_;
+    }
+
+    /**
+     * The input output @p out serves next: among the inputs with
+     * cells for @p out that @p eligible accepts, scanned round-robin
+     * from @p start, the first under Fifo, else the one with the
+     * oldest head cell or the longest queue (ties to the earliest
+     * scanned). -1 if there is none.
+     */
+    template <typename Eligible>
+    int
+    pickInput(unsigned out, unsigned start, Eligible eligible) const
+    {
+        const unsigned V = inputCount();
+        int best = -1;
+        for (unsigned k = 0; k < V; ++k) {
+            const unsigned i = (start + k) % V;
+            if (queue(i, out).empty() || !eligible(i))
+                continue;
+            if (order_ == ServiceOrder::Fifo)
+                return static_cast<int>(i);
+            if (best < 0) {
+                best = static_cast<int>(i);
+                continue;
+            }
+            const auto &bq = queue(static_cast<unsigned>(best), out);
+            const auto &iq = queue(i, out);
+            if (order_ == ServiceOrder::OldestFirst
+                    ? iq.front().enqueuedAt < bq.front().enqueuedAt
+                    : iq.size() > bq.size())
+                best = static_cast<int>(i);
+        }
+        return best;
+    }
+
+  private:
+    const unsigned cap_; //!< cells per (input, output) queue
+    const ServiceOrder order_;
+    std::vector<std::deque<Cell>> queues_; //!< (input x output) FIFOs
+    const std::string name_;
 };
 
 // ---------------------------------------------------------------------
@@ -382,56 +524,22 @@ class CentralOutputPolicy final : public QueueingPolicy
  * pointer revolution; maxGrantWaitRounds() exposes the observed
  * bound).
  */
-class VoqIslipPolicy final : public QueueingPolicy
+class VoqIslipPolicy final : public MatrixPolicy
 {
   public:
     VoqIslipPolicy(Switch &sw, const SwitchPolicyConfig &cfg)
-        : QueueingPolicy(sw), cap_(std::max(1u, cfg.voqCapacityCells)),
-          order_(cfg.order), voq_(inputCount() * portCount()),
-          staged_(inputCount()), grantPtr_(portCount(), 0),
-          acceptPtr_(inputCount(), 0), inBusyUntil_(inputCount(), 0),
-          outBusyUntil_(portCount(), 0), waitRounds_(inputCount(), 0)
-    {
-        observeOutputCredits([this] { kick(); });
-    }
-
-    const char *
-    name() const override
-    {
-        switch (order_) {
-        case ServiceOrder::OldestFirst:
-            return "voq-oldest";
-        case ServiceOrder::LongestFirst:
-            return "voq-longest";
-        default:
-            return "voq-islip";
-        }
-    }
+        : MatrixPolicy(sw, cfg.voqCapacityCells, cfg.order, "voq",
+                       "islip"),
+          grantPtr_(portCount(), 0), acceptPtr_(inputCount(), 0),
+          inBusyUntil_(inputCount(), 0), outBusyUntil_(portCount(), 0),
+          waitRounds_(inputCount(), 0)
+    {}
 
     void
     ingress(unsigned in, unsigned out, Arrival &&arrival) override
     {
-        Cell c{std::move(arrival.pkt), simulation().now(), in, out};
-        // Wire order: never admit around cells already staged on
-        // this input (see CentralOutputPolicy::ingress).
-        if (staged_[in].empty() && voq(in, out).size() < cap_) {
-            admit(std::move(c));
-        } else {
-            ++counters_.holBlocked;
-            staged_[in].push_back(std::move(c));
-        }
+        MatrixPolicy::ingress(in, out, std::move(arrival));
         kick();
-    }
-
-    std::size_t occupancy() const override { return occ_; }
-
-    std::size_t
-    stagedCells() const override
-    {
-        std::size_t n = 0;
-        for (const auto &q : staged_)
-            n += q.size();
-        return n;
     }
 
     std::uint64_t maxGrantWaitRounds() const override { return maxWait_; }
@@ -447,42 +555,23 @@ class VoqIslipPolicy final : public QueueingPolicy
                   obs::GaugeKind::Gauge, [this, i] {
                       std::size_t n = staged_[i].size();
                       for (unsigned o = 0; o < portCount(); ++o)
-                          n += voq_[i * portCount() + o].size();
+                          n += queue(i, o).size();
                       return static_cast<double>(n);
                   });
     }
 
   private:
-    std::deque<Cell> &
-    voq(unsigned in, unsigned out)
-    {
-        return voq_[in * portCount() + out];
-    }
-
     void
-    admit(Cell &&c)
+    place(Cell &&c) override
     {
-        ++counters_.admitted;
-        ++occ_;
-        counters_.peakOccupancy =
-            std::max<std::uint64_t>(counters_.peakOccupancy, occ_);
-        creditReturn(c.in);
-        if (c.pkt.telemetry)
-            c.pkt.telemetry->noteAdmitted(simulation().now());
         const unsigned in = c.in, out = c.out;
-        voq(in, out).push_back(std::move(c));
+        queue(in, out).push_back(std::move(c));
     }
 
     /** Schedule an arbitration pass this tick unless one is already
      * due now or earlier. postNow keeps same-tick arrivals coalesced
      * into a single pass. */
-    void
-    kick()
-    {
-        if (occ_ == 0)
-            return;
-        scheduleArbAt(simulation().now());
-    }
+    void serveOutputs() override { scheduleArbAt(simulation().now()); }
 
     void
     scheduleArbAt(sim::Tick t)
@@ -510,39 +599,12 @@ class VoqIslipPolicy final : public QueueingPolicy
     }
 
     bool
-    hasAnyCell(unsigned i)
+    hasAnyCell(unsigned i) const
     {
         for (unsigned o = 0; o < portCount(); ++o)
-            if (!voq(i, o).empty())
+            if (!queue(i, o).empty())
                 return true;
         return false;
-    }
-
-    /** Grant phase: which input does free output @p o grant? */
-    int
-    pickRequester(unsigned o, sim::Tick now,
-                  const std::vector<int> &inMatch)
-    {
-        const unsigned V = inputCount();
-        int best = -1;
-        for (unsigned k = 0; k < V; ++k) {
-            const unsigned i = (grantPtr_[o] + k) % V;
-            if (inMatch[i] >= 0 || !inFree(i, now) || voq(i, o).empty())
-                continue;
-            if (order_ == ServiceOrder::Fifo)
-                return static_cast<int>(i); // first in pointer order
-            if (best < 0) {
-                best = static_cast<int>(i);
-                continue;
-            }
-            const auto &bq = voq(static_cast<unsigned>(best), o);
-            const auto &iq = voq(i, o);
-            if (order_ == ServiceOrder::OldestFirst
-                    ? iq.front().enqueuedAt < bq.front().enqueuedAt
-                    : iq.size() > bq.size())
-                best = static_cast<int>(i);
-        }
-        return best;
     }
 
     void
@@ -556,7 +618,7 @@ class VoqIslipPolicy final : public QueueingPolicy
         for (unsigned i = 0; i < V && !anyRequest; ++i)
             if (inFree(i, now))
                 for (unsigned o = 0; o < P; ++o)
-                    if (outFree(o, now) && !voq(i, o).empty()) {
+                    if (outFree(o, now) && !queue(i, o).empty()) {
                         anyRequest = true;
                         break;
                     }
@@ -574,12 +636,15 @@ class VoqIslipPolicy final : public QueueingPolicy
         std::vector<int> inMatch(V, -1), outMatch(P, -1);
         bool firstIter = true;
         for (;;) {
-            // Grant: every free unmatched output offers one input.
+            // Grant: every free unmatched output offers one free
+            // unmatched input, by the service order.
             std::vector<int> grantTo(P, -1);
             for (unsigned o = 0; o < P; ++o) {
                 if (outMatch[o] >= 0 || !outFree(o, now))
                     continue;
-                grantTo[o] = pickRequester(o, now, inMatch);
+                grantTo[o] = pickInput(o, grantPtr_[o], [&](unsigned i) {
+                    return inMatch[i] < 0 && inFree(i, now);
+                });
             }
             // Accept: every free unmatched input takes one grant,
             // round-robin from its accept pointer.
@@ -634,8 +699,8 @@ class VoqIslipPolicy final : public QueueingPolicy
     void
     serve(unsigned i, unsigned o, sim::Tick now)
     {
-        Cell c = std::move(voq(i, o).front());
-        voq(i, o).pop_front();
+        Cell c = std::move(queue(i, o).front());
+        queue(i, o).pop_front();
         --occ_;
         ++counters_.grants;
         const sim::Tick ser = serialization(o, c.pkt);
@@ -643,21 +708,6 @@ class VoqIslipPolicy final : public QueueingPolicy
         outBusyUntil_[o] = now + ser;
         forward(c.in, o, std::move(c.pkt));
         admitStaged(i);
-    }
-
-    /** Freed VOQ space admits staged cells in wire order (head only:
-     * admitting past the head would reorder the input stream). */
-    void
-    admitStaged(unsigned i)
-    {
-        while (!staged_[i].empty()) {
-            Cell &head = staged_[i].front();
-            if (voq(i, head.out).size() >= cap_)
-                break;
-            Cell c = std::move(head);
-            staged_[i].pop_front();
-            admit(std::move(c));
-        }
     }
 
     void
@@ -680,16 +730,11 @@ class VoqIslipPolicy final : public QueueingPolicy
             scheduleArbAt(next);
     }
 
-    const unsigned cap_;
-    const ServiceOrder order_;
-    std::vector<std::deque<Cell>> voq_;    //!< (input x output) FIFOs
-    std::vector<std::deque<Cell>> staged_; //!< per input, credit held
-    std::vector<unsigned> grantPtr_;       //!< per-output iSLIP ptr
-    std::vector<unsigned> acceptPtr_;      //!< per-input iSLIP ptr
+    std::vector<unsigned> grantPtr_;  //!< per-output iSLIP ptr
+    std::vector<unsigned> acceptPtr_; //!< per-input iSLIP ptr
     std::vector<sim::Tick> inBusyUntil_;
     std::vector<sim::Tick> outBusyUntil_;
     std::vector<std::uint64_t> waitRounds_;
-    std::uint64_t occ_ = 0;
     std::uint64_t maxWait_ = 0;
     sim::Tick arbAt_ = kNever; //!< earliest scheduled arbitration
 };
@@ -706,56 +751,14 @@ class VoqIslipPolicy final : public QueueingPolicy
  * discipline. Buffering is O(N^2) in ports — the hardware cost that
  * historically kept CICQ switches small.
  */
-class CrosspointPolicy final : public QueueingPolicy
+class CrosspointPolicy final : public MatrixPolicy
 {
   public:
     CrosspointPolicy(Switch &sw, const SwitchPolicyConfig &cfg)
-        : QueueingPolicy(sw),
-          cap_(std::max(1u, cfg.crosspointCapacityCells)),
-          order_(cfg.order), xq_(inputCount() * portCount()),
-          staged_(inputCount()), busy_(portCount(), false),
-          rrPtr_(portCount(), 0)
-    {
-        observeOutputCredits([this] { onCredit(); });
-    }
-
-    const char *
-    name() const override
-    {
-        switch (order_) {
-        case ServiceOrder::OldestFirst:
-            return "xpoint-oldest";
-        case ServiceOrder::LongestFirst:
-            return "xpoint-longest";
-        default:
-            return "xpoint-rr";
-        }
-    }
-
-    void
-    ingress(unsigned in, unsigned out, Arrival &&arrival) override
-    {
-        Cell c{std::move(arrival.pkt), simulation().now(), in, out};
-        // Wire order: never admit around cells already staged on
-        // this input (see CentralOutputPolicy::ingress).
-        if (staged_[in].empty() && xq(in, out).size() < cap_) {
-            admit(std::move(c));
-        } else {
-            ++counters_.holBlocked;
-            staged_[in].push_back(std::move(c));
-        }
-    }
-
-    std::size_t occupancy() const override { return occ_; }
-
-    std::size_t
-    stagedCells() const override
-    {
-        std::size_t n = 0;
-        for (const auto &q : staged_)
-            n += q.size();
-        return n;
-    }
+        : MatrixPolicy(sw, cfg.crosspointCapacityCells, cfg.order,
+                       "xpoint", "rr"),
+          busy_(portCount(), false), rrPtr_(portCount(), 0)
+    {}
 
     void
     registerDetailMetrics(obs::MetricsRegistry &m) const override
@@ -768,31 +771,25 @@ class CrosspointPolicy final : public QueueingPolicy
                   obs::GaugeKind::Gauge, [this, o] {
                       std::size_t n = 0;
                       for (unsigned i = 0; i < inputCount(); ++i)
-                          n += xq_[i * portCount() + o].size();
+                          n += queue(i, o).size();
                       return static_cast<double>(n);
                   });
     }
 
   private:
-    std::deque<Cell> &
-    xq(unsigned in, unsigned out)
+    void
+    place(Cell &&c) override
     {
-        return xq_[in * portCount() + out];
+        const unsigned in = c.in, out = c.out;
+        queue(in, out).push_back(std::move(c));
+        serve(out);
     }
 
     void
-    admit(Cell &&c)
+    serveOutputs() override
     {
-        ++counters_.admitted;
-        ++occ_;
-        counters_.peakOccupancy =
-            std::max<std::uint64_t>(counters_.peakOccupancy, occ_);
-        creditReturn(c.in);
-        if (c.pkt.telemetry)
-            c.pkt.telemetry->noteAdmitted(simulation().now());
-        const unsigned out = c.out;
-        xq(c.in, out).push_back(std::move(c));
-        serve(out);
+        for (unsigned out = 0; out < portCount(); ++out)
+            serve(out);
     }
 
     /** Output @p out picks the next crosspoint in its column. */
@@ -801,33 +798,14 @@ class CrosspointPolicy final : public QueueingPolicy
     {
         if (busy_[out] || !outputReady(out))
             return;
-        const unsigned V = inputCount();
-        int pick = -1;
-        for (unsigned k = 0; k < V; ++k) {
-            const unsigned i = (rrPtr_[out] + k) % V;
-            if (xq(i, out).empty())
-                continue;
-            if (order_ == ServiceOrder::Fifo) {
-                pick = static_cast<int>(i);
-                break;
-            }
-            if (pick < 0) {
-                pick = static_cast<int>(i);
-                continue;
-            }
-            const auto &pq = xq(static_cast<unsigned>(pick), out);
-            const auto &iq = xq(i, out);
-            if (order_ == ServiceOrder::OldestFirst
-                    ? iq.front().enqueuedAt < pq.front().enqueuedAt
-                    : iq.size() > pq.size())
-                pick = static_cast<int>(i);
-        }
+        const int pick =
+            pickInput(out, rrPtr_[out], [](unsigned) { return true; });
         if (pick < 0)
             return;
         const auto in = static_cast<unsigned>(pick);
-        rrPtr_[out] = (in + 1) % V;
-        Cell c = std::move(xq(in, out).front());
-        xq(in, out).pop_front();
+        rrPtr_[out] = (in + 1) % inputCount();
+        Cell c = std::move(queue(in, out).front());
+        queue(in, out).pop_front();
         --occ_;
         ++counters_.grants;
         ++counters_.arbRounds;
@@ -841,35 +819,8 @@ class CrosspointPolicy final : public QueueingPolicy
         });
     }
 
-    void
-    admitStaged(unsigned i)
-    {
-        while (!staged_[i].empty()) {
-            Cell &head = staged_[i].front();
-            if (xq(i, head.out).size() >= cap_)
-                break;
-            Cell c = std::move(head);
-            staged_[i].pop_front();
-            admit(std::move(c));
-        }
-    }
-
-    void
-    onCredit()
-    {
-        if (occ_ == 0)
-            return;
-        for (unsigned out = 0; out < portCount(); ++out)
-            serve(out);
-    }
-
-    const unsigned cap_;
-    const ServiceOrder order_;
-    std::vector<std::deque<Cell>> xq_; //!< (input x output) buffers
-    std::vector<std::deque<Cell>> staged_;
-    std::vector<char> busy_;
-    std::vector<unsigned> rrPtr_;
-    std::uint64_t occ_ = 0;
+    std::vector<char> busy_;      //!< per-output server busy
+    std::vector<unsigned> rrPtr_; //!< per-output round-robin ptr
 };
 
 } // namespace

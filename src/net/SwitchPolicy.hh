@@ -27,6 +27,13 @@
  *    dedicated buffer per (input, output) crosspoint and a per-output
  *    selection discipline.
  *
+ * The three buffered organizations (bounded central, VOQ, crosspoint)
+ * share one core in SwitchPolicy.cc: per-input staging, admission and
+ * occupancy. VOQ and crosspoint also share the (input, output) queue
+ * matrix and the service-order pick. Each policy adds only where an
+ * admitted cell goes and when an output is served. A switch's policy
+ * comes from its SwitchParams::policy and nowhere else.
+ *
  * Invariants every policy must keep (tests/net_arbitration_fuzz_test
  * enforces them):
  *
@@ -107,8 +114,10 @@ const char *serviceOrderName(ServiceOrder order);
  * Parse a policy spec string: `kind[:order]` where kind is one of
  * `central`, `fifo` (central with a 64-cell shared memory — the
  * classic bounded FIFO output queue), `voq`, `crosspoint` (alias
- * `xpoint`), and order is `fifo`, `oldest` or `longest`. Used by the
- * SAN_FORCE_SWITCH_POLICY environment override and by the bench CLIs.
+ * `xpoint`), and order is `fifo`, `oldest` or `longest`. Returns
+ * nullopt for an unknown kind or order, and for any order given to
+ * `central` or `fifo`, which can only serve in arrival order. Used
+ * by the policy-lab benches and examples.
  */
 std::optional<SwitchPolicyConfig> parsePolicySpec(std::string_view spec);
 

@@ -319,26 +319,7 @@ class FlowSketch
     void
     add(std::uint32_t src, std::uint32_t dst, std::uint64_t bytes)
     {
-        const std::uint64_t key = keyOf(src, dst);
-        std::size_t minIdx = 0;
-        for (std::size_t i = 0; i < used_; ++i) {
-            if (slots_[i].key == key) {
-                slots_[i].bytes += bytes;
-                return;
-            }
-            if (slots_[i].bytes < slots_[minIdx].bytes)
-                minIdx = i;
-        }
-        if (used_ < kEntries) {
-            slots_[used_++] = Entry{key, bytes, 0};
-            return;
-        }
-        // Space-saving takeover: the new flow inherits the smallest
-        // counter as its (bounded) overestimate.
-        Entry &victim = slots_[minIdx];
-        victim.error = victim.bytes;
-        victim.bytes += bytes;
-        victim.key = key;
+        addEntry({keyOf(src, dst), bytes, 0});
     }
 
     std::size_t used() const { return used_; }
@@ -399,6 +380,8 @@ class FlowSketch
             slots_[used_++] = e;
             return;
         }
+        // Space-saving takeover: the new flow inherits the smallest
+        // counter as its (bounded) overestimate.
         Entry &victim = slots_[minIdx];
         victim.error = victim.bytes + e.error;
         victim.bytes += e.bytes;

@@ -374,16 +374,6 @@ class LadderScheduler
     /** @} */
 
   private:
-    /** a + b, saturating at maxTick: window bounds near the end of
-     * representable time cap instead of wrapping. The placement rule
-     * stays consistent — a capped windowLimit_ only narrows the ring,
-     * so bucket distances never exceed bucketCount - 1. */
-    static Tick
-    satAdd(Tick a, Tick b)
-    {
-        return a > maxTick - b ? maxTick : a + b;
-    }
-
     /** File @p e into the tier its tick belongs to. The current span
      * goes to the side heap: the sorted run is never inserted into,
      * only adopted wholesale and popped. */
@@ -469,9 +459,12 @@ class LadderScheduler
         }
         curIdx_ = 0;
         curSpanStart_ = start & ~(bucketWidth() - 1);
-        curSpanEnd_ = satAdd(curSpanStart_, bucketWidth());
+        // Bounds near the end of time cap at maxTick instead of
+        // wrapping. A capped windowLimit_ only narrows the ring, so
+        // bucket distances never exceed bucketCount - 1.
+        curSpanEnd_ = saturatingAdd(curSpanStart_, bucketWidth());
         windowLimit_ =
-            satAdd(curSpanStart_, Tick(bucketCount) << shift_);
+            saturatingAdd(curSpanStart_, Tick(bucketCount) << shift_);
         for (const EventRef &e : pending)
             place(e);
         refill();
@@ -603,9 +596,9 @@ class LadderScheduler
                "ringCount_ out of sync with ring");
         const Tick step = Tick(d) << shift_;
         curIdx_ = (curIdx_ + d) & (bucketCount - 1);
-        curSpanStart_ = satAdd(curSpanStart_, step);
-        curSpanEnd_ = satAdd(curSpanEnd_, step);
-        windowLimit_ = satAdd(windowLimit_, step);
+        curSpanStart_ = saturatingAdd(curSpanStart_, step);
+        curSpanEnd_ = saturatingAdd(curSpanEnd_, step);
+        windowLimit_ = saturatingAdd(windowLimit_, step);
         sinceRebuild_ += d;
         refill();
         // Adopt: the whole bucket becomes the sorted run (descending,

@@ -127,13 +127,6 @@ currentShard()
     return t.owner != nullptr ? t.shard : SIZE_MAX;
 }
 
-/** floor + lookahead without wrapping past the end of time. */
-inline Tick
-saturatingAdd(Tick a, Tick b)
-{
-    return a > maxTick - b ? maxTick : a + b;
-}
-
 /**
  * Per-shard trace sink: records every event and replays it into the
  * real exporter after the run, one shard at a time, so a non

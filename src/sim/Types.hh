@@ -21,6 +21,14 @@ using Tick = std::uint64_t;
 /** Sentinel for "no time" / "infinitely far in the future". */
 inline constexpr Tick maxTick = ~Tick(0);
 
+/** a + b, saturating at maxTick instead of wrapping past the end of
+ * time (window bounds and PDES horizons near maxTick). */
+constexpr Tick
+saturatingAdd(Tick a, Tick b)
+{
+    return a > maxTick - b ? maxTick : a + b;
+}
+
 /** @{ Unit constructors for ticks. */
 constexpr Tick
 ps(std::uint64_t v)

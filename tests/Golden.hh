@@ -62,15 +62,6 @@ expectMatchesGolden(const std::string &actual, const std::string &file)
            "SAN_UPDATE_GOLDEN=1 and commit the new golden file.";
 }
 
-/** The goldens pin the *default* switch policy's event stream; the
- * CI policy matrix's SAN_FORCE_SWITCH_POLICY legitimately changes
- * every default-configured switch's timing. */
-inline bool
-policyForced()
-{
-    return std::getenv("SAN_FORCE_SWITCH_POLICY") != nullptr;
-}
-
 } // namespace san::test
 
 #endif // SAN_TESTS_GOLDEN_HH

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 
 #include "CountingNew.hh"
 #include "active/ActiveSwitch.hh"
@@ -78,14 +77,10 @@ hubShapeBuildAllocations()
 /**
  * Pins the hub shape's build at its measured allocation count plus
  * 25 % headroom, so a change that makes every switch, link or route
- * table allocate up front again fails here. Forced switch policies
- * own real queues and are not what the pin measures.
+ * table allocate up front again fails here.
  */
 TEST(FabricFootprint, HubShapeBuildStaysUnderPinnedAllocations)
 {
-    if (std::getenv("SAN_FORCE_SWITCH_POLICY") != nullptr)
-        GTEST_SKIP() << "SAN_FORCE_SWITCH_POLICY replaces the default "
-                        "policy this count pins";
     const std::uint64_t measured = 3437; // gcc 12, libstdc++
     EXPECT_LE(hubShapeBuildAllocations(), measured + measured / 4);
 }

@@ -5,15 +5,21 @@
  * still produce the fault-free answer, with the recovery machinery
  * (retransmits, failovers, retries) visibly engaged. Exactly-once
  * delivery is asserted via the host I/O byte counters: retransmitted
- * data must never be double-counted.
+ * data must never be double-counted. A k=4 fat-tree under link
+ * corruption and credit loss must also deliver every message under
+ * every switch policy kind.
  */
 
 #include <gtest/gtest.h>
 
+#include "PolicyMatrix.hh"
 #include "apps/Grep.hh"
 #include "apps/MpegFilter.hh"
 #include "fault/FaultPlan.hh"
+#include "fault/Reliable.hh"
 #include "net/Link.hh"
+#include "net/Topology.hh"
+#include "net/Traffic.hh"
 #include "sim/Simulation.hh"
 
 namespace {
@@ -174,6 +180,41 @@ TEST(Recovery, DiskSpikesOnlyCostTime)
     EXPECT_EQ(r.checksum, bare.checksum);
     EXPECT_GT(r.execTime, bare.execTime);
 }
+
+class FabricRecovery : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(FabricRecovery, FatTreeDeliversEveryMessageUnderLinkFaults)
+{
+    FaultPlan plan;
+    addSpec(plan, FaultKind::LinkBitError, 2e-6);
+    addSpec(plan, FaultKind::CreditLoss, 0.01);
+    sim::Simulation sim(sim::RunContext{.faults = &plan});
+    net::Fabric fabric(sim);
+    net::FatTreeParams shape{4};
+    shape.switchParams.policy = test::policyOf(GetParam());
+    const net::Topology topo = net::buildFatTree(fabric, shape);
+    net::TrafficParams traffic;
+    traffic.messages = 8;
+    net::TrafficGen gen(sim, topo.hosts, topo.hostGroup, traffic);
+    gen.start();
+    sim.run();
+
+    const net::TrafficReport r = gen.report();
+    EXPECT_EQ(r.posted, 16u * traffic.messages);
+    EXPECT_EQ(r.delivered, r.posted);
+    EXPECT_EQ(r.deliveredBytes, r.posted * traffic.messageBytes);
+    std::uint64_t retransmits = 0, creditsLost = 0;
+    for (const auto &a : fabric.adapters())
+        retransmits += a->reliable()->retransmits();
+    for (const auto &l : fabric.links())
+        creditsLost += l->creditsLost();
+    EXPECT_GT(retransmits, 0u);
+    EXPECT_GT(creditsLost, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, FabricRecovery, test::policySpecs(),
+                         test::policyName);
 
 #ifndef NDEBUG
 TEST(LinkCreditDeathTest, ReturnWithoutChargeAsserts)

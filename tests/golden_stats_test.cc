@@ -36,7 +36,6 @@
 namespace {
 
 using namespace san;
-using test::policyForced;
 using test::updatingGoldens;
 
 /** One golden case: a workload at reduced size, in one mode. */
@@ -140,9 +139,6 @@ class GoldenStats : public ::testing::TestWithParam<GoldenCase>
 
 TEST_P(GoldenStats, MatchesGoldenFile)
 {
-    if (policyForced())
-        GTEST_SKIP() << "SAN_FORCE_SWITCH_POLICY overrides the "
-                        "default policy these goldens pin";
     const GoldenCase &c = GetParam();
     const std::string actual = statsJsonFor(c);
     ASSERT_FALSE(actual.empty());
@@ -163,9 +159,6 @@ TEST(GoldenFingerprint, FreshRunReproducesCommittedFingerprint)
     const GoldenCase c{"mpeg", apps::Mode::Active};
     if (updatingGoldens())
         GTEST_SKIP() << "goldens being regenerated";
-    if (policyForced())
-        GTEST_SKIP() << "SAN_FORCE_SWITCH_POLICY changes the event "
-                        "stream the fingerprint pins";
     const std::string path = test::goldenPath(goldenFileFor(c));
     std::ifstream in(path);
     ASSERT_TRUE(in) << "missing golden file " << path;

@@ -24,7 +24,6 @@
 namespace {
 
 using namespace san;
-using test::policyForced;
 
 lb::LbWorkloadParams
 smallParams()
@@ -208,9 +207,6 @@ TEST(LbScale, HotIndexStaysCacheResident)
 
 TEST(LbGolden, StatsSnapshotMatchesGoldenFile)
 {
-    if (policyForced())
-        GTEST_SKIP() << "SAN_FORCE_SWITCH_POLICY overrides the "
-                        "default policy this golden pins";
     std::string captured;
     apps::clusterObserver() = [&captured](apps::Cluster &cluster,
                                           apps::Mode) {

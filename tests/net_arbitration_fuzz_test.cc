@@ -219,6 +219,45 @@ constexpr std::uint64_t kSeeds[] = {
     1, 2, 3, 5, 8, 13, 42, 0xc0ffee, 0xdeadbeef, 0x5eed5eed5eed5eedull,
 };
 
+TEST(PolicySpec, ParsesEveryKindAndOrder)
+{
+    const auto central = parsePolicySpec("central");
+    ASSERT_TRUE(central.has_value());
+    EXPECT_EQ(central->kind, SwitchPolicyKind::CentralOutput);
+    EXPECT_EQ(central->sharedCapacityCells, 0u);
+
+    const auto fifo = parsePolicySpec("fifo");
+    ASSERT_TRUE(fifo.has_value());
+    EXPECT_EQ(fifo->kind, SwitchPolicyKind::CentralOutput);
+    EXPECT_EQ(fifo->sharedCapacityCells, 64u);
+
+    const auto voq = parsePolicySpec("voq:oldest");
+    ASSERT_TRUE(voq.has_value());
+    EXPECT_EQ(voq->kind, SwitchPolicyKind::Voq);
+    EXPECT_EQ(voq->order, ServiceOrder::OldestFirst);
+
+    for (const char *spec : {"xpoint:longest", "crosspoint:longest"}) {
+        const auto xp = parsePolicySpec(spec);
+        ASSERT_TRUE(xp.has_value()) << spec;
+        EXPECT_EQ(xp->kind, SwitchPolicyKind::Crosspoint) << spec;
+        EXPECT_EQ(xp->order, ServiceOrder::LongestFirst) << spec;
+    }
+    const auto rr = parsePolicySpec("xpoint:fifo");
+    ASSERT_TRUE(rr.has_value());
+    EXPECT_EQ(rr->order, ServiceOrder::Fifo);
+}
+
+TEST(PolicySpec, RejectsWhatNoPolicyCanHonour)
+{
+    // Unknown kinds and orders, and any order given to the central
+    // queue, which serves each output in arrival order only.
+    for (const char *spec :
+         {"", "bogus", "voq:newest", "central:longest",
+          "central:oldest", "central:fifo", "fifo:oldest",
+          "fifo:longest", "fifo:fifo", ":oldest"})
+        EXPECT_FALSE(parsePolicySpec(spec).has_value()) << spec;
+}
+
 TEST(ArbitrationFuzz, EveryPolicyConservesAndOrdersEveryFlow)
 {
     for (const std::uint64_t seed : kSeeds) {

@@ -2,13 +2,15 @@
  * @file
  * Property tests of the fabric: random tree topologies route every
  * pair, message interleaving reassembles correctly, and bandwidth
- * sharing under contention is conserved.
+ * sharing under contention is conserved. All-pairs delivery and
+ * credit backpressure also run under every switch policy kind.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "PolicyMatrix.hh"
 #include "net/Fabric.hh"
 #include "sim/Random.hh"
 #include "sim/Simulation.hh"
@@ -26,14 +28,17 @@ struct RandomTree {
     std::vector<Switch *> switches;
     std::vector<Adapter *> hosts;
 
-    explicit RandomTree(std::uint64_t seed)
+    explicit RandomTree(std::uint64_t seed,
+                        const SwitchPolicyConfig &policy = {})
     {
         Random rng(seed);
         const unsigned n_switches =
             static_cast<unsigned>(rng.between(2, 6));
         std::vector<unsigned> free_port(n_switches, 0);
+        SwitchParams params{16};
+        params.policy = policy;
         for (unsigned i = 0; i < n_switches; ++i)
-            switches.push_back(&fabric.addSwitch(SwitchParams{16}));
+            switches.push_back(&fabric.addSwitch(params));
         // Random tree: switch i attaches to a random earlier switch.
         for (unsigned i = 1; i < n_switches; ++i) {
             const unsigned parent =
@@ -57,13 +62,14 @@ struct RandomTree {
     }
 };
 
-class RandomTopology : public ::testing::TestWithParam<std::uint64_t>
-{};
-
-TEST_P(RandomTopology, AllPairsDeliverAllBytes)
+/** Every host sends one random-sized message to every other host of
+ * the seed's random tree; all of them must arrive whole. */
+void
+expectAllPairsDeliver(std::uint64_t seed,
+                      const SwitchPolicyConfig &policy = {})
 {
-    RandomTree t(GetParam());
-    Random rng(GetParam() ^ 0xf00d);
+    RandomTree t(seed, policy);
+    Random rng(seed ^ 0xf00d);
     std::uint64_t sent = 0;
     for (auto *from : t.hosts) {
         for (auto *to : t.hosts) {
@@ -83,6 +89,14 @@ TEST_P(RandomTopology, AllPairsDeliverAllBytes)
                   t.hosts.size() - 1); // one from each peer
     }
     EXPECT_EQ(received, sent);
+}
+
+class RandomTopology : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(RandomTopology, AllPairsDeliverAllBytes)
+{
+    expectAllPairsDeliver(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTopology,
@@ -149,14 +163,17 @@ TEST(Fabric, ContendingSendersShareOneOutputLink)
     EXPECT_LE(toSeconds(both_done), ideal * 1.1);
 }
 
-TEST(Fabric, CreditBackpressurePropagatesNotDrops)
+/** Tiny credit budget: everything still arrives, just slower. */
+void
+expectBackpressureWithoutDrops(const SwitchPolicyConfig &policy = {})
 {
-    // Tiny credit budget: everything still arrives, just slower.
     Simulation s;
     LinkParams lp;
     lp.credits = 1;
     Fabric fabric(s, lp);
-    auto &sw = fabric.addSwitch(SwitchParams{4});
+    SwitchParams params{4};
+    params.policy = policy;
+    auto &sw = fabric.addSwitch(params);
     auto &a = fabric.addAdapter("a");
     auto &b = fabric.addAdapter("b");
     fabric.connect(sw, 0, a);
@@ -167,5 +184,29 @@ TEST(Fabric, CreditBackpressurePropagatesNotDrops)
     EXPECT_EQ(b.bytesReceived(), 100u * 512);
     EXPECT_EQ(b.messagesReceived(), 1u);
 }
+
+TEST(Fabric, CreditBackpressurePropagatesNotDrops)
+{
+    expectBackpressureWithoutDrops();
+}
+
+class PolicyFabric : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(PolicyFabric, RandomTreesDeliverAllPairs)
+{
+    for (const std::uint64_t seed : {11, 22, 33, 44, 55}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        expectAllPairsDeliver(seed, test::policyOf(GetParam()));
+    }
+}
+
+TEST_P(PolicyFabric, CreditBackpressurePropagatesNotDrops)
+{
+    expectBackpressureWithoutDrops(test::policyOf(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, PolicyFabric, test::policySpecs(),
+                         test::policyName);
 
 } // namespace

@@ -24,7 +24,6 @@
 namespace {
 
 using namespace san;
-using test::policyForced;
 using fault::FaultKind;
 using fault::FaultPlan;
 using obs::FlowClass;
@@ -348,9 +347,6 @@ TEST(LatencyReport, SilentWithoutTelemetry)
 
 TEST(LatencyReport, MatchesGoldenFile)
 {
-    if (policyForced())
-        GTEST_SKIP() << "SAN_FORCE_SWITCH_POLICY overrides the "
-                        "default policy this golden pins";
     Telemetry tel(1);
     const std::string actual = latencyReportFor(mpegWithTelemetry(tel));
     ASSERT_FALSE(actual.empty());

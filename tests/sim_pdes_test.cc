@@ -12,7 +12,7 @@
  *    the topology, never of the worker-thread count, so the merged
  *    per-shard fingerprint is bit-identical for 1, 2 and 4 workers
  *    and across repeat runs (checked over a 10-seed sweep on a k=4
- *    fat-tree).
+ *    fat-tree, and under every switch policy kind).
  *  - Semantic equality: a figure workload (fig03 MPEG filter, fig16
  *    distributed reduce) computes the same answer — same checksum,
  *    same simulated end time — threaded or not; the fingerprint
@@ -40,6 +40,7 @@
 #include <utility>
 #include <vector>
 
+#include "PolicyMatrix.hh"
 #include "active/ActiveSwitch.hh"
 #include "apps/Cluster.hh"
 #include "apps/MpegFilter.hh"
@@ -151,16 +152,20 @@ drain(Adapter &host, std::uint64_t expected, std::uint64_t *bytes)
     }
 }
 
-/** Run the workload on S shards of a k-ary fat-tree (@p arity) with
- * @p workers threads; returns the merged fingerprint (and the total
- * bytes drained via @p bytes_out, for a semantic cross-check). */
+/** Run the workload on S shards of a k-ary fat-tree (@p arity) whose
+ * switches run @p policy, with @p workers threads; returns the merged
+ * fingerprint (and the total bytes drained via @p bytes_out, for a
+ * semantic cross-check). */
 std::uint64_t
 fatTreeRun(std::uint64_t seed, std::size_t shards, unsigned workers,
-           std::uint64_t *bytes_out = nullptr, unsigned arity = 4)
+           std::uint64_t *bytes_out = nullptr, unsigned arity = 4,
+           const SwitchPolicyConfig &policy = {})
 {
     sim::Simulation sim;
     Fabric fabric(sim);
-    const Topology topo = buildFatTree(fabric, FatTreeParams{arity});
+    FatTreeParams shape{arity};
+    shape.switchParams.policy = policy;
+    const Topology topo = buildFatTree(fabric, shape);
     const unsigned n = static_cast<unsigned>(topo.hosts.size());
 
     const ShardPlan plan = fabric.planShards(shards);
@@ -225,6 +230,45 @@ TEST(ShardedRun, FingerprintIndependentOfWorkerCount)
         EXPECT_GT(bytes1, 0u) << "seed " << seed;
     }
 }
+
+/** Bytes the k=4 workload of @p seed posts: each of the 16 hosts
+ * sends 2 + (h + seed) % 3 messages of 2 KB. */
+std::uint64_t
+fatTreeK4Bytes(std::uint64_t seed)
+{
+    std::uint64_t bytes = 0;
+    for (std::uint64_t h = 0; h < 16; ++h)
+        bytes += (2 + (h + seed) % 3) * 2048;
+    return bytes;
+}
+
+class ShardedPolicyRun : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(ShardedPolicyRun, FingerprintIndependentOfWorkerCount)
+{
+    // The buffered policies schedule their own service events on the
+    // switch's shard; the merged digest must still be a function of
+    // the partition and the workload only, and every byte must land.
+    const SwitchPolicyConfig policy = test::policyOf(GetParam());
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        std::uint64_t bytes1 = 0, bytes2 = 0, bytes4 = 0;
+        const std::uint64_t w1 =
+            fatTreeRun(seed, 8, 1, &bytes1, 4, policy);
+        const std::uint64_t w2 =
+            fatTreeRun(seed, 8, 2, &bytes2, 4, policy);
+        const std::uint64_t w4 =
+            fatTreeRun(seed, 8, 4, &bytes4, 4, policy);
+        EXPECT_EQ(w1, w2) << "seed " << seed;
+        EXPECT_EQ(w1, w4) << "seed " << seed;
+        EXPECT_EQ(bytes1, fatTreeK4Bytes(seed)) << "seed " << seed;
+        EXPECT_EQ(bytes2, bytes1) << "seed " << seed;
+        EXPECT_EQ(bytes4, bytes1) << "seed " << seed;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, ShardedPolicyRun, test::policySpecs(),
+                         test::policyName);
 
 TEST(ShardedRun, RepeatRunsAreBitStable)
 {
