@@ -231,8 +231,8 @@ ActiveSwitch::deliverLocal(net::Arrival &&arrival)
     if (rel_ && rel_->onArrival(arrival))
         return;
     if (!arrival.pkt.active) {
-        sim::logAt(sim::LogLevel::Warn, name(), sim_.now(),
-                   "non-active packet addressed to switch; dropped");
+        sim::warn(name(), sim_.now(),
+                  "non-active packet addressed to switch; dropped");
         return;
     }
     // The Dispatch unit decodes the header and consults the jump
@@ -319,11 +319,10 @@ ActiveSwitch::tryStage(const net::Arrival &arrival)
         const std::uint64_t bit = 1ull << (hid & 63u);
         if (!(warnedHandlers_ & bit)) {
             warnedHandlers_ |= bit;
-            sim::logAt(sim::LogLevel::Warn, name(), sim_.now(),
-                       "no handler registered for id ",
-                       static_cast<int>(hid),
-                       "; dropping its packets (warned once per id, "
-                       "counted in droppedPackets)");
+            sim::warn(name(), sim_.now(), "no handler registered for id ",
+                      static_cast<int>(hid),
+                      "; dropping its packets (warned once per id, "
+                      "counted in droppedPackets)");
         }
         return true; // drop rather than wedge the pending queue
     }
@@ -427,17 +426,6 @@ ActiveSwitch::pickCpu(std::uint8_t cpu_id)
     return 0;
 }
 
-bool
-ActiveSwitch::crashAtLaunch(const InstanceKey &key)
-{
-    if (crashSite_ != nullptr && crashSite_->fire())
-        return true;
-    return plan_ != nullptr &&
-           plan_->eventPending(fault::FaultKind::HandlerCrash) &&
-           plan_->eventDue(fault::FaultKind::HandlerCrash,
-                           std::to_string(key.first), sim_.now());
-}
-
 sim::Task
 ActiveSwitch::runInstance(InstanceKey key, HandlerFn fn)
 {
@@ -446,17 +434,18 @@ ActiveSwitch::runInstance(InstanceKey key, HandlerFn fn)
     // dispatch unit's watchdog notices the dead instance and
     // relaunches it on the next switch CPU. Chunks staged meanwhile
     // queue in the instance channel, so no stream data is lost.
-    if (plan_ != nullptr) {
+    if (crashSite_ != nullptr) {
+        const std::string handler = std::to_string(key.first);
         unsigned crashes = 0;
         while (crashes < plan_->recovery().maxFailovers &&
-               crashAtLaunch(key)) {
+               crashSite_->hits(sim_.now(), handler)) {
             ++crashes;
             ++failovers_;
             Instance &inst = instances_.at(key);
-            sim::logAt(sim::LogLevel::Warn, name(), sim_.now(),
-                       "handler ", static_cast<int>(key.first),
-                       " crashed on sp", inst.cpuIndex,
-                       "; failing over (attempt ", crashes, ")");
+            sim::warn(name(), sim_.now(), "handler ",
+                      static_cast<int>(key.first), " crashed on sp",
+                      inst.cpuIndex, "; failing over (attempt ",
+                      crashes, ")");
             if (auto *tr = sim_.tracer()) {
                 tr->instant(name() + ".sp" +
                                 std::to_string(inst.cpuIndex),

@@ -278,9 +278,6 @@ class ActiveSwitch : public net::Switch
                   std::optional<net::ActiveHeader> active,
                   net::PayloadPtr payload, std::uint32_t tag);
 
-    /** An injected crash hits this instance launch? */
-    bool crashAtLaunch(const InstanceKey &key);
-
     /** Release one data buffer, crediting its owning instance. */
     void releaseBuffer(unsigned buf_id);
 

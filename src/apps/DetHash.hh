@@ -11,16 +11,15 @@
 
 #include <cstdint>
 
+#include "sim/Random.hh"
+
 namespace san::apps {
 
 /** splitmix64-style avalanche of (seed, index). */
 constexpr std::uint64_t
 detHash(std::uint64_t seed, std::uint64_t index)
 {
-    std::uint64_t z = seed + index * 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    return sim::mix64(seed + index * sim::goldenGamma);
 }
 
 /** Deterministic Bernoulli trial with probability @p p. */

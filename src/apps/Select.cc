@@ -4,6 +4,7 @@
 #include <string>
 
 #include "apps/Cluster.hh"
+#include "apps/DetHash.hh"
 #include "apps/StreamCommon.hh"
 #include "io/IoRequest.hh"
 
@@ -11,25 +12,13 @@ namespace san::apps {
 
 namespace {
 
-/** Deterministic per-record match decision shared by host & switch. */
-bool
-recordMatches(std::uint64_t seed, std::uint64_t record_index,
-              double selectivity)
-{
-    std::uint64_t z = seed + record_index * 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    return static_cast<double>(z >> 11) * 0x1.0p-53 < selectivity;
-}
-
 std::uint64_t
 matchesIn(const SelectParams &p, std::uint64_t first_record,
           std::uint64_t records)
 {
     std::uint64_t m = 0;
     for (std::uint64_t i = 0; i < records; ++i)
-        m += recordMatches(p.seed, first_record + i, p.selectivity);
+        m += detChance(p.seed, first_record + i, p.selectivity);
     return m;
 }
 

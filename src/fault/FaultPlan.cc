@@ -1,5 +1,6 @@
 #include "fault/FaultPlan.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <sstream>
@@ -34,15 +35,22 @@ faultKindFromName(const std::string &name)
 }
 
 bool
-FaultSite::fire(double probability)
+FaultSite::hits(sim::Tick now, std::string_view target,
+                double probability)
 {
     // One draw per call regardless of probability: the stream
     // position depends only on how often the site is consulted.
-    const bool hit = rng_.real() < probability;
-    if (hit) {
-        ++injected_;
-        plan_.countInjection(kind_);
+    bool hit = hasSpec_ && rng_.real() < probability;
+    if (!hit) {
+        const auto due = std::find_if(
+            events_.begin(), events_.end(), [&](const FaultEvent &ev) {
+                return now >= ev.at && ev.target == target;
+            });
+        hit = due != events_.end();
+        if (hit)
+            events_.erase(due);
     }
+    injected_ += hit;
     return hit;
 }
 
@@ -93,18 +101,6 @@ parseU64(const std::string &text, std::uint64_t *out)
     return true;
 }
 
-/** FNV-1a over the site name: stable across runs and platforms. */
-std::uint64_t
-fnv1a(const std::string &text)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : text) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 } // namespace
 
 std::optional<FaultSpec>
@@ -122,6 +118,14 @@ FaultPlan::parseSpec(const std::string &text, std::string *error)
         return std::nullopt;
     }
     spec.kind = *kind;
+    if (spec.kind == FaultKind::BackendDown ||
+        spec.kind == FaultKind::BackendUp) {
+        if (error)
+            *error = "fault kind '" + parts[0] +
+                     "' takes no rate; schedule it with --fault-at "
+                     "TICK:" + parts[0] + ":BACKEND";
+        return std::nullopt;
+    }
     if (spec.kind != FaultKind::None) {
         if (parts.size() < 2 || !parseDouble(parts[1], &spec.rate) ||
             spec.rate < 0.0 || spec.rate > 1.0) {
@@ -185,8 +189,6 @@ FaultPlan::addSpec(const FaultSpec &spec)
 void
 FaultPlan::addEvent(FaultEvent event)
 {
-    pendingKinds_.fetch_or(kindBit(event.kind),
-                           std::memory_order_relaxed);
     events_.push_back(std::move(event));
 }
 
@@ -208,55 +210,46 @@ FaultPlan::siteSeed(FaultKind kind, const std::string &name) const
             seed = spec.seed;
     // Mix in the kind and the site name so every site draws from an
     // independent stream even under one shared seed.
-    return seed ^ (0x9e3779b97f4a7c15ull *
+    return seed ^ (sim::goldenGamma *
                    (static_cast<std::uint64_t>(kind) + 1)) ^
-           fnv1a(name);
+           sim::fnv1a(name);
 }
 
 FaultSite *
 FaultPlan::site(FaultKind kind, const std::string &name)
 {
-    if (!rateOf(kind))
+    const auto key = std::make_pair(static_cast<unsigned>(kind), name);
+    if (auto it = sites_.find(key); it != sites_.end())
+        return it->second.get();
+    std::vector<FaultEvent> events;
+    for (const FaultEvent &ev : events_)
+        if (ev.kind == kind)
+            events.push_back(ev);
+    const std::optional<double> rate = rateOf(kind);
+    if (!rate && events.empty())
         return nullptr;
-    const auto key =
-        std::make_pair(static_cast<unsigned>(kind), name);
-    auto it = sites_.find(key);
-    if (it == sites_.end()) {
-        auto site = std::unique_ptr<FaultSite>(new FaultSite(
-            *this, kind, name, *rateOf(kind), siteSeed(kind, name)));
-        it = sites_.emplace(key, std::move(site)).first;
-    }
-    return it->second.get();
+    auto site = std::unique_ptr<FaultSite>(new FaultSite(
+        kind, name, rate, siteSeed(kind, name), std::move(events)));
+    return sites_.emplace(key, std::move(site)).first->second.get();
 }
 
-bool
-FaultPlan::eventDue(FaultKind kind, const std::string &target,
-                    sim::Tick now)
+std::uint64_t
+FaultPlan::injected() const
 {
-    if (!eventPending(kind))
-        return false;
-    bool still_pending = false;
-    bool fired = false;
-    for (FaultEvent &ev : events_) {
-        // consumed is written only by the shard owning ev.target;
-        // relaxed cross-shard reads at worst see a stale false and
-        // rescan (FaultPlan.hh).
-        std::atomic_ref<bool> consumed(ev.consumed);
-        if (ev.kind != kind ||
-            consumed.load(std::memory_order_relaxed))
-            continue;
-        if (!fired && ev.target == target && now >= ev.at) {
-            consumed.store(true, std::memory_order_relaxed);
-            fired = true;
-            countInjection(kind);
-            continue;
-        }
-        still_pending = true;
-    }
-    if (!still_pending)
-        pendingKinds_.fetch_and(~kindBit(kind),
-                                std::memory_order_relaxed);
-    return fired;
+    std::uint64_t n = 0;
+    for (const auto &entry : sites_)
+        n += entry.second->injected();
+    return n;
+}
+
+std::uint64_t
+FaultPlan::injectedOf(FaultKind kind) const
+{
+    std::uint64_t n = 0;
+    for (const auto &entry : sites_)
+        if (entry.second->kind() == kind)
+            n += entry.second->injected();
+    return n;
 }
 
 std::string
@@ -270,13 +263,9 @@ FaultPlan::describe() const
             oss << " seed " << spec.seed;
         oss << '\n';
     }
-    for (const FaultEvent &ev : events_) {
-        const bool consumed =
-            std::atomic_ref<bool>(const_cast<bool &>(ev.consumed))
-                .load(std::memory_order_relaxed);
+    for (const FaultEvent &ev : events_)
         oss << "at " << ev.at << " " << faultKindName(ev.kind) << " -> "
-            << ev.target << (consumed ? " (consumed)" : "") << '\n';
-    }
+            << ev.target << '\n';
     return oss.str();
 }
 

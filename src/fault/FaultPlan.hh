@@ -5,16 +5,20 @@
  * A FaultPlan is the single description of every fault a run may
  * suffer: rate-driven faults ("--fault-spec KIND:RATE[:SEED]") and
  * scheduled one-shot faults ("--fault-at TICK:KIND:TARGET").
- * Components obtain a FaultSite per (kind, component-name) pair; each
- * site draws from its own xoshiro256** stream seeded from the plan
- * seed, the fault kind and an FNV-1a hash of the site name, so
+ * Components obtain a FaultSite per (kind, component-name) pair and
+ * ask only it whether a fault hits them. Each site draws from its own
+ * xoshiro256** stream seeded from the plan seed, the fault kind and
+ * an FNV-1a hash of the site name, and holds its own copy of every
+ * one-shot event of its kind, so
  *
  *  - fault schedules are reproducible: the same plan produces the
  *    same injections, event for event;
  *  - fault randomness is independent of workload randomness: adding
  *    or removing a fault kind never perturbs another site's stream;
  *  - determinism survives topology growth: a site's stream depends
- *    only on its own name, not on construction order.
+ *    only on its own name, not on construction order;
+ *  - no fault state is shared: a site belongs to one component, and
+ *    so to one shard of a sharded run.
  *
  * A run receives its plan through sim::RunContext::faults, which also
  * arms the recovery protocol (end-to-end checksums, ACK/NACK
@@ -26,12 +30,12 @@
 #ifndef SAN_FAULT_FAULT_PLAN_HH
 #define SAN_FAULT_FAULT_PLAN_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/Random.hh"
@@ -74,16 +78,9 @@ struct FaultSpec {
 struct FaultEvent {
     sim::Tick at = 0;        //!< earliest tick the fault may fire
     FaultKind kind = FaultKind::None;
-    std::string target;      //!< component name / handler id
-    /**
-     * Accessed through std::atomic_ref in sharded runs: only the
-     * shard owning @c target ever *writes* it (a fault fires at the
-     * component it names), but other shards' eventDue scans *read*
-     * it while deciding whether their kind is still pending. Relaxed
-     * is enough — a stale false only costs a redundant rescan, never
-     * a different result.
-     */
-    bool consumed = false;
+    /** Component name (links, storage nodes), handler id (crashes)
+     * or backend index (backend-down/up). */
+    std::string target;
 };
 
 /** Recovery-protocol tuning knobs (defaults fit the paper fabric). */
@@ -100,27 +97,38 @@ struct RecoveryParams {
     unsigned diskMaxRetries = 4;        //!< re-issues before error
 };
 
-class FaultPlan;
-
 /**
- * One component's injection point for one fault kind. Owned by the
+ * One component's injection point for one fault kind, and the one
+ * place the component asks whether a fault hits it. The site holds
+ * the kind's rate stream and its own copy of every one-shot event of
+ * the kind, so it shares no state with any other site. Owned by the
  * plan; components hold raw pointers (the plan must outlive them).
  */
 class FaultSite
 {
   public:
-    /** Bernoulli draw at the site's configured rate. */
-    bool fire() { return fire(rate_); }
+    /** Does a fault hit @p target at @p now? See the overload. */
+    bool
+    hits(sim::Tick now, std::string_view target)
+    {
+        return hits(now, target, rate_);
+    }
 
     /**
-     * Bernoulli draw at an explicit probability (per-packet
-     * corruption probability derived from a bit-error rate, for
-     * example). Always consumes exactly one stream value, so the
-     * schedule is independent of the probability argument.
+     * Does a fault hit @p target at @p now? If the plan has a spec of
+     * this kind, first draws the rate stream at @p probability (the
+     * per-packet corruption probability derived from a bit-error
+     * rate, for example); the draw always consumes exactly one stream
+     * value, so the schedule is independent of the probability. If
+     * that draw misses, consumes the first of the site's one-shot
+     * events whose target is @p target and whose tick @p now has
+     * reached.
      */
-    bool fire(double probability);
+    bool hits(sim::Tick now, std::string_view target,
+              double probability);
 
     FaultKind kind() const { return kind_; }
+    /** The spec's rate, 0 if the plan has no spec of this kind. */
     double rate() const { return rate_; }
     const std::string &name() const { return name_; }
     /** Faults this site has injected. */
@@ -129,17 +137,22 @@ class FaultSite
   private:
     friend class FaultPlan;
 
-    FaultSite(FaultPlan &plan, FaultKind kind, std::string name,
-              double rate, std::uint64_t seed)
-        : plan_(plan), kind_(kind), name_(std::move(name)), rate_(rate),
-          rng_(seed)
+    FaultSite(FaultKind kind, std::string name,
+              std::optional<double> rate, std::uint64_t seed,
+              std::vector<FaultEvent> events)
+        : kind_(kind), name_(std::move(name)), hasSpec_(rate.has_value()),
+          rate_(rate.value_or(0.0)), rng_(seed),
+          events_(std::move(events))
     {}
 
-    FaultPlan &plan_;
     FaultKind kind_;
     std::string name_;
+    bool hasSpec_; //!< the plan has a spec of this kind
     double rate_;
     sim::Random rng_;
+    /** One-shot events of this kind not yet fired here, in
+     * command-line order. */
+    std::vector<FaultEvent> events_;
     std::uint64_t injected_ = 0;
 };
 
@@ -159,7 +172,8 @@ class FaultPlan
     /**
      * Parse "KIND:RATE[:SEED]" (e.g. "link-ber:1e-6",
      * "handler-crash:0.5:42"). On failure returns std::nullopt and
-     * stores a message in @p error.
+     * stores a message in @p error. The backend kinds take no rate:
+     * the balancer acts on one-shot events only.
      */
     static std::optional<FaultSpec> parseSpec(const std::string &text,
                                               std::string *error);
@@ -174,45 +188,19 @@ class FaultPlan
     void addSpec(const FaultSpec &spec);
     void addEvent(FaultEvent event);
 
-    /** The configured rate for @p kind, or nullopt if absent. */
-    std::optional<double> rateOf(FaultKind kind) const;
-
     /**
      * The injection site for (@p kind, @p name). Returns nullptr when
-     * the plan has no spec of that kind — the component then only
-     * checks one-shot events. Sites are created on first request and
-     * live as long as the plan.
+     * the plan has neither a spec nor an event of that kind. Sites
+     * are created on first request, with a copy of every event of
+     * the kind, and live as long as the plan. Components request
+     * theirs while the run is being built.
      */
     FaultSite *site(FaultKind kind, const std::string &name);
 
-    /** True if any "--fault-at" event of @p kind is still pending. */
-    bool
-    eventPending(FaultKind kind) const
-    {
-        return (pendingKinds_.load(std::memory_order_relaxed) &
-                kindBit(kind)) != 0;
-    }
-
-    /**
-     * Consume the first unconsumed event of (@p kind, @p target)
-     * whose tick has been reached. Counts as an injection.
-     */
-    bool eventDue(FaultKind kind, const std::string &target,
-                  sim::Tick now);
-
-    /** Total faults injected (sites + consumed events). */
-    std::uint64_t
-    injected() const
-    {
-        return injected_.load(std::memory_order_relaxed);
-    }
-    /** Faults injected of one kind. */
-    std::uint64_t
-    injectedOf(FaultKind kind) const
-    {
-        return injectedByKind_[static_cast<unsigned>(kind)].load(
-            std::memory_order_relaxed);
-    }
+    /** Total faults injected, summed over the sites. */
+    std::uint64_t injected() const;
+    /** Faults of one kind injected, summed over that kind's sites. */
+    std::uint64_t injectedOf(FaultKind kind) const;
 
     RecoveryParams &recovery() { return recovery_; }
     const RecoveryParams &recovery() const { return recovery_; }
@@ -221,38 +209,17 @@ class FaultPlan
     std::string describe() const;
 
   private:
-    friend class FaultSite;
-
-    static std::uint64_t
-    kindBit(FaultKind kind)
-    {
-        return 1ull << static_cast<unsigned>(kind);
-    }
-
-    void
-    countInjection(FaultKind kind)
-    {
-        injected_.fetch_add(1, std::memory_order_relaxed);
-        injectedByKind_[static_cast<unsigned>(kind)].fetch_add(
-            1, std::memory_order_relaxed);
-    }
-
+    /** The configured rate for @p kind, or nullopt if absent. */
+    std::optional<double> rateOf(FaultKind kind) const;
     std::uint64_t siteSeed(FaultKind kind, const std::string &name) const;
 
     std::uint64_t baseSeed_;
     RecoveryParams recovery_{};
     std::vector<FaultSpec> specs_;
     std::vector<FaultEvent> events_;
-    // Shard-shared state. Each counter is a commutative tally and
-    // each event's consumed flag is written only by the shard owning
-    // its target, so relaxed atomics keep sharded runs both race-free
-    // and deterministic (DESIGN.md §14).
-    std::atomic<std::uint64_t> pendingKinds_{0};
     std::map<std::pair<unsigned, std::string>,
              std::unique_ptr<FaultSite>>
         sites_;
-    std::atomic<std::uint64_t> injected_{0};
-    std::atomic<std::uint64_t> injectedByKind_[faultKindCount]{};
 };
 
 } // namespace san::fault

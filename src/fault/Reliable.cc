@@ -206,9 +206,8 @@ ReliableChannel::onTimer(net::NodeId dst, std::uint64_t gen)
         // best-effort and count the abort loudly.
         ++aborts_;
         flow.dead = true;
-        sim::logAt(sim::LogLevel::Warn, name_, sim_.now(),
-                   "reliable flow to node ", dst, " aborted after ",
-                   params_.maxRetries, " timeouts");
+        sim::warn(name_, sim_.now(), "reliable flow to node ", dst,
+                  " aborted after ", params_.maxRetries, " timeouts");
         for (const net::Packet &pkt : flow.window)
             forward_(pkt);
         while (!flow.backlog.empty()) {

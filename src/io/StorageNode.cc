@@ -76,10 +76,8 @@ StorageNode::readChunkFaulted(std::uint64_t offset, std::uint32_t bytes,
     if (plan_ == nullptr)
         return off_platter;
     const fault::RecoveryParams &rp = plan_->recovery();
-    if ((spikeSite_ != nullptr && spikeSite_->fire()) ||
-        (plan_->eventPending(fault::FaultKind::DiskSpike) &&
-         plan_->eventDue(fault::FaultKind::DiskSpike, tca_.name(),
-                         sim_.now()))) {
+    if (spikeSite_ != nullptr &&
+        spikeSite_->hits(sim_.now(), tca_.name())) {
         // A media retry inside the drive: the data comes back, late.
         ++spikes_;
         off_platter += rp.diskSpikeDelay;
@@ -87,18 +85,16 @@ StorageNode::readChunkFaulted(std::uint64_t offset, std::uint32_t bytes,
             tr->instant(tca_.name(), "disk-spike", sim_.now());
     }
     unsigned attempts = 0;
-    while ((timeoutSite_ != nullptr && timeoutSite_->fire()) ||
-           (plan_->eventPending(fault::FaultKind::DiskTimeout) &&
-            plan_->eventDue(fault::FaultKind::DiskTimeout, tca_.name(),
-                            sim_.now()))) {
+    while (timeoutSite_ != nullptr &&
+           timeoutSite_->hits(sim_.now(), tca_.name())) {
         if (attempts >= rp.diskMaxRetries) {
             // Retry budget exhausted: complete the chunk with an
             // error status the requester observes.
             ++errors_;
             *error = true;
-            sim::logAt(sim::LogLevel::Warn, tca_.name(), sim_.now(),
-                       "chunk read at offset ", offset, " failed after ",
-                       attempts, " retries; completing with error");
+            sim::warn(tca_.name(), sim_.now(), "chunk read at offset ",
+                      offset, " failed after ", attempts,
+                      " retries; completing with error");
             break;
         }
         ++attempts;

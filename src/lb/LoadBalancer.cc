@@ -15,34 +15,31 @@ LoadBalancer::LoadBalancer(const LbParams &params,
                            fault::FaultPlan *faults)
     : params_(params), backendNodes_(std::move(backend_nodes)),
       puntNode_(punt_node), table_(params.table),
-      maglev_(params.backends, params.hashSeed, params.maglevSize),
-      faults_(faults)
+      maglev_(params.backends, params.hashSeed, params.maglevSize)
 {
     assert(backendNodes_.size() == params_.backends);
     counters_.backendPackets.assign(params_.backends, 0);
+    if (faults != nullptr) {
+        downSite_ = faults->site(fault::FaultKind::BackendDown, "lb");
+        upSite_ = faults->site(fault::FaultKind::BackendUp, "lb");
+    }
 }
 
 void
 LoadBalancer::pollFaultEvents(sim::Tick now)
 {
-    if (faults_ == nullptr)
-        return;
     // Targets are backend indices as decimal strings, mirroring how
     // handler-crash events name handler ids.
-    if (faults_->eventPending(fault::FaultKind::BackendDown)) {
+    if (downSite_ != nullptr)
         for (unsigned b = 0; b < params_.backends; ++b)
-            if (faults_->eventDue(fault::FaultKind::BackendDown,
-                                  std::to_string(b), now) &&
+            if (downSite_->hits(now, std::to_string(b)) &&
                 maglev_.setAlive(b, false))
                 ++counters_.backendDownEvents;
-    }
-    if (faults_->eventPending(fault::FaultKind::BackendUp)) {
+    if (upSite_ != nullptr)
         for (unsigned b = 0; b < params_.backends; ++b)
-            if (faults_->eventDue(fault::FaultKind::BackendUp,
-                                  std::to_string(b), now) &&
+            if (upSite_->hits(now, std::to_string(b)) &&
                 maglev_.setAlive(b, true))
                 ++counters_.backendUpEvents;
-    }
 }
 
 LoadBalancer::Action

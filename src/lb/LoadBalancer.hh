@@ -142,7 +142,8 @@ class LoadBalancer
     ConnTable table_;
     Maglev maglev_;
     apps::LbStats counters_;
-    fault::FaultPlan *faults_;
+    fault::FaultSite *downSite_ = nullptr; //!< null: no backend-down
+    fault::FaultSite *upSite_ = nullptr;   //!< null: no backend-up
 };
 
 } // namespace san::lb

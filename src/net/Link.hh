@@ -147,7 +147,8 @@ class Link
         // receiver's real buffer capacity.
         assert(credits_ < params_.credits &&
                "Link::returnCredit: credit underflow (double return?)");
-        if (plan_ != nullptr && creditLost()) {
+        if (creditSite_ != nullptr &&
+            creditSite_->hits(sim_.now(), name_)) {
             // The credit update flit was lost. Model the periodic
             // link-level flow-control sync that rebuilds the count.
             ++creditsLost_;
@@ -235,7 +236,7 @@ class Link
         // wire backlog the two differ, and a one-shot
         // --fault-at TICK fault must hit the packet that is on
         // the wire at TICK (with timestamps to match).
-        if (plan_ != nullptr && bitErrorHits(pkt, start)) {
+        if (berSite_ != nullptr && bitErrorHits(pkt, start)) {
             // Flip Packet::corrupt instead of any header field:
             // routing stays deterministic (cut-through forwards
             // the header before any CRC could run) and the
@@ -301,31 +302,14 @@ class Link
     bool
     bitErrorHits(const Packet &pkt, sim::Tick start)
     {
-        if (berSite_ != nullptr) {
-            // Per-packet corruption probability: wire bits times the
-            // configured bit-error rate (linear approximation of
-            // 1-(1-ber)^bits; plain multiply keeps gcc and clang
-            // bit-identical).
-            const double p = std::min(
-                1.0, static_cast<double>(pkt.wireBytes()) * 8.0 *
-                         berSite_->rate());
-            if (berSite_->fire(p))
-                return true;
-        }
-        return plan_->eventPending(fault::FaultKind::LinkBitError) &&
-               plan_->eventDue(fault::FaultKind::LinkBitError, name_,
-                               start);
-    }
-
-    /** The credit flit being returned right now is lost? */
-    bool
-    creditLost()
-    {
-        if (creditSite_ != nullptr && creditSite_->fire())
-            return true;
-        return plan_->eventPending(fault::FaultKind::CreditLoss) &&
-               plan_->eventDue(fault::FaultKind::CreditLoss, name_,
-                               sim_.now());
+        // Per-packet corruption probability: wire bits times the
+        // configured bit-error rate (linear approximation of
+        // 1-(1-ber)^bits; plain multiply keeps gcc and clang
+        // bit-identical).
+        const double p = std::min(
+            1.0, static_cast<double>(pkt.wireBytes()) * 8.0 *
+                     berSite_->rate());
+        return berSite_->hits(start, name_, p);
     }
 
     sim::Simulation &sim_;

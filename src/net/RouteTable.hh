@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "net/Packet.hh"
+#include "sim/Random.hh"
 
 namespace san::net {
 
@@ -93,10 +94,8 @@ class RouteTable
     static std::size_t
     hashOf(NodeId dst)
     {
-        std::uint64_t x = dst + 0x9e3779b97f4a7c15ull;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-        return static_cast<std::size_t>(x ^ (x >> 31));
+        return static_cast<std::size_t>(
+            sim::mix64(dst + sim::goldenGamma));
     }
 
     /** First slot holding @p dst, or the empty slot that would. */

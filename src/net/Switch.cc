@@ -119,9 +119,8 @@ Switch::registerMetrics(obs::MetricsRegistry &m) const
 void
 Switch::deliverLocal(Arrival &&arrival)
 {
-    sim::logAt(sim::LogLevel::Warn, name_, sim_.now(),
-               "dropping local packet from node ", arrival.pkt.src,
-               " (non-active switch)");
+    sim::warn(name_, sim_.now(), "dropping local packet from node ",
+              arrival.pkt.src, " (non-active switch)");
 }
 
 } // namespace san::net

@@ -59,6 +59,9 @@ parsePolicySpec(std::string_view spec)
     if (const auto colon = spec.find(':'); colon != std::string_view::npos) {
         kind = spec.substr(0, colon);
         order = spec.substr(colon + 1);
+        // "voq:" names no order: an error, not the bare kind.
+        if (order.empty())
+            return std::nullopt;
     }
     if (kind == "central") {
         cfg.kind = SwitchPolicyKind::CentralOutput;

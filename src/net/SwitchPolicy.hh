@@ -115,9 +115,10 @@ const char *serviceOrderName(ServiceOrder order);
  * `central`, `fifo` (central with a 64-cell shared memory — the
  * classic bounded FIFO output queue), `voq`, `crosspoint` (alias
  * `xpoint`), and order is `fifo`, `oldest` or `longest`. Returns
- * nullopt for an unknown kind or order, and for any order given to
- * `central` or `fifo`, which can only serve in arrival order. Used
- * by the policy-lab benches and examples.
+ * nullopt for an unknown kind or order, for a colon with no order
+ * after it, and for any order given to `central` or `fifo`, which
+ * can only serve in arrival order. Used by the policy-lab benches
+ * and examples.
  */
 std::optional<SwitchPolicyConfig> parsePolicySpec(std::string_view spec);
 

@@ -41,21 +41,18 @@
 #include <vector>
 
 #include "net/Adapter.hh"
+#include "sim/Random.hh"
 #include "sim/Simulation.hh"
 #include "sim/Types.hh"
 
 namespace san::net {
 
-/** splitmix64 finalizer: the deterministic mixer behind the random
- * traffic patterns (and stylistically the same one the run
- * fingerprint folds with). */
+/** One splitmix64 step: the deterministic mixer behind the random
+ * traffic patterns. */
 constexpr std::uint64_t
 detMix64(std::uint64_t x)
 {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
+    return sim::mix64(x + sim::goldenGamma);
 }
 
 /** Traffic pattern configuration. */

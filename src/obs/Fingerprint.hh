@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "sim/EventQueue.hh"
+#include "sim/Random.hh"
 #include "sim/Simulation.hh"
 #include "sim/Types.hh"
 
@@ -48,7 +49,7 @@ class RunFingerprint : public sim::EventQueue::Observer
     void
     fold(std::uint64_t v)
     {
-        hash_ = mix(hash_ ^ (v + 0x9e3779b97f4a7c15ull));
+        hash_ = sim::mix64(hash_ ^ (v + sim::goldenGamma));
     }
 
     /** Fold a double by bit pattern (exact, not approximate). */
@@ -70,17 +71,12 @@ class RunFingerprint : public sim::EventQueue::Observer
     foldStat(std::string_view name, double value)
     {
         // FNV-1a over the name keeps renames from colliding silently.
-        std::uint64_t h = 0xcbf29ce484222325ull;
-        for (const char c : name) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 0x100000001b3ull;
-        }
-        fold(h);
+        fold(sim::fnv1a(name));
         fold(value);
     }
 
     /** The fingerprint so far. */
-    std::uint64_t value() const { return mix(hash_ ^ events_); }
+    std::uint64_t value() const { return sim::mix64(hash_ ^ events_); }
 
     /** Events folded so far (sanity/debug aid). */
     std::uint64_t eventsFolded() const { return events_; }
@@ -93,15 +89,6 @@ class RunFingerprint : public sim::EventQueue::Observer
     }
 
   private:
-    /** splitmix64 finalizer: full-avalanche 64-bit mix. */
-    static std::uint64_t
-    mix(std::uint64_t z)
-    {
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
-    }
-
     std::uint64_t hash_ = 0;
     std::uint64_t events_ = 0;
 };

@@ -114,10 +114,12 @@ heapPop(std::vector<EventRef> &heap)
 /** @} */
 
 /**
- * The PR 4 scheduler: one explicit binary heap. O(log n) push/pop,
- * but n is the full pending-event population, and at the depths the
- * large figures reach (fig05 carries ~10k+ pending events) every
- * sift walks a multi-hundred-KB array.
+ * The plain scheduler: one explicit binary heap. O(log n) push/pop,
+ * but n is the full pending-event population. The benches and
+ * examples other than micro_kernel stay shallow (fig05 peaks at 19
+ * pending events; the full fabric_scale, the deepest, at 2,877), but
+ * at micro_kernel's 10k and 100k depths every sift walks a
+ * multi-hundred-KB array.
  */
 class HeapScheduler
 {

@@ -1,15 +1,17 @@
 /**
  * @file
- * Minimal leveled logging for simulator components.
+ * Warnings from simulator components.
  *
- * Tracing is off by default; tests and debugging sessions enable it
- * via setLogLevel(). Messages carry the simulated tick when a queue
- * is supplied.
+ * A warning is one stderr line, "[warn] t=<tick>ps <component>:
+ * <message>", stamped with the simulated tick. There is no log level
+ * to set: components warn only about events a run's reader should
+ * see (a dropped packet, a crashed handler, an aborted flow).
  */
 
 #ifndef SAN_SIM_LOG_HH
 #define SAN_SIM_LOG_HH
 
+#include <iostream>
 #include <sstream>
 #include <string>
 
@@ -17,27 +19,15 @@
 
 namespace san::sim {
 
-enum class LogLevel { None = 0, Warn = 1, Info = 2, Trace = 3 };
-
-/** Global log threshold; messages above it are discarded. */
-LogLevel logLevel();
-void setLogLevel(LogLevel level);
-
-/** Emit one log line (already formatted) at @p level. */
-void logLine(LogLevel level, const std::string &component,
-             Tick tick, const std::string &message);
-
-/** Build a message from stream-insertable pieces and log it. */
+/** Print one warning built from stream-insertable @p parts. */
 template <typename... Parts>
 void
-logAt(LogLevel level, const std::string &component, Tick tick,
-      const Parts &...parts)
+warn(const std::string &component, Tick tick, const Parts &...parts)
 {
-    if (level > logLevel())
-        return;
-    std::ostringstream oss;
-    (oss << ... << parts);
-    logLine(level, component, tick, oss.str());
+    std::ostringstream line;
+    line << "[warn] t=" << tick << "ps " << component << ": ";
+    (line << ... << parts) << '\n';
+    std::cerr << line.str();
 }
 
 } // namespace san::sim

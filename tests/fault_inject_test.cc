@@ -60,6 +60,22 @@ TEST(FaultSpecParse, RejectsMalformedInput)
     EXPECT_FALSE(FaultPlan::parseSpec("link-ber:-1", &err).has_value());
 }
 
+TEST(FaultSpecParse, RejectsRatesTheBalancerNeverDraws)
+{
+    // The balancer acts on one-shot backend events only: a rate for
+    // those kinds would be accepted and then never injected.
+    for (const char *text : {"backend-down:0.5", "backend-up:0.5:7"}) {
+        std::string err;
+        EXPECT_FALSE(FaultPlan::parseSpec(text, &err).has_value())
+            << text;
+        EXPECT_NE(err.find("--fault-at"), std::string::npos) << err;
+    }
+    std::string err;
+    EXPECT_TRUE(
+        FaultPlan::parseAt("20000000000:backend-down:1", &err).has_value())
+        << err;
+}
+
 TEST(FaultAtParse, AcceptsTickKindTarget)
 {
     std::string err;
@@ -106,15 +122,15 @@ TEST(FaultSite, StreamsAreIndependentOfOtherSpecs)
     // Exercise the unrelated site first so its draws interleave.
     auto *noise = crowded.site(FaultKind::DiskTimeout, "tca0");
     ASSERT_NE(noise, nullptr);
-    noise->fire();
+    noise->hits(0, "tca0");
 
     auto *a = lone.site(FaultKind::LinkBitError, "wire");
     auto *b = crowded.site(FaultKind::LinkBitError, "wire");
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
     for (int i = 0; i < 256; ++i) {
-        EXPECT_EQ(a->fire(), b->fire()) << "draw " << i;
-        noise->fire();
+        EXPECT_EQ(a->hits(0, "wire"), b->hits(0, "wire")) << "draw " << i;
+        noise->hits(0, "tca0");
     }
 }
 
@@ -131,7 +147,7 @@ TEST(FaultSite, DistinctNamesYieldDistinctStreams)
     ASSERT_NE(b, nullptr);
     bool differ = false;
     for (int i = 0; i < 256 && !differ; ++i)
-        differ = a->fire() != b->fire();
+        differ = a->hits(0, "linkA") != b->hits(0, "linkB");
     EXPECT_TRUE(differ) << "256 draws at p=0.5 never diverged";
 }
 
@@ -149,14 +165,86 @@ TEST(FaultEvents, ConsumedOncePerTarget)
     ev.kind = FaultKind::HandlerCrash;
     ev.target = "1";
     plan.addEvent(ev);
-    EXPECT_TRUE(plan.eventPending(FaultKind::HandlerCrash));
+    // An event alone gives its kind a site; the site holds a copy.
+    auto *site = plan.site(FaultKind::HandlerCrash, "switch0");
+    ASSERT_NE(site, nullptr);
     // Not yet due, wrong target, then due exactly once.
-    EXPECT_FALSE(plan.eventDue(FaultKind::HandlerCrash, "1", 99));
-    EXPECT_FALSE(plan.eventDue(FaultKind::HandlerCrash, "2", 100));
-    EXPECT_TRUE(plan.eventDue(FaultKind::HandlerCrash, "1", 100));
-    EXPECT_FALSE(plan.eventDue(FaultKind::HandlerCrash, "1", 100));
+    EXPECT_FALSE(site->hits(99, "1"));
+    EXPECT_FALSE(site->hits(100, "2"));
+    EXPECT_TRUE(site->hits(100, "1"));
+    EXPECT_FALSE(site->hits(100, "1"));
+    EXPECT_EQ(site->injected(), 1u);
     EXPECT_EQ(plan.injected(), 1u);
     EXPECT_EQ(plan.injectedOf(FaultKind::HandlerCrash), 1u);
+}
+
+TEST(FaultEvents, EverySiteOfTheKindHoldsItsOwnCopy)
+{
+    // Two switches that both run handler 1: the event crashes the
+    // first launch on each, whichever asks first, and nothing else.
+    FaultPlan plan;
+    fault::FaultEvent ev;
+    ev.at = 100;
+    ev.kind = FaultKind::HandlerCrash;
+    ev.target = "1";
+    plan.addEvent(ev);
+    plan.addEvent(ev); // a second copy: crash the relaunch too
+    EXPECT_EQ(plan.site(FaultKind::LinkBitError, "switch0"), nullptr);
+    auto *a = plan.site(FaultKind::HandlerCrash, "switch0");
+    auto *b = plan.site(FaultKind::HandlerCrash, "switch1");
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(plan.site(FaultKind::HandlerCrash, "switch0"), a);
+    EXPECT_TRUE(b->hits(100, "1"));
+    EXPECT_TRUE(b->hits(100, "1"));
+    EXPECT_FALSE(b->hits(100, "1"));
+    EXPECT_TRUE(a->hits(200, "1"));
+    EXPECT_TRUE(a->hits(200, "1"));
+    EXPECT_FALSE(a->hits(200, "1"));
+    EXPECT_EQ(plan.injectedOf(FaultKind::HandlerCrash), 4u);
+}
+
+TEST(FaultPlan, TalliesSumTheSites)
+{
+    // injected() and injectedOf() add up the sites' own tallies: no
+    // tally lives anywhere else.
+    FaultPlan plan(3);
+    for (const FaultKind kind :
+         {FaultKind::LinkBitError, FaultKind::DiskTimeout}) {
+        fault::FaultSpec spec;
+        spec.kind = kind;
+        spec.rate = 0.5;
+        plan.addSpec(spec);
+    }
+    fault::FaultEvent ev;
+    ev.kind = FaultKind::CreditLoss;
+    ev.target = "l0";
+    plan.addEvent(ev);
+
+    std::vector<fault::FaultSite *> sites;
+    for (const char *name : {"l0", "l1", "l2"}) {
+        sites.push_back(plan.site(FaultKind::LinkBitError, name));
+        sites.push_back(plan.site(FaultKind::CreditLoss, name));
+        sites.push_back(plan.site(FaultKind::DiskTimeout, name));
+    }
+    for (const fault::FaultSite *site : sites)
+        ASSERT_NE(site, nullptr);
+    for (int i = 0; i < 64; ++i)
+        for (fault::FaultSite *site : sites)
+            site->hits(i, site->name());
+
+    std::uint64_t total = 0;
+    std::uint64_t byKind[fault::faultKindCount] = {};
+    for (const fault::FaultSite *site : sites) {
+        total += site->injected();
+        byKind[static_cast<unsigned>(site->kind())] += site->injected();
+    }
+    EXPECT_GT(byKind[static_cast<unsigned>(FaultKind::LinkBitError)], 0u);
+    EXPECT_EQ(byKind[static_cast<unsigned>(FaultKind::CreditLoss)], 1u);
+    EXPECT_EQ(plan.injected(), total);
+    for (unsigned k = 0; k < fault::faultKindCount; ++k)
+        EXPECT_EQ(plan.injectedOf(static_cast<FaultKind>(k)), byKind[k])
+            << fault::faultKindName(static_cast<FaultKind>(k));
 }
 
 apps::RunStats

@@ -249,12 +249,14 @@ TEST(PolicySpec, ParsesEveryKindAndOrder)
 
 TEST(PolicySpec, RejectsWhatNoPolicyCanHonour)
 {
-    // Unknown kinds and orders, and any order given to the central
-    // queue, which serves each output in arrival order only.
+    // Unknown kinds and orders, an empty order, and any order given
+    // to the central queue, which serves each output in arrival
+    // order only.
     for (const char *spec :
          {"", "bogus", "voq:newest", "central:longest",
           "central:oldest", "central:fifo", "fifo:oldest",
-          "fifo:longest", "fifo:fifo", ":oldest"})
+          "fifo:longest", "fifo:fifo", ":oldest", "voq:", "xpoint:",
+          "central:"})
         EXPECT_FALSE(parsePolicySpec(spec).has_value()) << spec;
 }
 

@@ -20,6 +20,9 @@
  *  - Pinned digests: literal S>1 fingerprints, as the goldens pin
  *    the one-shard case, and the active hub's staging order across
  *    handler instances on one shard and on one shard per switch.
+ *  - One-shot faults: a handler-crash event crashes the handler's
+ *    first launch on every switch that launches it, with one
+ *    fingerprint at 2 and 4 workers and across repeats.
  *  - Shard context: outside a worker or ShardGuard, a one-shard
  *    simulation resolves to shard 0 and a multi-shard one throws.
  *  - Events at maxTick run, with one shard or several.
@@ -37,6 +40,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -45,6 +49,7 @@
 #include "apps/Cluster.hh"
 #include "apps/MpegFilter.hh"
 #include "apps/Reduction.hh"
+#include "fault/FaultPlan.hh"
 #include "net/Topology.hh"
 #include "obs/Fingerprint.hh"
 #include "sim/Simulation.hh"
@@ -438,6 +443,93 @@ TEST(ShardedRun, HubDispatchOrderIsPinned)
     EXPECT_EQ(many.stalls, 295u);
     EXPECT_EQ(many.collectorBytes, 15360u);
     EXPECT_EQ(many.resultOrder, 0x68946137467d1d08ull);
+}
+
+// ---------------------------------------------------------------
+// A one-shot handler crash on a sharded fabric: the filter runs on
+// every edge switch of a k=4 fat-tree of ActiveSwitches, for that
+// switch's own senders, and one "0:handler-crash:7" event is in the
+// plan. Each switch's crash site holds its own copy of the event, so
+// the filter's first launch crashes on every switch that launches it
+// and no shard races another for the event.
+// ---------------------------------------------------------------
+
+struct CrashRun {
+    std::uint64_t fingerprint = 0;
+    std::uint64_t failovers = 0;
+    unsigned launchers = 0; //!< edge switches that launched the filter
+    std::uint64_t collectorBytes = 0;
+};
+
+CrashRun
+edgeCrashRun(unsigned workers)
+{
+    fault::FaultPlan faults;
+    std::string error;
+    faults.addEvent(
+        *fault::FaultPlan::parseAt("0:handler-crash:7", &error));
+    sim::Simulation sim(sim::RunContext{.faults = &faults});
+    Fabric fabric(sim);
+    active::ActiveConfig acfg;
+    acfg.cpus = 4;
+    const Topology topo = buildFatTree<active::ActiveSwitch>(
+        fabric, FatTreeParams{4}, acfg);
+    fabric.applyShardPlan(fabric.planShards(topo.switchCount()));
+    obs::ShardedFingerprint fp;
+    fp.attach(sim);
+
+    const NodeId collector = topo.hosts[0]->id();
+    for (Switch *sw : topo.edge)
+        static_cast<active::ActiveSwitch *>(sw)->registerHandler(
+            kFilterHandler, "filter",
+            [collector](active::HandlerContext &ctx) {
+                return hubFilter(ctx, collector);
+            });
+
+    // Two hosts per edge switch, each on its own handler instance:
+    // only the first launch on a switch meets the event.
+    const std::uint64_t pkts = (4096 + fabric.mtu() - 1) / fabric.mtu();
+    const sim::Tick spacing = sim::ns(4096 + pkts * headerBytes);
+    const unsigned n = static_cast<unsigned>(topo.hosts.size());
+    for (unsigned h = 1; h < n; ++h) {
+        ActiveHeader hdr;
+        hdr.handlerId = kFilterHandler;
+        hdr.cpuId = static_cast<std::uint8_t>(h % 2);
+        sim::ShardGuard guard(sim, fabric.shardOf(*topo.hosts[h]));
+        sim.spawn(hubSender(*topo.hosts[h], topo.edge[h / 2]->id(), hdr,
+                            h, spacing));
+    }
+    HubRun hub;
+    {
+        sim::ShardGuard guard(sim, fabric.shardOf(*topo.hosts[0]));
+        sim.spawn(hubCollector(*topo.hosts[0], 4u * (n - 1), &hub));
+    }
+    sim.runSharded(workers);
+
+    CrashRun r;
+    r.fingerprint = fp.value();
+    r.collectorBytes = hub.collectorBytes;
+    for (Switch *sw : topo.edge) {
+        const auto *as = static_cast<active::ActiveSwitch *>(sw);
+        r.failovers += as->handlerFailovers();
+        r.launchers += as->handlersInvoked() > 0;
+    }
+    return r;
+}
+
+TEST(ShardedRun, HandlerCrashEventHitsEachLaunchingSwitchOnce)
+{
+    const CrashRun two = edgeCrashRun(2);
+    EXPECT_EQ(two.launchers, 8u);
+    EXPECT_EQ(two.failovers, two.launchers);
+    EXPECT_EQ(two.collectorBytes, 15360u);
+    for (unsigned repeat = 0; repeat < 5; ++repeat) {
+        const CrashRun four = edgeCrashRun(4);
+        EXPECT_EQ(four.fingerprint, two.fingerprint) << "repeat " << repeat;
+        EXPECT_EQ(four.failovers, four.launchers) << "repeat " << repeat;
+        EXPECT_EQ(four.launchers, two.launchers) << "repeat " << repeat;
+        EXPECT_EQ(four.collectorBytes, 15360u) << "repeat " << repeat;
+    }
 }
 
 TEST(ShardedRun, OneComponentPerShardStress)
