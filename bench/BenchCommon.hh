@@ -1,20 +1,30 @@
 /**
  * @file
- * Shared driver for the per-figure bench binaries: run one benchmark
- * across the four configurations, print the paper's two figure
- * tables, and verify the modes agree semantically.
+ * The bench side of every run. One Bench object per bench process
+ * parses the shared flags, owns the output files, and hands each run
+ * its instruments through one call, Bench::run(): a fault plan and a
+ * telemetry collector built for that run alone, a trace process and
+ * a metrics run label named after it, and its wall and CPU time.
+ * Each output has one writer here: the perf[...] line, the stats
+ * JSON, the latency report, and the trace (closed when the Bench
+ * goes). runFigure() drives the per-figure benches: one benchmark
+ * across the four configurations, the paper's two figure tables,
+ * and a check that the modes agree semantically.
  *
- * Observability flags (see README "Observability"):
+ * Shared flags (README "Observability" lists which bench honours
+ * which; a bench that cannot act on one rejects it, Flags::reject):
  *   --quick              smaller problem sizes (per-bench choice)
  *   --stats-json <file>  write per-mode component stats as JSON
+ *                        (benches whose runs build an apps::Cluster)
  *   --trace <file>       write a Chrome trace_event file (one trace
- *                        process per mode)
- *   --fingerprint        print each mode's 64-bit run fingerprint
+ *                        process per run)
+ *   --fingerprint        print each run's 64-bit run fingerprint
  *   --metrics-csv <file> write a per-interval utilization time series
- *                        (CSV, or JSONL when the file ends .jsonl)
+ *                        (CSV, or JSONL when the file ends .jsonl;
+ *                        apps::Cluster runs only)
  *   --metrics-interval <micros>  sampling interval in simulated
  *                        microseconds (default 100)
- *   --perf               print per-mode wall clock and simulator
+ *   --perf               print per-run wall clock and simulator
  *                        throughput (events/sec) lines, consumed by
  *                        tools/perf_baseline
  *   --threads N          run the simulation on N worker threads
@@ -22,7 +32,7 @@
  *                        N=1 (default) runs the system as one shard,
  *                        byte-identical to earlier releases. Only
  *                        benches whose runs shard accept N > 1; the
- *                        others exit 2 (see init()). Incompatible
+ *                        others exit 2 (see Bench). Incompatible
  *                        with --metrics-csv (the interval sampler
  *                        walks live component state from its own
  *                        event).
@@ -59,11 +69,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <ctime>
+#include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <fstream>
 #include <functional>
-#include <iomanip>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -151,6 +161,19 @@ class Flags
         });
     }
 
+    /** A shared flag the bench cannot act on: giving it exits 2,
+     * naming the flag and @p why. Add it before the shared flags, so
+     * it claims the name first. */
+    Flags &
+    reject(const char *name, const char *why)
+    {
+        const std::string error = std::string(name) + ": " + why;
+        entries_.push_back(
+            {name, false,
+             [error](const char *) -> std::string { fail(error); }});
+        return *this;
+    }
+
     /** Parse @p text in full as a T: a finite number for a floating
      * type, a non-negative integer in T's range (decimal, 0x hex or
      * 0 octal) otherwise. */
@@ -227,11 +250,11 @@ class Flags
     std::vector<Entry> entries_;
 };
 
-/** Command-line options shared by every figure bench. */
+/** Command-line options shared by every bench that takes them. */
 struct BenchOptions {
     bool quick = false;
     bool fingerprint = false;
-    bool perf = false; //!< print per-mode wall clock and events/sec
+    bool perf = false; //!< print per-run wall clock and events/sec
     unsigned threads = 1; //!< PDES worker threads (1 = one shard)
     std::string statsJsonPath;
     std::string tracePath;
@@ -245,112 +268,169 @@ struct BenchOptions {
     std::string latencyReportPath;
 };
 
-/** The options parsed by init() (defaults if init was never called). */
-inline BenchOptions &
-options()
-{
-    static BenchOptions opts;
-    return opts;
-}
-
-namespace detail {
-
-/** The instruments the flags armed, and their output files. */
-struct Instruments {
-    std::ofstream traceFile;
-    std::unique_ptr<obs::ChromeTracer> tracer;
-    std::ofstream metricsFile;
-    std::unique_ptr<obs::IntervalSampler> sampler;
-    std::unique_ptr<fault::FaultPlan> plan; //!< null without fault flags
-    std::unique_ptr<obs::Telemetry> telemetry;
+/** Wall-clock and process-CPU milliseconds of one run. */
+struct RunTime {
+    double wallMs = 0.0;
+    double cpuMs = 0.0;
 };
 
-inline Instruments &
-instruments()
-{
-    static Instruments state;
-    return state;
-}
-
-/** Per-mode JSON stat dumps captured via the cluster observer. */
-inline std::map<std::string, std::string> &
-capturedStats()
-{
-    static std::map<std::string, std::string> stats;
-    return stats;
-}
-
-} // namespace detail
+/** What one run returned, and how long it took. */
+template <typename R>
+struct TimedRun {
+    R result;
+    RunTime time;
+};
 
 /**
- * Build a fresh fault plan from the parsed flags, so a run faces the
- * whole schedule: one-shot --fault-at events re-arm and rate streams
- * restart from their seeds. No-op without fault flags, so fault-free
- * runs keep the zero-overhead fast path.
+ * One bench process: the parsed flags, the output files, and the
+ * tracer and interval sampler that write them across runs.
  */
-inline void
-rebuildFaultPlan()
+class Bench
 {
-    const BenchOptions &opts = options();
-    if (opts.faultSpecs.empty() && opts.faultEvents.empty())
-        return;
-    auto plan = std::make_unique<fault::FaultPlan>(opts.faultSeed);
-    for (const auto &spec : opts.faultSpecs)
-        plan->addSpec(spec);
-    for (const auto &event : opts.faultEvents)
-        plan->addEvent(event);
-    detail::instruments().plan = std::move(plan);
-}
+  public:
+    /**
+     * Parse the shared flags, plus the bench's own @p flags, open the
+     * trace and metrics files, and, under --stats-json, hook the
+     * stats capture into apps::clusterObserver(). A bench whose runs
+     * shard passes @p threaded; every other bench rejects
+     * --threads N > 1 rather than silently running one shard.
+     */
+    Bench(int argc, char **argv, bool threaded = false, Flags flags = {});
 
-/**
- * Start the run labelled @p label (a mode name) and return its
- * context: a new trace process and metrics run label, a fresh fault
- * plan, and a fresh telemetry sampler phase, so every mode faces the
- * same fault schedule and samples the same 1-in-N packets.
- */
-inline sim::RunContext
-beginRun(const char *label)
-{
-    detail::Instruments &in = detail::instruments();
-    if (in.tracer)
-        in.tracer->beginProcess(label);
-    if (in.sampler)
-        in.sampler->setRunLabel(label);
-    rebuildFaultPlan();
-    if (in.telemetry)
-        in.telemetry->beginRun();
-    return {in.tracer.get(), in.sampler.get(), in.plan.get(),
-            in.telemetry.get()};
-}
+    /** Unhooks the stats capture and closes the trace. */
+    ~Bench();
 
-/**
- * The run context for one simulation of a bench that drives its own
- * simulations instead of runFigure(): a fresh fault plan, so the run
- * faces the whole schedule whatever ran before it, and the telemetry
- * collector every run shares. None is traced or sampled. Call once
- * per Simulation, after the previous one is gone: the call replaces
- * the plan that run was handed.
- */
-inline sim::RunContext
-faultsAndTelemetry()
-{
-    rebuildFaultPlan();
-    const detail::Instruments &in = detail::instruments();
-    return {.faults = in.plan.get(), .telemetry = in.telemetry.get()};
-}
+    Bench(const Bench &) = delete;
+    Bench &operator=(const Bench &) = delete;
 
-/**
- * Parse the shared flags, plus the bench's own @p flags, and arm the
- * requested instruments (see beginRun()) and the stats-capturing
- * cluster observer. Call once at the top of main(); returns the
- * parsed options. A bench whose runs shard passes @p threaded; every
- * other bench rejects --threads N > 1 rather than silently running
- * one shard.
- */
-inline BenchOptions &
-init(int argc, char **argv, bool threaded = false, Flags flags = {})
+    const BenchOptions &options() const { return opts_; }
+
+    /**
+     * Run @p fn as the run labelled @p label and time it, wall and
+     * CPU. @p fn receives the run's context: a fault plan and a
+     * telemetry collector built for this run alone from the flags
+     * (so every run faces the whole fault schedule and samples the
+     * same packets, whatever ran before it), and the tracer and
+     * sampler, which open a trace process and a metrics run label
+     * named @p label.
+     */
+    template <typename Fn>
+    auto
+    run(const std::string &label, Fn &&fn)
+    {
+        const std::unique_ptr<fault::FaultPlan> plan = faultPlan();
+        std::optional<obs::Telemetry> telemetry;
+        if (opts_.telemetry)
+            telemetry.emplace(opts_.telemetrySampleRate);
+        if (tracer_)
+            tracer_->beginProcess(label);
+        if (sampler_)
+            sampler_->setRunLabel(label);
+        const sim::RunContext context{
+            tracer_.get(), sampler_.get(), plan.get(),
+            telemetry ? &*telemetry : nullptr};
+        const auto t0 = std::chrono::steady_clock::now();
+        const std::clock_t c0 = std::clock();
+        TimedRun<decltype(fn(context))> out{fn(context), {}};
+        out.time.cpuMs = 1e3 * static_cast<double>(std::clock() - c0) /
+                         CLOCKS_PER_SEC;
+        out.time.wallMs = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        return out;
+    }
+
+    /** Under --perf, print the perf[@p label] line of a run that
+     * executed @p events kernel events in @p time on @p os. */
+    void
+    printPerf(std::ostream &os, const std::string &label,
+              std::uint64_t events, const RunTime &time) const
+    {
+        if (!opts_.perf)
+            return;
+        // events_per_sec divides by process CPU time, not wall time:
+        // these runs last milliseconds, so a noisy-neighbor
+        // descheduling would otherwise dominate the figure the perf
+        // gate compares.
+        const double eps =
+            time.cpuMs > 0 ? static_cast<double>(events) /
+                                 (time.cpuMs / 1e3)
+                           : 0.0;
+        char line[256];
+        std::snprintf(line, sizeof line,
+                      "perf[%s]: events=%llu wall_ms=%.3f cpu_ms=%.3f "
+                      "events_per_sec=%.0f\n",
+                      label.c_str(),
+                      static_cast<unsigned long long>(events),
+                      time.wallMs, time.cpuMs, eps);
+        os << line;
+    }
+
+    /** Under --stats-json, write every captured cluster run's stats,
+     * one object per mode name in name order, under @p title. */
+    void
+    writeStatsJson(const std::string &title) const
+    {
+        if (opts_.statsJsonPath.empty())
+            return;
+        std::ofstream out(opts_.statsJsonPath);
+        if (!out) {
+            std::cerr << "cannot open stats file " << opts_.statsJsonPath
+                      << "\n";
+            return;
+        }
+        out << "{\n  \"bench\": \"" << title << "\",\n  \"modes\": {";
+        const char *separator = "";
+        for (const auto &[mode, json] : stats_) {
+            out << separator << "\n    \"" << mode << "\": " << json;
+            separator = ",";
+        }
+        out << "\n  }\n}\n";
+    }
+
+    /** Under --latency-report, write the report @p render prints. */
+    void
+    writeLatencyReport(
+        const std::function<void(std::ostream &)> &render) const
+    {
+        if (opts_.latencyReportPath.empty())
+            return;
+        std::ofstream out(opts_.latencyReportPath);
+        if (out)
+            render(out);
+        else
+            std::cerr << "cannot open latency report file "
+                      << opts_.latencyReportPath << "\n";
+    }
+
+  private:
+    /** A fresh plan from the fault flags; null without any. */
+    std::unique_ptr<fault::FaultPlan>
+    faultPlan() const
+    {
+        if (opts_.faultSpecs.empty() && opts_.faultEvents.empty())
+            return nullptr;
+        auto plan = std::make_unique<fault::FaultPlan>(opts_.faultSeed);
+        for (const auto &spec : opts_.faultSpecs)
+            plan->addSpec(spec);
+        for (const auto &event : opts_.faultEvents)
+            plan->addEvent(event);
+        return plan;
+    }
+
+    BenchOptions opts_;
+    std::ofstream traceFile_;
+    std::unique_ptr<obs::ChromeTracer> tracer_;
+    std::ofstream metricsFile_;
+    std::unique_ptr<obs::IntervalSampler> sampler_;
+    /** Each mode's stats JSON, captured at the end of its cluster run
+     * and indented for its place in the stats file. */
+    std::map<std::string, std::string> stats_;
+};
+
+inline Bench::Bench(int argc, char **argv, bool threaded, Flags flags)
 {
-    BenchOptions &opts = options();
+    BenchOptions &opts = opts_;
     const auto path = [](std::string &out) {
         return [&out](const char *v) {
             out = v;
@@ -457,15 +537,11 @@ init(int argc, char **argv, bool threaded = false, Flags flags = {})
                      "from a simulation event)\n";
         std::exit(2);
     }
-    detail::Instruments &in = detail::instruments();
-    if (opts.telemetry)
-        in.telemetry =
-            std::make_unique<obs::Telemetry>(opts.telemetrySampleRate);
 
     if (!opts.tracePath.empty()) {
-        in.traceFile.open(opts.tracePath);
-        if (in.traceFile) {
-            in.tracer = std::make_unique<obs::ChromeTracer>(in.traceFile);
+        traceFile_.open(opts.tracePath);
+        if (traceFile_) {
+            tracer_ = std::make_unique<obs::ChromeTracer>(traceFile_);
         } else {
             std::cerr << "cannot open trace file " << opts.tracePath
                       << "\n";
@@ -473,145 +549,93 @@ init(int argc, char **argv, bool threaded = false, Flags flags = {})
     }
 
     if (!opts.metricsCsvPath.empty()) {
-        in.metricsFile.open(opts.metricsCsvPath);
-        if (in.metricsFile) {
+        metricsFile_.open(opts.metricsCsvPath);
+        if (metricsFile_) {
             const bool jsonl =
                 opts.metricsCsvPath.size() >= 6 &&
                 opts.metricsCsvPath.compare(
                     opts.metricsCsvPath.size() - 6, 6, ".jsonl") == 0;
-            in.sampler = std::make_unique<obs::IntervalSampler>(
-                in.metricsFile, opts.metricsInterval,
+            sampler_ = std::make_unique<obs::IntervalSampler>(
+                metricsFile_, opts.metricsInterval,
                 jsonl ? obs::MetricsFormat::Jsonl
                       : obs::MetricsFormat::Csv);
-            if (in.tracer)
-                in.sampler->setMirror(in.tracer.get());
+            if (tracer_)
+                sampler_->setMirror(tracer_.get());
         } else {
             std::cerr << "cannot open metrics file "
                       << opts.metricsCsvPath << "\n";
         }
     }
 
+    // The stats of a cluster run can only be read while its
+    // components are alive, so each mode's object is rendered when
+    // its run ends, at the depth it takes in the stats file.
     if (!opts.statsJsonPath.empty()) {
-        apps::clusterObserver() = [](apps::Cluster &cluster,
-                                     apps::Mode mode) {
+        apps::clusterObserver() = [this](apps::Cluster &cluster,
+                                         apps::Mode mode) {
             std::ostringstream oss;
-            obs::JsonWriter json(oss);
+            obs::JsonWriter json(oss, 2, /*depth=*/2);
             harness::dumpClusterStatsJson(json, cluster);
-            detail::capturedStats()[apps::modeName(mode)] = oss.str();
+            stats_[apps::modeName(mode)] = oss.str();
         };
     }
 
-    rebuildFaultPlan();
-    if (in.plan)
-        std::cerr << "fault plan:\n" << in.plan->describe();
-    return opts;
+    if (const auto plan = faultPlan())
+        std::cerr << "fault plan:\n" << plan->describe();
 }
 
-namespace detail {
-
-/** Write the per-mode stats captured during runFigure() to disk. */
-inline void
-writeStatsJson(const std::string &path, const std::string &title)
+inline Bench::~Bench()
 {
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "cannot open stats file " << path << "\n";
-        return;
-    }
-    out << "{\n  \"bench\": \"" << title << "\",\n  \"modes\": {";
-    bool first = true;
-    for (const auto &[mode, json] : capturedStats()) {
-        if (!first)
-            out << ",";
-        first = false;
-        // Indent the captured object two levels under "modes".
-        out << "\n    \"" << mode << "\": ";
-        std::istringstream in(json);
-        std::string line;
-        bool first_line = true;
-        while (std::getline(in, line)) {
-            if (!first_line)
-                out << "\n    ";
-            first_line = false;
-            out << line;
-        }
-    }
-    out << "\n  }\n}\n";
+    if (!opts_.statsJsonPath.empty())
+        apps::clusterObserver() = nullptr;
+    if (tracer_)
+        tracer_->finish();
 }
-
-} // namespace detail
 
 /**
- * Run @p run_one on @p params in all four modes, each with its own
- * run context (see beginRun()), print the paper's two figures of the
- * benchmark (the overview under @p overview_title, then the
- * execution-time breakdown under @p breakdown_title), and check the
- * semantic checksum.
+ * Run @p run_one on @p params in all four modes through
+ * @p bench.run(), print the paper's two figures of the benchmark
+ * (the overview under @p overview_title, then the execution-time
+ * breakdown under @p breakdown_title), and check the semantic
+ * checksum.
  * @return process exit code.
  */
 template <typename Params>
 int
-runFigure(const std::string &overview_title,
+runFigure(Bench &bench, const std::string &overview_title,
           const std::string &breakdown_title,
           apps::RunStats (*run_one)(apps::Mode, const Params &),
           Params params)
 {
-    const BenchOptions &opts = options();
     harness::ModeResults results;
-    std::array<double, apps::allModes.size()> wallMs{};
-    std::array<double, apps::allModes.size()> cpuMs{};
+    std::array<RunTime, apps::allModes.size()> times{};
     for (std::size_t i = 0; i < apps::allModes.size(); ++i) {
-        params.cluster.run = beginRun(apps::modeName(apps::allModes[i]));
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::clock_t c0 = std::clock();
-        results[i] = run_one(apps::allModes[i], params);
-        cpuMs[i] = 1e3 * static_cast<double>(std::clock() - c0) /
-                   CLOCKS_PER_SEC;
-        wallMs[i] = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
+        const apps::Mode mode = apps::allModes[i];
+        auto run = bench.run(apps::modeName(mode),
+                             [&](const sim::RunContext &context) {
+                                 params.cluster.run = context;
+                                 return run_one(mode, params);
+                             });
+        results[i] = std::move(run.result);
+        times[i] = run.time;
     }
 
     harness::printOverview(std::cout, overview_title, results);
     harness::printBreakdown(std::cout, breakdown_title, results);
     harness::printHandlerProfile(std::cout, overview_title, results);
 
-    if (opts.fingerprint)
+    if (bench.options().fingerprint)
         for (const auto &r : results)
             std::cout << "fingerprint[" << apps::modeName(r.mode)
                       << "]: 0x" << std::hex << r.fingerprint
                       << std::dec << "\n";
-    // events_per_sec divides by process CPU time, not wall time:
-    // these runs last milliseconds, so a noisy-neighbor descheduling
-    // would otherwise dominate the figure the perf gate compares.
-    if (opts.perf)
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const auto &r = results[i];
-            const double secs = cpuMs[i] / 1e3;
-            const double eps =
-                secs > 0 ? static_cast<double>(r.eventsExecuted) / secs
-                         : 0.0;
-            std::cout << "perf[" << apps::modeName(r.mode)
-                      << "]: events=" << r.eventsExecuted
-                      << " wall_ms=" << std::fixed
-                      << std::setprecision(3) << wallMs[i]
-                      << " cpu_ms=" << cpuMs[i]
-                      << " events_per_sec=" << std::setprecision(0)
-                      << eps << std::defaultfloat
-                      << std::setprecision(6) << "\n";
-        }
-    if (!opts.statsJsonPath.empty())
-        detail::writeStatsJson(opts.statsJsonPath, overview_title);
-    if (!opts.latencyReportPath.empty()) {
-        std::ofstream out(opts.latencyReportPath);
-        if (out)
-            harness::printLatencyReport(out, overview_title, results);
-        else
-            std::cerr << "cannot open latency report file "
-                      << opts.latencyReportPath << "\n";
-    }
-    if (detail::instruments().tracer)
-        detail::instruments().tracer->finish();
+    for (std::size_t i = 0; i < results.size(); ++i)
+        bench.printPerf(std::cout, apps::modeName(results[i].mode),
+                        results[i].eventsExecuted, times[i]);
+    bench.writeStatsJson(overview_title);
+    bench.writeLatencyReport([&](std::ostream &os) {
+        harness::printLatencyReport(os, overview_title, results);
+    });
 
     if (!harness::checksumsAgree(results)) {
         std::cerr << "CHECKSUM MISMATCH across modes\n";

@@ -33,8 +33,12 @@
  *
  * Shares the figure benches' observability flags (BenchCommon.hh):
  * --telemetry plus --latency-report writes per-placement lineage
- * tables (the terminal handler hop included), --fingerprint prints
- * per-run fingerprints.
+ * tables (the terminal handler hop included), --fingerprint and
+ * --perf print per-placement fingerprint and perf[...] lines on
+ * stderr, --trace gives every run a trace process, and the fault
+ * flags give every run a fresh fault plan. Its runs build no
+ * apps::Cluster, so --stats-json, --metrics-csv and
+ * --metrics-interval exit 2.
  *
  * Usage: fabric_scale [--quick] [--messages N] [--message-bytes N]
  *                     [--seeds N] [--min-edge-speedup X]
@@ -45,8 +49,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
+#include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -186,14 +191,16 @@ struct PlacementResult {
     std::uint64_t events = 0;
     std::uint64_t fingerprint = 0;
     std::uint64_t e2eP99Ns = 0; //!< 0 unless --telemetry
-    double wallMs = 0.0;
 };
 
+/** One placement run; its lineage table, under --telemetry, goes to
+ * @p latency_out under @p label. */
 PlacementResult
-runPlacement(const Shape &shape, Placement pl, const Settings &s,
+runPlacement(const sim::RunContext &context, const Shape &shape,
+             Placement pl, const Settings &s, const std::string &label,
              std::ostream *latency_out)
 {
-    sim::Simulation sim(bench::faultsAndTelemetry());
+    sim::Simulation sim(context);
     Fabric fabric(sim);
     active::ActiveConfig acfg;
     acfg.cpus = 4;
@@ -203,11 +210,6 @@ runPlacement(const Shape &shape, Placement pl, const Settings &s,
     // its edge switch's shard (net::Fabric::planShards). The pattern
     // sweep and the seed-stability loop stay single-threaded — the
     // placement runs are the scaling workload.
-    obs::Telemetry *tel = sim.context().telemetry;
-    const std::string label =
-        std::string(shape.name) + "/" + placementName(pl);
-    if (tel)
-        tel->beginRun();
     if (s.threads > 1)
         fabric.applyShardPlan(fabric.planShards(topo.switchCount()));
     obs::ShardedFingerprint fp;
@@ -292,12 +294,8 @@ runPlacement(const Shape &shape, Placement pl, const Settings &s,
                                  &bytes));
     }
 
-    const auto t0 = std::chrono::steady_clock::now();
     sim.runSharded(s.threads);
     PlacementResult r;
-    r.wallMs = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
     r.collectorMsgs = msgs;
     r.collectorBytes = bytes;
     r.makespanUs = static_cast<double>(lastAt) / 1e6;
@@ -311,7 +309,7 @@ runPlacement(const Shape &shape, Placement pl, const Settings &s,
     }
     r.events = fp.eventsFolded();
     r.fingerprint = fp.value();
-    if (tel) {
+    if (obs::Telemetry *tel = context.telemetry) {
         const obs::TelemetryStats &t = tel->finishRun();
         const auto fc = pl == Placement::Normal
                             ? obs::FlowClass::Data
@@ -348,11 +346,11 @@ patternKey(TrafficParams::Pattern p)
 }
 
 PatternResult
-runPattern(const Shape &shape, TrafficParams::Pattern pattern,
-           std::uint64_t seed, const Settings &s,
-           std::uint64_t *fingerprint)
+runPattern(const sim::RunContext &context, const Shape &shape,
+           TrafficParams::Pattern pattern, std::uint64_t seed,
+           const Settings &s, std::uint64_t *fingerprint)
 {
-    sim::Simulation sim(bench::faultsAndTelemetry());
+    sim::Simulation sim(context);
     obs::RunFingerprint fp;
     sim.events().setObserver(&fp);
     Fabric fabric(sim);
@@ -442,14 +440,18 @@ main(int argc, char **argv)
     std::optional<unsigned> messages, seeds;
     double minEdgeSpeedup = 0.0;
     double maxLookupRatio = 0.0;
+    const char *noCluster = "this bench builds no apps::Cluster";
     bench::Flags own;
     own.number("--messages", messages)
         .number("--message-bytes", s.messageBytes)
         .number("--seeds", seeds)
         .number("--min-edge-speedup", minEdgeSpeedup)
-        .number("--max-lookup-ratio", maxLookupRatio);
-    const bench::BenchOptions &opts =
-        bench::init(argc, argv, /*threaded=*/true, std::move(own));
+        .number("--max-lookup-ratio", maxLookupRatio)
+        .reject("--stats-json", noCluster)
+        .reject("--metrics-csv", noCluster)
+        .reject("--metrics-interval", noCluster);
+    bench::Bench bench(argc, argv, /*threaded=*/true, std::move(own));
+    const auto &opts = bench.options();
 
     if (opts.quick) {
         s.messages = 4;
@@ -469,17 +471,23 @@ main(int argc, char **argv)
          opts.quick ? DragonflyParams{2, 2, 1}
                     : DragonflyParams{4, 4, 2}});
 
-    std::ofstream latencyFile;
-    std::ostream *latencyOut = nullptr;
-    if (!opts.latencyReportPath.empty()) {
-        latencyFile.open(opts.latencyReportPath);
-        if (latencyFile)
-            latencyOut = &latencyFile;
-        else
-            std::fprintf(stderr,
-                         "cannot open latency report file %s\n",
-                         opts.latencyReportPath.c_str());
-    }
+    const auto pattern = [&](const Shape &shape,
+                             TrafficParams::Pattern p, std::uint64_t seed,
+                             std::uint64_t *fingerprint) {
+        const std::string label = std::string(shape.name) + "/" +
+                                  patternKey(p) + "/seed" +
+                                  std::to_string(seed);
+        return bench
+            .run(label,
+                 [&](const sim::RunContext &context) {
+                     return runPattern(context, shape, p, seed, s,
+                                       fingerprint);
+                 })
+            .result;
+    };
+    std::ostringstream lineage;
+    std::ostream *latencyOut =
+        opts.latencyReportPath.empty() ? nullptr : &lineage;
 
     const LookupMicro micro = runLookupMicro();
     std::fprintf(stderr,
@@ -512,7 +520,7 @@ main(int argc, char **argv)
         std::size_t nHosts, nSwitches, nLinks;
         unsigned nGroups;
         {
-            sim::Simulation sim(bench::faultsAndTelemetry());
+            sim::Simulation sim;
             Fabric fabric(sim);
             const Topology t =
                 shape.fatTree
@@ -530,7 +538,7 @@ main(int argc, char **argv)
 
         for (std::size_t pi = 0; pi < 3; ++pi) {
             const PatternResult pr =
-                runPattern(shape, kPatterns[pi], 1, s, nullptr);
+                pattern(shape, kPatterns[pi], 1, nullptr);
             std::printf(
                 "        \"%s\": {\"delivered\": %llu, "
                 "\"agg_gbps\": %.4f, \"lat_mean_ns\": %.1f, "
@@ -553,8 +561,14 @@ main(int argc, char **argv)
         double normalGBps = 0.0, edgeGBps = 0.0;
         for (std::size_t pi = 0; pi < 4; ++pi) {
             const Placement pl = kPlacements[pi];
-            const PlacementResult pr =
-                runPlacement(shape, pl, s, latencyOut);
+            const std::string label =
+                std::string(shape.name) + "/" + placementName(pl);
+            const auto run = bench.run(
+                label, [&](const sim::RunContext &context) {
+                    return runPlacement(context, shape, pl, s, label,
+                                        latencyOut);
+                });
+            const PlacementResult &pr = run.result;
             if (pl == Placement::Normal)
                 normalGBps = pr.sourceGBps;
             if (pl == Placement::Edge)
@@ -574,7 +588,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(pr.dispatchStalls),
                 static_cast<unsigned long long>(pr.e2eP99Ns),
                 static_cast<unsigned long long>(pr.events),
-                pr.wallMs,
+                run.time.wallMs,
                 static_cast<unsigned long long>(pr.fingerprint),
                 pi + 1 < 4 ? "," : "");
             std::fprintf(stderr,
@@ -591,10 +605,11 @@ main(int argc, char **argv)
                          static_cast<unsigned long long>(
                              pr.e2eP99Ns));
             if (opts.fingerprint)
-                std::fprintf(stderr, "fingerprint[%s/%s]: 0x%llx\n",
-                             shape.name, placementName(pl),
+                std::fprintf(stderr, "fingerprint[%s]: 0x%llx\n",
+                             label.c_str(),
                              static_cast<unsigned long long>(
                                  pr.fingerprint));
+            bench.printPerf(std::cerr, label, pr.events, run.time);
         }
 
         const double edgeSpeedup =
@@ -617,10 +632,8 @@ main(int argc, char **argv)
         std::string seedList;
         for (unsigned seed = 1; seed <= s.seeds; ++seed) {
             std::uint64_t fpA = 0, fpB = 0;
-            runPattern(shape, TrafficParams::Pattern::Uniform,
-                       seed, s, &fpA);
-            runPattern(shape, TrafficParams::Pattern::Uniform,
-                       seed, s, &fpB);
+            pattern(shape, TrafficParams::Pattern::Uniform, seed, &fpA);
+            pattern(shape, TrafficParams::Pattern::Uniform, seed, &fpB);
             if (fpA != fpB)
                 stable = false;
             char buf[32];
@@ -646,6 +659,8 @@ main(int argc, char **argv)
 
     std::printf("  },\n  \"lookup_guard\": %llu\n}\n",
                 static_cast<unsigned long long>(micro.guard));
+    bench.writeLatencyReport(
+        [&](std::ostream &os) { os << lineage.str(); });
 
     if (maxLookupRatio > 0 && micro.ratio > maxLookupRatio) {
         std::fprintf(stderr,

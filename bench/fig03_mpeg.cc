@@ -18,11 +18,11 @@ int
 main(int argc, char **argv)
 {
     san::apps::MpegParams params;
-    const san::bench::BenchOptions &opts =
-        san::bench::init(argc, argv, /*threaded=*/true);
-    if (opts.quick)
+    san::bench::Bench bench(argc, argv, /*threaded=*/true);
+    if (bench.options().quick)
         params.fileBytes = 512 * 1024;
-    params.cluster.threads = opts.threads;
-    return san::bench::runFigure("Fig 3: MPEG filter", "Fig 4: MPEG filter",
+    params.cluster.threads = bench.options().threads;
+    return san::bench::runFigure(bench, "Fig 3: MPEG filter",
+                                 "Fig 4: MPEG filter",
                                  san::apps::runMpegFilter, params);
 }

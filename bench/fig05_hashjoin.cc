@@ -12,10 +12,12 @@ int
 main(int argc, char **argv)
 {
     san::apps::HashJoinParams params;
-    if (san::bench::init(argc, argv).quick) {
+    san::bench::Bench bench(argc, argv);
+    if (bench.options().quick) {
         params.rBytes = 4ull * 1024 * 1024;
         params.sBytes = 16ull * 1024 * 1024;
     }
-    return san::bench::runFigure("Fig 5: HashJoin", "Fig 6: HashJoin",
+    return san::bench::runFigure(bench, "Fig 5: HashJoin",
+                                 "Fig 6: HashJoin",
                                  san::apps::runHashJoin, params);
 }

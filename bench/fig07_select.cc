@@ -19,8 +19,9 @@ int
 main(int argc, char **argv)
 {
     san::apps::SelectParams params;
-    if (san::bench::init(argc, argv).quick)
+    san::bench::Bench bench(argc, argv);
+    if (bench.options().quick)
         params.tableBytes = 16ull * 1024 * 1024;
-    return san::bench::runFigure("Fig 7: Select", "Fig 8: Select",
+    return san::bench::runFigure(bench, "Fig 7: Select", "Fig 8: Select",
                                  san::apps::runSelect, params);
 }

@@ -11,8 +11,8 @@
 int
 main(int argc, char **argv)
 {
-    san::bench::init(argc, argv);
-    return san::bench::runFigure("Fig 9: Grep", "Fig 10: Grep",
+    san::bench::Bench bench(argc, argv);
+    return san::bench::runFigure(bench, "Fig 9: Grep", "Fig 10: Grep",
                                  san::apps::runGrep,
                                  san::apps::GrepParams{});
 }

@@ -11,8 +11,8 @@
 int
 main(int argc, char **argv)
 {
-    san::bench::init(argc, argv);
-    return san::bench::runFigure("Fig 11: Tar", "Fig 12: Tar",
+    san::bench::Bench bench(argc, argv);
+    return san::bench::runFigure(bench, "Fig 11: Tar", "Fig 12: Tar",
                                  san::apps::runTar,
                                  san::apps::TarParams{});
 }

@@ -11,8 +11,8 @@
 int
 main(int argc, char **argv)
 {
-    san::bench::init(argc, argv);
+    san::bench::Bench bench(argc, argv);
     return san::bench::runFigure(
-        "Fig 13: Parallel sort", "Fig 14: Parallel sort",
+        bench, "Fig 13: Parallel sort", "Fig 14: Parallel sort",
         san::apps::runParallelSort, san::apps::SortParams{});
 }

@@ -10,6 +10,8 @@
  */
 
 #include <cstdio>
+#include <iostream>
+#include <string>
 
 #include "BenchCommon.hh"
 #include "apps/Reduction.hh"
@@ -18,25 +20,42 @@ int
 main(int argc, char **argv)
 {
     using namespace san::apps;
-    const san::bench::BenchOptions &opts =
-        san::bench::init(argc, argv, /*threaded=*/true);
+    const char *noCluster = "this bench builds no apps::Cluster";
+    san::bench::Flags own;
+    own.reject("--stats-json", noCluster)
+        .reject("--metrics-csv", noCluster)
+        .reject("--metrics-interval", noCluster)
+        .reject("--latency-report",
+                "this bench's runs fold no latency tables");
+    san::bench::Bench bench(argc, argv, /*threaded=*/true, std::move(own));
+    const san::bench::BenchOptions &opts = bench.options();
     std::printf("Fig 16: Distributed Reduce (512 B vectors)\n");
     std::printf("%6s %14s %14s %9s %8s\n", "nodes", "normal(us)",
                 "active(us)", "speedup", "correct");
     int failures = 0;
     std::uint64_t events = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::clock_t c0 = std::clock();
+    san::bench::RunTime total;
     for (unsigned p = 2; p <= 128; p *= 2) {
-        ReductionParams params;
-        params.nodes = p;
-        params.threads = opts.threads;
-        params.run = san::bench::faultsAndTelemetry();
-        ReductionRun normal =
-            runReduction(false, ReduceKind::Distributed, params);
-        params.run = san::bench::faultsAndTelemetry();
-        ReductionRun active =
-            runReduction(true, ReduceKind::Distributed, params);
+        const auto reduce = [&](bool active) {
+            const std::string label =
+                std::string(active ? "active" : "normal") + "," +
+                std::to_string(p);
+            const auto run = bench.run(
+                label, [&](const san::sim::RunContext &context) {
+                    ReductionParams params;
+                    params.nodes = p;
+                    params.threads = opts.threads;
+                    params.run = context;
+                    return runReduction(active, ReduceKind::Distributed,
+                                        params);
+                });
+            total.wallMs += run.time.wallMs;
+            total.cpuMs += run.time.cpuMs;
+            events += run.result.events;
+            return run.result;
+        };
+        const ReductionRun normal = reduce(false);
+        const ReductionRun active = reduce(true);
         std::printf("%6u %14.2f %14.2f %9.2f %8s\n", p,
                     san::sim::toMicros(normal.latency),
                     san::sim::toMicros(active.latency),
@@ -44,7 +63,6 @@ main(int argc, char **argv)
                         static_cast<double>(active.latency),
                     (normal.correct && active.correct) ? "yes" : "NO");
         failures += !(normal.correct && active.correct);
-        events += normal.events + active.events;
         if (opts.fingerprint) {
             std::printf("fingerprint[normal,%u]: 0x%016llx\n", p,
                         static_cast<unsigned long long>(
@@ -54,24 +72,8 @@ main(int argc, char **argv)
                             active.fingerprint));
         }
     }
-    // Same perf line shape as runFigure(), consumed by
+    // One perf line for the whole figure, consumed by
     // tools/perf_baseline's parallel section.
-    if (opts.perf) {
-        const double cpu_ms =
-            1e3 * static_cast<double>(std::clock() - c0) /
-            CLOCKS_PER_SEC;
-        const double wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        const double eps = cpu_ms > 0
-                               ? static_cast<double>(events) /
-                                     (cpu_ms / 1e3)
-                               : 0.0;
-        std::printf("perf[all]: events=%llu wall_ms=%.3f cpu_ms=%.3f "
-                    "events_per_sec=%.0f\n",
-                    static_cast<unsigned long long>(events), wall_ms,
-                    cpu_ms, eps);
-    }
+    bench.printPerf(std::cout, "all", events, total);
     return failures == 0 ? 0 : 1;
 }

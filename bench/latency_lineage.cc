@@ -73,11 +73,12 @@ cut(const obs::LatencyHistogram &h)
     return c;
 }
 
+/** One policy run with a collector of its own, sampling every packet. */
 PolicyResult
 runOne(TrafficParams::Pattern pattern, const std::string &spec,
-       const bench::PolicyLabLoad &s, obs::Telemetry &tel)
+       const bench::PolicyLabLoad &s)
 {
-    tel.beginRun();
+    obs::Telemetry tel(1);
     PolicyResult r;
     r.policy = spec;
     r.holBlocked = bench::runPolicyLab(pattern, spec, s, &tel).holBlocked;
@@ -151,7 +152,6 @@ main(int argc, char **argv)
         .number("--max-overhead", maxOverhead)
         .parse(argc, argv);
 
-    obs::Telemetry tel(1); // sample every packet
     const char *specs[] = {"fifo", "voq"};
     const TrafficParams::Pattern patterns[] = {
         TrafficParams::Pattern::PermutationHotspot,
@@ -172,8 +172,7 @@ main(int argc, char **argv)
                      "txq p99", "polW p99", "swq p99", "e2e p50",
                      "e2e p99");
         for (std::size_t i = 0; i < 2; ++i) {
-            const PolicyResult r =
-                runOne(pattern, specs[i], settings, tel);
+            const PolicyResult r = runOne(pattern, specs[i], settings);
             printJsonResult(specs[i], r, i + 1 == 2);
             std::fprintf(
                 stderr,
@@ -190,9 +189,9 @@ main(int argc, char **argv)
     }
 
     // Passive overhead: hooks absent vs armed-at-rate-0. Same
-    // deterministic workload, best-of-N CPU time each.
+    // deterministic workload, best-of-N CPU time each. The rate-0
+    // collector never samples, so one serves every timed run.
     obs::Telemetry armed(0);
-    armed.beginRun();
     double plain = 1e30;
     double hooked = 1e30;
     std::vector<double> ratios;

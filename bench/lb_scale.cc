@@ -31,10 +31,9 @@
  *                 [--min-lb-lookups X] [shared observability flags]
  */
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <ctime>
+#include <iostream>
 #include <optional>
 #include <string>
 
@@ -45,11 +44,7 @@ namespace {
 
 using namespace san;
 
-struct ModeRun {
-    lb::LbRunResult res;
-    double wallMs = 0.0;
-    double cpuMs = 0.0;
-};
+using ModeRun = bench::TimedRun<lb::LbRunResult>;
 
 /** Simulated milliseconds of one run (ticks are picoseconds). */
 double
@@ -76,28 +71,11 @@ lbHostBusyMs(const apps::RunStats &s, unsigned lb_host)
     return static_cast<double>(h.busy + h.stall) / 1e9;
 }
 
-/** One mode with the same per-run setup runFigure() performs. */
-ModeRun
-runMode(apps::Mode mode, lb::LbWorkloadParams params)
-{
-    params.run = bench::beginRun(apps::modeName(mode));
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::clock_t c0 = std::clock();
-    ModeRun run;
-    run.res = lb::runLb(mode, params);
-    run.cpuMs = 1e3 * static_cast<double>(std::clock() - c0) /
-                CLOCKS_PER_SEC;
-    run.wallMs = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
-    return run;
-}
-
 void
 printJsonMode(const char *label, const ModeRun &run, unsigned lb_host,
               bool last)
 {
-    const apps::LbStats &lb = run.res.stats.lb;
+    const apps::LbStats &lb = run.result.stats.lb;
     std::printf(
         "    \"%s\": {\"lookups\": %llu, \"hot_hits\": %llu, "
         "\"table_hits\": %llu, \"misses\": %llu, "
@@ -126,16 +104,16 @@ printJsonMode(const char *label, const ModeRun &run, unsigned lb_host,
         lb.lookups > 0 ? static_cast<double>(lb.hotHits) /
                              static_cast<double>(lb.lookups)
                        : 0.0,
-        simMs(run.res.stats), lookupsPerSec(run.res.stats),
-        lbHostBusyMs(run.res.stats, lb_host),
-        static_cast<unsigned long long>(run.res.stats.eventsExecuted),
+        simMs(run.result.stats), lookupsPerSec(run.result.stats),
+        lbHostBusyMs(run.result.stats, lb_host),
+        static_cast<unsigned long long>(run.result.stats.eventsExecuted),
         last ? "" : ",");
 }
 
 void
 printTableRow(const char *label, const ModeRun &run, unsigned lb_host)
 {
-    const apps::LbStats &lb = run.res.stats.lb;
+    const apps::LbStats &lb = run.result.stats.lb;
     const double hot =
         lb.lookups > 0 ? 100.0 * static_cast<double>(lb.hotHits) /
                              static_cast<double>(lb.lookups)
@@ -147,8 +125,8 @@ printTableRow(const char *label, const ModeRun &run, unsigned lb_host)
                  hot, static_cast<unsigned long long>(lb.punts),
                  static_cast<unsigned long long>(lb.migrations),
                  static_cast<unsigned long long>(lb.peakFlows),
-                 simMs(run.res.stats), lookupsPerSec(run.res.stats),
-                 lbHostBusyMs(run.res.stats, lb_host));
+                 simMs(run.result.stats), lookupsPerSec(run.result.stats),
+                 lbHostBusyMs(run.result.stats, lb_host));
 }
 
 } // namespace
@@ -177,8 +155,8 @@ main(int argc, char **argv)
         .number("--lb-table-capacity", params.lb.table.capacity)
         .number("--lb-seed", params.churn.seed)
         .number("--min-lb-lookups", minLbLookups);
-    const bench::BenchOptions &opts =
-        bench::init(argc, argv, false, std::move(own));
+    bench::Bench bench(argc, argv, false, std::move(own));
+    const auto &opts = bench.options();
 
     params.churn.flows = 1'000'000;
     params.churn.churnOpens = 65'536;
@@ -197,21 +175,29 @@ main(int argc, char **argv)
 
     // Normal first, Active second — the allModes order the shared
     // reports use. The pref modes don't exist for this workload.
-    const ModeRun normal = runMode(apps::Mode::Normal, params);
-    const ModeRun active = runMode(apps::Mode::Active, params);
+    const auto runMode = [&](apps::Mode mode) {
+        return bench.run(apps::modeName(mode),
+                         [&](const sim::RunContext &context) {
+                             lb::LbWorkloadParams p = params;
+                             p.run = context;
+                             return lb::runLb(mode, p);
+                         });
+    };
+    const ModeRun normal = runMode(apps::Mode::Normal);
+    const ModeRun active = runMode(apps::Mode::Active);
 
     // Conservation self-check: every generated packet either reached
     // a backend through the balancer or was punted.
     for (const ModeRun *run : {&normal, &active}) {
-        const apps::LbStats &lb = run->res.stats.lb;
-        if (run->res.gen.posted != lb.forwarded + lb.punts) {
+        const apps::LbStats &lb = run->result.stats.lb;
+        if (run->result.gen.posted != lb.forwarded + lb.punts) {
             std::fprintf(stderr,
                          "FATAL: packet conservation broken in %s: "
                          "posted %llu != forwarded %llu + punts %llu "
                          "(lookups %llu)\n",
-                         apps::modeName(run->res.stats.mode),
+                         apps::modeName(run->result.stats.mode),
                          static_cast<unsigned long long>(
-                             run->res.gen.posted),
+                             run->result.gen.posted),
                          static_cast<unsigned long long>(lb.forwarded),
                          static_cast<unsigned long long>(lb.punts),
                          static_cast<unsigned long long>(lb.lookups));
@@ -226,13 +212,13 @@ main(int argc, char **argv)
     printTableRow("normal", normal, lbHost);
     printTableRow("active", active, lbHost);
 
-    const double activeRate = lookupsPerSec(active.res.stats);
-    const double normalRate = lookupsPerSec(normal.res.stats);
-    const double normalBusy = lbHostBusyMs(normal.res.stats, lbHost);
-    const double activeBusy = lbHostBusyMs(active.res.stats, lbHost);
+    const double activeRate = lookupsPerSec(active.result.stats);
+    const double normalRate = lookupsPerSec(normal.result.stats);
+    const double normalBusy = lbHostBusyMs(normal.result.stats, lbHost);
+    const double activeBusy = lbHostBusyMs(active.result.stats, lbHost);
     const double offload =
         activeBusy > 0 ? normalBusy / activeBusy : 0.0;
-    const apps::LbStats &alb = active.res.stats.lb;
+    const apps::LbStats &alb = active.result.stats.lb;
 
     std::printf(
         "{\n  \"schema\": \"san-lb-scale-v1\",\n"
@@ -266,44 +252,21 @@ main(int argc, char **argv)
     if (opts.fingerprint) {
         std::printf("fingerprint[normal]: 0x%llx\n",
                     static_cast<unsigned long long>(
-                        normal.res.stats.fingerprint));
+                        normal.result.stats.fingerprint));
         std::printf("fingerprint[active]: 0x%llx\n",
                     static_cast<unsigned long long>(
-                        active.res.stats.fingerprint));
+                        active.result.stats.fingerprint));
     }
-    if (opts.perf) {
-        const ModeRun *runs[] = {&normal, &active};
-        for (const ModeRun *run : runs) {
-            const double secs = run->cpuMs / 1e3;
-            const double eps =
-                secs > 0 ? static_cast<double>(
-                               run->res.stats.eventsExecuted) /
-                               secs
-                         : 0.0;
-            std::printf("perf[%s]: events=%llu wall_ms=%.3f "
-                        "cpu_ms=%.3f events_per_sec=%.0f\n",
-                        apps::modeName(run->res.stats.mode),
-                        static_cast<unsigned long long>(
-                            run->res.stats.eventsExecuted),
-                        run->wallMs, run->cpuMs, eps);
-        }
-    }
-    if (!opts.statsJsonPath.empty())
-        bench::detail::writeStatsJson(opts.statsJsonPath, "lb_scale");
-    if (!opts.latencyReportPath.empty()) {
+    for (const ModeRun *run : {&normal, &active})
+        bench.printPerf(std::cout, apps::modeName(run->result.stats.mode),
+                        run->result.stats.eventsExecuted, run->time);
+    bench.writeStatsJson("lb_scale");
+    bench.writeLatencyReport([&](std::ostream &os) {
         harness::ModeResults results;
-        results[0] = normal.res.stats;
-        results[2] = active.res.stats;
-        std::ofstream out(opts.latencyReportPath);
-        if (out)
-            harness::printLatencyReport(out, "lb_scale", results);
-        else
-            std::fprintf(stderr,
-                         "cannot open latency report file %s\n",
-                         opts.latencyReportPath.c_str());
-    }
-    if (bench::detail::instruments().tracer)
-        bench::detail::instruments().tracer->finish();
+        results[0] = normal.result.stats;
+        results[2] = active.result.stats;
+        harness::printLatencyReport(os, "lb_scale", results);
+    });
 
     if (minLbLookups > 0 && activeRate < minLbLookups) {
         std::fprintf(stderr,

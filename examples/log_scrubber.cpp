@@ -65,13 +65,10 @@ runScrub(bool in_switch)
     std::uint64_t errors = 0;
 
     if (!in_switch) {
-        auto cursor = std::make_shared<std::uint64_t>(0);
         cluster.sim().spawn(normalHostLoop(
             host, disk, logBytes, blockBytes, 2,
-            [&errors, cursor](host::Host &h, mem::Addr buf,
-                              std::uint64_t bytes) -> sim::Task {
-                const std::uint64_t off = *cursor;
-                *cursor += bytes;
+            [&errors](host::Host &h, mem::Addr buf, std::uint64_t bytes,
+                      std::uint64_t off) -> sim::Task {
                 errors += errorsIn(off, bytes);
                 co_await h.cpu().compute(
                     bytes / lineBytes * scanInstrPerLine);

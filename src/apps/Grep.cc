@@ -48,20 +48,18 @@ runGrep(Mode mode, const GrepParams &params)
     const mem::Addr dfa_table = 0x20000; // switch/host-local table
 
     if (!isActive(mode)) {
-        auto cursor = std::make_shared<std::uint64_t>(0);
         auto setup_done = std::make_shared<bool>(false);
-        auto on_block = [&params, matched_lines, matched_bytes, cursor,
+        auto on_block = [&params, matched_lines, matched_bytes,
                          setup_done, dfa_table](
                             host::Host &h, mem::Addr buf,
-                            std::uint64_t bytes) -> sim::Task {
+                            std::uint64_t bytes,
+                            std::uint64_t off) -> sim::Task {
             if (!*setup_done) {
                 *setup_done = true;
                 co_await h.cpu().compute(params.dfaSetupInstr);
                 co_await h.cpu().touch(dfa_table, params.dfaTableBytes,
                                        mem::AccessKind::Store);
             }
-            const std::uint64_t off = *cursor;
-            *cursor += bytes;
             const std::uint64_t m = matchesInRange(params, off, bytes);
             *matched_lines += m;
             *matched_bytes += m * params.lineBytes;

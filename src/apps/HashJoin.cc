@@ -86,14 +86,11 @@ runHashJoin(Mode mode, const HashJoinParams &params)
     };
 
     if (!isActive(mode)) {
-        auto r_cursor = std::make_shared<std::uint64_t>(0);
-        auto s_cursor = std::make_shared<std::uint64_t>(0);
-
-        auto on_r_block = [&params, host_build, hash_seed, r_cursor](
+        auto on_r_block = [&params, host_build, hash_seed](
                               host::Host &h, mem::Addr buf,
-                              std::uint64_t bytes) -> sim::Task {
-            const std::uint64_t first = *r_cursor;
-            *r_cursor += bytes / params.recordBytes;
+                              std::uint64_t bytes,
+                              std::uint64_t off) -> sim::Task {
+            const std::uint64_t first = off / params.recordBytes;
             // Build the hash table...
             co_await host_build(h, buf, bytes, first);
             // ...and set bit-vector bits (normal mode does both).
@@ -112,12 +109,12 @@ runHashJoin(Mode mode, const HashJoinParams &params)
         };
 
         auto on_s_block = [&params, host_probe, survivors, hash_seed,
-                           match_seed, s_cursor](
+                           match_seed](
                               host::Host &h, mem::Addr buf,
-                              std::uint64_t bytes) -> sim::Task {
+                              std::uint64_t bytes,
+                              std::uint64_t off) -> sim::Task {
             const std::uint64_t records = bytes / params.recordBytes;
-            const std::uint64_t first = *s_cursor;
-            *s_cursor += records;
+            const std::uint64_t first = off / params.recordBytes;
             co_await h.cpu().compute(
                 records * (params.hashInstrPerRecord +
                            params.filterInstrPerRecord));

@@ -59,7 +59,8 @@ runMd5(Mode mode, const Md5Params &params)
 
     if (!isActive(mode)) {
         auto on_block = [&params](host::Host &h, mem::Addr buf,
-                                  std::uint64_t bytes) -> sim::Task {
+                                  std::uint64_t bytes,
+                                  std::uint64_t) -> sim::Task {
             co_await h.cpu().compute(bytes *
                                      params.digestInstrPerByte);
             co_await h.cpu().touch(buf, bytes, mem::AccessKind::Load);

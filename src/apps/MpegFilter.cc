@@ -90,12 +90,10 @@ runMpegFilter(Mode mode, const MpegParams &params)
     };
 
     if (!isActive(mode)) {
-        auto cursor = std::make_shared<std::uint64_t>(0);
-        auto on_block = [&params, kept_bytes, color_reduce, cursor](
+        auto on_block = [&params, kept_bytes, color_reduce](
                             host::Host &h, mem::Addr buf,
-                            std::uint64_t bytes) -> sim::Task {
-            const std::uint64_t off = *cursor;
-            *cursor += bytes;
+                            std::uint64_t bytes,
+                            std::uint64_t off) -> sim::Task {
             const std::uint64_t frames = framesInRange(params, off,
                                                        bytes);
             const std::uint64_t i_bytes = iBytesInRange(params, off,

@@ -1,6 +1,5 @@
 #include "apps/ParallelSort.hh"
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -117,36 +116,10 @@ runParallelSort(Mode mode, const SortParams &params)
                         }
                     };
 
-                    const std::uint64_t file_bytes =
-                        my_records * p.recordBytes;
-                    struct Req {
-                        std::uint64_t id, off, len;
-                    };
-                    std::deque<Req> window;
-                    std::uint64_t off = 0;
-                    auto post_one = [&]() -> sim::Task {
-                        const std::uint64_t len =
-                            std::min<std::uint64_t>(p.blockBytes,
-                                                    file_bytes - off);
-                        const std::uint64_t id = co_await host.postRead(
-                            storage, off, len);
-                        window.push_back({id, off, len});
-                        off += len;
-                    };
-                    while (off < file_bytes &&
-                           window.size() < outstanding)
-                        co_await post_one();
-                    while (!window.empty()) {
-                        const Req req = window.front();
-                        window.pop_front();
-                        co_await host.awaitIo(req.id);
-                        if (outstanding > 1 && off < file_bytes)
-                            co_await post_one();
-                        const mem::Addr buf = host.allocBuffer(req.len);
-                        co_await on_block(host, buf, req.len, req.off);
-                        if (outstanding == 1 && off < file_bytes)
-                            co_await post_one();
-                    }
+                    co_await normalHostLoop(host, storage,
+                                            my_records * p.recordBytes,
+                                            p.blockBytes, outstanding,
+                                            on_block);
                 }(h, st, cluster, params, n, per_node_records,
                   outstandingRequests(mode), received));
 

@@ -39,23 +39,18 @@ runSelect(Mode mode, const SelectParams &params)
 
     if (!isActive(mode)) {
         // Host scans every record of every block it reads.
-        // Blocks arrive sequentially; this cursor tracks the global
-        // record index across on_block invocations of this run.
-        auto cursor = std::make_shared<std::uint64_t>(0);
-        auto on_block = [&params, total_matches, cursor](
+        auto on_block = [&params, total_matches](
                             host::Host &h, mem::Addr buf,
-                            std::uint64_t bytes) -> sim::Task {
+                            std::uint64_t bytes,
+                            std::uint64_t off) -> sim::Task {
             const std::uint64_t records = bytes / params.recordBytes;
-            const std::uint64_t first = *cursor;
-            *cursor += records;
+            const std::uint64_t first = off / params.recordBytes;
             const std::uint64_t m = matchesIn(params, first, records);
             *total_matches += m;
             co_await h.cpu().compute(records * params.checkInstrPerRecord +
                                      m * params.countInstrPerMatch);
             co_await h.cpu().touch(buf, bytes, mem::AccessKind::Load);
         };
-        // Reset the per-run record cursor (static above) by running
-        // the whole table exactly once per simulation.
         cluster.sim().spawn(normalHostLoop(
             host, storage, params.tableBytes, params.blockBytes,
             outstandingRequests(mode), on_block));

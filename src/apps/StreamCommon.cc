@@ -13,47 +13,40 @@ normalHostLoop(host::Host &host, net::NodeId storage,
     assert(outstanding >= 1);
     struct Posted {
         std::uint64_t id;
+        std::uint64_t offset;
         std::uint64_t bytes;
     };
     std::deque<Posted> inflight;
     std::uint64_t posted = 0;
 
-    auto post_next = [&]() -> sim::ValueTask<std::uint64_t> {
+    auto post_next = [&]() -> sim::Task {
         const std::uint64_t n =
             std::min<std::uint64_t>(block_bytes, file_bytes - posted);
-        auto id = co_await host.postRead(storage, posted, n);
+        const std::uint64_t id =
+            co_await host.postRead(storage, posted, n);
+        inflight.push_back({id, posted, n});
         posted += n;
-        co_return id;
     };
 
     while (posted < file_bytes &&
-           inflight.size() < static_cast<std::size_t>(outstanding)) {
-        const std::uint64_t n =
-            std::min<std::uint64_t>(block_bytes, file_bytes - posted);
-        inflight.push_back({co_await post_next(), n});
-    }
+           inflight.size() < static_cast<std::size_t>(outstanding))
+        co_await post_next();
 
     while (!inflight.empty()) {
-        Posted blk = inflight.front();
+        const Posted blk = inflight.front();
         inflight.pop_front();
         co_await host.awaitIo(blk.id);
         // With prefetching the pipeline is refilled before burning
         // CPU on this block, overlapping compute with I/O. The
         // synchronous case posts only after processing: the disk
         // sits idle while the host computes, and vice versa.
-        if (outstanding > 1 && posted < file_bytes) {
-            const std::uint64_t n = std::min<std::uint64_t>(
-                block_bytes, file_bytes - posted);
-            inflight.push_back({co_await post_next(), n});
-        }
+        if (outstanding > 1 && posted < file_bytes)
+            co_await post_next();
         // Fresh DMA landing zone: first touch is a cold miss.
         const mem::Addr buf = host.allocBuffer(blk.bytes);
-        co_await on_block(host, buf, blk.bytes);
-        if (outstanding == 1 && posted < file_bytes) {
-            const std::uint64_t n = std::min<std::uint64_t>(
-                block_bytes, file_bytes - posted);
-            inflight.push_back({co_await post_next(), n});
-        }
+        co_await on_block(host, buf, blk.bytes, blk.offset);
+        if (outstanding == 1 && posted < file_bytes)
+            co_await post_next();
     }
 }
 

@@ -43,9 +43,12 @@ inline constexpr std::uint32_t tagResult = host::tagApp + 2;
 inline constexpr std::uint32_t tagData = host::tagApp + 3;
 /** @} */
 
-/** Per-block processing callback of the normal-mode host loop. */
-using BlockFn =
-    std::function<sim::Task(host::Host &, mem::Addr, std::uint64_t)>;
+/** Per-block processing callback of the normal-mode host loop: the
+ * host, the block's fresh buffer, its length, and its offset in the
+ * file. */
+using BlockFn = std::function<sim::Task(host::Host &, mem::Addr,
+                                        std::uint64_t bytes,
+                                        std::uint64_t offset)>;
 
 /** Per-reply processing callback of the active-mode host loop. */
 using ReplyFn =
@@ -54,7 +57,7 @@ using ReplyFn =
 /**
  * Normal-path host loop: read @p file_bytes in @p block_bytes
  * requests with @p outstanding (1 or 2) in flight, invoking
- * @p on_block for each completed block.
+ * @p on_block for each completed block, in file order.
  */
 sim::Task normalHostLoop(host::Host &host, net::NodeId storage,
                          std::uint64_t file_bytes,

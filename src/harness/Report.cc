@@ -155,40 +155,12 @@ printTelemetryStats(std::ostream &os, const std::string &label,
        << std::setw(12) << "p90(ns)" << std::setw(12) << "p99(ns)"
        << std::setw(12) << "p99.9(ns)" << std::setw(12)
        << "max(ns)" << '\n';
-    for (std::size_t fc = 0; fc < obs::kFlowClassCount; ++fc) {
-        for (std::size_t s = 0; s < obs::kStageCount; ++s) {
-            const auto &h =
-                t.stageHist(static_cast<obs::FlowClass>(fc),
-                            static_cast<obs::Stage>(s));
-            if (h.samples() == 0)
-                continue;
-            printLatencyRow(
-                os,
-                std::string(obs::flowClassName(
-                    static_cast<obs::FlowClass>(fc))) +
-                    "." + obs::stageName(static_cast<obs::Stage>(s)),
-                h);
-        }
-    }
-    for (std::size_t fc = 0; fc < obs::kFlowClassCount; ++fc) {
-        for (std::size_t hi = 0; hi < obs::kMaxTelemetryHops; ++hi) {
-            for (std::size_t s = 0; s < obs::kHopStageCount; ++s) {
-                const auto &h =
-                    t.hopHist(static_cast<obs::FlowClass>(fc), hi,
-                              static_cast<obs::HopStage>(s));
-                if (h.samples() == 0)
-                    continue;
-                printLatencyRow(
-                    os,
-                    std::string(obs::flowClassName(
-                        static_cast<obs::FlowClass>(fc))) +
-                        ".hop" + std::to_string(hi) + "." +
-                        obs::hopStageName(
-                            static_cast<obs::HopStage>(s)),
-                    h);
-            }
-        }
-    }
+    const auto row = [&os](const std::string &name,
+                           const obs::LatencyHistogram &h) {
+        printLatencyRow(os, name, h);
+    };
+    t.forEachStage(row);
+    t.forEachHop(row);
     if (!t.topByVolume.empty()) {
         os << "top flows by volume:\n";
         for (const auto &f : t.topByVolume)

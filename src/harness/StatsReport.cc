@@ -240,43 +240,16 @@ dumpClusterStatsJson(obs::JsonWriter &json, apps::Cluster &cluster)
         json.kv("bytesObserved", t.bytesObserved);
         // Only populated (flow class, stage) cells appear: keys stay
         // stable across repeats because the fold is deterministic.
+        const auto histogram = [&json](const std::string &name,
+                                       const obs::LatencyHistogram &h) {
+            json.key(name);
+            dumpLatencyHistJson(json, h);
+        };
         json.key("stages").beginObject();
-        for (std::size_t fc = 0; fc < obs::kFlowClassCount; ++fc) {
-            for (std::size_t s = 0; s < obs::kStageCount; ++s) {
-                const auto &h =
-                    t.stageHist(static_cast<obs::FlowClass>(fc),
-                                static_cast<obs::Stage>(s));
-                if (h.samples() == 0)
-                    continue;
-                json.key(std::string(obs::flowClassName(
-                             static_cast<obs::FlowClass>(fc))) +
-                         "." +
-                         obs::stageName(static_cast<obs::Stage>(s)));
-                dumpLatencyHistJson(json, h);
-            }
-        }
+        t.forEachStage(histogram);
         json.endObject();
         json.key("hops").beginObject();
-        for (std::size_t fc = 0; fc < obs::kFlowClassCount; ++fc) {
-            for (std::size_t hi = 0; hi < obs::kMaxTelemetryHops;
-                 ++hi) {
-                for (std::size_t s = 0; s < obs::kHopStageCount;
-                     ++s) {
-                    const auto &h = t.hopHist(
-                        static_cast<obs::FlowClass>(fc), hi,
-                        static_cast<obs::HopStage>(s));
-                    if (h.samples() == 0)
-                        continue;
-                    json.key(
-                        std::string(obs::flowClassName(
-                            static_cast<obs::FlowClass>(fc))) +
-                        ".hop" + std::to_string(hi) + "." +
-                        obs::hopStageName(
-                            static_cast<obs::HopStage>(s)));
-                    dumpLatencyHistJson(json, h);
-                }
-            }
-        }
+        t.forEachHop(histogram);
         json.endObject();
         json.key("topByVolume").beginArray();
         for (const auto &f : t.topByVolume) {

@@ -165,7 +165,7 @@ Fabric::applyShardPlan(const ShardPlan &plan)
 }
 
 void
-Fabric::computeRoutes(RouteSpread spread)
+Fabric::computeRoutes()
 {
     const std::size_t n = switches_.size();
     const std::size_t n_ad = adapters_.size();
@@ -233,14 +233,12 @@ Fabric::computeRoutes(RouteSpread spread)
         cand_begin[n] = cand.size();
     };
 
-    // The tie-break: lowest candidate port, or (DestinationMod)
-    // dst mod #candidates into the ascending list — a pure function
-    // of (switch, destination), so recomputation is idempotent.
+    // The tie-break: dst mod #candidates into the ascending list —
+    // a pure function of (switch, destination), so recomputation is
+    // idempotent.
     const auto pick = [&](std::size_t i, NodeId dst) {
         const std::size_t first = cand_begin[i];
-        return spread == RouteSpread::LowestPort
-                   ? cand[first]
-                   : cand[first + dst % (cand_begin[i + 1] - first)];
+        return cand[first + dst % (cand_begin[i + 1] - first)];
     };
 
     for (std::size_t t = 0; t < n; ++t) {

@@ -22,26 +22,6 @@
 namespace san::net {
 
 /**
- * Equal-cost tie-breaking rule of computeRoutes(). Both rules are
- * deterministic; they differ in how multipath topologies (fat-tree,
- * dragonfly) spread destinations over their redundant shortest paths.
- */
-enum class RouteSpread {
-    /** Always take the lowest-numbered output port among the
-     * shortest-path candidates. Single-path topologies (chains,
-     * trees) are unaffected; on a multipath fabric every destination
-     * funnels through the same uplinks. The default, and the rule
-     * the tie-break determinism test pins. */
-    LowestPort,
-    /** ECMP-style: candidate ports sorted ascending, destination d
-     * takes candidate d mod #candidates. Deterministic per (switch,
-     * destination) and independent of wiring order; the topology
-     * builders use it so a fat-tree actually load-balances its core.
-     */
-    DestinationMod,
-};
-
-/**
  * A deterministic partition of a fabric's components into logical-
  * process shards for the parallel kernel (sim/Pdes.hh). Computed by
  * Fabric::planShards from the topology alone — never from the
@@ -108,11 +88,15 @@ class Fabric
 
     /**
      * Populate every switch's routing table (call after wiring).
-     * Shortest paths come from a per-anchor BFS; equal-cost ties
-     * break per @p spread. Idempotent: recomputing overwrites every
-     * route with the same values.
+     * Shortest paths come from a per-anchor BFS. Equal-cost ties
+     * spread ECMP-style: with the candidate ports sorted ascending,
+     * destination d takes candidate d mod #candidates, so a fat-tree
+     * load-balances its core, and a single-path topology (one
+     * switch, a tree) takes its only candidate. A pure function of
+     * (switch, destination), independent of wiring order: recomputing
+     * overwrites every route with the same values.
      */
-    void computeRoutes(RouteSpread spread = RouteSpread::LowestPort);
+    void computeRoutes();
 
     /**
      * Partition the component graph into (up to) @p shards logical

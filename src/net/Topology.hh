@@ -6,9 +6,9 @@
  * Both builders are thin, deterministic wiring recipes over the
  * Fabric primitives (addSwitch / addAdapter / connectSwitches /
  * connect / computeRoutes): they create every switch and host in a
- * fixed order, wire a fixed port map, and finish with a
- * DestinationMod route computation so the redundant shortest paths
- * multipath fabrics exist for actually carry spread traffic. The
+ * fixed order, wire a fixed port map, and finish with the route
+ * computation, whose equal-cost spread makes the redundant shortest
+ * paths multipath fabrics exist for actually carry traffic. The
  * returned Topology records the layer structure (edge / aggregation
  * / core, host group ids) that handler-placement experiments and
  * group-local traffic patterns need.
@@ -109,9 +109,7 @@ void validateDragonfly(const DragonflyParams &p);
  * as ActiveSwitch; @p extra is forwarded to every switch after the
  * params, e.g. one shared ActiveConfig). Creation order — per pod
  * its edge then aggregation switches, then the cores, then hosts pod
- * by pod — fixes every NodeId and name. Routes are computed with
- * RouteSpread::DestinationMod; call fabric.computeRoutes() again to
- * re-pin single-path routing.
+ * by pod — fixes every NodeId and name, and routes are computed.
  */
 template <typename S = Switch, typename... Extra>
 Topology
@@ -161,15 +159,14 @@ buildFatTree(Fabric &fabric, const FatTreeParams &p,
                 topo.hostGroup.push_back(pod);
             }
 
-    fabric.computeRoutes(RouteSpread::DestinationMod);
+    fabric.computeRoutes();
     return topo;
 }
 
 /**
  * Build a balanced dragonfly of @p S switches. Creation order —
  * routers group by group, then hosts group by group — fixes every
- * NodeId and name. Routes are computed with
- * RouteSpread::DestinationMod.
+ * NodeId and name, and routes are computed.
  */
 template <typename S = Switch, typename... Extra>
 Topology
@@ -229,7 +226,7 @@ buildDragonfly(Fabric &fabric, const DragonflyParams &p,
                 topo.hostGroup.push_back(gi);
             }
 
-    fabric.computeRoutes(RouteSpread::DestinationMod);
+    fabric.computeRoutes();
     return topo;
 }
 

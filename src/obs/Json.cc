@@ -8,15 +8,15 @@
 
 namespace san::obs {
 
-JsonWriter::JsonWriter(std::ostream &os, int indent)
-    : os_(os), indent_(indent)
+JsonWriter::JsonWriter(std::ostream &os, int indent, std::size_t depth)
+    : os_(os), indent_(indent), depth_(depth)
 {}
 
 void
 JsonWriter::newlineIndent()
 {
     os_ << '\n';
-    for (std::size_t i = 0; i < stack_.size(); ++i)
+    for (std::size_t i = 0; i < depth_ + stack_.size(); ++i)
         for (int s = 0; s < indent_; ++s)
             os_ << ' ';
 }
@@ -84,7 +84,7 @@ JsonWriter::endObject()
     if (!empty)
         newlineIndent();
     os_ << '}';
-    if (stack_.empty())
+    if (stack_.empty() && depth_ == 0)
         os_ << '\n';
     return *this;
 }
@@ -109,7 +109,7 @@ JsonWriter::endArray()
     if (!empty)
         newlineIndent();
     os_ << ']';
-    if (stack_.empty())
+    if (stack_.empty() && depth_ == 0)
         os_ << '\n';
     return *this;
 }

@@ -12,6 +12,7 @@
 #ifndef SAN_OBS_JSON_HH
 #define SAN_OBS_JSON_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string_view>
@@ -23,8 +24,12 @@ namespace san::obs {
 class JsonWriter
 {
   public:
-    /** Writes to @p os; @p indent spaces per nesting level. */
-    explicit JsonWriter(std::ostream &os, int indent = 2);
+    /** Writes to @p os; @p indent spaces per nesting level. A value
+     * to be spliced into an enclosing document passes the @p depth it
+     * sits at there: its lines are indented for that place, and it
+     * ends without the newline that closes a whole document. */
+    explicit JsonWriter(std::ostream &os, int indent = 2,
+                        std::size_t depth = 0);
 
     /** @{ Containers. Root value must be exactly one value. */
     JsonWriter &beginObject();
@@ -64,6 +69,7 @@ class JsonWriter
 
     std::ostream &os_;
     int indent_;
+    std::size_t depth_;
     /** One frame per open container: true = object, false = array. */
     std::vector<bool> stack_;
     bool firstInScope_ = true;

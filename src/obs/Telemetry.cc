@@ -56,16 +56,6 @@ hopStageName(HopStage s)
 }
 
 void
-Telemetry::beginRun()
-{
-    packetsObserved_ = 0;
-    bytesObserved_ = 0;
-    records_.clear();
-    sketch_.reset();
-    enableShards(1);
-}
-
-void
 Telemetry::enableShards(std::size_t shards)
 {
     slices_.clear();

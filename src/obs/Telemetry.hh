@@ -355,13 +355,6 @@ class FlowSketch
         return out;
     }
 
-    void
-    reset()
-    {
-        used_ = 0;
-        slots_.fill(Entry{});
-    }
-
   private:
     void
     addEntry(const Entry &e)
@@ -451,6 +444,38 @@ struct TelemetryStats {
         return hop[static_cast<std::size_t>(fc)][h]
                   [static_cast<std::size_t>(s)];
     }
+
+    /** Call @p fn(name, histogram) on every populated stage
+     * histogram, named "class.stage", in (class, stage) order. */
+    template <typename Fn>
+    void
+    forEachStage(Fn &&fn) const
+    {
+        for (std::size_t fc = 0; fc < kFlowClassCount; ++fc)
+            for (std::size_t s = 0; s < kStageCount; ++s)
+                if (stage[fc][s].samples() != 0)
+                    fn(std::string(flowClassName(
+                           static_cast<FlowClass>(fc))) +
+                           "." + stageName(static_cast<Stage>(s)),
+                       stage[fc][s]);
+    }
+
+    /** Call @p fn(name, histogram) on every populated hop histogram,
+     * named "class.hopN.stage", in (class, hop, stage) order. */
+    template <typename Fn>
+    void
+    forEachHop(Fn &&fn) const
+    {
+        for (std::size_t fc = 0; fc < kFlowClassCount; ++fc)
+            for (std::size_t h = 0; h < kMaxTelemetryHops; ++h)
+                for (std::size_t s = 0; s < kHopStageCount; ++s)
+                    if (hop[fc][h][s].samples() != 0)
+                        fn(std::string(flowClassName(
+                               static_cast<FlowClass>(fc))) +
+                               ".hop" + std::to_string(h) + "." +
+                               hopStageName(static_cast<HopStage>(s)),
+                           hop[fc][h][s]);
+    }
 };
 
 /** Flows reported in the top-K volume / worst-latency tables. */
@@ -459,8 +484,9 @@ inline constexpr std::size_t kTopFlows = 8;
 /**
  * The telemetry engine: deterministic 1-in-N sampler, record
  * registry, heavy-hitter sketch and end-of-run fold. One instance
- * serves a whole bench process; beginRun() resets per-run state so
- * every mode starts from the same sampler phase.
+ * serves one run, so every run starts from the same sampler phase:
+ * build a fresh collector for the next run rather than reuse this
+ * one.
  */
 class Telemetry
 {
@@ -473,12 +499,6 @@ class Telemetry
         enableShards(1);
     }
 
-
-    /** Reset per-run state (sampler phase, records, sketch) to one
-     * slice — a partitioned run re-arms more via enableShards()
-     * once its partition is known. */
-    void beginRun();
-
     /**
      * Arm one slice per shard: sampling decisions, records, packet
      * counters, and the flow sketch all live in the slice of the
@@ -488,7 +508,8 @@ class Telemetry
      * (records interleave by uid = k * shards + shard + 1; sketches
      * and counters merge in shard order), so the folded output is
      * stable across thread counts, and one slice folds to itself.
-     * net::Fabric::applyShardPlan calls this, after beginRun().
+     * The constructor arms one slice; net::Fabric::applyShardPlan
+     * calls this once the run's partition is known.
      */
     void enableShards(std::size_t shards);
 
@@ -520,9 +541,8 @@ class Telemetry
     TelemetryStats finishRun();
     std::uint64_t recordsLive() const;
 
-    /** The run's sampled records in uid order (filled by finishRun,
-     * valid until the next beginRun); tests use this to assert stamp
-     * monotonicity. */
+    /** The run's sampled records in uid order (filled by
+     * finishRun); tests use this to assert stamp monotonicity. */
     const std::vector<std::shared_ptr<TelemetryRecord>> &
     records() const
     {

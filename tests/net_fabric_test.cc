@@ -264,25 +264,10 @@ struct DiamondFixture {
     }
 };
 
-TEST(Fabric, TieBreakPicksLowestPortAmongEqualCostPaths)
-{
-    DiamondFixture f;
-    f.fabric.computeRoutes();
-    // sw0 -> hostD: candidates are ports 2 (via sw1) and 3 (via
-    // sw2); lowest wins. Same for the reverse direction on sw3.
-    EXPECT_EQ(f.sw0->route(f.hostD->id()), 2u);
-    EXPECT_EQ(f.sw3->route(f.hostA->id()), 2u);
-    // And it is a pure function of the topology: recomputing picks
-    // the same ports.
-    f.fabric.computeRoutes();
-    EXPECT_EQ(f.sw0->route(f.hostD->id()), 2u);
-    EXPECT_EQ(f.sw3->route(f.hostA->id()), 2u);
-}
-
 TEST(Fabric, DestinationModSpreadsEqualCostPaths)
 {
     DiamondFixture f;
-    f.fabric.computeRoutes(RouteSpread::DestinationMod);
+    f.fabric.computeRoutes();
     // Candidates ascending are {2, 3}; destination id mod 2 indexes
     // in. hostD id 5 -> port 3, hostA id 4 -> port 2.
     EXPECT_EQ(f.sw0->route(f.hostD->id()), 3u);

@@ -194,7 +194,6 @@ TEST(FlowSketch, TakeoverInheritsSmallestCounterAsError)
 TEST(TelemetrySampler, RateZeroArmsButNeverSamples)
 {
     Telemetry tel(0);
-    tel.beginRun();
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(tel.sample(1, 2, FlowClass::Data, 0), nullptr);
     EXPECT_EQ(tel.recordsLive(), 0u);
@@ -203,17 +202,17 @@ TEST(TelemetrySampler, RateZeroArmsButNeverSamples)
 TEST(TelemetrySampler, OneInNIsDeterministic)
 {
     Telemetry tel(3);
-    tel.beginRun();
     int sampled = 0;
     for (int i = 0; i < 9; ++i)
         if (tel.sample(1, 2, FlowClass::Data, i) != nullptr)
             ++sampled;
     EXPECT_EQ(sampled, 3); // packets 0, 3, 6
     EXPECT_EQ(tel.recordsLive(), 3u);
-    // beginRun resets the sampler phase: same decisions again.
-    tel.beginRun();
-    EXPECT_NE(tel.sample(1, 2, FlowClass::Data, 0), nullptr);
-    EXPECT_EQ(tel.sample(1, 2, FlowClass::Data, 1), nullptr);
+    // A second collector starts from the same sampler phase: same
+    // decisions again.
+    Telemetry again(3);
+    EXPECT_NE(again.sample(1, 2, FlowClass::Data, 0), nullptr);
+    EXPECT_EQ(again.sample(1, 2, FlowClass::Data, 1), nullptr);
 }
 
 // --- Workload lineage -------------------------------------------------
@@ -221,7 +220,6 @@ TEST(TelemetrySampler, OneInNIsDeterministic)
 TEST(TelemetryLineage, StampsAreMonotonicOnActiveMpeg)
 {
     Telemetry tel(1);
-    tel.beginRun();
     const apps::RunStats r = apps::runMpegFilter(
         apps::Mode::Active, smallMpeg({.telemetry = &tel}));
 
@@ -264,7 +262,6 @@ TEST(TelemetryFault, RetransmitsShowUpInSampledLineage)
     FaultPlan plan;
     addSpec(plan, FaultKind::LinkBitError, 5e-6);
     Telemetry tel(1);
-    tel.beginRun();
     const apps::RunStats r = apps::runGrep(
         apps::Mode::Active, smallGrep({.faults = &plan, .telemetry = &tel}));
 
@@ -298,7 +295,6 @@ TEST(TelemetryFingerprint, TenSeedsUnchangedByTelemetry)
             FaultPlan plan(seed);
             addSpec(plan, FaultKind::LinkBitError, 2e-6);
             Telemetry tel(1);
-            tel.beginRun();
             const apps::RunStats r = apps::runGrep(
                 apps::Mode::Active,
                 smallGrep({.faults = &plan, .telemetry = &tel}));
@@ -310,14 +306,16 @@ TEST(TelemetryFingerprint, TenSeedsUnchangedByTelemetry)
 
 // --- Report byte-stability -------------------------------------------
 
+/** The four MPEG modes, each sampling every packet into a collector
+ * of its own. */
 harness::ModeResults
-mpegWithTelemetry(Telemetry &tel)
+mpegWithTelemetry()
 {
     harness::ModeResults results{};
-    const apps::MpegParams p = smallMpeg({.telemetry = &tel});
     for (std::size_t i = 0; i < apps::allModes.size(); ++i) {
-        tel.beginRun();
-        results[i] = apps::runMpegFilter(apps::allModes[i], p);
+        Telemetry tel(1);
+        results[i] = apps::runMpegFilter(apps::allModes[i],
+                                         smallMpeg({.telemetry = &tel}));
     }
     return results;
 }
@@ -332,9 +330,8 @@ latencyReportFor(const harness::ModeResults &results)
 
 TEST(LatencyReport, ByteStableAcrossRepeats)
 {
-    Telemetry tel(1);
-    const std::string a = latencyReportFor(mpegWithTelemetry(tel));
-    const std::string b = latencyReportFor(mpegWithTelemetry(tel));
+    const std::string a = latencyReportFor(mpegWithTelemetry());
+    const std::string b = latencyReportFor(mpegWithTelemetry());
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b);
 }
@@ -347,8 +344,7 @@ TEST(LatencyReport, SilentWithoutTelemetry)
 
 TEST(LatencyReport, MatchesGoldenFile)
 {
-    Telemetry tel(1);
-    const std::string actual = latencyReportFor(mpegWithTelemetry(tel));
+    const std::string actual = latencyReportFor(mpegWithTelemetry());
     ASSERT_FALSE(actual.empty());
     test::expectMatchesGolden(actual, "latency_report_mpeg.txt");
     if (test::updatingGoldens())

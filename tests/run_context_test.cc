@@ -3,14 +3,17 @@
  * Run-state isolation: a run's instruments arrive in its own
  * sim::RunContext, so two simulations in one process, even running at
  * the same time on two threads, keep their own fault plan and
- * telemetry collector and reproduce their solo results bit for bit.
- * CI also runs this binary under ThreadSanitizer.
+ * telemetry collector and reproduce their solo results bit for bit;
+ * and the benches' one run path, bench::Bench::run(), builds those
+ * instruments afresh for every run. CI also runs this binary under
+ * ThreadSanitizer.
  */
 
 #include <gtest/gtest.h>
 
 #include <thread>
 
+#include "BenchCommon.hh"
 #include "apps/Grep.hh"
 #include "fault/FaultPlan.hh"
 #include "obs/Telemetry.hh"
@@ -30,7 +33,6 @@ runInstrumented()
     ber.rate = 2e-6;
     plan.addSpec(ber);
     obs::Telemetry tel(1);
-    tel.beginRun();
     apps::GrepParams p;
     p.cluster.run.faults = &plan;
     p.cluster.run.telemetry = &tel;
@@ -95,6 +97,30 @@ TEST(RunContext, ConcurrentRunsKeepTheirOwnInstruments)
         EXPECT_FALSE(b.telemetry.active);
         EXPECT_EQ(b.telemetry.packetsObserved, 0u);
     }
+}
+
+TEST(RunContext, BenchRunsGetInstrumentsOfTheirOwn)
+{
+    const char *argv[] = {"bench", "--fault-spec", "link-ber:2e-6",
+                          "--telemetry"};
+    bench::Bench bench(4, const_cast<char **>(argv));
+    const auto grep = [](const sim::RunContext &context) {
+        apps::GrepParams p;
+        p.cluster.run = context;
+        return apps::runGrep(apps::Mode::Active, p);
+    };
+    const apps::RunStats first = bench.run("active", grep).result;
+    ASSERT_TRUE(first.faults.active);
+    ASSERT_GT(first.faults.injected, 0u);
+    ASSERT_GT(first.faults.retransmits, 0u);
+    ASSERT_TRUE(first.telemetry.active);
+    ASSERT_GT(first.telemetry.recordsSampled, 0u);
+    ASSERT_GT(first.telemetry.packetsObserved, 0u);
+
+    // The second run faces the whole fault schedule again and samples
+    // into an empty collector: it repeats the first bit for bit.
+    const apps::RunStats second = bench.run("active", grep).result;
+    expectSameRun(second, first);
 }
 
 } // namespace

@@ -27,7 +27,8 @@ TEST(NormalHostLoop, SyncSerializesIoAndCompute)
         cluster.sim().spawn(normalHostLoop(
             cluster.host(), cluster.storage().id(), bytes, 64 * 1024,
             outstanding,
-            [](host::Host &h, mem::Addr, std::uint64_t n) -> sim::Task {
+            [](host::Host &h, mem::Addr, std::uint64_t n,
+               std::uint64_t) -> sim::Task {
                 // ~10 ms of compute per MB at 2 GHz.
                 co_await h.cpu().compute(n * 20);
             }));
@@ -43,18 +44,24 @@ TEST(NormalHostLoop, SyncSerializesIoAndCompute)
 TEST(NormalHostLoop, DeliversEveryBlockOnce)
 {
     Cluster cluster;
-    std::vector<std::uint64_t> sizes;
+    std::vector<std::uint64_t> sizes, offsets;
     const std::uint64_t bytes = 200 * 1024; // not a block multiple
     cluster.sim().spawn(normalHostLoop(
         cluster.host(), cluster.storage().id(), bytes, 64 * 1024, 2,
-        [&sizes](host::Host &, mem::Addr, std::uint64_t n) -> sim::Task {
+        [&sizes, &offsets](host::Host &, mem::Addr, std::uint64_t n,
+                           std::uint64_t offset) -> sim::Task {
             sizes.push_back(n);
+            offsets.push_back(offset);
             co_return;
         }));
     cluster.sim().run();
     ASSERT_EQ(sizes.size(), 4u);
     EXPECT_EQ(sizes[0], 64u * 1024);
     EXPECT_EQ(sizes[3], 200u * 1024 - 3 * 64 * 1024);
+    // Blocks arrive in file order, each at its own offset.
+    EXPECT_EQ(offsets, (std::vector<std::uint64_t>{0, 64 * 1024,
+                                                   128 * 1024,
+                                                   192 * 1024}));
 }
 
 TEST(FilterHandler, RepliesOncePerBlockWithFilteredSize)
