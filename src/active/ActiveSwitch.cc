@@ -6,7 +6,6 @@
 
 #include "io/IoRequest.hh"
 #include "io/StorageNode.hh"
-#include "sim/Log.hh"
 
 namespace san::active {
 
@@ -43,12 +42,6 @@ HandlerContext::nextChunk()
     prof.bytes += chunk.bytes;
     liveTelemetry_ = chunk.telemetry;
     co_return chunk;
-}
-
-std::size_t
-HandlerContext::pendingChunks()
-{
-    return input_->size();
 }
 
 sim::Task
@@ -171,11 +164,10 @@ ActiveSwitch::ActiveSwitch(sim::Simulation &sim, std::string name,
             sim, mem_params.name, mem_params, config_.cpuHz));
     }
     if (fault::FaultPlan *plan = sim.context().faults) {
-        plan_ = plan;
         crashSite_ =
             plan->site(fault::FaultKind::HandlerCrash, this->name());
         rel_ = std::make_unique<fault::ReliableChannel>(
-            sim, this->name(), id, plan->recovery(),
+            sim, this->name(), id,
             [this](net::Packet pkt) { inject(std::move(pkt)); });
     }
 }
@@ -231,8 +223,7 @@ ActiveSwitch::deliverLocal(net::Arrival &&arrival)
     if (rel_ && rel_->onArrival(arrival))
         return;
     if (!arrival.pkt.active) {
-        sim::warn(name(), sim_.now(),
-                  "non-active packet addressed to switch; dropped");
+        sim_.warn(name(), "non-active packet addressed to switch; dropped");
         return;
     }
     // The Dispatch unit decodes the header and consults the jump
@@ -319,7 +310,7 @@ ActiveSwitch::tryStage(const net::Arrival &arrival)
         const std::uint64_t bit = 1ull << (hid & 63u);
         if (!(warnedHandlers_ & bit)) {
             warnedHandlers_ |= bit;
-            sim::warn(name(), sim_.now(), "no handler registered for id ",
+            sim_.warn(name(), "no handler registered for id ",
                       static_cast<int>(hid),
                       "; dropping its packets (warned once per id, "
                       "counted in droppedPackets)");
@@ -437,12 +428,12 @@ ActiveSwitch::runInstance(InstanceKey key, HandlerFn fn)
     if (crashSite_ != nullptr) {
         const std::string handler = std::to_string(key.first);
         unsigned crashes = 0;
-        while (crashes < plan_->recovery().maxFailovers &&
+        while (crashes < fault::maxFailovers &&
                crashSite_->hits(sim_.now(), handler)) {
             ++crashes;
             ++failovers_;
             Instance &inst = instances_.at(key);
-            sim::warn(name(), sim_.now(), "handler ",
+            sim_.warn(name(), "handler ",
                       static_cast<int>(key.first), " crashed on sp",
                       inst.cpuIndex, "; failing over (attempt ",
                       crashes, ")");
@@ -461,7 +452,7 @@ ActiveSwitch::runInstance(InstanceKey key, HandlerFn fn)
             inst.cpuIndex = (inst.cpuIndex + 1) % cpuCount();
             inst.ctx->cpuIndex_ = inst.cpuIndex;
             ++cpuLoad_[inst.cpuIndex];
-            co_await sim::Delay{plan_->recovery().failoverLatency};
+            co_await sim::Delay{fault::failoverLatency};
             if (auto *tr = sim_.tracer())
                 tr->asyncBegin(name() + ".sp" +
                                    std::to_string(inst.cpuIndex),

@@ -112,9 +112,6 @@ class HandlerContext
     /** Await the next chunk of this instance's input stream. */
     sim::ValueTask<StreamChunk> nextChunk();
 
-    /** Chunks queued right now (non-blocking peek at backlog). */
-    std::size_t pendingChunks();
-
     /**
      * Memory-mapped read of [offset, offset+len) of @p chunk:
      * stalls (idle) until the lines are valid. Valid-bit hardware:
@@ -312,7 +309,6 @@ class ActiveSwitch : public net::Switch
     /** Handler ids already warned about (one bit per 6-bit id). */
     std::uint64_t warnedHandlers_ = 0;
 
-    fault::FaultPlan *plan_ = nullptr;   //!< null: no faults, no cost
     fault::FaultSite *crashSite_ = nullptr;
     std::unique_ptr<fault::ReliableChannel> rel_;
     std::uint32_t messagesPosted_ = 0;

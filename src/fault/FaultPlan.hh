@@ -83,19 +83,18 @@ struct FaultEvent {
     std::string target;
 };
 
-/** Recovery-protocol tuning knobs (defaults fit the paper fabric). */
-struct RecoveryParams {
-    unsigned sendWindow = 64;           //!< unacked packets per flow
-    sim::Tick rtoInitial = sim::us(500); //!< first retransmit timeout
-    sim::Tick rtoMax = sim::ms(8);      //!< backoff cap
-    unsigned maxRetries = 16;           //!< per-flow timeout cap
-    unsigned maxFailovers = 3;          //!< handler relaunch attempts
-    sim::Tick failoverLatency = sim::us(50); //!< watchdog + relaunch
-    sim::Tick creditSyncDelay = sim::us(20); //!< lost-credit resync
-    sim::Tick diskSpikeDelay = sim::ms(30);  //!< media retry penalty
-    sim::Tick diskTimeout = sim::ms(25);     //!< request timeout
-    unsigned diskMaxRetries = 4;        //!< re-issues before error
-};
+/** @{ Recovery-protocol constants (they fit the paper fabric). */
+inline constexpr unsigned sendWindow = 64;    //!< unacked packets per flow
+inline constexpr unsigned maxRetries = 16;    //!< per-flow timeout cap
+inline constexpr unsigned maxFailovers = 3;   //!< handler relaunches
+inline constexpr unsigned diskMaxRetries = 4; //!< re-issues before error
+inline constexpr sim::Tick rtoInitial = sim::us(500);     //!< first RTO
+inline constexpr sim::Tick rtoMax = sim::ms(8);           //!< RTO cap
+inline constexpr sim::Tick failoverLatency = sim::us(50); //!< watchdog
+inline constexpr sim::Tick creditSyncDelay = sim::us(20); //!< credit resync
+inline constexpr sim::Tick diskSpikeDelay = sim::ms(30);  //!< media retry
+inline constexpr sim::Tick diskTimeout = sim::ms(25);     //!< request timeout
+/** @} */
 
 /**
  * One component's injection point for one fault kind, and the one
@@ -202,9 +201,6 @@ class FaultPlan
     /** Faults of one kind injected, summed over that kind's sites. */
     std::uint64_t injectedOf(FaultKind kind) const;
 
-    RecoveryParams &recovery() { return recovery_; }
-    const RecoveryParams &recovery() const { return recovery_; }
-
     /** One line per spec/event, for logs and reports. */
     std::string describe() const;
 
@@ -214,7 +210,6 @@ class FaultPlan
     std::uint64_t siteSeed(FaultKind kind, const std::string &name) const;
 
     std::uint64_t baseSeed_;
-    RecoveryParams recovery_{};
     std::vector<FaultSpec> specs_;
     std::vector<FaultEvent> events_;
     std::map<std::pair<unsigned, std::string>,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/Telemetry.hh"
-#include "sim/Log.hh"
 
 namespace san::fault {
 
@@ -28,7 +27,7 @@ ReliableChannel::send(net::Packet pkt)
         forward_(std::move(pkt));
         return;
     }
-    if (flow.window.size() >= params_.sendWindow) {
+    if (flow.window.size() >= sendWindow) {
         flow.backlog.push_back(std::move(pkt));
         return;
     }
@@ -135,8 +134,8 @@ ReliableChannel::onAck(net::NodeId from, std::uint32_t seq)
     if (!progressed)
         return;
     flow.retries = 0;
-    flow.rto = params_.rtoInitial;
-    while (flow.window.size() < params_.sendWindow &&
+    flow.rto = rtoInitial;
+    while (flow.window.size() < sendWindow &&
            !flow.backlog.empty()) {
         flow.window.push_back(flow.backlog.front());
         forward_(std::move(flow.backlog.front()));
@@ -183,7 +182,7 @@ void
 ReliableChannel::armTimer(net::NodeId dst, TxFlow &flow)
 {
     if (flow.rto == 0)
-        flow.rto = params_.rtoInitial;
+        flow.rto = rtoInitial;
     const std::uint64_t gen = ++flow.timerGen;
     sim_.events().after(flow.rto,
                         [this, dst, gen] { onTimer(dst, gen); });
@@ -201,13 +200,13 @@ ReliableChannel::onTimer(net::NodeId dst, std::uint64_t gen)
     ++timeouts_;
     instant("timeout");
     ++flow.retries;
-    if (flow.retries > params_.maxRetries) {
+    if (flow.retries > maxRetries) {
         // Give up so the simulation cannot wedge: drop the flow to
         // best-effort and count the abort loudly.
         ++aborts_;
         flow.dead = true;
-        sim::warn(name_, sim_.now(), "reliable flow to node ", dst,
-                  " aborted after ", params_.maxRetries, " timeouts");
+        sim_.warn(name_, "reliable flow to node ", dst,
+                  " aborted after ", maxRetries, " timeouts");
         for (const net::Packet &pkt : flow.window)
             forward_(pkt);
         while (!flow.backlog.empty()) {
@@ -218,7 +217,7 @@ ReliableChannel::onTimer(net::NodeId dst, std::uint64_t gen)
         return;
     }
     retransmitFrom(flow, flow.window.front().flowSeq);
-    flow.rto = std::min<sim::Tick>(flow.rto * 2, params_.rtoMax);
+    flow.rto = std::min<sim::Tick>(flow.rto * 2, rtoMax);
     armTimer(dst, flow);
 }
 

@@ -63,10 +63,9 @@ class ReliableChannel
     using Forward = std::function<void(net::Packet)>;
 
     ReliableChannel(sim::Simulation &sim, std::string name,
-                    net::NodeId self, const RecoveryParams &params,
-                    Forward forward)
+                    net::NodeId self, Forward forward)
         : sim_(sim), name_(std::move(name)), self_(self),
-          params_(params), forward_(std::move(forward))
+          forward_(std::move(forward))
     {}
 
     ReliableChannel(const ReliableChannel &) = delete;
@@ -135,7 +134,6 @@ class ReliableChannel
     sim::Simulation &sim_;
     std::string name_;
     net::NodeId self_;
-    RecoveryParams params_;
     Forward forward_;
 
     std::map<net::NodeId, TxFlow> tx_;

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <vector>
 
-#include "sim/Log.hh"
-
 namespace san::io {
 
 StorageNode::StorageNode(sim::Simulation &sim, net::Adapter &tca,
@@ -13,7 +11,6 @@ StorageNode::StorageNode(sim::Simulation &sim, net::Adapter &tca,
       disks_(params.disks, params.disk), bus_(params.scsi)
 {
     if (fault::FaultPlan *plan = sim.context().faults) {
-        plan_ = plan;
         spikeSite_ =
             plan->site(fault::FaultKind::DiskSpike, tca_.name());
         timeoutSite_ =
@@ -73,26 +70,23 @@ StorageNode::readChunkFaulted(std::uint64_t offset, std::uint32_t bytes,
                               bool *error)
 {
     sim::Tick off_platter = disks_.readChunk(offset, bytes, sim_.now());
-    if (plan_ == nullptr)
-        return off_platter;
-    const fault::RecoveryParams &rp = plan_->recovery();
     if (spikeSite_ != nullptr &&
         spikeSite_->hits(sim_.now(), tca_.name())) {
         // A media retry inside the drive: the data comes back, late.
         ++spikes_;
-        off_platter += rp.diskSpikeDelay;
+        off_platter += fault::diskSpikeDelay;
         if (auto *tr = sim_.tracer())
             tr->instant(tca_.name(), "disk-spike", sim_.now());
     }
     unsigned attempts = 0;
     while (timeoutSite_ != nullptr &&
            timeoutSite_->hits(sim_.now(), tca_.name())) {
-        if (attempts >= rp.diskMaxRetries) {
+        if (attempts >= fault::diskMaxRetries) {
             // Retry budget exhausted: complete the chunk with an
             // error status the requester observes.
             ++errors_;
             *error = true;
-            sim::warn(tca_.name(), sim_.now(), "chunk read at offset ",
+            sim_.warn(tca_.name(), "chunk read at offset ",
                       offset, " failed after ", attempts,
                       " retries; completing with error");
             break;
@@ -104,7 +98,7 @@ StorageNode::readChunkFaulted(std::uint64_t offset, std::uint32_t bytes,
         // The command timed out with no data; re-issue it after the
         // timeout window. Occupancy restarts from the timeout expiry.
         off_platter =
-            disks_.readChunk(offset, bytes, off_platter + rp.diskTimeout);
+            disks_.readChunk(offset, bytes, off_platter + fault::diskTimeout);
     }
     return off_platter;
 }

@@ -123,7 +123,6 @@ class StorageNode
     sim::Tick deviceBusy_ = 0;
     std::uint64_t filtered_ = 0;
 
-    fault::FaultPlan *plan_ = nullptr; //!< null: no faults, no cost
     fault::FaultSite *spikeSite_ = nullptr;
     fault::FaultSite *timeoutSite_ = nullptr;
     std::uint64_t retries_ = 0;

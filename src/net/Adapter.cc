@@ -18,11 +18,10 @@ Adapter::attach(Link &out, Link &in)
     in_ = &in;
     in.setSink(
         [this](Arrival &&arrival) { receive(std::move(arrival)); });
-    if (fault::FaultPlan *plan = sim_.context().faults) {
+    if (sim_.context().faults != nullptr)
         rel_ = std::make_unique<fault::ReliableChannel>(
-            sim_, name_, id_, plan->recovery(),
+            sim_, name_, id_,
             [this](Packet pkt) { out_->send(std::move(pkt)); });
-    }
 }
 
 void

@@ -23,7 +23,7 @@ namespace san::net {
 
 /**
  * A deterministic partition of a fabric's components into logical-
- * process shards for the parallel kernel (sim/Pdes.hh). Computed by
+ * process shards for the parallel kernel (sim/Simulation.hh). Computed by
  * Fabric::planShards from the topology alone — never from the
  * thread count — so the same build always yields the same cut, and
  * N-thread fingerprints are stable across N.

@@ -51,7 +51,6 @@ class Link
           credits_(params.credits)
     {
         if (fault::FaultPlan *plan = sim.context().faults) {
-            plan_ = plan;
             berSite_ = plan->site(fault::FaultKind::LinkBitError, name_);
             creditSite_ = plan->site(fault::FaultKind::CreditLoss, name_);
         }
@@ -154,7 +153,7 @@ class Link
             ++creditsLost_;
             if (auto *tr = sim_.tracer())
                 tr->instant(name_, "credit-loss", sim_.now());
-            sim_.events().after(plan_->recovery().creditSyncDelay,
+            sim_.events().after(fault::creditSyncDelay,
                                 [this] {
                                     ++credits_;
                                     pump();
@@ -330,7 +329,6 @@ class Link
     std::size_t srcShard_ = 0;
     std::size_t dstShard_ = 0;
 
-    fault::FaultPlan *plan_ = nullptr;    //!< null: no faults, no cost
     fault::FaultSite *berSite_ = nullptr;
     fault::FaultSite *creditSite_ = nullptr;
     std::uint64_t corrupted_ = 0;

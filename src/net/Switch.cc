@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sim/Log.hh"
-
 namespace san::net {
 
 Switch::Switch(sim::Simulation &sim, std::string name, NodeId id,
@@ -119,7 +117,7 @@ Switch::registerMetrics(obs::MetricsRegistry &m) const
 void
 Switch::deliverLocal(Arrival &&arrival)
 {
-    sim::warn(name_, sim_.now(), "dropping local packet from node ",
+    sim_.warn(name_, "dropping local packet from node ",
               arrival.pkt.src, " (non-active switch)");
 }
 

@@ -98,7 +98,7 @@ parsePolicySpec(std::string_view spec)
 // ---------------------------------------------------------------------
 
 QueueingPolicy::QueueingPolicy(Switch &sw)
-    : sw_(sw), fwdFrom_(sw.params().ports + 1)
+    : sw_(sw), fwdBytesFrom_(sw.params().ports + 1)
 {}
 
 unsigned
@@ -135,8 +135,7 @@ QueueingPolicy::forward(unsigned in_port, unsigned out_port, Packet &&pkt)
     Link *out = sw_.outLink(out_port);
     assert(out != nullptr && "routing to unwired port");
     ++counters_.forwarded;
-    fwdFrom_[in_port].cells += 1;
-    fwdFrom_[in_port].bytes += pkt.wireBytes();
+    fwdBytesFrom_[in_port] += pkt.wireBytes();
     if (pkt.telemetry) {
         // The single egress choke point for every policy: the hop
         // closes here. Passthrough ingress never stamped an
@@ -189,15 +188,9 @@ QueueingPolicy::portAttached(unsigned port)
 }
 
 std::uint64_t
-QueueingPolicy::forwardedFrom(unsigned in_port) const
-{
-    return fwdFrom_.at(in_port).cells;
-}
-
-std::uint64_t
 QueueingPolicy::forwardedBytesFrom(unsigned in_port) const
 {
-    return fwdFrom_.at(in_port).bytes;
+    return fwdBytesFrom_.at(in_port);
 }
 
 void

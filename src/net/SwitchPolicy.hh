@@ -185,8 +185,7 @@ class QueueingPolicy
 
     const SwitchPolicyCounters &counters() const { return counters_; }
 
-    /** Cells / wire bytes forwarded that arrived on @p in_port. */
-    std::uint64_t forwardedFrom(unsigned in_port) const;
+    /** Wire bytes forwarded that arrived on @p in_port. */
     std::uint64_t forwardedBytesFrom(unsigned in_port) const;
 
     /**
@@ -272,12 +271,8 @@ class QueueingPolicy
     SwitchPolicyCounters counters_;
 
   private:
-    struct Forwarded {
-        std::uint64_t cells = 0;
-        std::uint64_t bytes = 0; //!< wire bytes
-    };
-    std::vector<Forwarded> fwdFrom_;       //!< per input
-    std::function<void()> creditObserver_; //!< set on output links
+    std::vector<std::uint64_t> fwdBytesFrom_; //!< per input
+    std::function<void()> creditObserver_;    //!< set on output links
 };
 
 /** Build the policy object @p cfg describes, bound to @p sw. */

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "sim/Pdes.hh"
+#include "sim/Simulation.hh"
 
 namespace san::obs {
 
@@ -66,7 +66,7 @@ Telemetry::enableShards(std::size_t shards)
 std::size_t
 Telemetry::sliceIndex() const
 {
-    const std::size_t s = sim::pdes::currentShard();
+    const std::size_t s = sim::Simulation::currentShard();
     return s < slices_.size() ? s : 0;
 }
 

@@ -438,13 +438,6 @@ struct TelemetryStats {
                     [static_cast<std::size_t>(s)];
     }
 
-    const LatencyHistogram &
-    hopHist(FlowClass fc, std::size_t h, HopStage s) const
-    {
-        return hop[static_cast<std::size_t>(fc)][h]
-                  [static_cast<std::size_t>(s)];
-    }
-
     /** Call @p fn(name, histogram) on every populated stage
      * histogram, named "class.stage", in (class, stage) order. */
     template <typename Fn>

@@ -761,33 +761,6 @@ class BasicEventQueue
     }
 
     /**
-     * Run every event with tick <= @p limit, then advance time to
-     * @p limit — whether or not later events remain pending. The
-     * contract callers may rely on:
-     *
-     *  - on return, now() == max(now-at-entry, limit);
-     *  - every pending event is strictly later than @p limit;
-     *  - a limit already in the past (limit < now()) executes nothing
-     *    and leaves time unchanged;
-     *  - re-running at the same limit is idempotent.
-     *
-     * (Historically time only advanced to @p limit once the queue
-     * drained, so a caller sampling between windows saw now() stuck
-     * at the last executed event — see the runUntil contract tests.)
-     */
-    Tick
-    runUntil(Tick limit)
-    {
-        while (!sched_.empty() && sched_.minTick() <= limit)
-            step();
-        if (now_ < limit)
-            now_ = limit;
-        assert(sched_.minTick() > limit &&
-               "runUntil left an event at or before the limit");
-        return now_;
-    }
-
-    /**
      * Run every event with tick strictly below @p limit, leaving
      * events at or after @p limit pending and time at the last
      * executed event (NOT advanced to @p limit). This is the

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the run fingerprint: determinism, seed sensitivity, and
- * independence from how the run is sliced into runUntil() windows.
+ * independence from how the run is sliced into runUntilBefore()
+ * windows.
  */
 
 #include <gtest/gtest.h>
@@ -69,14 +70,14 @@ TEST(RunFingerprint, StableAcrossRunUntilSlicing)
         const auto sliced =
             fingerprintLoad(7, [step](EventQueue &q) {
                 for (Tick t = step; !q.empty(); t += step)
-                    q.runUntil(t);
+                    q.runUntilBefore(t);
             });
         EXPECT_EQ(whole.value(), sliced.value()) << "step " << step;
     }
-    // Mixing runUntil() with a final run() is also equivalent.
+    // Mixing runUntilBefore() with a final run() is also equivalent.
     const auto mixed = fingerprintLoad(7, [](EventQueue &q) {
-        q.runUntil(300'000);
-        q.runUntil(300'000); // idempotent re-run at same limit
+        q.runUntilBefore(300'000);
+        q.runUntilBefore(300'000); // idempotent re-run at same limit
         q.run();
     });
     EXPECT_EQ(whole.value(), mixed.value());

@@ -85,55 +85,63 @@ TEST(EventQueue, CallbackMaySchedule)
     EXPECT_EQ(depth, 3);
 }
 
-TEST(EventQueue, RunUntilStopsAtLimit)
+TEST(EventQueue, RunUntilBeforeStopsAtLimit)
 {
     EventQueue q;
     int count = 0;
     for (int i = 1; i <= 10; ++i)
         q.schedule(ns(i * 10), [&] { ++count; });
-    q.runUntil(ns(50));
-    EXPECT_EQ(count, 5);
-    EXPECT_EQ(q.now(), ns(50));
+    q.runUntilBefore(ns(50));
+    EXPECT_EQ(count, 4);
+    EXPECT_EQ(q.now(), ns(40));
     q.run();
     EXPECT_EQ(count, 10);
 }
 
-TEST(EventQueue, RunUntilAdvancesTimeWhenDrained)
+TEST(EventQueue, RunUntilBeforeKeepsTimeWhenDrained)
 {
+    // Draining the queue leaves the clock at the last event, not at
+    // the limit; an empty queue's clock does not move at all.
     EventQueue q;
-    q.runUntil(ns(123));
-    EXPECT_EQ(q.now(), ns(123));
+    q.runUntilBefore(ns(123));
+    EXPECT_EQ(q.now(), 0u);
+    q.schedule(ns(7), [] {});
+    q.runUntilBefore(ns(123));
+    EXPECT_EQ(q.now(), ns(7));
 }
 
-TEST(EventQueue, RunUntilIncludesEventsExactlyAtLimit)
+TEST(EventQueue, RunUntilBeforeExcludesEventsExactlyAtLimit)
 {
-    // The window is inclusive: an event scheduled exactly at the
-    // limit executes in this pass, not the next one.
+    // The window is exclusive: an event scheduled exactly at the
+    // limit waits for the next pass.
     EventQueue q;
     int fired = 0;
+    q.schedule(ns(49), [&] { ++fired; });
     q.schedule(ns(50), [&] { ++fired; });
-    q.schedule(ns(51), [&] { ++fired; });
-    q.runUntil(ns(50));
+    q.runUntilBefore(ns(50));
     EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.now(), ns(50));
-    EXPECT_EQ(q.nextEventTick(), ns(51));
+    EXPECT_EQ(q.now(), ns(49));
+    EXPECT_EQ(q.nextEventTick(), ns(50));
     q.run();
     EXPECT_EQ(fired, 2);
 }
 
-TEST(EventQueue, RunUntilRunsCallbackScheduledAtNow)
+TEST(EventQueue, RunUntilBeforeRunsCallbackScheduledAtNow)
 {
-    // A callback at the limit that schedules another event at the
-    // same tick keeps the pass going until that tick is exhausted.
+    // A callback below the limit that schedules another event at the
+    // same tick keeps the pass going until that tick is exhausted; an
+    // event it schedules at the limit waits.
     EventQueue q;
     std::vector<int> order;
     q.schedule(ns(10), [&] {
         order.push_back(1);
         q.schedule(q.now(), [&] { order.push_back(2); });
+        q.schedule(ns(11), [&] { order.push_back(3); });
     });
-    q.runUntil(ns(10));
+    q.runUntilBefore(ns(11));
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.now(), ns(10));
+    EXPECT_EQ(q.nextEventTick(), ns(11));
 }
 
 TEST(EventQueue, MidStepSchedulingPreservesTickSeqOrder)
@@ -190,21 +198,26 @@ TEST(EventQueue, MidStepSchedulingOrderIsDeterministicUnderChurn)
     EXPECT_EQ(first.size(), 16u + 6u + 4u);
 }
 
-TEST(EventQueue, RunUntilAdvancesToLimitPastPendingFutureEvents)
+TEST(EventQueue, RunUntilBeforeLeavesTimeBehindPendingFutureEvents)
 {
-    // Contract: runUntil(limit) always leaves now() == limit when the
-    // next pending event is later — the caller (e.g. the interval
-    // sampler) may treat the whole window as elapsed.
+    // Contract: runUntilBefore(limit) never moves now() past the last
+    // executed event, so an event the sharded kernel delivers later,
+    // below the limit, is not in the past and runs at its own tick.
     EventQueue q;
     int fired = 0;
     q.schedule(ns(100), [&] { ++fired; });
-    q.runUntil(ns(40));
+    q.runUntilBefore(ns(40));
     EXPECT_EQ(fired, 0);
-    EXPECT_EQ(q.now(), ns(40));
+    EXPECT_EQ(q.now(), 0u);
     EXPECT_EQ(q.nextEventTick(), ns(100));
+    Tick seen = 0;
+    q.schedule(ns(30), [&] { seen = q.now(); });
+    q.run();
+    EXPECT_EQ(seen, ns(30));
+    EXPECT_EQ(fired, 1);
 }
 
-TEST(EventQueue, RunUntilInThePastIsANoOp)
+TEST(EventQueue, RunUntilBeforeInThePastIsANoOp)
 {
     // Contract: a limit at or before now() neither runs events nor
     // rewinds the clock; calling twice with the same limit is
@@ -212,13 +225,14 @@ TEST(EventQueue, RunUntilInThePastIsANoOp)
     EventQueue q;
     int fired = 0;
     q.schedule(ns(50), [&] { ++fired; });
-    q.runUntil(ns(50));
+    q.runUntilBefore(ns(51));
     EXPECT_EQ(fired, 1);
+    EXPECT_EQ(q.now(), ns(50));
     q.schedule(ns(80), [&] { ++fired; });
-    q.runUntil(ns(20)); // in the past
+    q.runUntilBefore(ns(20)); // in the past
     EXPECT_EQ(q.now(), ns(50));
     EXPECT_EQ(fired, 1);
-    q.runUntil(ns(50)); // idempotent at the current tick
+    q.runUntilBefore(ns(51)); // idempotent at the same limit
     EXPECT_EQ(q.now(), ns(50));
     EXPECT_EQ(fired, 1);
     q.run();
@@ -231,12 +245,12 @@ TEST(EventQueue, ExecutedEventsCountsAcrossDrainedQueue)
     EXPECT_EQ(q.executedEvents(), 0u);
     for (int i = 0; i < 5; ++i)
         q.schedule(ns(i), [] {});
-    q.runUntil(ns(2));
+    q.runUntilBefore(ns(3));
     EXPECT_EQ(q.executedEvents(), 3u); // ticks 0, 1, 2
     q.run();
     EXPECT_EQ(q.executedEvents(), 5u);
     // Draining past the end of the load must not change the count.
-    q.runUntil(ns(1000));
+    q.runUntilBefore(ns(1000));
     EXPECT_FALSE(q.step());
     EXPECT_EQ(q.executedEvents(), 5u);
     // New work after a drain keeps accumulating.
@@ -337,23 +351,24 @@ TEST(LadderEventQueue, PastSchedulingClampsAfterWindowAdvance)
     EXPECT_EQ(seen, far);
 }
 
-TEST(LadderEventQueue, RunUntilLandsInsideBucketSpan)
+TEST(LadderEventQueue, RunUntilBeforeLandsInsideBucketSpan)
 {
-    // runUntil with a limit strictly inside a bucket's span must
-    // split that bucket: events at or before the limit execute,
-    // later same-bucket events stay pending.
+    // runUntilBefore with a limit strictly inside a bucket's span
+    // must split that bucket: events below the limit execute; events
+    // at it, and later same-bucket events, stay pending.
     EventQueue q;
     int fired = 0;
     const Tick width = q.scheduler().bucketWidth();
     const Tick base = 2 * width;
     q.schedule(base + 10, [&] { ++fired; });
+    q.schedule(base + 20, [&] { ++fired; });
     q.schedule(base + 30, [&] { ++fired; });
-    q.runUntil(base + 20);
+    q.runUntilBefore(base + 20);
     EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.now(), base + 20);
-    EXPECT_EQ(q.nextEventTick(), base + 30);
+    EXPECT_EQ(q.now(), base + 10);
+    EXPECT_EQ(q.nextEventTick(), base + 20);
     q.run();
-    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(fired, 3);
 }
 
 TEST(LadderEventQueue, FarFutureSpillRefillsInOrder)

@@ -5,7 +5,7 @@
  *
  * The same seeded random schedule — self-rescheduling callbacks,
  * same-tick wakeups (postNow), short-horizon churn, far-future jumps,
- * and runUntil slices that land mid-bucket — is replayed through
+ * and runUntilBefore slices that land mid-bucket — is replayed through
  * HeapEventQueue (the PR 4 kernel, kept as the oracle) and EventQueue
  * (the ladder). Every executed event logs (tick, spawn-id); the two
  * logs must match element for element. Any ordering divergence —
@@ -50,7 +50,7 @@ class Driver
         Tick limit = 0;
         for (int s = 0; s < 40; ++s) {
             limit += rng_.below(us(200)) + 1;
-            q_.runUntil(limit);
+            q_.runUntilBefore(limit);
             log_.emplace_back(q_.now(), -1); // window boundary marker
         }
         q_.run();

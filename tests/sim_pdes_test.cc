@@ -26,6 +26,9 @@
  *  - Shard context: outside a worker or ShardGuard, a one-shard
  *    simulation resolves to shard 0 and a multi-shard one throws.
  *  - Events at maxTick run, with one shard or several.
+ *  - Warnings: a multi-shard run prints them when it ends, in shard
+ *    order, the same at every worker count and also when the run
+ *    fails; a one-shard run prints them as they happen.
  *  - Round loop: same-stamp messages run in (source shard, post
  *    order) order, a message reaches a shard with nothing else to
  *    do, a second run sees work scheduled after the first, mail
@@ -715,6 +718,78 @@ TEST(ShardContext, RunExecutesEventsAtMaxTick)
     }
     EXPECT_EQ(two.runSharded(2), sim::maxTick);
     EXPECT_EQ(ran, 2);
+}
+
+// ---------------------------------------------------------------
+// Warnings. Every shard warns at tick 5 and shard 0 again at tick 100,
+// a later round, so execution order and shard order differ.
+// ---------------------------------------------------------------
+
+sim::Task
+warnFrom(sim::Simulation &sim, std::size_t shard, bool again)
+{
+    const std::string component = "shard" + std::to_string(shard);
+    co_await sim::Delay{5};
+    sim.warn(component, "first");
+    if (!again)
+        co_return;
+    co_await sim::Delay{95};
+    sim.warn(component, "second");
+}
+
+/** Spawn warnFrom for shards 3, 1, 0 and 2, on their own shards of a
+ *  4-shard simulation or all on a one-shard one; run on @p workers
+ *  workers and return what the run printed on stderr. */
+std::string
+warningsOf(std::size_t shards, std::size_t workers)
+{
+    sim::Simulation sim;
+    if (shards > 1)
+        sim.enableSharding(shards, 10);
+    for (const std::size_t s : {3, 1, 0, 2}) {
+        sim::ShardGuard guard(sim, shards > 1 ? s : 0);
+        sim.spawn(warnFrom(sim, s, s == 0));
+    }
+    testing::internal::CaptureStderr();
+    sim.runSharded(workers);
+    return testing::internal::GetCapturedStderr();
+}
+
+TEST(ShardWarnings, MultiShardRunPrintsThemInShardOrder)
+{
+    const std::string expected = "[warn] t=5ps shard0: first\n"
+                                 "[warn] t=100ps shard0: second\n"
+                                 "[warn] t=5ps shard1: first\n"
+                                 "[warn] t=5ps shard2: first\n"
+                                 "[warn] t=5ps shard3: first\n";
+    for (const std::size_t workers : {1, 2, 4})
+        for (int repeat = 0; repeat < 5; ++repeat)
+            EXPECT_EQ(warningsOf(4, workers), expected)
+                << workers << " workers, repeat " << repeat;
+}
+
+TEST(ShardWarnings, RunEndingInAnErrorStillPrintsThem)
+{
+    sim::Simulation sim;
+    sim.enableSharding(2, 10);
+    {
+        sim::ShardGuard guard(sim, 1);
+        sim.spawn(warnFrom(sim, 1, false));
+        sim.events().schedule(50, [] { throw std::runtime_error("boom"); });
+    }
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(sim.runSharded(2), std::runtime_error);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "[warn] t=5ps shard1: first\n");
+}
+
+TEST(ShardWarnings, OneShardRunPrintsThemInExecutionOrder)
+{
+    EXPECT_EQ(warningsOf(1, 1), "[warn] t=5ps shard3: first\n"
+                                "[warn] t=5ps shard1: first\n"
+                                "[warn] t=5ps shard0: first\n"
+                                "[warn] t=5ps shard2: first\n"
+                                "[warn] t=100ps shard0: second\n");
 }
 
 // ---------------------------------------------------------------
