@@ -8,6 +8,7 @@
 #include <cstdint>
 
 #include "CountingNew.hh"
+#include "MemReference.hh"
 #include "mem/LruSet.hh"
 #include "mem/MemorySystem.hh"
 #include "sim/Random.hh"
@@ -18,6 +19,7 @@ using namespace san::mem;
 using namespace san::sim;
 using san::test::allocatedBytes;
 using san::test::allocations;
+using san::test::RefMemorySystem;
 
 TEST(MemorySystem, PresetGeometriesMatchPaper)
 {
@@ -195,6 +197,89 @@ TEST(MemoryFootprint, LruSetGrowsWithTheKeysItHolds)
     EXPECT_LT(allocatedBytes - before, 4096u);
     for (std::uint64_t k = 0; k < 16; ++k)
         EXPECT_TRUE(lru.touch(k * 4096));
+}
+
+/**
+ * Differential oracle for the composed hierarchy: MemorySystem and
+ * RefMemorySystem (tests/MemReference.hh), which steps lines, pages
+ * and banks with `/` and `%`, take the same seeded calls at advancing
+ * ticks. Each call is an instruction fetch or a load, store or
+ * prefetch of 1 B to 8 KB, half of them into a hot 24 KB region and
+ * half anywhere in 16 MB, so they cross lines and pages, walk, fill
+ * from L2 and DRAM, write back and overlap. The ticks sometimes
+ * advance less than the last stall, so the DRAM channel is still
+ * busy. Every stall must match, and at the end every counter of both
+ * L1s, the L2, both TLBs and the RDRAM.
+ */
+TEST(MemorySystemOracle, MatchesReferenceCallForCall)
+{
+    constexpr int calls = 20000;
+    constexpr Addr codeBase = 0x400000, hotBase = 0x10000000,
+                   dataBase = 0x20000000;
+    for (const MemorySystemParams &params :
+         {hostMemoryParams(), scaledHostMemoryParams(),
+          switchMemoryParams()}) {
+        SCOPED_TRACE(params.name);
+        MemorySystem model(params);
+        RefMemorySystem ref(params);
+        Random rng(params.l1d.size + params.l1i.lineSize);
+        Tick now = 0;
+        for (int i = 0; i < calls; ++i) {
+            const std::uint64_t bytes =
+                1 + rng.below(rng.chance(0.5) ? 256 : 8192);
+            const std::uint64_t op = rng.below(4);
+            Tick got = 0, want = 0;
+            Addr a = 0;
+            if (op == 3) {
+                a = codeBase + rng.below(256 * 1024);
+                got = model.instFetch(a, bytes, now);
+                want = ref.instFetch(a, bytes, now);
+            } else {
+                const auto kind = static_cast<AccessKind>(op);
+                a = rng.chance(0.5) ? hotBase + rng.below(24 * 1024)
+                                    : dataBase + rng.below(16 * MiB);
+                got = model.dataAccess(a, bytes, kind, now);
+                want = ref.dataAccess(a, bytes, kind, now);
+            }
+            if (got != want) {
+                ADD_FAILURE() << "call " << i << " op " << op << " addr "
+                              << a << " bytes " << bytes << ": stall "
+                              << got << "/" << want;
+                return;
+            }
+            now += rng.below(2 * got + ns(50));
+        }
+        const auto sameCache = [](const char *name, Cache &c,
+                                  const san::test::RefCache &r) {
+            SCOPED_TRACE(name);
+            EXPECT_EQ(c.hits(), r.hits_);
+            EXPECT_EQ(c.misses(), r.misses_);
+            EXPECT_EQ(c.coldMisses(), r.cold_);
+            EXPECT_EQ(c.capacityMisses(), r.capacity_);
+            EXPECT_EQ(c.conflictMisses(), r.conflict_);
+            EXPECT_EQ(c.writebacks(), r.writebacks_);
+        };
+        sameCache("l1i", model.l1i(), ref.l1i_);
+        sameCache("l1d", model.l1d(), ref.l1d_);
+        ASSERT_EQ(model.l2() != nullptr, ref.l2_.has_value());
+        if (model.l2())
+            sameCache("l2", *model.l2(), *ref.l2_);
+        EXPECT_EQ(model.itlb().hits(), ref.itlb_.hits_);
+        EXPECT_EQ(model.itlb().misses(), ref.itlb_.misses_);
+        EXPECT_EQ(model.dtlb().hits(), ref.dtlb_.hits_);
+        EXPECT_EQ(model.dtlb().misses(), ref.dtlb_.misses_);
+        EXPECT_EQ(model.dram().pageHits(), ref.dram_.pageHits_);
+        EXPECT_EQ(model.dram().pageMisses(), ref.dram_.pageMisses_);
+        EXPECT_EQ(model.dram().bytesTransferred(),
+                  ref.dram_.bytesTransferred_);
+        EXPECT_EQ(model.stallTicks(), ref.stall_);
+        // The calls reached every path the oracle is for.
+        EXPECT_GT(model.l1d().writebacks(), 0u);
+        EXPECT_GT(model.dram().pageHits(), 0u);
+        EXPECT_GT(model.dram().pageMisses(), 0u);
+        EXPECT_GT(model.dtlb().misses(), 0u);
+        EXPECT_GT(model.itlb().misses(), 0u);
+    }
 }
 
 TEST(MemorySystem, StallTicksAccumulate)
