@@ -1,7 +1,5 @@
 #include "mem/MemorySystem.hh"
 
-#include <algorithm>
-
 namespace san::mem {
 
 MemorySystemParams
@@ -39,6 +37,11 @@ switchMemoryParams()
 
 MemorySystem::MemorySystem(const MemorySystemParams &params)
     : params_(params),
+      dLineShift_(log2Exact(params.l1d.lineSize, params.name, "l1d.lineSize")),
+      iLineShift_(log2Exact(params.l1i.lineSize, params.name, "l1i.lineSize")),
+      pageShift_(log2Exact(params.pageSize, params.name, "pageSize")),
+      overlapShift_(log2Exact(params.overlapDepth, params.name,
+                              "overlapDepth")),
       l1i_(params.l1i),
       l1d_(params.l1d),
       itlb_(params.tlbEntries, params.pageSize),
@@ -75,7 +78,7 @@ MemorySystem::walk(Addr vaddr, sim::Tick now)
 {
     // Model the fill as one dependent load of a page-table entry at a
     // synthetic physical address derived from the page number.
-    const Addr pte = 0x7000000000ull + (vaddr / params_.pageSize) * 8;
+    const Addr pte = 0x7000000000ull + (vaddr >> pageShift_) * 8;
     sim::Tick lat = params_.tlbWalkOverhead;
     auto res = l1d_.access(pte, false);
     if (!res.hit)
@@ -91,16 +94,16 @@ MemorySystem::dataAccess(Addr addr, std::uint64_t bytes, AccessKind kind,
         return 0;
 
     const unsigned line = params_.l1d.lineSize;
-    const Addr first = addr / line;
-    const Addr last = (addr + bytes - 1) / line;
-    const unsigned depth =
-        kind == AccessKind::Load ? 1 : std::max(1u, params_.overlapDepth);
+    const Addr first = addr >> dLineShift_;
+    const Addr last = (addr + bytes - 1) >> dLineShift_;
+    const unsigned depth_shift =
+        kind == AccessKind::Load ? 0 : overlapShift_;
 
     sim::Tick stall = 0;
     Addr prev_page = ~Addr(0);
     for (Addr la = first; la <= last; ++la) {
-        const Addr byte_addr = la * line;
-        const Addr page = byte_addr / params_.pageSize;
+        const Addr byte_addr = la << dLineShift_;
+        const Addr page = byte_addr >> pageShift_;
         if (page != prev_page) {
             prev_page = page;
             if (!dtlb_.access(byte_addr))
@@ -114,9 +117,9 @@ MemorySystem::dataAccess(Addr addr, std::uint64_t bytes, AccessKind kind,
         const sim::Tick lat = fillLatency(
             byte_addr, kind == AccessKind::Store, now + stall, l1d_);
         // Loads stall for the full latency; stores and prefetches
-        // overlap up to `depth` outstanding line misses, so on
-        // average each contributes 1/depth of its latency.
-        stall += lat / depth;
+        // overlap up to overlapDepth outstanding line misses, so on
+        // average each contributes 1/overlapDepth of its latency.
+        stall += lat >> depth_shift;
     }
     stall_ += stall;
     return stall;
@@ -127,14 +130,13 @@ MemorySystem::instFetch(Addr pc, std::uint64_t bytes, sim::Tick now)
 {
     if (bytes == 0)
         return 0;
-    const unsigned line = params_.l1i.lineSize;
-    const Addr first = pc / line;
-    const Addr last = (pc + bytes - 1) / line;
+    const Addr first = pc >> iLineShift_;
+    const Addr last = (pc + bytes - 1) >> iLineShift_;
     sim::Tick stall = 0;
     Addr prev_page = ~Addr(0);
     for (Addr la = first; la <= last; ++la) {
-        const Addr byte_addr = la * line;
-        const Addr page = byte_addr / params_.pageSize;
+        const Addr byte_addr = la << iLineShift_;
+        const Addr page = byte_addr >> pageShift_;
         if (page != prev_page) {
             prev_page = page;
             if (!itlb_.access(byte_addr))

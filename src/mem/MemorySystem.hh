@@ -39,6 +39,7 @@ struct MemorySystemParams {
     /**
      * Load/store misses to up to this many distinct lines overlap
      * (the paper: stores/prefetches don't stall until 4 outstanding).
+     * A power of two.
      */
     unsigned overlapDepth = 4;
     RdramParams dram;
@@ -69,6 +70,11 @@ MemorySystemParams switchMemoryParams();
 class MemorySystem
 {
   public:
+    /**
+     * @throws std::invalid_argument if a model's geometry is one a
+     * shift cannot step by (see Cache, Tlb and Rdram), or pageSize or
+     * overlapDepth is not a power of two.
+     */
     explicit MemorySystem(const MemorySystemParams &params);
 
     /**
@@ -103,6 +109,9 @@ class MemorySystem
     sim::Tick walk(Addr vaddr, sim::Tick now);
 
     MemorySystemParams params_;
+    /** log2 of the L1D and L1I line sizes, the page size and the
+     * overlap depth. */
+    unsigned dLineShift_, iLineShift_, pageShift_, overlapShift_;
     Cache l1i_, l1d_;
     std::optional<Cache> l2_;
     Tlb itlb_, dtlb_;

@@ -44,17 +44,21 @@ struct DramAccess {
 class Rdram
 {
   public:
+    /** @throws std::invalid_argument unless pageBytes and banks are
+     * powers of two. */
     explicit Rdram(const RdramParams &params = {})
         : params_(params),
-          psPerByte_(sim::bytesPerSec(params.bandwidthBytesPerSec))
+          psPerByte_(sim::bytesPerSec(params.bandwidthBytesPerSec)),
+          pageShift_(log2Exact(params.pageBytes, "rdram", "pageBytes")),
+          bankMask_((1u << log2Exact(params.banks, "rdram", "banks")) - 1)
     {}
 
     /** Access @p bytes at @p addr starting no earlier than @p now. */
     DramAccess
     access(Addr addr, unsigned bytes, sim::Tick now)
     {
-        const std::uint64_t page = addr / params_.pageBytes;
-        const unsigned bank = page % params_.banks;
+        const std::uint64_t page = addr >> pageShift_;
+        const unsigned bank = page & bankMask_;
         if (openPage_.empty())
             openPage_.assign(params_.banks, noPage);
         const bool hit = openPage_[bank] == page;
@@ -80,6 +84,8 @@ class Rdram
 
     RdramParams params_;
     sim::PsPerByte psPerByte_;
+    unsigned pageShift_;
+    unsigned bankMask_;
     /** Open page per bank, taken on the first access. */
     std::vector<std::uint64_t> openPage_;
     sim::Tick channelFree_ = 0;

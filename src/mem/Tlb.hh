@@ -18,15 +18,19 @@ namespace san::mem {
 class Tlb
 {
   public:
+    /** @throws std::invalid_argument unless @p page_size is a power
+     * of two. */
     Tlb(unsigned entries, unsigned page_size)
-        : pageSize_(page_size), lru_(entries)
+        : pageSize_(page_size),
+          pageShift_(log2Exact(page_size, "tlb", "page size")),
+          lru_(entries)
     {}
 
     /** @retval true the page was resident (TLB hit). */
     bool
     access(Addr addr)
     {
-        const bool hit = lru_.touch(addr / pageSize_);
+        const bool hit = lru_.touch(addr >> pageShift_);
         hit ? ++hits_ : ++misses_;
         return hit;
     }
@@ -40,6 +44,7 @@ class Tlb
 
   private:
     unsigned pageSize_;
+    unsigned pageShift_;
     LruSet lru_;
     std::uint64_t hits_ = 0, misses_ = 0;
 };
