@@ -35,6 +35,12 @@ struct PolicyLabRun {
     std::uint64_t maxGrantWait = 0; //!< arbitration rounds
 };
 
+/** The patterns each lab report covers, in report order. */
+inline constexpr net::TrafficParams::Pattern policyLabPatterns[] = {
+    net::TrafficParams::Pattern::PermutationHotspot,
+    net::TrafficParams::Pattern::Incast,
+};
+
 inline const char *
 patternName(net::TrafficParams::Pattern p)
 {

@@ -61,6 +61,7 @@
 #include "net/Topology.hh"
 #include "net/Traffic.hh"
 #include "obs/Fingerprint.hh"
+#include "obs/Json.hh"
 #include "sim/Simulation.hh"
 
 namespace {
@@ -393,6 +394,16 @@ runPattern(const sim::RunContext &context, const Shape &shape,
     return r;
 }
 
+/** A fingerprint as the report prints it: "0x" and lowercase hex. */
+std::string
+hex(std::uint64_t v)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "0x%llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
 /** Route-lookup scaling micro: ns/lookup at 1 K vs 16 K entries. */
 struct LookupMicro {
     double nsSmall = 0.0;
@@ -501,55 +512,49 @@ main(int argc, char **argv)
         TrafficParams::Pattern::GroupLocal};
 
     bool gateFailed = false;
-    std::printf("{\n  \"schema\": \"san-fabric-scale-v1\",\n"
-                "  \"quick\": %s,\n  \"threads\": %u,\n"
-                "  \"messages_per_sender\": %u,\n"
-                "  \"message_bytes\": %u,\n  \"filter_divisor\": %u,\n"
-                "  \"route_lookup\": {\"entries_small\": 1024, "
-                "\"entries_big\": 16384, \"ns_small\": %.3f, "
-                "\"ns_big\": %.3f, \"ratio\": %.3f},\n"
-                "  \"topologies\": {\n",
-                opts.quick ? "true" : "false", s.threads, s.messages,
-                s.messageBytes, kFilterDivisor, micro.nsSmall,
-                micro.nsBig, micro.ratio);
+    obs::JsonWriter json(std::cout);
+    json.beginObject().kv("schema", "san-fabric-scale-v1")
+        .kv("quick", opts.quick)
+        .kv("threads", s.threads)
+        .kv("messages_per_sender", s.messages)
+        .kv("message_bytes", s.messageBytes)
+        .kv("filter_divisor", kFilterDivisor)
+        .key("route_lookup").beginObject()
+        .kv("entries_small", 1024)
+        .kv("entries_big", 16384)
+        .kv("ns_small", micro.nsSmall)
+        .kv("ns_big", micro.nsBig)
+        .kv("ratio", micro.ratio)
+        .endObject()
+        .key("topologies").beginObject();
 
-    for (std::size_t si = 0; si < shapes.size(); ++si) {
-        const Shape &shape = shapes[si];
+    for (const Shape &shape : shapes) {
+        const std::size_t nHosts = shape.fatTree
+                                       ? fatTreeHostCount(shape.k)
+                                       : dragonflyHostCount(shape.df);
+        const std::size_t nSwitches =
+            shape.fatTree ? fatTreeSwitchCount(shape.k)
+                          : dragonflySwitchCount(shape.df);
+        json.key(shape.name).beginObject()
+            .kv("hosts", nHosts)
+            .kv("switches", nSwitches)
+            .kv("links", shape.fatTree ? fatTreeLinkCount(shape.k)
+                                       : dragonflyLinkCount(shape.df))
+            .kv("groups", shape.fatTree ? shape.k
+                                        : dragonflyGroupCount(shape.df))
+            .key("patterns").beginObject();
 
-        // Shape facts from one throwaway build.
-        std::size_t nHosts, nSwitches, nLinks;
-        unsigned nGroups;
-        {
-            sim::Simulation sim;
-            Fabric fabric(sim);
-            const Topology t =
-                shape.fatTree
-                    ? buildFatTree(fabric, FatTreeParams{shape.k})
-                    : buildDragonfly(fabric, shape.df);
-            nHosts = t.hosts.size();
-            nSwitches = t.switchCount();
-            nLinks = fabric.links().size();
-            nGroups = t.groups;
+        for (const auto p : kPatterns) {
+            const PatternResult pr = pattern(shape, p, 1, nullptr);
+            json.key(patternKey(p)).beginObject()
+                .kv("delivered", pr.delivered)
+                .kv("agg_gbps", pr.aggGBps)
+                .kv("lat_mean_ns", pr.latMeanNs)
+                .kv("lat_max_ns", pr.latMaxNs)
+                .kv("inter_group_frac", pr.interFrac)
+                .endObject();
         }
-        std::printf("    \"%s\": {\n      \"hosts\": %zu, "
-                    "\"switches\": %zu, \"links\": %zu, "
-                    "\"groups\": %u,\n      \"patterns\": {\n",
-                    shape.name, nHosts, nSwitches, nLinks, nGroups);
-
-        for (std::size_t pi = 0; pi < 3; ++pi) {
-            const PatternResult pr =
-                pattern(shape, kPatterns[pi], 1, nullptr);
-            std::printf(
-                "        \"%s\": {\"delivered\": %llu, "
-                "\"agg_gbps\": %.4f, \"lat_mean_ns\": %.1f, "
-                "\"lat_max_ns\": %.1f, \"inter_group_frac\": "
-                "%.4f}%s\n",
-                patternKey(kPatterns[pi]),
-                static_cast<unsigned long long>(pr.delivered),
-                pr.aggGBps, pr.latMeanNs, pr.latMaxNs, pr.interFrac,
-                pi + 1 < 3 ? "," : "");
-        }
-        std::printf("      },\n      \"placements\": {\n");
+        json.endObject().key("placements").beginObject();
 
         std::fprintf(stderr,
                      "== %s: %zu hosts, %zu switches ==\n"
@@ -559,8 +564,7 @@ main(int argc, char **argv)
                      "chunks", "stalls", "e2e p99 ns");
 
         double normalGBps = 0.0, edgeGBps = 0.0;
-        for (std::size_t pi = 0; pi < 4; ++pi) {
-            const Placement pl = kPlacements[pi];
+        for (const Placement pl : kPlacements) {
             const std::string label =
                 std::string(shape.name) + "/" + placementName(pl);
             const auto run = bench.run(
@@ -573,24 +577,18 @@ main(int argc, char **argv)
                 normalGBps = pr.sourceGBps;
             if (pl == Placement::Edge)
                 edgeGBps = pr.sourceGBps;
-            std::printf(
-                "        \"%s\": {\"collector_msgs\": %llu, "
-                "\"collector_bytes\": %llu, \"makespan_us\": %.3f, "
-                "\"source_gbps\": %.4f, \"handler_chunks\": %llu, "
-                "\"dispatch_stalls\": %llu, \"e2e_p99_ns\": %llu, "
-                "\"events\": %llu, \"wall_ms\": %.3f, "
-                "\"fingerprint\": \"0x%llx\"}%s\n",
-                placementName(pl),
-                static_cast<unsigned long long>(pr.collectorMsgs),
-                static_cast<unsigned long long>(pr.collectorBytes),
-                pr.makespanUs, pr.sourceGBps,
-                static_cast<unsigned long long>(pr.handlerChunks),
-                static_cast<unsigned long long>(pr.dispatchStalls),
-                static_cast<unsigned long long>(pr.e2eP99Ns),
-                static_cast<unsigned long long>(pr.events),
-                run.time.wallMs,
-                static_cast<unsigned long long>(pr.fingerprint),
-                pi + 1 < 4 ? "," : "");
+            json.key(placementName(pl)).beginObject()
+                .kv("collector_msgs", pr.collectorMsgs)
+                .kv("collector_bytes", pr.collectorBytes)
+                .kv("makespan_us", pr.makespanUs)
+                .kv("source_gbps", pr.sourceGBps)
+                .kv("handler_chunks", pr.handlerChunks)
+                .kv("dispatch_stalls", pr.dispatchStalls)
+                .kv("e2e_p99_ns", pr.e2eP99Ns)
+                .kv("events", pr.events)
+                .kv("wall_ms", run.time.wallMs)
+                .kv("fingerprint", hex(pr.fingerprint))
+                .endObject();
             std::fprintf(stderr,
                          "%-8s %10llu %12.3f %12.4f %10llu %10llu "
                          "%12llu\n",
@@ -628,19 +626,18 @@ main(int argc, char **argv)
 
         // Seed sweep: every seed twice on the uniform pattern; the
         // two fingerprints must agree bit for bit.
+        json.endObject()
+            .kv("edge_speedup", edgeSpeedup)
+            .key("seed_fingerprints")
+            .beginArray();
         bool stable = true;
-        std::string seedList;
         for (unsigned seed = 1; seed <= s.seeds; ++seed) {
             std::uint64_t fpA = 0, fpB = 0;
             pattern(shape, TrafficParams::Pattern::Uniform, seed, &fpA);
             pattern(shape, TrafficParams::Pattern::Uniform, seed, &fpB);
             if (fpA != fpB)
                 stable = false;
-            char buf[32];
-            std::snprintf(buf, sizeof buf, "%s\"0x%llx\"",
-                          seed > 1 ? ", " : "",
-                          static_cast<unsigned long long>(fpA));
-            seedList += buf;
+            json.value(hex(fpA));
         }
         if (!stable) {
             std::fprintf(stderr,
@@ -649,16 +646,10 @@ main(int argc, char **argv)
                          shape.name);
             gateFailed = true;
         }
-        std::printf("      },\n      \"edge_speedup\": %.4f,\n"
-                    "      \"seed_fingerprints\": [%s],\n"
-                    "      \"seeds_stable\": %s\n    }%s\n",
-                    edgeSpeedup, seedList.c_str(),
-                    stable ? "true" : "false",
-                    si + 1 < shapes.size() ? "," : "");
+        json.endArray().kv("seeds_stable", stable).endObject();
     }
 
-    std::printf("  },\n  \"lookup_guard\": %llu\n}\n",
-                static_cast<unsigned long long>(micro.guard));
+    json.endObject().kv("lookup_guard", micro.guard).endObject();
     bench.writeLatencyReport(
         [&](std::ostream &os) { os << lineage.str(); });
 

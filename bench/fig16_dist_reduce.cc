@@ -14,7 +14,7 @@
 #include <string>
 
 #include "BenchCommon.hh"
-#include "apps/Reduction.hh"
+#include "ReductionTable.hh"
 
 int
 main(int argc, char **argv)
@@ -29,9 +29,8 @@ main(int argc, char **argv)
                 "this bench's runs fold no latency tables");
     san::bench::Bench bench(argc, argv, /*threaded=*/true, std::move(own));
     const san::bench::BenchOptions &opts = bench.options();
-    std::printf("Fig 16: Distributed Reduce (512 B vectors)\n");
-    std::printf("%6s %14s %14s %9s %8s\n", "nodes", "normal(us)",
-                "active(us)", "speedup", "correct");
+    san::bench::printReductionHeader(
+        "Fig 16: Distributed Reduce (512 B vectors)");
     int failures = 0;
     std::uint64_t events = 0;
     san::bench::RunTime total;
@@ -56,13 +55,7 @@ main(int argc, char **argv)
         };
         const ReductionRun normal = reduce(false);
         const ReductionRun active = reduce(true);
-        std::printf("%6u %14.2f %14.2f %9.2f %8s\n", p,
-                    san::sim::toMicros(normal.latency),
-                    san::sim::toMicros(active.latency),
-                    static_cast<double>(normal.latency) /
-                        static_cast<double>(active.latency),
-                    (normal.correct && active.correct) ? "yes" : "NO");
-        failures += !(normal.correct && active.correct);
+        failures += !san::bench::printReductionRow(p, normal, active);
         if (opts.fingerprint) {
             std::printf("fingerprint[normal,%u]: 0x%016llx\n", p,
                         static_cast<unsigned long long>(

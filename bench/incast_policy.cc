@@ -26,21 +26,21 @@
  * goodput over the permutation window, permutation goodput and
  * latency, Jain fairness across senders, and the policy's HOL-block
  * counter. Prints a JSON report on stdout (tools/perf_baseline,
- * schema san-incast-policy-v1) and a table on stderr.
- * --min-voq-speedup X gates agg(voq)/agg(fifo) on perm_hotspot.
+ * schema san-incast-policy-v1, whose LIMITS bound voq_speedup =
+ * agg(voq)/agg(fifo) on perm_hotspot) and a table on stderr.
  *
  * Usage: incast_policy [--message-bytes N] [--perm N] [--hot N]
- *                      [--min-voq-speedup X]
  */
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iostream>
 #include <string>
-#include <vector>
 
 #include "BenchCommon.hh"
 #include "PolicyLab.hh"
+#include "obs/Json.hh"
 
 namespace {
 
@@ -48,22 +48,21 @@ using namespace san;
 using namespace san::net;
 
 void
-printJsonResult(const char *label, const bench::PolicyLabRun &r,
-                bool last)
+writeJsonResult(obs::JsonWriter &json, const char *label,
+                const bench::PolicyLabRun &r)
 {
     const TrafficReport &t = r.report;
-    std::printf(
-        "      \"%s\": {\"policy\": \"%s\", \"agg_gbps\": %.4f, "
-        "\"perm_goodput_gbps\": %.4f, \"perm_done_us\": %.3f, "
-        "\"lat_mean_ns\": %.1f, \"lat_max_ns\": %.1f, "
-        "\"jain\": %.4f, \"hol_blocked\": %llu, "
-        "\"max_grant_wait\": %llu}%s\n",
-        label, r.policy.c_str(), t.aggregateGBps, t.goodputGBps,
-        static_cast<double>(t.measuredDoneAt) / 1e6, t.latencyMeanNs,
-        t.latencyMaxNs, t.jainFairness,
-        static_cast<unsigned long long>(r.holBlocked),
-        static_cast<unsigned long long>(r.maxGrantWait),
-        last ? "" : ",");
+    json.key(label).beginObject()
+        .kv("policy", r.policy)
+        .kv("agg_gbps", t.aggregateGBps)
+        .kv("perm_goodput_gbps", t.goodputGBps)
+        .kv("perm_done_us", static_cast<double>(t.measuredDoneAt) / 1e6)
+        .kv("lat_mean_ns", t.latencyMeanNs)
+        .kv("lat_max_ns", t.latencyMaxNs)
+        .kv("jain", t.jainFairness)
+        .kv("hol_blocked", r.holBlocked)
+        .kv("max_grant_wait", r.maxGrantWait)
+        .endObject();
 }
 
 } // namespace
@@ -72,29 +71,23 @@ int
 main(int argc, char **argv)
 {
     bench::PolicyLabLoad settings;
-    double minVoqSpeedup = 0.0;
     bench::Flags()
         .number("--message-bytes", settings.messageBytes)
         .number("--perm", settings.permMessages)
         .number("--hot", settings.hotMessages)
-        .number("--min-voq-speedup", minVoqSpeedup)
         .parse(argc, argv);
 
     const char *specs[] = {"fifo", "voq", "xpoint", "central"};
-    const TrafficParams::Pattern patterns[] = {
-        TrafficParams::Pattern::PermutationHotspot,
-        TrafficParams::Pattern::Incast,
-    };
 
     double fifoAgg = 0.0, voqAgg = 0.0;
-    std::printf("{\n  \"schema\": \"san-incast-policy-v1\",\n"
-                "  \"message_bytes\": %u,\n  \"perm_messages\": %u,\n"
-                "  \"hot_messages\": %u,\n  \"patterns\": {\n",
-                settings.messageBytes, settings.permMessages,
-                settings.hotMessages);
-    for (std::size_t p = 0; p < 2; ++p) {
-        const auto pattern = patterns[p];
-        std::printf("    \"%s\": {\n", bench::patternName(pattern));
+    obs::JsonWriter json(std::cout);
+    json.beginObject().kv("schema", "san-incast-policy-v1")
+        .kv("message_bytes", settings.messageBytes)
+        .kv("perm_messages", settings.permMessages)
+        .kv("hot_messages", settings.hotMessages)
+        .key("patterns").beginObject();
+    for (const auto pattern : bench::policyLabPatterns) {
+        json.key(bench::patternName(pattern)).beginObject();
         std::fprintf(stderr,
                      "%-14s %-16s %9s %9s %11s %9s %7s %8s\n",
                      bench::patternName(pattern), "policy", "agg GB/s",
@@ -103,7 +96,7 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < 4; ++i) {
             const bench::PolicyLabRun r =
                 bench::runPolicyLab(pattern, specs[i], settings);
-            printJsonResult(specs[i], r, i + 1 == 4);
+            writeJsonResult(json, specs[i], r);
             const TrafficReport &t = r.report;
             std::fprintf(stderr,
                          "%-14s %-16s %9.3f %9.3f %11.0f %9.1f "
@@ -120,20 +113,13 @@ main(int argc, char **argv)
                     voqAgg = t.aggregateGBps;
             }
         }
-        std::printf("    }%s\n", p + 1 < 2 ? "," : "");
+        json.endObject();
     }
     const double voqSpeedup = fifoAgg > 0 ? voqAgg / fifoAgg : 0.0;
-    std::printf("  },\n  \"voq_speedup\": %.4f\n}\n", voqSpeedup);
+    json.endObject().kv("voq_speedup", voqSpeedup).endObject();
     std::fprintf(stderr,
                  "headline: VOQ+iSLIP %.2fx aggregate goodput over "
                  "the bounded FIFO on perm_hotspot\n",
                  voqSpeedup);
-
-    if (minVoqSpeedup > 0 && voqSpeedup < minVoqSpeedup) {
-        std::fprintf(stderr,
-                     "FAIL: voq speedup %.2fx below required %.2fx\n",
-                     voqSpeedup, minVoqSpeedup);
-        return 1;
-    }
     return 0;
 }

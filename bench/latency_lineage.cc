@@ -21,7 +21,7 @@
  * micro_kernel exercises the bare event kernel, which has no packets
  * and therefore no telemetry branches at all. Reported as
  * "telemetry_overhead" and gated by tools/perf_baseline
- * --max-telemetry-overhead (and --max-overhead here).
+ * --max-telemetry-overhead.
  *
  * Prints a JSON report on stdout (schema san-latency-lineage-v1) and
  * a table on stderr. All latency numbers are simulated integer
@@ -30,18 +30,19 @@
  *
  * Usage: latency_lineage [--message-bytes N] [--perm N] [--hot N]
  *                        [--overhead-reps N] [--overhead-iters N]
- *                        [--max-overhead X]
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <ctime>
+#include <iostream>
 #include <string>
 #include <vector>
 
 #include "BenchCommon.hh"
 #include "PolicyLab.hh"
+#include "obs/Json.hh"
 #include "obs/Telemetry.hh"
 
 namespace {
@@ -116,22 +117,21 @@ timeBatch(const bench::PolicyLabLoad &s, unsigned iters,
 }
 
 void
-printJsonResult(const char *label, const PolicyResult &r, bool last)
+writeJsonResult(obs::JsonWriter &json, const char *label,
+                const PolicyResult &r)
 {
-    const auto u = [](std::uint64_t v) {
-        return static_cast<unsigned long long>(v);
-    };
-    std::printf(
-        "      \"%s\": {\"samples\": %llu, "
-        "\"txq_p50_ns\": %llu, \"txq_p99_ns\": %llu, "
-        "\"policy_wait_p99_ns\": %llu, "
-        "\"switchq_p50_ns\": %llu, \"switchq_p99_ns\": %llu, "
-        "\"e2e_p50_ns\": %llu, \"e2e_p99_ns\": %llu, "
-        "\"e2e_max_ns\": %llu, \"hol_blocked\": %llu}%s\n",
-        label, u(r.endToEnd.samples), u(r.txQueue.p50),
-        u(r.txQueue.p99), u(r.policyWait.p99), u(r.switchQueue.p50),
-        u(r.switchQueue.p99), u(r.endToEnd.p50), u(r.endToEnd.p99),
-        u(r.endToEnd.max), u(r.holBlocked), last ? "" : ",");
+    json.key(label).beginObject()
+        .kv("samples", r.endToEnd.samples)
+        .kv("txq_p50_ns", r.txQueue.p50)
+        .kv("txq_p99_ns", r.txQueue.p99)
+        .kv("policy_wait_p99_ns", r.policyWait.p99)
+        .kv("switchq_p50_ns", r.switchQueue.p50)
+        .kv("switchq_p99_ns", r.switchQueue.p99)
+        .kv("e2e_p50_ns", r.endToEnd.p50)
+        .kv("e2e_p99_ns", r.endToEnd.p99)
+        .kv("e2e_max_ns", r.endToEnd.max)
+        .kv("hol_blocked", r.holBlocked)
+        .endObject();
 }
 
 } // namespace
@@ -142,30 +142,24 @@ main(int argc, char **argv)
     bench::PolicyLabLoad settings;
     unsigned overheadReps = 25;
     unsigned overheadIters = 128;
-    double maxOverhead = 0.0;
     bench::Flags()
         .number("--message-bytes", settings.messageBytes)
         .number("--perm", settings.permMessages)
         .number("--hot", settings.hotMessages)
         .number("--overhead-reps", overheadReps)
         .number("--overhead-iters", overheadIters)
-        .number("--max-overhead", maxOverhead)
         .parse(argc, argv);
 
     const char *specs[] = {"fifo", "voq"};
-    const TrafficParams::Pattern patterns[] = {
-        TrafficParams::Pattern::PermutationHotspot,
-        TrafficParams::Pattern::Incast,
-    };
 
-    std::printf("{\n  \"schema\": \"san-latency-lineage-v1\",\n"
-                "  \"message_bytes\": %u,\n  \"perm_messages\": %u,\n"
-                "  \"hot_messages\": %u,\n  \"patterns\": {\n",
-                settings.messageBytes, settings.permMessages,
-                settings.hotMessages);
-    for (std::size_t p = 0; p < 2; ++p) {
-        const auto pattern = patterns[p];
-        std::printf("    \"%s\": {\n", bench::patternName(pattern));
+    obs::JsonWriter json(std::cout);
+    json.beginObject().kv("schema", "san-latency-lineage-v1")
+        .kv("message_bytes", settings.messageBytes)
+        .kv("perm_messages", settings.permMessages)
+        .kv("hot_messages", settings.hotMessages)
+        .key("patterns").beginObject();
+    for (const auto pattern : bench::policyLabPatterns) {
+        json.key(bench::patternName(pattern)).beginObject();
         std::fprintf(stderr,
                      "%-14s %-8s %8s %9s %9s %9s %9s %9s\n",
                      bench::patternName(pattern), "policy", "samples",
@@ -173,7 +167,7 @@ main(int argc, char **argv)
                      "e2e p99");
         for (std::size_t i = 0; i < 2; ++i) {
             const PolicyResult r = runOne(pattern, specs[i], settings);
-            printJsonResult(specs[i], r, i + 1 == 2);
+            writeJsonResult(json, specs[i], r);
             std::fprintf(
                 stderr,
                 "%-14s %-8s %8llu %9llu %9llu %9llu %9llu %9llu\n",
@@ -185,8 +179,9 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(r.endToEnd.p50),
                 static_cast<unsigned long long>(r.endToEnd.p99));
         }
-        std::printf("    }%s\n", p + 1 < 2 ? "," : "");
+        json.endObject();
     }
+    json.endObject();
 
     // Passive overhead: hooks absent vs armed-at-rate-0. Same
     // deterministic workload, best-of-N CPU time each. The rate-0
@@ -220,19 +215,11 @@ main(int argc, char **argv)
     const double overhead =
         ratios.empty() ? 0.0 : ratios[ratios.size() / 2] - 1.0;
 
-    std::printf("  },\n  \"telemetry_overhead\": %.4f\n}\n", overhead);
+    json.kv("telemetry_overhead", overhead).endObject();
     std::fprintf(stderr,
                  "passive telemetry overhead: %.2f%% (off %.4fs, "
                  "armed@0 %.4fs, best of %u x %u iters)\n",
                  overhead * 100.0, plain, hooked, overheadReps,
                  overheadIters);
-
-    if (maxOverhead > 0 && overhead > maxOverhead) {
-        std::fprintf(stderr,
-                     "FAIL: passive telemetry overhead %.2f%% above "
-                     "the %.2f%% budget\n",
-                     overhead * 100.0, maxOverhead * 100.0);
-        return 1;
-    }
     return 0;
 }

@@ -14,8 +14,8 @@
  * All gated numbers are SIMULATED and deterministic per build:
  * connection-table lookups per simulated second, punt rate, peak
  * tracked flows, and table/hot-index memory. Prints a JSON report on
- * stdout (tools/perf_baseline, schema san-lb-scale-v1) and a table on
- * stderr. --min-lb-lookups X gates the Active-mode lookup rate.
+ * stdout (tools/perf_baseline, schema san-lb-scale-v1, whose LIMITS
+ * bound the Active-mode lookup rate) and a table on stderr.
  *
  * Shares the figure benches' observability flags (BenchCommon.hh):
  * --stats-json includes the lb section, --metrics-csv carries the
@@ -28,7 +28,7 @@
  *                 [--lb-bytes N] [--lb-close-every N]
  *                 [--lb-churn-opens N] [--lb-orphan-every N]
  *                 [--lb-table-capacity N] [--lb-seed N]
- *                 [--min-lb-lookups X] [shared observability flags]
+ *                 [shared observability flags]
  */
 
 #include <cstdint>
@@ -39,6 +39,7 @@
 
 #include "BenchCommon.hh"
 #include "lb/LbWorkload.hh"
+#include "obs/Json.hh"
 
 namespace {
 
@@ -71,43 +72,41 @@ lbHostBusyMs(const apps::RunStats &s, unsigned lb_host)
     return static_cast<double>(h.busy + h.stall) / 1e9;
 }
 
+/** @p count as a share of @p lb's lookups (0 without lookups). */
+double
+perLookup(const apps::LbStats &lb, std::uint64_t count)
+{
+    return lb.lookups > 0 ? static_cast<double>(count) /
+                                static_cast<double>(lb.lookups)
+                          : 0.0;
+}
+
 void
-printJsonMode(const char *label, const ModeRun &run, unsigned lb_host,
-              bool last)
+writeJsonMode(obs::JsonWriter &json, const char *label,
+              const ModeRun &run, unsigned lb_host)
 {
     const apps::LbStats &lb = run.result.stats.lb;
-    std::printf(
-        "    \"%s\": {\"lookups\": %llu, \"hot_hits\": %llu, "
-        "\"table_hits\": %llu, \"misses\": %llu, "
-        "\"inserts\": %llu, \"insert_failures\": %llu, "
-        "\"removes\": %llu, \"forwarded\": %llu, \"punts\": %llu, "
-        "\"migrations\": %llu, \"peak_flows\": %llu, "
-        "\"flows_tracked\": %llu, \"occupancy\": %.4f, "
-        "\"punt_rate\": %.6f, \"hot_hit_rate\": %.4f, "
-        "\"sim_ms\": %.3f, \"lookups_per_sec\": %.0f, "
-        "\"lb_host_busy_ms\": %.3f, \"events\": %llu}%s\n",
-        label, static_cast<unsigned long long>(lb.lookups),
-        static_cast<unsigned long long>(lb.hotHits),
-        static_cast<unsigned long long>(lb.tableHits),
-        static_cast<unsigned long long>(lb.misses),
-        static_cast<unsigned long long>(lb.inserts),
-        static_cast<unsigned long long>(lb.insertFailures),
-        static_cast<unsigned long long>(lb.removes),
-        static_cast<unsigned long long>(lb.forwarded),
-        static_cast<unsigned long long>(lb.punts),
-        static_cast<unsigned long long>(lb.migrations),
-        static_cast<unsigned long long>(lb.peakFlows),
-        static_cast<unsigned long long>(lb.flowsTracked), lb.occupancy,
-        lb.lookups > 0 ? static_cast<double>(lb.punts) /
-                             static_cast<double>(lb.lookups)
-                       : 0.0,
-        lb.lookups > 0 ? static_cast<double>(lb.hotHits) /
-                             static_cast<double>(lb.lookups)
-                       : 0.0,
-        simMs(run.result.stats), lookupsPerSec(run.result.stats),
-        lbHostBusyMs(run.result.stats, lb_host),
-        static_cast<unsigned long long>(run.result.stats.eventsExecuted),
-        last ? "" : ",");
+    json.key(label).beginObject()
+        .kv("lookups", lb.lookups)
+        .kv("hot_hits", lb.hotHits)
+        .kv("table_hits", lb.tableHits)
+        .kv("misses", lb.misses)
+        .kv("inserts", lb.inserts)
+        .kv("insert_failures", lb.insertFailures)
+        .kv("removes", lb.removes)
+        .kv("forwarded", lb.forwarded)
+        .kv("punts", lb.punts)
+        .kv("migrations", lb.migrations)
+        .kv("peak_flows", lb.peakFlows)
+        .kv("flows_tracked", lb.flowsTracked)
+        .kv("occupancy", lb.occupancy)
+        .kv("punt_rate", perLookup(lb, lb.punts))
+        .kv("hot_hit_rate", perLookup(lb, lb.hotHits))
+        .kv("sim_ms", simMs(run.result.stats))
+        .kv("lookups_per_sec", lookupsPerSec(run.result.stats))
+        .kv("lb_host_busy_ms", lbHostBusyMs(run.result.stats, lb_host))
+        .kv("events", run.result.stats.eventsExecuted)
+        .endObject();
 }
 
 void
@@ -141,7 +140,6 @@ main(int argc, char **argv)
     params.churn.seed = 1;
     std::optional<std::uint64_t> flows;
     std::optional<unsigned> churnOpens, orphanEvery;
-    double minLbLookups = 0.0;
     bench::Flags own;
     own.number("--lb-flows", flows)
         .number("--lb-senders", params.senders)
@@ -153,8 +151,7 @@ main(int argc, char **argv)
         .number("--lb-churn-opens", churnOpens)
         .number("--lb-orphan-every", orphanEvery)
         .number("--lb-table-capacity", params.lb.table.capacity)
-        .number("--lb-seed", params.churn.seed)
-        .number("--min-lb-lookups", minLbLookups);
+        .number("--lb-seed", params.churn.seed);
     bench::Bench bench(argc, argv, false, std::move(own));
     const auto &opts = bench.options();
 
@@ -220,27 +217,26 @@ main(int argc, char **argv)
         activeBusy > 0 ? normalBusy / activeBusy : 0.0;
     const apps::LbStats &alb = active.result.stats.lb;
 
-    std::printf(
-        "{\n  \"schema\": \"san-lb-scale-v1\",\n"
-        "  \"flows\": %llu,\n  \"senders\": %u,\n"
-        "  \"backends\": %u,\n"
-        "  \"switch_cpus\": %u,\n  \"data_rounds\": %u,\n"
-        "  \"churn_opens\": %u,\n  \"orphan_every\": %u,\n"
-        "  \"table_capacity\": %llu,\n  \"table_bytes\": %llu,\n"
-        "  \"hot_bytes\": %llu,\n  \"modes\": {\n",
-        static_cast<unsigned long long>(params.churn.flows),
-        params.senders, params.backends, params.switchCpus,
-        params.churn.dataRounds,
-        params.churn.churnOpens, params.churn.orphanEvery,
-        static_cast<unsigned long long>(params.lb.table.capacity),
-        static_cast<unsigned long long>(alb.tableBytes),
-        static_cast<unsigned long long>(alb.hotBytes));
-    printJsonMode("normal", normal, lbHost, false);
-    printJsonMode("active", active, lbHost, true);
-    std::printf("  },\n  \"lb_lookups_per_sec\": %.0f,\n"
-                "  \"normal_lookups_per_sec\": %.0f,\n"
-                "  \"lb_host_offload\": %.4f\n}\n",
-                activeRate, normalRate, offload);
+    obs::JsonWriter json(std::cout);
+    json.beginObject().kv("schema", "san-lb-scale-v1")
+        .kv("flows", params.churn.flows)
+        .kv("senders", params.senders)
+        .kv("backends", params.backends)
+        .kv("switch_cpus", params.switchCpus)
+        .kv("data_rounds", params.churn.dataRounds)
+        .kv("churn_opens", params.churn.churnOpens)
+        .kv("orphan_every", params.churn.orphanEvery)
+        .kv("table_capacity", params.lb.table.capacity)
+        .kv("table_bytes", alb.tableBytes)
+        .kv("hot_bytes", alb.hotBytes)
+        .key("modes").beginObject();
+    writeJsonMode(json, "normal", normal, lbHost);
+    writeJsonMode(json, "active", active, lbHost);
+    json.endObject()
+        .kv("lb_lookups_per_sec", activeRate)
+        .kv("normal_lookups_per_sec", normalRate)
+        .kv("lb_host_offload", offload)
+        .endObject();
     std::fprintf(stderr,
                  "headline: in-switch balancer sustains %.2fM "
                  "lookups/sec over %llu peak flows (host baseline "
@@ -267,13 +263,5 @@ main(int argc, char **argv)
         results[2] = active.result.stats;
         harness::printLatencyReport(os, "lb_scale", results);
     });
-
-    if (minLbLookups > 0 && activeRate < minLbLookups) {
-        std::fprintf(stderr,
-                     "FAIL: active lookup rate %.0f/s below required "
-                     "%.0f/s\n",
-                     activeRate, minLbLookups);
-        return 1;
-    }
     return 0;
 }

@@ -29,21 +29,23 @@
  *    sink value, so a determinism divergence fails the bench.
  *
  * Prints a JSON report on stdout (consumed by tools/perf_baseline,
- * schema san-micro-kernel-v4) and human-readable tables on stderr.
- * --min-ladder-speedup X gates the ladder's speedup on short_10k (the
- * short-horizon mix at 10k pending).
+ * schema san-micro-kernel-v4, whose LIMITS bound the ladder's speedup
+ * on short_10k, the short-horizon mix at 10k pending) and
+ * human-readable tables on stderr.
  *
- * Usage: micro_kernel [--events N] [--min-ladder-speedup X]
+ * Usage: micro_kernel [--events N]
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <ctime>
+#include <iostream>
 #include <string>
 #include <vector>
 
 #include "BenchCommon.hh"
+#include "obs/Json.hh"
 #include "sim/EventQueue.hh"
 #include "sim/Types.hh"
 
@@ -279,11 +281,7 @@ int
 main(int argc, char **argv)
 {
     std::uint64_t events = 2'000'000;
-    double minLadderSpeedup = 0.0;
-    san::bench::Flags()
-        .number("--events", events)
-        .number("--min-ladder-speedup", minLadderSpeedup)
-        .parse(argc, argv);
+    san::bench::Flags().number("--events", events).parse(argc, argv);
     const unsigned pending = 4096;
 
     const Result results[] = {
@@ -298,12 +296,6 @@ main(int argc, char **argv)
     for (const Mix mix : mixes)
         for (const std::uint64_t depth : depths)
             depthResults.push_back(compareDepth(depth, mix, events));
-    // The gated ladder speedup: short-horizon events at 10k pending,
-    // the depth the large figures actually carry.
-    double ladderSpeedup = 0.0;
-    for (const DepthResult &r : depthResults)
-        if (r.mix == Mix::Short && r.pending == 10'240)
-            ladderSpeedup = r.speedup();
 
     std::fprintf(stderr, "%-10s %8s %15s\n", "workload", "capture",
                  "kernel ev/s");
@@ -318,35 +310,24 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(r.pending),
                      r.heapEps, r.ladderEps, r.speedup());
 
-    std::printf("{\n  \"schema\": \"san-micro-kernel-v4\",\n"
-                "  \"events\": %llu,\n  \"workloads\": {\n",
-                static_cast<unsigned long long>(events));
-    for (std::size_t i = 0; i < 3; ++i) {
-        const Result &r = results[i];
-        std::printf("    \"%s\": {\"capture_bytes\": %zu, "
-                    "\"kernel_eps\": %.0f}%s\n",
-                    r.name, r.captureBytes, r.kernelEps,
-                    i + 1 < 3 ? "," : "");
-    }
-    std::printf("  },\n  \"depth_workloads\": {\n");
-    for (std::size_t i = 0; i < depthResults.size(); ++i) {
-        const DepthResult &r = depthResults[i];
-        std::printf("    \"%s\": {\"pending\": %llu, \"mix\": \"%s\", "
-                    "\"heap_eps\": %.0f, \"ladder_eps\": %.0f, "
-                    "\"speedup\": %.4f}%s\n",
-                    r.name.c_str(),
-                    static_cast<unsigned long long>(r.pending),
-                    mixName(r.mix), r.heapEps, r.ladderEps,
-                    r.speedup(), i + 1 < depthResults.size() ? "," : "");
-    }
-    std::printf("  }\n}\n");
-
-    if (minLadderSpeedup > 0 && ladderSpeedup < minLadderSpeedup) {
-        std::fprintf(stderr,
-                     "FAIL: ladder speedup %.2fx on short_10k below "
-                     "required %.2fx\n",
-                     ladderSpeedup, minLadderSpeedup);
-        return 1;
-    }
+    san::obs::JsonWriter json(std::cout);
+    json.beginObject().kv("schema", "san-micro-kernel-v4")
+        .kv("events", events)
+        .key("workloads").beginObject();
+    for (const Result &r : results)
+        json.key(r.name).beginObject()
+            .kv("capture_bytes", r.captureBytes)
+            .kv("kernel_eps", r.kernelEps)
+            .endObject();
+    json.endObject().key("depth_workloads").beginObject();
+    for (const DepthResult &r : depthResults)
+        json.key(r.name).beginObject()
+            .kv("pending", r.pending)
+            .kv("mix", mixName(r.mix))
+            .kv("heap_eps", r.heapEps)
+            .kv("ladder_eps", r.ladderEps)
+            .kv("speedup", r.speedup())
+            .endObject();
+    json.endObject().endObject();
     return 0;
 }

@@ -56,34 +56,44 @@ HandlerContext::awaitValid(const StreamChunk &chunk, std::uint32_t offset,
 }
 
 sim::Delay
-HandlerContext::compute(std::uint64_t instructions)
+HandlerContext::charge(sim::Delay d, sim::Tick HandlerProfile::*counter)
 {
-    const sim::Delay d = cpu().compute(instructions);
-    sw_.profiles_[handlerId_].busyTicks += d.ticks;
+    sw_.profiles_[handlerId_].*counter += d.ticks;
     if (liveTelemetry_)
         liveTelemetry_->noteHandlerTicks(d.ticks);
     return d;
+}
+
+sim::Delay
+HandlerContext::compute(std::uint64_t instructions)
+{
+    return charge(cpu().compute(instructions), &HandlerProfile::busyTicks);
 }
 
 sim::Delay
 HandlerContext::access(mem::Addr addr, std::uint64_t bytes,
                        mem::AccessKind kind)
 {
-    const sim::Delay d = cpu().touch(addr, bytes, kind);
-    sw_.profiles_[handlerId_].stallTicks += d.ticks;
-    if (liveTelemetry_)
-        liveTelemetry_->noteHandlerTicks(d.ticks);
-    return d;
+    return charge(cpu().touch(addr, bytes, kind),
+                  &HandlerProfile::stallTicks);
 }
 
 sim::Delay
 HandlerContext::fetchCode(mem::Addr pc, std::uint64_t bytes)
 {
-    const sim::Delay d = cpu().fetchCode(pc, bytes);
-    sw_.profiles_[handlerId_].stallTicks += d.ticks;
-    if (liveTelemetry_)
-        liveTelemetry_->noteHandlerTicks(d.ticks);
-    return d;
+    return charge(cpu().fetchCode(pc, bytes), &HandlerProfile::stallTicks);
+}
+
+mem::MemorySystem &
+HandlerContext::memory()
+{
+    return cpu().memory();
+}
+
+sim::Delay
+HandlerContext::stallFor(sim::Tick ticks)
+{
+    return charge(cpu().stallFor(ticks), &HandlerProfile::stallTicks);
 }
 
 void
@@ -113,10 +123,8 @@ HandlerContext::send(net::NodeId dst, std::uint64_t bytes,
                      net::PayloadPtr payload, std::uint32_t tag)
 {
     // Compose the header and hand the buffer to the Send unit.
-    sw_.profiles_[handlerId_].busyTicks += sw_.config().sendLatency;
-    if (liveTelemetry_)
-        liveTelemetry_->noteHandlerTicks(sw_.config().sendLatency);
-    co_await cpu().busyFor(sw_.config().sendLatency);
+    co_await charge(cpu().busyFor(sw_.config().sendLatency),
+                    &HandlerProfile::busyTicks);
     sw_.sendUnit(dst, bytes, active, std::move(payload), tag);
 }
 
@@ -127,10 +135,7 @@ HandlerContext::postRead(net::NodeId storage, std::uint64_t offset,
 {
     // The small run-time kernel on the switch validates and posts
     // the request (the paper's "modest kernel support").
-    sw_.profiles_[handlerId_].busyTicks += sim::us(1);
-    if (liveTelemetry_)
-        liveTelemetry_->noteHandlerTicks(sim::us(1));
-    co_await cpu().busyFor(sim::us(1));
+    co_await charge(cpu().busyFor(sim::us(1)), &HandlerProfile::busyTicks);
     io::IoRequest req;
     req.requestId = sw_.nextMessageId();
     req.offset = offset;

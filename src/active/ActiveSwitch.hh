@@ -64,9 +64,11 @@ using HandlerFn = std::function<sim::Task(HandlerContext &)>;
 
 /**
  * Cumulative switch-CPU cost of one handler program, across every
- * instance it ran. All busy time a handler charges flows through
- * HandlerContext (compute / send / postRead), so summing busyTicks
- * over all profiles reproduces the switch CPUs' busy counters.
+ * instance it ran. Every tick a handler charges flows through
+ * HandlerContext: busy time through compute / send / postRead, stall
+ * time through access / fetchCode / stallFor. Summing busyTicks over
+ * all profiles reproduces the switch CPUs' busy counters, and
+ * summing stallTicks their stall counters.
  */
 struct HandlerProfile {
     std::uint8_t id = 0;
@@ -107,7 +109,6 @@ class HandlerContext
     /** Index of the embedded CPU executing this instance. */
     unsigned cpuIndex() const { return cpuIndex_; }
     std::uint8_t handlerId() const { return handlerId_; }
-    cpu::SwitchCpu &cpu();
 
     /** Await the next chunk of this instance's input stream. */
     sim::ValueTask<StreamChunk> nextChunk();
@@ -129,6 +130,13 @@ class HandlerContext
 
     /** Instruction-side footprint of this handler's code. */
     sim::Delay fetchCode(mem::Addr pc, std::uint64_t bytes);
+
+    /** The CPU's memory hierarchy, for a batch of accesses (per-record
+     * hash probes) whose summed stall the handler charges once. */
+    mem::MemorySystem &memory();
+
+    /** Charge @p ticks of stall the handler computed itself. */
+    sim::Delay stallFor(sim::Tick ticks);
 
     /**
      * Deallocate_Buffer(end): release every buffer mapped wholly
@@ -159,6 +167,14 @@ class HandlerContext
 
   private:
     friend class ActiveSwitch;
+
+    /** Private: a handler spends CPU time only through the calls
+     * above, so its profile and lineage see every tick. */
+    cpu::SwitchCpu &cpu();
+
+    /** Add @p d to this handler's @p counter and to the live chunk's
+     * lineage; returns @p d. */
+    sim::Delay charge(sim::Delay d, sim::Tick HandlerProfile::*counter);
 
     ActiveSwitch &sw_;
     unsigned cpuIndex_;
@@ -240,7 +256,6 @@ class ActiveSwitch : public net::Switch
         unsigned cpuIndex;
         std::unique_ptr<HandlerContext> ctx;
         unsigned heldBuffers = 0; //!< fair-share accounting
-        bool done = false;
     };
 
     using InstanceKey = std::pair<std::uint8_t, std::uint8_t>;

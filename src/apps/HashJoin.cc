@@ -169,14 +169,14 @@ runHashJoin(Mode mode, const HashJoinParams &params)
                 records * (params.hashInstrPerRecord +
                            params.filterInstrPerRecord));
             sim::Tick stall = 0;
-            auto &mem_sys = ctx.cpu().memory();
+            auto &mem_sys = ctx.memory();
             for (std::uint64_t i = 0; i < records; ++i) {
                 const std::uint64_t hv = detHash(hash_seed, first + i);
                 stall += mem_sys.dataAccess(bitAddr(params, hv), 1,
                                             mem::AccessKind::Store,
-                                            ctx.cpu().now() + stall);
+                                            ctx.sim().now() + stall);
             }
-            co_await ctx.cpu().stallFor(stall);
+            co_await ctx.stallFor(stall);
             co_return chunk.bytes; // R passes through to the host
         };
 
@@ -201,17 +201,17 @@ runHashJoin(Mode mode, const HashJoinParams &params)
                 records * (params.hashInstrPerRecord +
                            params.filterInstrPerRecord));
             sim::Tick stall = 0;
-            auto &mem_sys = ctx.cpu().memory();
+            auto &mem_sys = ctx.memory();
             std::uint64_t matches = 0;
             for (std::uint64_t i = 0; i < records; ++i) {
                 const std::uint64_t hv = detHash(hash_seed, first + i);
                 stall += mem_sys.dataAccess(bitAddr(params, hv), 1,
                                             mem::AccessKind::Load,
-                                            ctx.cpu().now() + stall);
+                                            ctx.sim().now() + stall);
                 matches += detChance(match_seed, first + i,
                                      params.reductionFactor);
             }
-            co_await ctx.cpu().stallFor(stall);
+            co_await ctx.stallFor(stall);
             *survivors += matches;
             co_return static_cast<std::uint32_t>(
                 matches * params.recordBytes);

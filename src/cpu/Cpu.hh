@@ -123,22 +123,6 @@ class Cpu
         return sim::Delay{t};
     }
 
-    /**
-     * Convenience: compute + data touch in one awaitable, the usual
-     * unit of work for processing one record/block.
-     */
-    sim::Delay
-    exec(std::uint64_t instructions, mem::Addr addr, std::uint64_t bytes,
-         mem::AccessKind kind)
-    {
-        const sim::Tick b = freq_.cycles(instructions);
-        busy_ += b;
-        const sim::Tick s =
-            mem_.dataAccess(addr, bytes, kind, sim_.now() + b);
-        stall_ += s;
-        return sim::Delay{b + s};
-    }
-
     /** Breakdown against a run that lasted @p total ticks. */
     TimeBreakdown
     breakdown(sim::Tick total) const
@@ -163,13 +147,6 @@ class Cpu
               [this] { return static_cast<double>(stall_); });
         m.add(prefix + ".idle", obs::GaugeKind::IdleShare,
               [this] { return static_cast<double>(busy_ + stall_); });
-    }
-
-    void
-    resetAccounting()
-    {
-        busy_ = 0;
-        stall_ = 0;
     }
 
   protected:

@@ -122,14 +122,6 @@ Host::awaitIo(std::uint64_t id)
     co_return done;
 }
 
-sim::ValueTask<IoCompletion>
-Host::readBlocking(net::NodeId storage, std::uint64_t offset,
-                   std::uint64_t bytes)
-{
-    const std::uint64_t id = co_await postRead(storage, offset, bytes);
-    co_return co_await awaitIo(id);
-}
-
 sim::Task
 Host::send(net::NodeId dst, std::uint64_t bytes,
            std::optional<net::ActiveHeader> active,

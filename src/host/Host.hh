@@ -5,12 +5,12 @@
  * The Host provides the I/O and messaging API that the benchmark
  * applications are written against:
  *
- *  - readBlocking(): the "normal" path — pay the OS request cost,
- *    post the read, sleep until every chunk has DMA'd in. Prefetched
- *    variants issue several reads and await them individually
- *    (the paper's "+pref" = two outstanding requests).
- *  - postRead()/postReadTo(): queue-pair posts; postReadTo directs
- *    the data at any node, including an active-switch handler.
+ *  - postRead() + awaitIo(): the "normal" path — pay the OS request
+ *    cost, post the read, sleep until every chunk has DMA'd in.
+ *    Prefetched variants post several reads and await them
+ *    individually (the paper's "+pref" = two outstanding requests).
+ *  - postReadTo(): a queue-pair post directing the data at any
+ *    node, including an active-switch handler.
  *  - send()/appRecv(): user-level messaging between nodes.
  *
  * A demux task sorts inbound messages into I/O completions and
@@ -69,14 +69,6 @@ class Host
 
     /** Spawn the receive demux. Call once after fabric wiring. */
     void start();
-
-    /**
-     * Normal-path blocking read: OS request cost, post, wait for all
-     * data to land in host memory.
-     */
-    sim::ValueTask<IoCompletion> readBlocking(net::NodeId storage,
-                                              std::uint64_t offset,
-                                              std::uint64_t bytes);
 
     /**
      * Normal-path asynchronous read: pay the OS cost, post, return

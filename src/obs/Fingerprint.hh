@@ -81,13 +81,6 @@ class RunFingerprint : public sim::EventQueue::Observer
     /** Events folded so far (sanity/debug aid). */
     std::uint64_t eventsFolded() const { return events_; }
 
-    void
-    reset()
-    {
-        hash_ = 0;
-        events_ = 0;
-    }
-
   private:
     std::uint64_t hash_ = 0;
     std::uint64_t events_ = 0;

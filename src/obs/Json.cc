@@ -138,25 +138,32 @@ JsonWriter::value(const char *s)
     return value(std::string_view(s));
 }
 
-JsonWriter &
-JsonWriter::value(double d)
+void
+JsonWriter::writeNumber(std::ostream &os, double d)
 {
     // Integral doubles (tick counts, byte totals) print as integers;
     // everything else in shortest round-trip form, which is unique
     // for a given bit pattern and therefore golden-file stable.
     if (!std::isfinite(d)) {
-        separate(false);
-        os_ << "null"; // JSON has no NaN/inf
-        return *this;
+        os << "null"; // JSON has no NaN/inf
+        return;
     }
     if (d == 0.0)
         d = 0.0; // collapse -0.0
-    if (std::nearbyint(d) == d && std::fabs(d) < 9.007199254740992e15)
-        return value(static_cast<std::int64_t>(d));
-    separate(false);
     char buf[40];
-    auto res = std::to_chars(buf, buf + sizeof(buf), d);
-    os_.write(buf, res.ptr - buf);
+    const auto res =
+        std::nearbyint(d) == d && std::fabs(d) < 9.007199254740992e15
+            ? std::to_chars(buf, buf + sizeof(buf),
+                            static_cast<std::int64_t>(d))
+            : std::to_chars(buf, buf + sizeof(buf), d);
+    os.write(buf, res.ptr - buf);
+}
+
+JsonWriter &
+JsonWriter::value(double d)
+{
+    separate(false);
+    writeNumber(os_, d);
     return *this;
 }
 

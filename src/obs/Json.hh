@@ -1,6 +1,7 @@
 /**
  * @file
- * Minimal streaming JSON writer for machine-readable stat dumps.
+ * Minimal streaming JSON writer for machine-readable stat dumps and
+ * the benches' stdout reports.
  *
  * Emits deterministic, byte-stable output suitable for golden-file
  * comparison: keys appear in emission order, numbers are formatted
@@ -51,6 +52,13 @@ class JsonWriter
     JsonWriter &value(int v);
     JsonWriter &value(bool b);
     /** @} */
+
+    /**
+     * Write @p d in value(double)'s form to @p os without any
+     * separator: for line formats (CSV, JSON lines) that share the
+     * writer's number rule.
+     */
+    static void writeNumber(std::ostream &os, double d);
 
     /** @{ key + value in one call, the common case. */
     template <typename T>

@@ -1,32 +1,12 @@
 #include "obs/Metrics.hh"
 
 #include <cassert>
-#include <charconv>
 #include <ostream>
 #include <stdexcept>
 
+#include "obs/Json.hh"
+
 namespace san::obs {
-
-namespace {
-
-/** Shortest round-trip decimal form, integral values without ".0"
- * (same convention as obs::JsonWriter, so CSV and JSON agree). */
-void
-writeDouble(std::ostream &os, double v)
-{
-    char buf[40];
-    if (v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-        v > -1e15 && v < 1e15) {
-        auto res = std::to_chars(buf, buf + sizeof(buf),
-                                 static_cast<std::int64_t>(v));
-        os.write(buf, res.ptr - buf);
-        return;
-    }
-    auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    os.write(buf, res.ptr - buf);
-}
-
-} // namespace
 
 void
 registerKernelGauges(MetricsRegistry &m, const sim::EventQueue &events)
@@ -172,7 +152,7 @@ IntervalSampler::row(sim::Tick at)
         } else {
             os_ << ",\"" << e.name << "\":";
         }
-        writeDouble(os_, out);
+        JsonWriter::writeNumber(os_, out);
         if (mirror_)
             mirror_->counter("metrics", e.name.c_str(), at, out);
     }

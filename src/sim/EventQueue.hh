@@ -202,9 +202,9 @@ class HeapScheduler
  * bimodal schedule (mostly short wakeups plus occasional far-future
  * timeouts) is dragged toward the outliers and sizes buckets so wide
  * that every short event degenerates into the drain heap. Zero-delay
- * wakeups (Channel/Gate/Semaphore resumptions) are excluded — they
- * say nothing about where timed events land and would otherwise drag
- * the width to the minimum. Retunes happen only with the drain heap
+ * wakeups (Channel/Gate resumptions) are excluded — they say nothing
+ * about where timed events land and would otherwise drag the width
+ * to the minimum. Retunes happen only with the drain heap
  * empty (advance/rebase), so re-bucketing never reorders anything;
  * tuning is a pure function of the executed schedule, hence
  * deterministic.
@@ -713,7 +713,7 @@ class BasicEventQueue
 
     /**
      * Schedule @p fn at the current tick: the zero-delay wakeup the
-     * synchronization primitives (Channel, Gate, Semaphore) lean on.
+     * synchronization primitives (Channel, Gate) lean on.
      * Identical ordering to after(0, fn) — the event still takes the
      * next sequence number — but skips the clamp arithmetic and, on
      * the ladder, stays out of the bucket-width horizon statistics.

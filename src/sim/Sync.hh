@@ -1,6 +1,6 @@
 /**
  * @file
- * Inter-task synchronization: channels, gates and semaphores.
+ * Inter-task synchronization: channels and gates.
  *
  * All wakeups are funnelled through the event queue (at the current
  * tick, via EventQueue::postNow) rather than resuming inline, which
@@ -51,15 +51,6 @@ class Channel
     /** Number of values currently queued. */
     std::size_t size() const { return items_.size(); }
     bool empty() const { return items_.empty(); }
-
-    /** Non-blocking pop. */
-    std::optional<T>
-    tryPop()
-    {
-        if (items_.empty())
-            return std::nullopt;
-        return items_.pop();
-    }
 
     struct PopAwaiter {
         Channel &ch;
@@ -117,8 +108,8 @@ class Channel
 };
 
 /**
- * A one-shot (but resettable) broadcast event. Awaiting an open gate
- * proceeds immediately; open() releases every waiter.
+ * A one-shot broadcast event. Awaiting an open gate proceeds
+ * immediately; open() releases every waiter.
  */
 class Gate
 {
@@ -127,8 +118,6 @@ class Gate
 
     Gate(const Gate &) = delete;
     Gate &operator=(const Gate &) = delete;
-
-    bool isOpen() const { return open_; }
 
     void
     open()
@@ -140,9 +129,6 @@ class Gate
             sim_.events().postNow(detail::Resume{h});
         waiters_.clear();
     }
-
-    /** Close the gate again (subsequent awaits block). */
-    void reset() { open_ = false; }
 
     struct Awaiter {
         Gate &gate;
@@ -162,61 +148,6 @@ class Gate
   private:
     Simulation &sim_;
     bool open_ = false;
-    std::deque<std::coroutine_handle<>> waiters_;
-};
-
-/** Counting semaphore with FIFO acquire order. */
-class Semaphore
-{
-  public:
-    Semaphore(Simulation &sim, std::size_t initial)
-        : sim_(sim), count_(initial)
-    {}
-
-    Semaphore(const Semaphore &) = delete;
-    Semaphore &operator=(const Semaphore &) = delete;
-
-    std::size_t available() const { return count_; }
-
-    void
-    release(std::size_t n = 1)
-    {
-        count_ += n;
-        while (count_ > 0 && !waiters_.empty()) {
-            --count_;
-            auto h = waiters_.front();
-            waiters_.pop_front();
-            sim_.events().postNow(detail::Resume{h});
-        }
-    }
-
-    struct Awaiter {
-        Semaphore &sem;
-
-        bool
-        await_ready()
-        {
-            if (sem.waiters_.empty() && sem.count_ > 0) {
-                --sem.count_;
-                return true;
-            }
-            return false;
-        }
-
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            sem.waiters_.push_back(h);
-        }
-
-        void await_resume() const {}
-    };
-
-    Awaiter acquire() { return Awaiter{*this}; }
-
-  private:
-    Simulation &sim_;
-    std::size_t count_;
     std::deque<std::coroutine_handle<>> waiters_;
 };
 

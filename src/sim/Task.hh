@@ -42,9 +42,9 @@ template <typename TaskT> struct TaskAwaiter;
 /**
  * The kernel's most frequent event: resume a suspended coroutine.
  * Every timed wakeup (Delay) and synchronization wakeup (Channel,
- * Gate, Semaphore) schedules one of these; at 8 bytes it is
- * guaranteed to use the event queue's inline capture storage, so a
- * task switch never allocates.
+ * Gate) schedules one of these; at 8 bytes it is guaranteed to use
+ * the event queue's inline capture storage, so a task switch never
+ * allocates.
  */
 struct Resume {
     std::coroutine_handle<> handle;

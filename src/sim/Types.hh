@@ -100,13 +100,6 @@ class Frequency
     /** Ticks taken by @p n cycles at this frequency. */
     constexpr Tick cycles(std::uint64_t n) const { return n * period_; }
 
-    /** Whole cycles elapsed in @p t ticks (rounded up). */
-    constexpr std::uint64_t
-    cyclesCeil(Tick t) const
-    {
-        return (t + period_ - 1) / period_;
-    }
-
   private:
     std::uint64_t hz_;
     Tick period_;

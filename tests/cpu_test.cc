@@ -51,19 +51,6 @@ TEST(Cpu, TouchChargesStallTime)
     EXPECT_EQ(host.busyTicks(), 0u);
 }
 
-TEST(Cpu, ExecCombinesBusyAndStall)
-{
-    Simulation s;
-    HostCpu host(s, "host");
-    s.spawn([](HostCpu &cpu) -> Task {
-        co_await cpu.exec(100, 0x2000, 64, mem::AccessKind::Load);
-    }(host));
-    Tick end = s.run();
-    EXPECT_EQ(host.busyTicks() + host.stallTicks(), end);
-    EXPECT_EQ(host.busyTicks(), host.frequency().cycles(100));
-    EXPECT_GT(host.stallTicks(), 0u);
-}
-
 TEST(Cpu, BreakdownComputesIdleAndUtilization)
 {
     Simulation s;
@@ -103,20 +90,6 @@ TEST(Cpu, BusyForChargesFixedOsCosts)
     Tick end = s.run();
     EXPECT_EQ(end, us(30));
     EXPECT_EQ(host.busyTicks(), us(30));
-}
-
-TEST(Cpu, ResetAccountingClears)
-{
-    Simulation s;
-    HostCpu host(s, "host");
-    s.spawn([](HostCpu &cpu) -> Task {
-        co_await cpu.compute(100);
-    }(host));
-    s.run();
-    EXPECT_GT(host.busyTicks(), 0u);
-    host.resetAccounting();
-    EXPECT_EQ(host.busyTicks(), 0u);
-    EXPECT_EQ(host.stallTicks(), 0u);
 }
 
 } // namespace

@@ -138,7 +138,8 @@ TEST(HostIo, ReadBlockingChargesOsCostOnceForWholeRequest)
 {
     TwoDiskFixture f;
     f.s.spawn([](host::Host &h, net::NodeId st) -> Task {
-        co_await h.readBlocking(st, 0, 128 * 1024);
+        const std::uint64_t id = co_await h.postRead(st, 0, 128 * 1024);
+        co_await h.awaitIo(id);
     }(*f.h, f.storage[0]->id()));
     f.s.run();
     // 30 us + 128 * 0.27 us — a single request, regardless of the

@@ -115,7 +115,8 @@ TEST(StorageNode, BlockingReadDeliversAllBytes)
     host::IoCompletion done{};
     f.s.spawn([](host::Host &h, net::NodeId storage,
                  host::IoCompletion &out) -> Task {
-        out = co_await h.readBlocking(storage, 0, 64 * 1024);
+        const std::uint64_t id = co_await h.postRead(storage, 0, 64 * 1024);
+        out = co_await h.awaitIo(id);
     }(*f.h, f.storage->id(), done));
     f.s.run();
     EXPECT_EQ(done.bytes, 64u * 1024);
@@ -131,7 +132,8 @@ TEST(StorageNode, ReadTimeBoundedByDiskBandwidth)
     const std::uint64_t bytes = 1 * MiB;
     f.s.spawn([](host::Host &h, net::NodeId storage, std::uint64_t n,
                  host::IoCompletion &out) -> Task {
-        out = co_await h.readBlocking(storage, 0, n);
+        const std::uint64_t id = co_await h.postRead(storage, 0, n);
+        out = co_await h.awaitIo(id);
     }(*f.h, f.storage->id(), bytes, done));
     f.s.run();
     // 1 MB at 100 MB/s aggregate = ~10.5 ms (plus initial seek).
@@ -144,7 +146,8 @@ TEST(StorageNode, OsCostChargedToHostCpu)
 {
     IoFixture f;
     f.s.spawn([](host::Host &h, net::NodeId storage) -> Task {
-        co_await h.readBlocking(storage, 0, 64 * 1024);
+        const std::uint64_t id = co_await h.postRead(storage, 0, 64 * 1024);
+        co_await h.awaitIo(id);
     }(*f.h, f.storage->id()));
     f.s.run();
     // 30 us + 64 KB * 0.27 us/KB = 47.28 us.
@@ -179,8 +182,8 @@ TEST(StorageNode, TwoOutstandingRequestsOverlap)
     Tick seq_done = 0;
     seq.s.spawn([](host::Host &h, net::NodeId storage, std::uint64_t b,
                    Tick &out) -> Task {
-        co_await h.readBlocking(storage, 0, b);
-        co_await h.readBlocking(storage, b, b);
+        co_await h.awaitIo(co_await h.postRead(storage, 0, b));
+        co_await h.awaitIo(co_await h.postRead(storage, b, b));
         out = h.cpu().busyTicks(); // placate unused warnings
         out = 0;
     }(*seq.h, seq.storage->id(), block, seq_done));
@@ -215,7 +218,8 @@ TEST(StorageNode, DeviceFilterThinsTheStream)
     host::IoCompletion done{};
     f.s.spawn([](host::Host &h, net::NodeId storage,
                  host::IoCompletion &out) -> Task {
-        out = co_await h.readBlocking(storage, 0, 64 * 1024);
+        const std::uint64_t id = co_await h.postRead(storage, 0, 64 * 1024);
+        out = co_await h.awaitIo(id);
     }(*f.h, f.storage->id(), done));
     f.s.run();
     EXPECT_EQ(done.bytes, 32u * 1024);

@@ -98,16 +98,6 @@ TEST(RunFingerprint, FoldStatChangesValue)
     EXPECT_NE(b.value(), c.value());
 }
 
-TEST(RunFingerprint, ResetRestartsTheFold)
-{
-    obs::RunFingerprint fp;
-    fp.fold(std::uint64_t{5});
-    const std::uint64_t once = fp.value();
-    fp.reset();
-    fp.fold(std::uint64_t{5});
-    EXPECT_EQ(fp.value(), once);
-}
-
 /** Whole-cluster determinism: two identical runs, one fingerprint. */
 TEST(RunFingerprint, ClusterRunsAreReproducible)
 {

@@ -13,7 +13,13 @@
 #include <vector>
 
 #include "apps/Cluster.hh"
+#include "apps/Grep.hh"
+#include "apps/HashJoin.hh"
+#include "apps/Md5App.hh"
 #include "apps/MpegFilter.hh"
+#include "apps/ParallelSort.hh"
+#include "apps/Select.hh"
+#include "apps/Tar.hh"
 #include "obs/Metrics.hh"
 #include "sim/Simulation.hh"
 
@@ -97,10 +103,11 @@ TEST(IntervalSampler, BoundaryEndingRunEmitsNoExtraRow)
 /** One full MPEG-filter run with a sampler; returns the time series
  * bytes. */
 std::string
-sampledMpegRun(apps::Mode mode)
+sampledMpegRun(apps::Mode mode,
+               obs::MetricsFormat format = obs::MetricsFormat::Csv)
 {
     std::ostringstream csv;
-    obs::IntervalSampler sampler(csv, sim::us(100));
+    obs::IntervalSampler sampler(csv, sim::us(100), format);
     apps::MpegParams params;
     params.fileBytes = 128 * 1024;
     params.cluster.run.sampler = &sampler;
@@ -118,6 +125,52 @@ TEST(IntervalSampler, TimeSeriesIsDeterministic)
         << "--metrics-csv output must be byte-identical across runs";
     // Sanity: the series has a header plus at least a couple of rows.
     EXPECT_GE(lines(first).size(), 3u);
+}
+
+/** The comma-separated cells of one CSV line. */
+std::vector<std::string>
+cells(const std::string &line)
+{
+    std::vector<std::string> out;
+    std::istringstream in(line);
+    std::string cell;
+    while (std::getline(in, cell, ','))
+        out.push_back(cell);
+    return out;
+}
+
+/**
+ * --metrics-csv x.jsonl samples the same rows as the CSV: each JSON
+ * line carries its CSV row's run label, time and gauge values, under
+ * the header's names and in its order, with every number in the same
+ * bytes (the sampler writes both through JsonWriter::writeNumber).
+ */
+TEST(IntervalSampler, JsonlRowsMatchCsvRows)
+{
+    const auto csv = lines(sampledMpegRun(apps::Mode::Active));
+    const auto jsonl = lines(
+        sampledMpegRun(apps::Mode::Active, obs::MetricsFormat::Jsonl));
+    ASSERT_GE(csv.size(), 3u);
+    ASSERT_EQ(jsonl.size() + 1, csv.size()); // the CSV has a header
+    const std::vector<std::string> names = cells(csv[0]);
+    ASSERT_GT(names.size(), 2u);
+    ASSERT_EQ(names[0], "run");
+    bool fractional = false;
+    for (std::size_t row = 0; row < jsonl.size(); ++row) {
+        const std::vector<std::string> values = cells(csv[row + 1]);
+        ASSERT_EQ(values.size(), names.size()) << "row " << row;
+        EXPECT_EQ(values[0], "active");
+        std::string expect = "{\"run\":\"" + values[0] + "\"";
+        for (std::size_t c = 1; c < names.size(); ++c) {
+            expect += ",\"" + names[c] + "\":" + values[c];
+            fractional = fractional ||
+                         values[c].find('.') != std::string::npos;
+        }
+        EXPECT_EQ(jsonl[row], expect + "}") << "row " << row;
+    }
+    // Busy and stall shares are fractions: the rule for non-integral
+    // values is exercised, not only the integer one.
+    EXPECT_TRUE(fractional);
 }
 
 TEST(IntervalSampler, SamplingDoesNotPerturbTheRun)
@@ -173,6 +226,82 @@ TEST(HandlerProfiler, CyclesSumToSwitchCpuBusyCounter)
         }
     }
     EXPECT_EQ(stats_busy, cpu_busy);
+}
+
+/** Sum the handler profiles and the switch CPUs of one active run;
+ * each busy and each stall tick must be in both. */
+void
+expectProfilesReconcile(const apps::RunStats &stats)
+{
+    sim::Tick cpuBusy = 0, cpuStall = 0;
+    for (const cpu::TimeBreakdown &b : stats.switchCpus) {
+        cpuBusy += b.busy;
+        cpuStall += b.stall;
+    }
+    sim::Tick handlerBusy = 0, handlerStall = 0;
+    for (const apps::HandlerCpuProfile &p : stats.handlerProfiles) {
+        handlerBusy += p.busyTicks;
+        handlerStall += p.stallTicks;
+    }
+    ASSERT_GT(cpuBusy, 0u);
+    EXPECT_EQ(handlerBusy, cpuBusy);
+    EXPECT_EQ(handlerStall, cpuStall);
+}
+
+/**
+ * Every switch-CPU tick a handler spends goes through its
+ * HandlerContext, stall included: HashJoin's batched bit-vector
+ * probes as much as a single access(). Checked in the active mode of
+ * every app that runs on an apps::Cluster.
+ */
+TEST(HandlerProfiler, BusyAndStallSumToSwitchCpuCounters)
+{
+    using apps::Mode;
+    {
+        SCOPED_TRACE("mpeg");
+        apps::MpegParams p;
+        p.fileBytes = 128 * 1024;
+        expectProfilesReconcile(runMpegFilter(Mode::Active, p));
+    }
+    {
+        SCOPED_TRACE("hashjoin");
+        apps::HashJoinParams p;
+        p.rBytes = 256 * 1024;
+        p.sBytes = 1024 * 1024;
+        expectProfilesReconcile(runHashJoin(Mode::Active, p));
+    }
+    {
+        SCOPED_TRACE("select");
+        apps::SelectParams p;
+        p.tableBytes = 512 * 1024;
+        expectProfilesReconcile(runSelect(Mode::Active, p));
+    }
+    {
+        SCOPED_TRACE("grep");
+        apps::GrepParams p;
+        p.fileBytes = 70 * 2048;
+        expectProfilesReconcile(runGrep(Mode::Active, p));
+    }
+    {
+        SCOPED_TRACE("tar");
+        apps::TarParams p;
+        p.totalBytes = 512 * 1024;
+        expectProfilesReconcile(runTar(Mode::Active, p));
+    }
+    {
+        SCOPED_TRACE("sort");
+        apps::SortParams p;
+        p.totalBytes = 512 * 1024;
+        expectProfilesReconcile(runParallelSort(Mode::Active, p));
+    }
+    {
+        SCOPED_TRACE("md5");
+        apps::Md5Params p;
+        p.fileBytes = 64 * 1024;
+        p.blockBytes = 8 * 1024;
+        p.switchCpus = 4;
+        expectProfilesReconcile(runMd5(Mode::Active, p));
+    }
 }
 
 } // namespace

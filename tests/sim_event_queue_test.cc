@@ -484,8 +484,7 @@ TEST(Types, FrequencyCycleMath)
     EXPECT_EQ(host.period(), ps(500));
     EXPECT_EQ(sw.period(), ps(2000));
     EXPECT_EQ(host.cycles(4), ns(2));
-    EXPECT_EQ(sw.cyclesCeil(ns(2)), 1u);
-    EXPECT_EQ(sw.cyclesCeil(ns(3)), 2u);
+    EXPECT_EQ(sw.cycles(3), ns(6));
 }
 
 TEST(Types, TransferTime)
