@@ -142,8 +142,9 @@ runHashJoin(Mode mode, const HashJoinParams &params)
                                BlockFn r_fn, BlockFn s_fn) -> sim::Task {
             co_await normalHostLoop(h, st, p.rBytes, p.blockBytes, out,
                                     std::move(r_fn));
+            // S is stored after R, as in the active modes.
             co_await normalHostLoop(h, st, p.sBytes, p.blockBytes, out,
-                                    std::move(s_fn));
+                                    std::move(s_fn), p.rBytes);
             (void)c;
         }(cluster, host, storage, params, outstandingRequests(mode),
           on_r_block, on_s_block));

@@ -8,7 +8,8 @@ namespace san::apps {
 sim::Task
 normalHostLoop(host::Host &host, net::NodeId storage,
                std::uint64_t file_bytes, std::uint64_t block_bytes,
-               unsigned outstanding, BlockFn on_block)
+               unsigned outstanding, BlockFn on_block,
+               std::uint64_t disk_offset)
 {
     assert(outstanding >= 1);
     struct Posted {
@@ -23,7 +24,7 @@ normalHostLoop(host::Host &host, net::NodeId storage,
         const std::uint64_t n =
             std::min<std::uint64_t>(block_bytes, file_bytes - posted);
         const std::uint64_t id =
-            co_await host.postRead(storage, posted, n);
+            co_await host.postRead(storage, disk_offset + posted, n);
         inflight.push_back({id, posted, n});
         posted += n;
     };

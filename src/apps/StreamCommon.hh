@@ -55,14 +55,16 @@ using ReplyFn =
     std::function<sim::Task(host::Host &, const net::Message &)>;
 
 /**
- * Normal-path host loop: read @p file_bytes in @p block_bytes
- * requests with @p outstanding (1 or 2) in flight, invoking
- * @p on_block for each completed block, in file order.
+ * Normal-path host loop: read @p file_bytes, stored at
+ * @p disk_offset, in @p block_bytes requests with @p outstanding
+ * (1 or 2) in flight, invoking @p on_block for each completed block,
+ * in file order.
  */
 sim::Task normalHostLoop(host::Host &host, net::NodeId storage,
                          std::uint64_t file_bytes,
                          std::uint64_t block_bytes, unsigned outstanding,
-                         BlockFn on_block);
+                         BlockFn on_block,
+                         std::uint64_t disk_offset = 0);
 
 /** Parameters of the active-path host loop. */
 struct ActiveLoop {

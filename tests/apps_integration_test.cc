@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/Cluster.hh"
 #include "apps/Grep.hh"
 #include "apps/HashJoin.hh"
 #include "apps/Md5App.hh"
@@ -29,6 +30,76 @@ runAll(RunFn run)
     for (std::size_t i = 0; i < allModes.size(); ++i)
         out[i] = run(allModes[i]);
     return out;
+}
+
+/** Disk seeks and bytes read by storage node 0 in one run. */
+struct DiskTally {
+    std::uint64_t seeks = 0;
+    std::uint64_t bytes = 0;
+};
+
+template <typename RunFn>
+std::array<DiskTally, 4>
+diskTallies(RunFn run)
+{
+    std::array<DiskTally, 4> out;
+    DiskTally *slot = nullptr;
+    clusterObserver() = [&slot](Cluster &c, Mode) {
+        *slot = {c.storage().disks().seeks(),
+                 c.storage().disks().bytesRead()};
+    };
+    for (std::size_t i = 0; i < allModes.size(); ++i) {
+        slot = &out[i];
+        run(allModes[i]);
+    }
+    clusterObserver() = nullptr;
+    return out;
+}
+
+void
+expectSameDiskWork(const char *app, const std::array<DiskTally, 4> &t)
+{
+    EXPECT_GT(t[0].bytes, 0u) << app;
+    for (std::size_t i = 1; i < t.size(); ++i) {
+        EXPECT_EQ(t[i].seeks, t[0].seeks)
+            << app << ", " << modeName(allModes[i]);
+        EXPECT_EQ(t[i].bytes, t[0].bytes)
+            << app << ", " << modeName(allModes[i]);
+    }
+}
+
+TEST(StreamApps, EveryModeReadsTheSameDisk)
+{
+    // Where the per-record work runs changes nothing about what the
+    // storage node reads: every mode streams the same sectors, so
+    // the disks seek as often and deliver as many bytes.
+    MpegParams mpeg;
+    mpeg.fileBytes = 256 * 1024;
+    expectSameDiskWork("mpeg", diskTallies([&](Mode m) {
+                           return runMpegFilter(m, mpeg);
+                       }));
+    SelectParams select;
+    select.tableBytes = 512 * 1024;
+    expectSameDiskWork("select", diskTallies([&](Mode m) {
+                           return runSelect(m, select);
+                       }));
+    GrepParams grep;
+    grep.fileBytes = 70 * 2048;
+    expectSameDiskWork("grep", diskTallies([&](Mode m) {
+                           return runGrep(m, grep);
+                       }));
+    HashJoinParams join;
+    join.rBytes = 512 * 1024;
+    join.sBytes = 1536 * 1024;
+    expectSameDiskWork("hashjoin", diskTallies([&](Mode m) {
+                           return runHashJoin(m, join);
+                       }));
+    Md5Params md5;
+    md5.fileBytes = 64 * 1024;
+    md5.blockBytes = 8 * 1024;
+    expectSameDiskWork("md5", diskTallies([&](Mode m) {
+                           return runMd5(m, md5);
+                       }));
 }
 
 TEST(SelectApp, ModesAgreeAndActiveFiltersTraffic)
