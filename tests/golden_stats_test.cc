@@ -28,6 +28,7 @@
 #include "apps/Grep.hh"
 #include "apps/HashJoin.hh"
 #include "apps/MpegFilter.hh"
+#include "apps/Select.hh"
 #include "fault/FaultPlan.hh"
 #include "harness/StatsReport.hh"
 #include "obs/Json.hh"
@@ -72,9 +73,9 @@ addFault(fault::FaultPlan &plan, const std::string &spec, bool at)
 }
 
 /** Small runs that still exercise hosts, switch CPUs, buffers, ATBs,
- * storage and adapters. HashJoin runs on the scaled host caches, so
- * its host L1D/L2 and switch D$ pin non-zero cold, capacity and
- * conflict counts. grep_faulted adds link bit errors, disk latency
+ * storage and adapters. Select and HashJoin run on the scaled host
+ * caches, so their host L1D/L2 and switch D$ pin non-zero cold,
+ * capacity and conflict counts. grep_faulted adds link bit errors, disk latency
  * spikes and a handler crash, and samples every packet. */
 void
 runWorkload(const GoldenCase &c)
@@ -96,6 +97,10 @@ runWorkload(const GoldenCase &c)
         apps::MpegParams params;
         params.fileBytes = 256 * 1024;
         runMpegFilter(c.mode, params);
+    } else if (std::string(c.workload) == "select") {
+        apps::SelectParams params;
+        params.tableBytes = 512 * 1024;
+        runSelect(c.mode, params);
     } else if (std::string(c.workload) == "hashjoin") {
         apps::HashJoinParams params;
         params.rBytes = 512 * 1024;
@@ -190,6 +195,8 @@ INSTANTIATE_TEST_SUITE_P(
                       GoldenCase{"mpeg", apps::Mode::ActivePref},
                       GoldenCase{"grep", apps::Mode::Normal},
                       GoldenCase{"grep", apps::Mode::Active},
+                      GoldenCase{"select", apps::Mode::Normal},
+                      GoldenCase{"select", apps::Mode::Active},
                       GoldenCase{"hashjoin", apps::Mode::Normal},
                       GoldenCase{"hashjoin", apps::Mode::Active},
                       GoldenCase{"grep_faulted", apps::Mode::Active}),
