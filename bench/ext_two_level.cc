@@ -149,8 +149,8 @@ run(Scheme scheme)
         }
     } else {
         // Custom handler: consume until the device says last,
-        // refining the surviving records (a FilterHandler cannot be
-        // used here because device-side filtering changes the byte
+        // refining the surviving records (runFilterHandler cannot
+        // be used here because device-side filtering changes the byte
         // count in flight; completion rides IoReply.last instead).
         auto handler = [matches](active::HandlerContext &ctx)
             -> sim::Task {

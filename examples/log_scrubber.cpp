@@ -56,31 +56,20 @@ struct Outcome {
 };
 
 Outcome
-runScrub(bool in_switch)
+runScrub(Mode mode)
 {
     Cluster cluster;
-    auto &host = cluster.host();
-    auto &sw = cluster.sw();
-    const net::NodeId disk = cluster.storage().id();
     std::uint64_t errors = 0;
 
-    if (!in_switch) {
-        cluster.sim().spawn(normalHostLoop(
-            host, disk, logBytes, blockBytes, 2,
-            [&errors](host::Host &h, mem::Addr buf, std::uint64_t bytes,
-                      std::uint64_t off) -> sim::Task {
-                errors += errorsIn(off, bytes);
-                co_await h.cpu().compute(
-                    bytes / lineBytes * scanInstrPerLine);
-                co_await h.cpu().touch(buf, bytes,
-                                       mem::AccessKind::Load);
-            }));
-    } else {
-        FilterHandler spec;
-        spec.fileBytes = logBytes;
-        spec.blockBytes = blockBytes;
-        spec.processChunk = [&errors](active::HandlerContext &ctx,
-                                      const active::StreamChunk &chunk)
+    // The host scans whole blocks, or the switch scans each chunk
+    // and forwards only the error lines.
+    Stream log{
+        .file = {.storage = cluster.storage().id(),
+                 .bytes = logBytes,
+                 .blockBytes = blockBytes},
+        .name = "scrub",
+        .onChunk = [&errors](active::HandlerContext &ctx,
+                             const active::StreamChunk &chunk)
             -> sim::ValueTask<std::uint32_t> {
             co_await ctx.awaitValid(chunk, 0, chunk.bytes);
             co_await ctx.compute(
@@ -88,32 +77,29 @@ runScrub(bool in_switch)
             const std::uint64_t n = errorsIn(chunk.address, chunk.bytes);
             errors += n;
             co_return static_cast<std::uint32_t>(n * lineBytes);
-        };
-        sw.registerHandler(1, "scrub", [spec](active::HandlerContext &c) {
-            return runFilterHandler(c, spec);
-        });
-
-        ActiveLoop loop;
-        loop.storage = disk;
-        loop.switchNode = sw.id();
-        loop.handlerId = 1;
-        loop.fileBytes = logBytes;
-        loop.blockBytes = blockBytes;
-        loop.outstanding = 2;
-        cluster.sim().spawn(activeHostLoop(
-            host, loop,
-            [](host::Host &h, const net::Message &reply) -> sim::Task {
-                if (reply.bytes > 0) {
-                    const mem::Addr buf = h.allocBuffer(reply.bytes);
-                    co_await h.cpu().touch(buf, reply.bytes,
-                                           mem::AccessKind::Load);
-                }
-            }));
-    }
+        },
+        .onBlock = [&errors](host::Host &h, mem::Addr buf,
+                             std::uint64_t bytes,
+                             std::uint64_t off) -> sim::Task {
+            errors += errorsIn(off, bytes);
+            co_await h.cpu().compute(bytes / lineBytes *
+                                     scanInstrPerLine);
+            co_await h.cpu().touch(buf, bytes, mem::AccessKind::Load);
+        },
+        .onReply = [](host::Host &h,
+                      const net::Message &reply) -> sim::Task {
+            if (reply.bytes > 0) {
+                const mem::Addr buf = h.allocBuffer(reply.bytes);
+                co_await h.cpu().touch(buf, reply.bytes,
+                                       mem::AccessKind::Load);
+            }
+        },
+    };
+    cluster.spawnOnHost(0, placeStreams(cluster, mode, {log}));
 
     const sim::Tick end = cluster.sim().run();
-    return Outcome{end, host.cpu().breakdown(end).utilization(),
-                   host.ioTrafficBytes(), errors};
+    return Outcome{end, cluster.host().cpu().breakdown(end).utilization(),
+                   cluster.host().ioTrafficBytes(), errors};
 }
 
 } // namespace
@@ -121,8 +107,8 @@ runScrub(bool in_switch)
 int
 main()
 {
-    const Outcome on_host = runScrub(false);
-    const Outcome on_switch = runScrub(true);
+    const Outcome on_host = runScrub(Mode::NormalPref);
+    const Outcome on_switch = runScrub(Mode::ActivePref);
 
     std::printf("log scrubbing, %llu MB log, %.0f%% error lines\n",
                 static_cast<unsigned long long>(logBytes >> 20),

@@ -6,7 +6,6 @@
 #include "apps/Cluster.hh"
 #include "apps/DetHash.hh"
 #include "apps/StreamCommon.hh"
-#include "io/IoRequest.hh"
 
 namespace san::apps {
 
@@ -31,6 +30,32 @@ bucketAddr(const HashJoinParams &p, std::uint64_t h)
     return hashTableBase + (h % p.rBytes) / 64 * 64;
 }
 
+/** Memory stall of one bit-vector pass over @p records records from
+ * @p first, starting at @p now: R sets each record's bit (Store), S
+ * tests it (Load). */
+sim::Tick
+bitVectorStall(const HashJoinParams &p, mem::MemorySystem &mem_sys,
+               mem::AccessKind kind, std::uint64_t first,
+               std::uint64_t records, sim::Tick now)
+{
+    sim::Tick stall = 0;
+    for (std::uint64_t i = 0; i < records; ++i)
+        stall += mem_sys.dataAccess(bitAddr(p, detHash(p.seed, first + i)),
+                                    1, kind, now + stall);
+    return stall;
+}
+
+/** S records among @p records from @p first that pass the filter. */
+std::uint64_t
+survivorsIn(const HashJoinParams &p, std::uint64_t first,
+            std::uint64_t records)
+{
+    std::uint64_t n = 0;
+    for (std::uint64_t i = 0; i < records; ++i)
+        n += detChance(p.seed ^ 0xabcdef, first + i, p.reductionFactor);
+    return n;
+}
+
 } // namespace
 
 RunStats
@@ -39,13 +64,9 @@ runHashJoin(Mode mode, const HashJoinParams &params)
     ClusterParams cp = params.cluster;
     cp.hostMem = mem::scaledHostMemoryParams();
     Cluster cluster(cp);
-    auto &host = cluster.host();
-    auto &sw = cluster.sw();
     const net::NodeId storage = cluster.storage().id();
-
     auto survivors = std::make_shared<std::uint64_t>(0);
     const std::uint64_t hash_seed = params.seed;
-    const std::uint64_t match_seed = params.seed ^ 0xabcdef;
 
     // ---- Host-side record batch processing ---------------------------
     // Build phase: hash + insert every R record.
@@ -85,165 +106,105 @@ runHashJoin(Mode mode, const HashJoinParams &params)
         co_await h.cpu().stallFor(stall);
     };
 
-    if (!isActive(mode)) {
-        auto on_r_block = [&params, host_build, hash_seed](
-                              host::Host &h, mem::Addr buf,
-                              std::uint64_t bytes,
-                              std::uint64_t off) -> sim::Task {
-            const std::uint64_t first = off / params.recordBytes;
-            // Build the hash table...
-            co_await host_build(h, buf, bytes, first);
-            // ...and set bit-vector bits (normal mode does both).
-            const std::uint64_t records = bytes / params.recordBytes;
-            co_await h.cpu().compute(records *
-                                     params.filterInstrPerRecord);
-            sim::Tick stall = 0;
-            auto &mem_sys = h.cpu().memory();
-            for (std::uint64_t i = 0; i < records; ++i) {
-                const std::uint64_t hv = detHash(hash_seed, first + i);
-                stall += mem_sys.dataAccess(bitAddr(params, hv), 1,
-                                            mem::AccessKind::Store,
-                                            h.cpu().now() + stall);
-            }
-            co_await h.cpu().stallFor(stall);
-        };
+    // The switch's bit-vector pass over one chunk (active modes).
+    auto switch_pass = [&params](active::HandlerContext &ctx,
+                                 const active::StreamChunk &chunk,
+                                 mem::AccessKind kind) -> sim::Task {
+        const std::uint64_t records = chunk.bytes / params.recordBytes;
+        co_await ctx.awaitValid(chunk, 0, chunk.bytes);
+        co_await ctx.compute(params.chunkOverheadInstr +
+                             records * (params.hashInstrPerRecord +
+                                        params.filterInstrPerRecord));
+        co_await ctx.stallFor(bitVectorStall(
+            params, ctx.memory(), kind, chunk.address / params.recordBytes,
+            records, ctx.sim().now()));
+    };
 
-        auto on_s_block = [&params, host_probe, survivors, hash_seed,
-                           match_seed](
-                              host::Host &h, mem::Addr buf,
-                              std::uint64_t bytes,
-                              std::uint64_t off) -> sim::Task {
-            const std::uint64_t records = bytes / params.recordBytes;
-            const std::uint64_t first = off / params.recordBytes;
-            co_await h.cpu().compute(
-                records * (params.hashInstrPerRecord +
-                           params.filterInstrPerRecord));
-            co_await h.cpu().touch(buf, bytes, mem::AccessKind::Load);
-            // Bit-vector checks for every record.
-            sim::Tick stall = 0;
-            auto &mem_sys = h.cpu().memory();
-            std::uint64_t matches = 0;
-            for (std::uint64_t i = 0; i < records; ++i) {
-                const std::uint64_t hv = detHash(hash_seed, first + i);
-                stall += mem_sys.dataAccess(bitAddr(params, hv), 1,
-                                            mem::AccessKind::Load,
-                                            h.cpu().now() + stall);
-                matches += detChance(match_seed, first + i,
-                                     params.reductionFactor);
-            }
-            co_await h.cpu().stallFor(stall);
-            *survivors += matches;
-            co_await host_probe(h, matches, first, hash_seed ^ 0x55);
-        };
-
-        cluster.sim().spawn([](Cluster &c, host::Host &h,
-                               net::NodeId st,
-                               const HashJoinParams &p, unsigned out,
-                               BlockFn r_fn, BlockFn s_fn) -> sim::Task {
-            co_await normalHostLoop(h, st, p.rBytes, p.blockBytes, out,
-                                    std::move(r_fn));
-            // S is stored after R, as in the active modes.
-            co_await normalHostLoop(h, st, p.sBytes, p.blockBytes, out,
-                                    std::move(s_fn), p.rBytes);
-            (void)c;
-        }(cluster, host, storage, params, outstandingRequests(mode),
-          on_r_block, on_s_block));
-    } else {
-        // ---- Switch handlers ----------------------------------------
-        // Handler 1: R streams through; the switch sets bit-vector
-        // bits and forwards everything to the host.
-        FilterHandler build_spec;
-        build_spec.fileBytes = params.rBytes;
-        build_spec.blockBytes = params.blockBytes;
-        build_spec.codeBytes = params.handlerCodeBytes;
-        build_spec.processChunk =
-            [&params, hash_seed](active::HandlerContext &ctx,
+    // ---- R: the bit-vector bits are set (in the switch in the
+    // active modes, which forwards every record) and the host builds
+    // its hash table.
+    auto r_cursor = std::make_shared<std::uint64_t>(0);
+    Stream r{
+        .file = {.storage = storage,
+                 .bytes = params.rBytes,
+                 .blockBytes = params.blockBytes},
+        .handlerId = 1,
+        .name = "hj-build",
+        .codeBytes = params.handlerCodeBytes,
+        .onChunk = [switch_pass](active::HandlerContext &ctx,
                                  const active::StreamChunk &chunk)
             -> sim::ValueTask<std::uint32_t> {
-            const std::uint64_t records =
-                chunk.bytes / params.recordBytes;
-            const std::uint64_t first =
-                chunk.address / params.recordBytes;
-            co_await ctx.awaitValid(chunk, 0, chunk.bytes);
-            co_await ctx.compute(
-                params.chunkOverheadInstr +
-                records * (params.hashInstrPerRecord +
-                           params.filterInstrPerRecord));
-            sim::Tick stall = 0;
-            auto &mem_sys = ctx.memory();
-            for (std::uint64_t i = 0; i < records; ++i) {
-                const std::uint64_t hv = detHash(hash_seed, first + i);
-                stall += mem_sys.dataAccess(bitAddr(params, hv), 1,
-                                            mem::AccessKind::Store,
-                                            ctx.sim().now() + stall);
-            }
-            co_await ctx.stallFor(stall);
+            co_await switch_pass(ctx, chunk, mem::AccessKind::Store);
             co_return chunk.bytes; // R passes through to the host
-        };
-
-        // Handler 2: S is filtered in the switch; only survivors go
-        // to the host.
-        FilterHandler filter_spec;
-        filter_spec.fileBytes = params.sBytes;
-        filter_spec.blockBytes = params.blockBytes;
-        filter_spec.codeBytes = params.handlerCodeBytes;
-        filter_spec.processChunk =
-            [&params, hash_seed, match_seed, survivors](
-                active::HandlerContext &ctx,
-                const active::StreamChunk &chunk)
-            -> sim::ValueTask<std::uint32_t> {
-            const std::uint64_t records =
-                chunk.bytes / params.recordBytes;
-            const std::uint64_t first =
-                chunk.address / params.recordBytes;
-            co_await ctx.awaitValid(chunk, 0, chunk.bytes);
-            co_await ctx.compute(
-                params.chunkOverheadInstr +
-                records * (params.hashInstrPerRecord +
-                           params.filterInstrPerRecord));
-            sim::Tick stall = 0;
-            auto &mem_sys = ctx.memory();
-            std::uint64_t matches = 0;
-            for (std::uint64_t i = 0; i < records; ++i) {
-                const std::uint64_t hv = detHash(hash_seed, first + i);
-                stall += mem_sys.dataAccess(bitAddr(params, hv), 1,
-                                            mem::AccessKind::Load,
-                                            ctx.sim().now() + stall);
-                matches += detChance(match_seed, first + i,
-                                     params.reductionFactor);
-            }
-            co_await ctx.stallFor(stall);
-            *survivors += matches;
-            co_return static_cast<std::uint32_t>(
-                matches * params.recordBytes);
-        };
-
-        sw.registerHandler(1, "hj-build",
-                           [build_spec](active::HandlerContext &c) {
-                               return runFilterHandler(c, build_spec);
-                           });
-        sw.registerHandler(2, "hj-filter",
-                           [filter_spec](active::HandlerContext &c) {
-                               return runFilterHandler(c, filter_spec);
-                           });
-
-        // ---- Host side ----------------------------------------------
-        auto r_cursor = std::make_shared<std::uint64_t>(0);
-        auto on_r_reply = [&params, host_build, r_cursor](
-                              host::Host &h,
-                              const net::Message &reply) -> sim::Task {
+        },
+        .onBlock = [&params, host_build](
+                       host::Host &h, mem::Addr buf, std::uint64_t bytes,
+                       std::uint64_t off) -> sim::Task {
+            const std::uint64_t first = off / params.recordBytes;
+            const std::uint64_t records = bytes / params.recordBytes;
+            // Build the hash table and set the bits.
+            co_await host_build(h, buf, bytes, first);
+            co_await h.cpu().compute(records *
+                                     params.filterInstrPerRecord);
+            co_await h.cpu().stallFor(bitVectorStall(
+                params, h.cpu().memory(), mem::AccessKind::Store, first,
+                records, h.cpu().now()));
+        },
+        .onReply = [&params, host_build, r_cursor](
+                       host::Host &h,
+                       const net::Message &reply) -> sim::Task {
             const std::uint64_t first = *r_cursor;
             *r_cursor += reply.bytes / params.recordBytes;
             if (reply.bytes > 0) {
                 const mem::Addr buf = h.allocBuffer(reply.bytes);
                 co_await host_build(h, buf, reply.bytes, first);
             }
-        };
+        },
+    };
 
-        auto probe_cursor = std::make_shared<std::uint64_t>(0);
-        auto on_s_reply = [&params, host_probe, probe_cursor, hash_seed](
-                              host::Host &h,
-                              const net::Message &reply) -> sim::Task {
+    // ---- S, stored after R: the bit-vector filters it (in the
+    // switch in the active modes) and the host probes the survivors.
+    auto probe_cursor = std::make_shared<std::uint64_t>(0);
+    Stream s{
+        .file = {.storage = storage,
+                 .diskOffset = params.rBytes,
+                 .bytes = params.sBytes,
+                 .blockBytes = params.blockBytes},
+        .handlerId = 2,
+        .name = "hj-filter",
+        .codeBytes = params.handlerCodeBytes,
+        .onChunk = [&params, switch_pass, survivors](
+                       active::HandlerContext &ctx,
+                       const active::StreamChunk &chunk)
+            -> sim::ValueTask<std::uint32_t> {
+            co_await switch_pass(ctx, chunk, mem::AccessKind::Load);
+            const std::uint64_t matches =
+                survivorsIn(params, chunk.address / params.recordBytes,
+                            chunk.bytes / params.recordBytes);
+            *survivors += matches;
+            co_return static_cast<std::uint32_t>(
+                matches * params.recordBytes);
+        },
+        .onBlock = [&params, host_probe, survivors, hash_seed](
+                       host::Host &h, mem::Addr buf, std::uint64_t bytes,
+                       std::uint64_t off) -> sim::Task {
+            const std::uint64_t records = bytes / params.recordBytes;
+            const std::uint64_t first = off / params.recordBytes;
+            co_await h.cpu().compute(
+                records * (params.hashInstrPerRecord +
+                           params.filterInstrPerRecord));
+            co_await h.cpu().touch(buf, bytes, mem::AccessKind::Load);
+            co_await h.cpu().stallFor(bitVectorStall(
+                params, h.cpu().memory(), mem::AccessKind::Load, first,
+                records, h.cpu().now()));
+            const std::uint64_t matches =
+                survivorsIn(params, first, records);
+            *survivors += matches;
+            co_await host_probe(h, matches, first, hash_seed ^ 0x55);
+        },
+        .onReply = [&params, host_probe, probe_cursor, hash_seed](
+                       host::Host &h,
+                       const net::Message &reply) -> sim::Task {
             const std::uint64_t matches =
                 reply.bytes / params.recordBytes;
             if (reply.bytes > 0) {
@@ -254,33 +215,9 @@ runHashJoin(Mode mode, const HashJoinParams &params)
             const std::uint64_t first = *probe_cursor;
             *probe_cursor += matches;
             co_await host_probe(h, matches, first, hash_seed ^ 0x55);
-        };
-
-        cluster.sim().spawn(
-            [](host::Host &h, net::NodeId st, net::NodeId sw_id,
-               const HashJoinParams &p, unsigned out, ReplyFn r_fn,
-               ReplyFn s_fn) -> sim::Task {
-                ActiveLoop r_loop;
-                r_loop.storage = st;
-                r_loop.switchNode = sw_id;
-                r_loop.handlerId = 1;
-                r_loop.fileBytes = p.rBytes;
-                r_loop.blockBytes = p.blockBytes;
-                r_loop.outstanding = out;
-                co_await activeHostLoop(h, r_loop, std::move(r_fn));
-
-                ActiveLoop s_loop;
-                s_loop.storage = st;
-                s_loop.switchNode = sw_id;
-                s_loop.handlerId = 2;
-                s_loop.fileBytes = p.sBytes;
-                s_loop.blockBytes = p.blockBytes;
-                s_loop.outstanding = out;
-                s_loop.diskOffset = p.rBytes;
-                co_await activeHostLoop(h, s_loop, std::move(s_fn));
-            }(host, storage, sw.id(), params, outstandingRequests(mode),
-              on_r_reply, on_s_reply));
-    }
+        },
+    };
+    cluster.spawnOnHost(0, placeStreams(cluster, mode, {r, s}));
 
     RunStats stats = cluster.collect(mode);
     stats.checksum = std::to_string(*survivors);

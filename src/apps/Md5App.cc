@@ -68,8 +68,12 @@ runMd5(Mode mode, const Md5Params &params)
         cluster.sim().spawn(
             [](host::Host &h, net::NodeId st, const Md5Params &p,
                unsigned out, BlockFn fn) -> sim::Task {
-                co_await normalHostLoop(h, st, p.fileBytes, p.blockBytes,
-                                        out, std::move(fn));
+                co_await normalHostLoop(
+                    h,
+                    {.storage = st,
+                     .bytes = p.fileBytes,
+                     .blockBytes = p.blockBytes},
+                    out, std::move(fn));
                 co_await h.cpu().compute(p.finalizeInstr);
             }(host, storage, params, outstandingRequests(mode),
               on_block));

@@ -6,7 +6,6 @@
 
 #include "apps/Cluster.hh"
 #include "apps/StreamCommon.hh"
-#include "io/IoRequest.hh"
 
 namespace san::apps {
 
@@ -69,10 +68,6 @@ RunStats
 runMpegFilter(Mode mode, const MpegParams &params)
 {
     Cluster cluster(params.cluster);
-    auto &host = cluster.host();
-    auto &sw = cluster.sw();
-    const net::NodeId storage = cluster.storage().id();
-
     auto kept_bytes = std::make_shared<std::uint64_t>(0);
 
     // Color reduction of the I bytes in a buffer (host side, both
@@ -89,11 +84,30 @@ runMpegFilter(Mode mode, const MpegParams &params)
                                mem::AccessKind::Store);
     };
 
-    if (!isActive(mode)) {
-        auto on_block = [&params, kept_bytes, color_reduce](
-                            host::Host &h, mem::Addr buf,
-                            std::uint64_t bytes,
-                            std::uint64_t off) -> sim::Task {
+    Stream clip{
+        .file = {.storage = cluster.storage().id(),
+                 .bytes = params.fileBytes,
+                 .blockBytes = params.blockBytes},
+        .name = "mpeg-filter",
+        .codeBytes = params.handlerCodeBytes,
+        // The frame filter, running from on-chip buffers at the
+        // switch.
+        .onChunk = [&params](active::HandlerContext &ctx,
+                             const active::StreamChunk &chunk)
+            -> sim::ValueTask<std::uint32_t> {
+            co_await ctx.awaitValid(chunk, 0, chunk.bytes);
+            const std::uint64_t frames =
+                framesInRange(params, chunk.address, chunk.bytes);
+            const std::uint64_t i_bytes =
+                iBytesInRange(params, chunk.address, chunk.bytes);
+            co_await ctx.compute(params.chunkOverheadInstr +
+                                 chunk.bytes * params.scanInstrPerByte +
+                                 frames * params.headerCheckInstr);
+            co_return static_cast<std::uint32_t>(i_bytes);
+        },
+        .onBlock = [&params, kept_bytes, color_reduce](
+                       host::Host &h, mem::Addr buf, std::uint64_t bytes,
+                       std::uint64_t off) -> sim::Task {
             const std::uint64_t frames = framesInRange(params, off,
                                                        bytes);
             const std::uint64_t i_bytes = iBytesInRange(params, off,
@@ -105,53 +119,18 @@ runMpegFilter(Mode mode, const MpegParams &params)
             co_await h.cpu().touch(buf, bytes, mem::AccessKind::Load);
             *kept_bytes += i_bytes;
             co_await color_reduce(h, buf, i_bytes);
-        };
-        cluster.spawnOnHost(0, normalHostLoop(
-            host, storage, params.fileBytes, params.blockBytes,
-            outstandingRequests(mode), on_block));
-    } else {
-        FilterHandler spec;
-        spec.fileBytes = params.fileBytes;
-        spec.blockBytes = params.blockBytes;
-        spec.codeBytes = params.handlerCodeBytes;
-        spec.processChunk =
-            [&params](active::HandlerContext &ctx,
-                      const active::StreamChunk &chunk)
-            -> sim::ValueTask<std::uint32_t> {
-            co_await ctx.awaitValid(chunk, 0, chunk.bytes);
-            const std::uint64_t frames =
-                framesInRange(params, chunk.address, chunk.bytes);
-            const std::uint64_t i_bytes =
-                iBytesInRange(params, chunk.address, chunk.bytes);
-            // Same scan, running from on-chip buffers at the switch.
-            co_await ctx.compute(params.chunkOverheadInstr +
-                                 chunk.bytes * params.scanInstrPerByte +
-                                 frames * params.headerCheckInstr);
-            co_return static_cast<std::uint32_t>(i_bytes);
-        };
-        sw.registerHandler(1, "mpeg-filter",
-                           [spec](active::HandlerContext &c) {
-                               return runFilterHandler(c, spec);
-                           });
-
-        auto on_reply = [kept_bytes, color_reduce](
-                            host::Host &h,
-                            const net::Message &reply) -> sim::Task {
+        },
+        .onReply = [kept_bytes, color_reduce](
+                       host::Host &h,
+                       const net::Message &reply) -> sim::Task {
             *kept_bytes += reply.bytes;
             if (reply.bytes > 0) {
                 const mem::Addr buf = h.allocBuffer(reply.bytes);
                 co_await color_reduce(h, buf, reply.bytes);
             }
-        };
-        ActiveLoop loop;
-        loop.storage = storage;
-        loop.switchNode = sw.id();
-        loop.handlerId = 1;
-        loop.fileBytes = params.fileBytes;
-        loop.blockBytes = params.blockBytes;
-        loop.outstanding = outstandingRequests(mode);
-        cluster.spawnOnHost(0, activeHostLoop(host, loop, on_reply));
-    }
+        },
+    };
+    cluster.spawnOnHost(0, placeStreams(cluster, mode, {clip}));
 
     RunStats stats = cluster.collect(mode);
     stats.checksum = std::to_string(*kept_bytes);

@@ -116,10 +116,12 @@ runParallelSort(Mode mode, const SortParams &params)
                         }
                     };
 
-                    co_await normalHostLoop(host, storage,
-                                            my_records * p.recordBytes,
-                                            p.blockBytes, outstanding,
-                                            on_block);
+                    co_await normalHostLoop(
+                        host,
+                        {.storage = storage,
+                         .bytes = my_records * p.recordBytes,
+                         .blockBytes = p.blockBytes},
+                        outstanding, on_block);
                 }(h, st, cluster, params, n, per_node_records,
                   outstandingRequests(mode), received));
 

@@ -1,26 +1,29 @@
 /**
  * @file
- * Shared host-side and switch-side machinery for the streaming
- * benchmarks (MPEG filter, HashJoin, Select, Grep, and friends).
+ * The streaming benchmarks' shared skeleton (MPEG filter, HashJoin,
+ * Select, Grep, and friends; the paper's §2.2): a Stream states its
+ * file once and the work on its records in both placements, and
+ * placeStreams() places that work for a Mode.
  *
  * Protocol
  * --------
  * Active modes:
  *  1. The host sends a small active "argument" message to the switch
- *     (tag tagArgs), invoking the handler; its payload carries the
- *     app parameters. The paper's ReadArg(arg) step.
+ *     (tag tagArgs), invoking the handler. The paper's ReadArg(arg)
+ *     step.
  *  2. The host posts disk reads of blockBytes each, directed at the
  *     switch handler (the memory-mapped file region of §2.2). One or
  *     two requests stay outstanding (mode without/with "+pref").
- *  3. The handler consumes the arriving MTU chunks, processes them,
- *     forwards whatever survives its filter to the host (tag
+ *  3. The handler consumes the arriving MTU chunks, runs onChunk on
+ *     each, forwards whatever survives its filter to the host (tag
  *     tagResult, one message per block, possibly 0 bytes), and
  *     deallocates buffers as it goes.
- *  4. The host overlaps its own processing of filtered results with
- *     the stream, posting the next block on each block reply.
+ *  4. The host runs onReply on each block's result, overlapping its
+ *     own processing with the stream, and posts the next block on
+ *     each block reply.
  *
  * Normal modes: the host reads blockBytes at a time (sync or two
- * outstanding) and processes each block itself.
+ * outstanding) and runs onBlock on each block itself.
  */
 
 #ifndef SAN_APPS_STREAM_COMMON_HH
@@ -28,9 +31,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <string>
+#include <vector>
 
 #include "active/ActiveSwitch.hh"
+#include "apps/Cluster.hh"
 #include "apps/RunConfig.hh"
 #include "host/Host.hh"
 #include "sim/Task.hh"
@@ -55,39 +60,6 @@ using ReplyFn =
     std::function<sim::Task(host::Host &, const net::Message &)>;
 
 /**
- * Normal-path host loop: read @p file_bytes, stored at
- * @p disk_offset, in @p block_bytes requests with @p outstanding
- * (1 or 2) in flight, invoking @p on_block for each completed block,
- * in file order.
- */
-sim::Task normalHostLoop(host::Host &host, net::NodeId storage,
-                         std::uint64_t file_bytes,
-                         std::uint64_t block_bytes, unsigned outstanding,
-                         BlockFn on_block,
-                         std::uint64_t disk_offset = 0);
-
-/** Parameters of the active-path host loop. */
-struct ActiveLoop {
-    net::NodeId storage = net::invalidNode;
-    net::NodeId switchNode = net::invalidNode;
-    std::uint8_t handlerId = 0;
-    std::uint8_t cpuId = 0;
-    std::uint64_t fileBytes = 0;
-    std::uint64_t blockBytes = 0;
-    unsigned outstanding = 1;
-    net::PayloadPtr args;             //!< handler argument payload
-    std::uint64_t diskOffset = 0;     //!< where the file lives
-};
-
-/**
- * Active-path host loop: send the argument message, stream the file
- * through the handler with the requested number of outstanding block
- * requests, and run @p on_reply for every per-block result message.
- */
-sim::Task activeHostLoop(host::Host &host, ActiveLoop loop,
-                         ReplyFn on_reply);
-
-/**
  * Per-chunk handler callback: process one arrived chunk and return
  * the number of payload bytes that survive the filter (to be
  * forwarded to the host with the block's result message).
@@ -95,27 +67,65 @@ sim::Task activeHostLoop(host::Host &host, ActiveLoop loop,
 using ChunkFn = std::function<sim::ValueTask<std::uint32_t>(
     active::HandlerContext &, const active::StreamChunk &)>;
 
-/** Configuration of the generic filtering handler. */
-struct FilterHandler {
-    std::uint64_t fileBytes = 0;
-    std::uint64_t blockBytes = 0;
-    /** Instructions charged once per invocation (setup, ReadArg). */
-    std::uint64_t setupInstructions = 100;
-    /** Handler code footprint fetched through the I$. */
-    std::uint64_t codeBytes = 2048;
-    ChunkFn processChunk;
-    /** Optional payload attached to each block result. */
-    std::function<net::PayloadPtr(std::uint64_t block_index)>
-        blockPayload;
+/** A file the host streams: where it lives and how it is read. */
+struct StreamFile {
+    net::NodeId storage = net::invalidNode; //!< node that stores it
+    std::uint64_t diskOffset = 0; //!< its first byte on the disks
+    std::uint64_t bytes = 0;      //!< file size
+    std::uint64_t blockBytes = 0; //!< bytes per read request
 };
 
 /**
- * The generic streaming filter handler (the paper's §2.2 skeleton):
- * ReadArg, then per MTU chunk: await valid lines, ProcessData,
- * Deallocate_Buffer; per block: reply to the host.
+ * One streamed file and the work on its records in either placement:
+ * onBlock on the host (normal modes), or onChunk in switch handler
+ * handlerId and onReply on the host (active modes).
  */
-sim::Task runFilterHandler(active::HandlerContext &ctx,
-                           FilterHandler spec);
+struct Stream {
+    StreamFile file;
+    std::uint8_t handlerId = 1;
+    std::string name; //!< the handler's name (profiles, traces)
+    /** Handler instructions charged once per invocation (ReadArg). */
+    std::uint64_t setupInstructions = 100;
+    /** Handler code footprint fetched through the I$. */
+    std::uint64_t codeBytes = 2048;
+    ChunkFn onChunk{};
+    BlockFn onBlock{};
+    ReplyFn onReply{};
+};
+
+/**
+ * Place @p streams for @p mode on @p cluster: register each stream's
+ * filter handler (active modes only) and return host 0's task, which
+ * reads the streams in turn with outstandingRequests(@p mode) reads
+ * in flight. Start it with Cluster::spawnOnHost(0, ...).
+ */
+sim::Task placeStreams(Cluster &cluster, Mode mode,
+                       std::vector<Stream> streams);
+
+/**
+ * Normal-path host loop: read @p file with @p outstanding (1 or 2)
+ * requests in flight, invoking @p on_block for each completed block,
+ * in file order.
+ */
+sim::Task normalHostLoop(host::Host &host, StreamFile file,
+                         unsigned outstanding, BlockFn on_block);
+
+/**
+ * Active-path host loop: send the argument message to @p stream's
+ * handler on @p switch_node, stream its file through the handler
+ * with @p outstanding block requests in flight, and run its onReply
+ * for every per-block result message.
+ */
+sim::Task activeHostLoop(host::Host &host, Stream stream,
+                         net::NodeId switch_node, unsigned outstanding);
+
+/**
+ * The generic streaming filter handler (the paper's §2.2 skeleton):
+ * ReadArg, then per MTU chunk: @p stream's onChunk (await valid
+ * lines, ProcessData), Deallocate_Buffer; per block: reply to the
+ * host.
+ */
+sim::Task runFilterHandler(active::HandlerContext &ctx, Stream stream);
 
 } // namespace san::apps
 

@@ -50,8 +50,11 @@
 #include "PolicyMatrix.hh"
 #include "active/ActiveSwitch.hh"
 #include "apps/Cluster.hh"
+#include "apps/Grep.hh"
+#include "apps/HashJoin.hh"
 #include "apps/MpegFilter.hh"
 #include "apps/Reduction.hh"
+#include "apps/Select.hh"
 #include "fault/FaultPlan.hh"
 #include "net/Topology.hh"
 #include "obs/Fingerprint.hh"
@@ -663,6 +666,53 @@ TEST(ShardedApps, Fig03MpegDigestIsPinned)
     params.cluster.threads = 4;
     EXPECT_EQ(runMpegFilter(apps::Mode::ActivePref, params).fingerprint,
               0x11db16dee3ee004full);
+}
+
+/** Run @p run (mode, threads) in every mode on one thread and on
+ * two; each pair must compute the same answer at the same time. */
+template <typename RunFn>
+void
+expectThreadInvariant(const char *app, RunFn run)
+{
+    for (apps::Mode m : apps::allModes) {
+        const apps::RunStats one = run(m, 1u);
+        const apps::RunStats two = run(m, 2u);
+        EXPECT_EQ(one.checksum, two.checksum)
+            << app << ", " << apps::modeName(m);
+        EXPECT_EQ(one.execTime, two.execTime)
+            << app << ", " << apps::modeName(m);
+    }
+}
+
+TEST(ShardedApps, StreamAppsMatchUnthreadedInEveryMode)
+{
+    // Every streaming app starts its host loop on host 0's shard, so
+    // each mode runs sharded and computes what one thread does.
+    expectThreadInvariant("mpeg", [](apps::Mode m, unsigned threads) {
+        apps::MpegParams p;
+        p.fileBytes = 256 * 1024;
+        p.cluster.threads = threads;
+        return runMpegFilter(m, p);
+    });
+    expectThreadInvariant("select", [](apps::Mode m, unsigned threads) {
+        apps::SelectParams p;
+        p.tableBytes = 512 * 1024;
+        p.cluster.threads = threads;
+        return runSelect(m, p);
+    });
+    expectThreadInvariant("grep", [](apps::Mode m, unsigned threads) {
+        apps::GrepParams p;
+        p.fileBytes = 70 * 2048;
+        p.cluster.threads = threads;
+        return runGrep(m, p);
+    });
+    expectThreadInvariant("hashjoin", [](apps::Mode m, unsigned threads) {
+        apps::HashJoinParams p;
+        p.rBytes = 512 * 1024;
+        p.sBytes = 1536 * 1024;
+        p.cluster.threads = threads;
+        return runHashJoin(m, p);
+    });
 }
 
 // ---------------------------------------------------------------

@@ -1,14 +1,18 @@
 /**
  * @file
  * Tests for the shared streaming machinery: the normal and active
- * host loops and the generic filter handler.
+ * host loops, the generic filter handler, and placeStreams, which
+ * places a stream's work for a mode.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include "apps/Cluster.hh"
+#include "apps/HashJoin.hh"
 #include "apps/StreamCommon.hh"
 
 namespace {
@@ -25,7 +29,10 @@ TEST(NormalHostLoop, SyncSerializesIoAndCompute)
         Cluster cluster;
         const std::uint64_t bytes = 1 * sim::MiB;
         cluster.sim().spawn(normalHostLoop(
-            cluster.host(), cluster.storage().id(), bytes, 64 * 1024,
+            cluster.host(),
+            {.storage = cluster.storage().id(),
+             .bytes = bytes,
+             .blockBytes = 64 * 1024},
             outstanding,
             [](host::Host &h, mem::Addr, std::uint64_t n,
                std::uint64_t) -> sim::Task {
@@ -47,7 +54,11 @@ TEST(NormalHostLoop, DeliversEveryBlockOnce)
     std::vector<std::uint64_t> sizes, offsets;
     const std::uint64_t bytes = 200 * 1024; // not a block multiple
     cluster.sim().spawn(normalHostLoop(
-        cluster.host(), cluster.storage().id(), bytes, 64 * 1024, 2,
+        cluster.host(),
+        {.storage = cluster.storage().id(),
+         .bytes = bytes,
+         .blockBytes = 64 * 1024},
+        2,
         [&sizes, &offsets](host::Host &, mem::Addr, std::uint64_t n,
                            std::uint64_t offset) -> sim::Task {
             sizes.push_back(n);
@@ -67,38 +78,28 @@ TEST(NormalHostLoop, DeliversEveryBlockOnce)
 TEST(FilterHandler, RepliesOncePerBlockWithFilteredSize)
 {
     Cluster cluster;
-    auto &sw = cluster.sw();
     const std::uint64_t file = 4 * 1024;
     const std::uint64_t block = 1024;
 
-    FilterHandler spec;
-    spec.fileBytes = file;
-    spec.blockBytes = block;
-    spec.processChunk = [](active::HandlerContext &ctx,
-                           const active::StreamChunk &chunk)
-        -> sim::ValueTask<std::uint32_t> {
-        co_await ctx.awaitValid(chunk, 0, chunk.bytes);
-        co_return chunk.bytes / 2; // keep half of everything
-    };
-    sw.registerHandler(1, "half", [spec](active::HandlerContext &c) {
-        return runFilterHandler(c, spec);
-    });
-
     std::vector<std::uint64_t> reply_sizes;
-    ActiveLoop loop;
-    loop.storage = cluster.storage().id();
-    loop.switchNode = sw.id();
-    loop.handlerId = 1;
-    loop.fileBytes = file;
-    loop.blockBytes = block;
-    loop.outstanding = 2;
-    cluster.sim().spawn(activeHostLoop(
-        cluster.host(), loop,
-        [&reply_sizes](host::Host &,
-                       const net::Message &reply) -> sim::Task {
+    Stream half{
+        .file = {.storage = cluster.storage().id(),
+                 .bytes = file,
+                 .blockBytes = block},
+        .name = "half",
+        .onChunk = [](active::HandlerContext &ctx,
+                      const active::StreamChunk &chunk)
+            -> sim::ValueTask<std::uint32_t> {
+            co_await ctx.awaitValid(chunk, 0, chunk.bytes);
+            co_return chunk.bytes / 2; // keep half of everything
+        },
+        .onReply = [&reply_sizes](host::Host &,
+                                  const net::Message &reply) -> sim::Task {
             reply_sizes.push_back(reply.bytes);
             co_return;
-        }));
+        },
+    };
+    cluster.spawnOnHost(0, placeStreams(cluster, Mode::ActivePref, {half}));
     cluster.sim().run();
     ASSERT_EQ(reply_sizes.size(), file / block);
     for (auto s : reply_sizes)
@@ -110,39 +111,30 @@ TEST(FilterHandler, ZeroByteRepliesStillPaceTheLoop)
     // A filter that drops everything must still ack each block or
     // the host loop would deadlock.
     Cluster cluster;
-    auto &sw = cluster.sw();
-    FilterHandler spec;
-    spec.fileBytes = 8 * 512;
-    spec.blockBytes = 2 * 512;
-    spec.processChunk = [](active::HandlerContext &ctx,
-                           const active::StreamChunk &chunk)
-        -> sim::ValueTask<std::uint32_t> {
-        co_await ctx.awaitValid(chunk, 0, chunk.bytes);
-        co_return 0;
-    };
-    sw.registerHandler(1, "drop", [spec](active::HandlerContext &c) {
-        return runFilterHandler(c, spec);
-    });
-
     int replies = 0;
-    ActiveLoop loop;
-    loop.storage = cluster.storage().id();
-    loop.switchNode = sw.id();
-    loop.handlerId = 1;
-    loop.fileBytes = spec.fileBytes;
-    loop.blockBytes = spec.blockBytes;
-    loop.outstanding = 1;
-    cluster.sim().spawn(activeHostLoop(
-        cluster.host(), loop,
-        [&replies](host::Host &, const net::Message &m) -> sim::Task {
+    Stream drop{
+        .file = {.storage = cluster.storage().id(),
+                 .bytes = 8 * 512,
+                 .blockBytes = 2 * 512},
+        .name = "drop",
+        .onChunk = [](active::HandlerContext &ctx,
+                      const active::StreamChunk &chunk)
+            -> sim::ValueTask<std::uint32_t> {
+            co_await ctx.awaitValid(chunk, 0, chunk.bytes);
+            co_return 0;
+        },
+        .onReply = [&replies](host::Host &,
+                              const net::Message &m) -> sim::Task {
             EXPECT_EQ(m.bytes, 0u);
             ++replies;
             co_return;
-        }));
+        },
+    };
+    cluster.spawnOnHost(0, placeStreams(cluster, Mode::Active, {drop}));
     cluster.sim().run();
     EXPECT_EQ(replies, 4);
     // All data buffers returned.
-    EXPECT_EQ(sw.buffers().freeCount(), 16u);
+    EXPECT_EQ(cluster.sw().buffers().freeCount(), 16u);
 }
 
 TEST(ActiveHostLoop, OutstandingLimitsInflightBlocks)
@@ -153,34 +145,56 @@ TEST(ActiveHostLoop, OutstandingLimitsInflightBlocks)
     auto run = [](unsigned outstanding) {
         Cluster cluster;
         auto &sw = cluster.sw();
-        FilterHandler spec;
-        spec.fileBytes = 64 * 1024;
-        spec.blockBytes = 8 * 1024;
-        spec.processChunk = [](active::HandlerContext &ctx,
-                               const active::StreamChunk &chunk)
-            -> sim::ValueTask<std::uint32_t> {
-            co_await ctx.awaitValid(chunk, 0, chunk.bytes);
-            co_await ctx.compute(2000); // 4 us per 512 B chunk
-            co_return 0;
-        };
-        sw.registerHandler(1, "work", [spec](active::HandlerContext &c) {
-            return runFilterHandler(c, spec);
-        });
-        ActiveLoop loop;
-        loop.storage = cluster.storage().id();
-        loop.switchNode = sw.id();
-        loop.handlerId = 1;
-        loop.fileBytes = spec.fileBytes;
-        loop.blockBytes = spec.blockBytes;
-        loop.outstanding = outstanding;
-        cluster.sim().spawn(activeHostLoop(
-            cluster.host(), loop,
-            [](host::Host &, const net::Message &) -> sim::Task {
+        Stream work{
+            .file = {.storage = cluster.storage().id(),
+                     .bytes = 64 * 1024,
+                     .blockBytes = 8 * 1024},
+            .name = "work",
+            .onChunk = [](active::HandlerContext &ctx,
+                          const active::StreamChunk &chunk)
+                -> sim::ValueTask<std::uint32_t> {
+                co_await ctx.awaitValid(chunk, 0, chunk.bytes);
+                co_await ctx.compute(2000); // 4 us per 512 B chunk
+                co_return 0;
+            },
+            .onReply = [](host::Host &,
+                          const net::Message &) -> sim::Task {
                 co_return;
-            }));
+            },
+        };
+        sw.registerHandler(1, "work",
+                           [work](active::HandlerContext &c) {
+                               return runFilterHandler(c, work);
+                           });
+        cluster.sim().spawn(
+            activeHostLoop(cluster.host(), work, sw.id(), outstanding));
         return cluster.sim().run();
     };
     EXPECT_GT(run(1), run(2));
+}
+
+TEST(PlaceStreams, RegistersHandlersOnlyInActiveModes)
+{
+    // HashJoin places two streams: R under handler 1, S under 2.
+    std::map<std::uint8_t, std::string> registered;
+    clusterObserver() = [&registered](Cluster &c, Mode) {
+        registered.clear();
+        for (const auto &[id, profile] : c.sw().handlerProfiles())
+            registered[id] = profile.name;
+    };
+    HashJoinParams p;
+    p.rBytes = 64 * 1024;
+    p.sBytes = 128 * 1024;
+    const std::map<std::uint8_t, std::string> join_handlers{
+        {1, "hj-build"}, {2, "hj-filter"}};
+    for (Mode m : allModes) {
+        runHashJoin(m, p);
+        if (isActive(m))
+            EXPECT_EQ(registered, join_handlers) << modeName(m);
+        else
+            EXPECT_TRUE(registered.empty()) << modeName(m);
+    }
+    clusterObserver() = nullptr;
 }
 
 } // namespace
