@@ -406,10 +406,7 @@ ActiveSwitch::instanceFor(const net::Packet &pkt)
     ++invoked_;
     ++profiles_[key.first].invocations;
     if (auto *tr = sim_.tracer())
-        tr->asyncBegin(name() + ".sp" + std::to_string(cpu_index),
-                       jumpTable_[key.first]->name.c_str(),
-                       (std::uint64_t(key.first) << 8) | key.second,
-                       sim_.now());
+        traceInstance(*tr, sim::TracePhase::AsyncBegin, key, cpu_index);
     sim_.spawn(runInstance(key, jumpTable_[key.first]->fn));
     return pos->second;
 }
@@ -442,29 +439,17 @@ ActiveSwitch::runInstance(InstanceKey key, HandlerFn fn)
                       static_cast<int>(key.first), " crashed on sp",
                       inst.cpuIndex, "; failing over (attempt ",
                       crashes, ")");
-            if (auto *tr = sim_.tracer()) {
-                tr->instant(name() + ".sp" +
-                                std::to_string(inst.cpuIndex),
-                            "handler-crash", sim_.now());
-                tr->asyncEnd(name() + ".sp" +
-                                 std::to_string(inst.cpuIndex),
-                             jumpTable_[key.first]->name.c_str(),
-                             (std::uint64_t(key.first) << 8) |
-                                 key.second,
-                             sim_.now());
-            }
+            if (auto *tr = sim_.tracer())
+                traceInstance(*tr, sim::TracePhase::AsyncEnd, key,
+                              inst.cpuIndex, true);
             --cpuLoad_[inst.cpuIndex];
             inst.cpuIndex = (inst.cpuIndex + 1) % cpuCount();
             inst.ctx->cpuIndex_ = inst.cpuIndex;
             ++cpuLoad_[inst.cpuIndex];
             co_await sim::Delay{fault::failoverLatency};
             if (auto *tr = sim_.tracer())
-                tr->asyncBegin(name() + ".sp" +
-                                   std::to_string(inst.cpuIndex),
-                               jumpTable_[key.first]->name.c_str(),
-                               (std::uint64_t(key.first) << 8) |
-                                   key.second,
-                               sim_.now());
+                traceInstance(*tr, sim::TracePhase::AsyncBegin, key,
+                              inst.cpuIndex);
         }
     }
     // The instance entry outlives the handler body (std::map nodes
@@ -474,12 +459,23 @@ ActiveSwitch::runInstance(InstanceKey key, HandlerFn fn)
     assert(it != instances_.end());
     --cpuLoad_[it->second.cpuIndex];
     if (auto *tr = sim_.tracer())
-        tr->asyncEnd(name() + ".sp" +
-                         std::to_string(it->second.cpuIndex),
-                     jumpTable_[key.first]->name.c_str(),
-                     (std::uint64_t(key.first) << 8) | key.second,
-                     sim_.now());
+        traceInstance(*tr, sim::TracePhase::AsyncEnd, key,
+                      it->second.cpuIndex);
     instances_.erase(it);
+}
+
+void
+ActiveSwitch::traceInstance(sim::Tracer &tr, sim::TracePhase phase,
+                            InstanceKey key, unsigned cpu_index,
+                            bool crashed) const
+{
+    const std::string track =
+        name() + ".sp" + std::to_string(cpu_index);
+    const sim::Tick now = sim_.now();
+    if (crashed)
+        tr.instant(track, "handler-crash", now);
+    tr.emit(track, {phase, jumpTable_[key.first]->name.c_str(), now, 0,
+                    (std::uint64_t(key.first) << 8) | key.second});
 }
 
 void

@@ -277,6 +277,12 @@ class ActiveSwitch : public net::Switch
     Instance &instanceFor(const net::Packet &pkt);
     unsigned pickCpu(std::uint8_t cpu_id);
     sim::Task runInstance(InstanceKey key, HandlerFn fn);
+    /** Begin or end (@p phase) instance @p key's slice on switch CPU
+     * @p cpu_index's track, after a "handler-crash" instant if it
+     * @p crashed. Callers check for a tracer (one branch untraced). */
+    void traceInstance(sim::Tracer &tr, sim::TracePhase phase,
+                       InstanceKey key, unsigned cpu_index,
+                       bool crashed = false) const;
 
     /** Id for the next message or read this switch posts. */
     std::uint64_t
