@@ -66,14 +66,12 @@ runHashJoin(Mode mode, const HashJoinParams &params)
     Cluster cluster(cp);
     const net::NodeId storage = cluster.storage().id();
     auto survivors = std::make_shared<std::uint64_t>(0);
-    const std::uint64_t hash_seed = params.seed;
 
     // ---- Host-side record batch processing ---------------------------
     // Build phase: hash + insert every R record.
-    auto host_build = [&params, hash_seed](
-                          host::Host &h, mem::Addr buf,
-                          std::uint64_t bytes,
-                          std::uint64_t first) -> sim::Task {
+    auto host_build = [&params](host::Host &h, mem::Addr buf,
+                                std::uint64_t bytes,
+                                std::uint64_t first) -> sim::Task {
         const std::uint64_t records = bytes / params.recordBytes;
         co_await h.cpu().compute(records * (params.hashInstrPerRecord +
                                             params.buildInstrPerRecord));
@@ -81,7 +79,7 @@ runHashJoin(Mode mode, const HashJoinParams &params)
         sim::Tick stall = 0;
         auto &mem_sys = h.cpu().memory();
         for (std::uint64_t i = 0; i < records; ++i) {
-            const std::uint64_t hv = detHash(hash_seed, first + i);
+            const std::uint64_t hv = detHash(params.seed, first + i);
             stall += mem_sys.dataAccess(bucketAddr(params, hv), 8,
                                         mem::AccessKind::Store,
                                         h.cpu().now() + stall);
@@ -91,14 +89,12 @@ runHashJoin(Mode mode, const HashJoinParams &params)
 
     // Probe phase on matching records only (both modes).
     auto host_probe = [&params](host::Host &h, std::uint64_t matches,
-                                std::uint64_t first_hash_idx,
-                                std::uint64_t hash_seed_v) -> sim::Task {
+                                std::uint64_t first) -> sim::Task {
         co_await h.cpu().compute(matches * params.probeInstrPerMatch);
         sim::Tick stall = 0;
         auto &mem_sys = h.cpu().memory();
         for (std::uint64_t i = 0; i < matches; ++i) {
-            const std::uint64_t hv =
-                detHash(hash_seed_v, first_hash_idx + i);
+            const std::uint64_t hv = detHash(params.seed ^ 0x55, first + i);
             stall += mem_sys.dataAccess(bucketAddr(params, hv), 64,
                                         mem::AccessKind::Load,
                                         h.cpu().now() + stall);
@@ -185,7 +181,7 @@ runHashJoin(Mode mode, const HashJoinParams &params)
             co_return static_cast<std::uint32_t>(
                 matches * params.recordBytes);
         },
-        .onBlock = [&params, host_probe, survivors, hash_seed](
+        .onBlock = [&params, host_probe, survivors](
                        host::Host &h, mem::Addr buf, std::uint64_t bytes,
                        std::uint64_t off) -> sim::Task {
             const std::uint64_t records = bytes / params.recordBytes;
@@ -200,9 +196,9 @@ runHashJoin(Mode mode, const HashJoinParams &params)
             const std::uint64_t matches =
                 survivorsIn(params, first, records);
             *survivors += matches;
-            co_await host_probe(h, matches, first, hash_seed ^ 0x55);
+            co_await host_probe(h, matches, first);
         },
-        .onReply = [&params, host_probe, probe_cursor, hash_seed](
+        .onReply = [&params, host_probe, probe_cursor](
                        host::Host &h,
                        const net::Message &reply) -> sim::Task {
             const std::uint64_t matches =
@@ -214,7 +210,7 @@ runHashJoin(Mode mode, const HashJoinParams &params)
             }
             const std::uint64_t first = *probe_cursor;
             *probe_cursor += matches;
-            co_await host_probe(h, matches, first, hash_seed ^ 0x55);
+            co_await host_probe(h, matches, first);
         },
     };
     cluster.spawnOnHost(0, placeStreams(cluster, mode, {r, s}));

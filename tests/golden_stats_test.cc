@@ -75,8 +75,8 @@ addFault(fault::FaultPlan &plan, const std::string &spec, bool at)
 /** Small runs that still exercise hosts, switch CPUs, buffers, ATBs,
  * storage and adapters. Select and HashJoin run on the scaled host
  * caches, so their host L1D/L2 and switch D$ pin non-zero cold,
- * capacity and conflict counts. grep_faulted adds link bit errors, disk latency
- * spikes and a handler crash, and samples every packet. */
+ * capacity and conflict counts. grep_faulted adds link bit errors,
+ * disk latency spikes and a handler crash, and samples every packet. */
 void
 runWorkload(const GoldenCase &c)
 {
